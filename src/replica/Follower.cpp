@@ -9,7 +9,6 @@
 #include "blame/Render.h"
 #include "persist/BinaryCodec.h"
 #include "support/Sha256.h"
-#include "tree/SExpr.h"
 #include "truechange/TypeChecker.h"
 
 #include <cstdio>
@@ -460,11 +459,8 @@ void Follower::onShardSummary(Conn &C, const ShardSummaryMsg &M) {
       continue;
     bool Mismatch = D.Version != E.Version;
     if (!Mismatch) {
-      TreeContext Tmp(Sig);
-      Tree *T = D.T->toTreePreservingUris(Tmp);
-      Mismatch = T == nullptr ||
-                 Sha256::hash(printSExprWithUris(Sig, T)).toHex() !=
-                     E.DigestHex;
+      MTree::Rendering R = D.T->render(MTree::Forms::WithUris);
+      Mismatch = !R.Ok || Sha256::hash(R.UriText).toHex() != E.DigestHex;
     }
     if (Mismatch) {
       ++Counters.SummaryMismatches;
@@ -486,7 +482,7 @@ void Follower::requestResync(Conn &C, uint64_t Doc) {
   C.send(encodeResyncReq(R));
 }
 
-Follower::ReadResult Follower::read(uint64_t Doc) const {
+Follower::ReadResult Follower::render(uint64_t Doc, MTree::Forms F) const {
   std::lock_guard<std::mutex> Lock(Mu);
   ReadResult Out;
   auto It = Docs.find(Doc);
@@ -494,19 +490,30 @@ Follower::ReadResult Follower::read(uint64_t Doc) const {
     Out.Error = "no such document";
     return Out;
   }
-  TreeContext Tmp(Sig);
-  Tree *T = It->second.T->toTreePreservingUris(Tmp);
-  if (T == nullptr) {
+  MTree::Rendering R = It->second.T->render(F);
+  if (!R.Ok) {
     Out.Error = "document is not well-formed";
     return Out;
   }
   Out.Ok = true;
   Out.Version = It->second.Version;
-  Out.TreeSize = T->size();
-  Out.Text = printSExpr(Sig, T);
-  Out.UriText = printSExprWithUris(Sig, T);
-  Out.DigestHex = Sha256::hash(Out.UriText).toHex();
+  Out.TreeSize = R.Size;
+  Out.Text = std::move(R.Text);
+  Out.UriText = std::move(R.UriText);
   return Out;
+}
+
+Follower::ReadResult Follower::read(uint64_t Doc) const {
+  ReadResult Out = render(Doc, MTree::Forms::Both);
+  // Hashed after the state mutex is released: record application need
+  // not wait for the digest.
+  if (Out.Ok)
+    Out.DigestHex = Sha256::hash(Out.UriText).toHex();
+  return Out;
+}
+
+Follower::ReadResult Follower::readText(uint64_t Doc) const {
+  return render(Doc, MTree::Forms::Plain);
 }
 
 bool Follower::contains(uint64_t Doc) const {
@@ -690,7 +697,7 @@ void ReplicaReadHandler::handle(net::NetRequest Req,
   service::Response R;
   switch (Req.Cmd.K) {
   case WireCommand::Kind::Get: {
-    Follower::ReadResult RR = F.read(Req.Cmd.Doc);
+    Follower::ReadResult RR = F.readText(Req.Cmd.Doc);
     if (!RR.Ok) {
       R.Error = RR.Error;
       R.Code = ErrCode::NoSuchDocument;

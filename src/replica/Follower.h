@@ -21,10 +21,14 @@
 ///   - epoch fencing: a leader announcing an epoch below the highest
 ///     this follower has ever seen is stale and is rejected.
 ///
-/// Reads materialise the document's MTree into a typed tree (URIs
-/// preserved) and render both s-expression forms plus a SHA-256 digest
-/// of the URI form -- the byte-identical convergence check the tests
-/// assert against the leader.
+/// Reads render straight from the document's applied MTree in one
+/// checked, stack-safe walk (MTree::render): the get verb gets the plain
+/// s-expression, byte-identical to the leader's; read() adds the
+/// URI-subscripted form and its SHA-256 digest -- the byte-identical
+/// convergence check the tests assert against the leader -- and the
+/// anti-entropy check hashes that same URI form. No read rebuilds a
+/// typed tree, so none pays for its digests. A tree that is not closed
+/// and well-formed reads as an error.
 ///
 /// Threading: records apply on the event-loop thread; reads and stats
 /// come from any thread under the state mutex. connectTo() blocks the
@@ -91,7 +95,10 @@ public:
     std::string UriText;   ///< s-expression with URI subscripts
     std::string DigestHex; ///< SHA-256 of UriText: the convergence probe
   };
+  /// Both s-expression forms plus the digest of the URI form.
   ReadResult read(uint64_t Doc) const;
+  /// What the get verb answers: Version, TreeSize and Text only.
+  ReadResult readText(uint64_t Doc) const;
   bool contains(uint64_t Doc) const;
 
   /// Blame/history reads served from the follower's own provenance
@@ -220,6 +227,8 @@ private:
   void applyDocRecord(net::Conn &C, const RecordMsg &R);
   void requestResync(net::Conn &C, uint64_t Doc);
   void failHandshake(Handshake Result);
+  /// Renders \p Doc's applied tree in forms \p F under the state mutex.
+  ReadResult render(uint64_t Doc, MTree::Forms F) const;
 
   net::EventLoop &Loop;
   const SignatureTable &Sig;

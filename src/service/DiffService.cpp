@@ -398,7 +398,16 @@ void DiffService::maybeShed(uint64_t Key, double SojournMs,
 }
 
 void DiffService::workerLoop() {
-  while (std::optional<Request> R = Queue.pop()) {
+  uint64_t Key = 0;
+  while (std::optional<Request> R = Queue.pop(Key)) {
+    // One request per document in flight: requests of a document execute
+    // in arrival order, so a pipelined open/submit/get sequence cannot
+    // overtake itself on another worker.
+    struct ReleaseClaim {
+      FairQueue<Request> &Q;
+      uint64_t Key;
+      ~ReleaseClaim() { Q.release(Key); }
+    } Release{Queue, Key};
     auto Started = Clock::now();
     double WaitMs =
         std::chrono::duration<double, std::milli>(Started - R->Enqueued)
@@ -406,7 +415,6 @@ void DiffService::workerLoop() {
     Metrics.QueueWait.record(WaitMs);
 
     OpKind Kind = kindOf(R->Op);
-    uint64_t Key = keyOf(R->Op);
     ServiceMetrics::PerOp &Op = Metrics.Ops[static_cast<unsigned>(Kind)];
     Op.Requests.fetch_add(1, std::memory_order_relaxed);
 

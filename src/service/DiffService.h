@@ -21,7 +21,8 @@
 ///     observed service time (FairQueue), so one hot or hostile document
 ///     cannot monopolise the workers. An optional per-document capacity
 ///     makes a flooding tenant hit its own wall long before the shared
-///     one.
+///     one. A document has at most one request executing at a time, so
+///     its requests take effect in arrival order.
 ///  2. Adaptive shedding: when a document's requests keep dequeuing with
 ///     a queue sojourn above ServiceConfig::ShedTargetMs (CoDel-style:
 ///     sustained for ShedIntervalMs, not a one-off spike), the newest

@@ -26,6 +26,9 @@
 ///  - shedNewest(Key) removes the youngest queued item of a key, which is
 ///    what CoDel-style load shedding wants: old requests are about to be
 ///    answered anyway, fresh arrivals are the ones worth pushing back on.
+///  - pop claims the returned item's key: no item of that key is handed
+///    out again until release(Key), so consumers execute one key's items
+///    one at a time, in push order.
 ///
 /// Items within one key stay FIFO; fairness reorders *across* keys only.
 ///
@@ -80,7 +83,7 @@ public:
       if (PerKeyCapacity != 0 && Sub.Items.size() >= PerKeyCapacity)
         return PushResult::KeyFull;
       Cost = std::min(std::max<uint64_t>(1, Cost), 64 * Quantum);
-      if (Sub.Items.empty())
+      if (Sub.Items.empty() && !Sub.Claimed)
         Active.push_back(Key);
       Sub.Items.emplace_back(std::move(Item), Cost);
       ++Size;
@@ -91,10 +94,16 @@ public:
 
   /// Blocks until an item is available and returns the next one in DRR
   /// order, or std::nullopt once the queue is closed and fully drained.
-  std::optional<T> pop() {
+  /// The item's key is stored in \p Key and claimed: until release(Key),
+  /// that key's remaining items are held back from every consumer, so no
+  /// two items of one key are ever in flight together. Every successful
+  /// pop must be followed by release.
+  std::optional<T> pop(uint64_t &Key) {
     std::unique_lock<std::mutex> Lock(Mu);
-    NotEmpty.wait(Lock, [&] { return Closed || Size != 0; });
-    if (Size == 0)
+    // Items of claimed keys are queued but not poppable, so wait for the
+    // ring, not just for Size.
+    NotEmpty.wait(Lock, [&] { return drained() || !Active.empty(); });
+    if (Active.empty())
       return std::nullopt;
 
     // Deficit round-robin over the active keys, one item per visit:
@@ -107,7 +116,7 @@ public:
     // Cost clamping at push (64 quanta) and the deficit cap guarantee
     // every key is served within a bounded number of ring rotations.
     for (;;) {
-      uint64_t Key = Active.front();
+      Key = Active.front();
       SubQueue &Sub = Subs.find(Key)->second;
       if (!Sub.TurnCharged) {
         Sub.Deficit = std::min(Sub.Deficit + Quantum, 64 * Quantum);
@@ -118,15 +127,11 @@ public:
         T Item = std::move(Sub.Items.front().first);
         Sub.Items.pop_front();
         --Size;
+        // Out of the ring until release(); the entry stays so pushes
+        // meanwhile know not to re-activate the key.
         Active.pop_front();
-        if (Sub.Items.empty()) {
-          // An emptied key leaves the ring and forfeits its deficit, so
-          // idle keys cannot bank credit (standard DRR).
-          Subs.erase(Key);
-        } else {
-          Active.push_back(Key);
-          Sub.TurnCharged = false;
-        }
+        Sub.Claimed = true;
+        wakeAllIfDrained(Lock);
         return Item;
       }
       Active.pop_front();
@@ -135,23 +140,45 @@ public:
     }
   }
 
+  /// Ends the claim pop() took on \p Key. Its queued items, if any,
+  /// rejoin the back of the scheduling ring; an emptied key leaves and
+  /// forfeits its deficit, so idle keys cannot bank credit (standard DRR).
+  void release(uint64_t Key) {
+    {
+      std::lock_guard<std::mutex> Lock(Mu);
+      auto It = Subs.find(Key);
+      if (It == Subs.end() || !It->second.Claimed)
+        return;
+      SubQueue &Sub = It->second;
+      Sub.Claimed = false;
+      if (Sub.Items.empty()) {
+        Subs.erase(It);
+        return;
+      }
+      Active.push_back(Key);
+      Sub.TurnCharged = false;
+    }
+    NotEmpty.notify_one();
+  }
+
   /// Removes and returns the *youngest* queued item of \p Key, or
   /// std::nullopt if the key has no queued items. Used by load shedding:
   /// fresh arrivals are pushed back on, requests near the head are about
   /// to be served anyway.
   std::optional<T> shedNewest(uint64_t Key) {
-    std::lock_guard<std::mutex> Lock(Mu);
+    std::unique_lock<std::mutex> Lock(Mu);
     auto It = Subs.find(Key);
-    if (It == Subs.end())
+    if (It == Subs.end() || It->second.Items.empty())
       return std::nullopt;
     SubQueue &Sub = It->second;
     T Item = std::move(Sub.Items.back().first);
     Sub.Items.pop_back();
     --Size;
-    if (Sub.Items.empty()) {
+    if (Sub.Items.empty() && !Sub.Claimed) {
       Active.erase(std::find(Active.begin(), Active.end(), Key));
       Subs.erase(It);
     }
+    wakeAllIfDrained(Lock);
     return Item;
   }
 
@@ -177,7 +204,7 @@ public:
     return It == Subs.end() ? 0 : It->second.Items.size();
   }
 
-  /// Number of keys with at least one queued item.
+  /// Number of unclaimed keys with at least one queued item.
   size_t activeKeys() const {
     std::lock_guard<std::mutex> Lock(Mu);
     return Active.size();
@@ -187,12 +214,27 @@ public:
   size_t perKeyCapacity() const { return PerKeyCapacity; }
 
 private:
+  bool drained() const { return Closed && Size == 0; }
+
+  /// Consumers parked behind claimed keys wait for Active, which a drained
+  /// closed queue never refills: whoever takes the last item after close
+  /// must wake them all to observe end-of-queue.
+  void wakeAllIfDrained(std::unique_lock<std::mutex> &Lock) {
+    if (!drained())
+      return;
+    Lock.unlock();
+    NotEmpty.notify_all();
+  }
+
   struct SubQueue {
     std::deque<std::pair<T, uint64_t>> Items; ///< (item, cost) FIFO
     uint64_t Deficit = 0;
     /// Whether this key already received its quantum for the current
     /// scheduling turn; reset when the key is rotated to the back.
     bool TurnCharged = false;
+    /// Held by a pop() consumer: the key stays out of Active (even
+    /// with items queued) and in Subs (even when empty) until release().
+    bool Claimed = false;
   };
 
   const size_t Capacity;
@@ -203,8 +245,8 @@ private:
   std::condition_variable NotEmpty;
   std::unordered_map<uint64_t, SubQueue> Subs;
   /// Round-robin ring of keys with queued items; invariant: Key appears
-  /// here exactly once iff Subs[Key].Items is non-empty, and Size is the
-  /// sum of all sub-queue sizes.
+  /// here exactly once iff Subs[Key].Items is non-empty and the key is
+  /// not claimed, and Size is the sum of all sub-queue sizes.
   std::deque<uint64_t> Active;
   size_t Size = 0;
   bool Closed = false;

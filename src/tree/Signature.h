@@ -106,6 +106,13 @@ public:
   /// True if \p Tag has a signature.
   bool hasTag(TagId Tag) const { return Tags.count(Tag) != 0; }
 
+  /// The signature of \p Tag, or nullptr if it has none: hasTag and
+  /// signature in one lookup, for walks over untrusted trees.
+  const TagSignature *findSignature(TagId Tag) const {
+    auto It = Tags.find(Tag);
+    return It == Tags.end() ? nullptr : &It->second;
+  }
+
   /// The pre-defined RootTag with signature (<RootLink:Any>, <>) -> Root.
   TagId rootTag() const { return RootTagId; }
 

@@ -7,6 +7,8 @@
 #include "truechange/MTree.h"
 
 #include <cassert>
+#include <charconv>
+#include <string_view>
 
 using namespace truediff;
 
@@ -19,26 +21,37 @@ MTree::MTree(const SignatureTable &Sig) : Sig(Sig) {
   Index.emplace(NullURI, Root);
 }
 
-void MTree::buildFromTree(MNode *Parent, LinkId Link, const Tree *T) {
-  Arena.emplace_back();
-  MNode *N = &Arena.back();
-  N->Tag = T->tag();
-  N->Uri = T->uri();
-  Parent->Kids[Link] = N;
-  assert(!Index.count(T->uri()) && "URIs must be unique");
-  Index.emplace(T->uri(), N);
-
-  const TagSignature &TagSig = Sig.signature(T->tag());
-  for (size_t I = 0, E = T->arity(); I != E; ++I)
-    buildFromTree(N, TagSig.Kids[I].Link, T->kid(I));
-  for (size_t I = 0, E = T->numLits(); I != E; ++I)
-    N->Lits.emplace(TagSig.Lits[I].Link, T->lit(I));
-}
-
 MTree MTree::fromTree(const SignatureTable &Sig, const Tree *T) {
   MTree M(Sig);
-  if (T != nullptr)
-    M.buildFromTree(M.Root, Sig.rootLink(), T);
+  if (T == nullptr)
+    return M;
+  M.Index.reserve(T->size() + 1);
+  // Pre-order with an explicit stack (kids pushed in reverse, so they are
+  // built in signature order): stack-safe on chains as deep as admission
+  // allows.
+  struct Pending {
+    MNode *Parent;
+    LinkId Link;
+    const Tree *Src;
+  };
+  std::vector<Pending> Stack{{M.Root, Sig.rootLink(), T}};
+  while (!Stack.empty()) {
+    Pending P = Stack.back();
+    Stack.pop_back();
+    M.Arena.emplace_back();
+    MNode *N = &M.Arena.back();
+    N->Tag = P.Src->tag();
+    N->Uri = P.Src->uri();
+    P.Parent->Kids[P.Link] = N;
+    assert(!M.Index.count(N->Uri) && "URIs must be unique");
+    M.Index.emplace(N->Uri, N);
+
+    const TagSignature &TagSig = Sig.signature(N->Tag);
+    for (size_t I = 0, E = P.Src->numLits(); I != E; ++I)
+      N->Lits.emplace(TagSig.Lits[I].Link, P.Src->lit(I));
+    for (size_t I = P.Src->arity(); I != 0; --I)
+      Stack.push_back({N, TagSig.Kids[I - 1].Link, P.Src->kid(I - 1)});
+  }
   return M;
 }
 
@@ -214,113 +227,234 @@ MTree::PatchResult MTree::patchChecked(const EditScript &Script) {
   return Done;
 }
 
-bool MTree::nodeEqualsTree(const MNode *N, const Tree *T) const {
-  if (N == nullptr || T == nullptr)
-    return N == nullptr && T == nullptr;
-  if (N->Tag != T->tag())
-    return false;
-  const TagSignature &TagSig = Sig.signature(T->tag());
-  if (N->Kids.size() != TagSig.Kids.size() ||
-      N->Lits.size() != TagSig.Lits.size())
-    return false;
-  for (size_t I = 0, E = T->arity(); I != E; ++I) {
-    auto It = N->Kids.find(TagSig.Kids[I].Link);
-    if (It == N->Kids.end() || !nodeEqualsTree(It->second, T->kid(I)))
+bool MTree::equalsTree(const Tree *T) const {
+  std::vector<std::pair<const MNode *, const Tree *>> Stack{{top(), T}};
+  while (!Stack.empty()) {
+    auto [N, U] = Stack.back();
+    Stack.pop_back();
+    if (N == nullptr || U == nullptr) {
+      if ((N == nullptr) != (U == nullptr))
+        return false;
+      continue;
+    }
+    if (N->Tag != U->tag())
       return false;
+    const TagSignature &TagSig = Sig.signature(U->tag());
+    if (N->Kids.size() != TagSig.Kids.size() ||
+        N->Lits.size() != TagSig.Lits.size())
+      return false;
+    for (size_t I = 0, E = U->numLits(); I != E; ++I) {
+      auto It = N->Lits.find(TagSig.Lits[I].Link);
+      if (It == N->Lits.end() || !(It->second == U->lit(I)))
+        return false;
+    }
+    for (size_t I = 0, E = U->arity(); I != E; ++I) {
+      auto It = N->Kids.find(TagSig.Kids[I].Link);
+      if (It == N->Kids.end())
+        return false;
+      Stack.emplace_back(It->second, U->kid(I));
+    }
   }
-  for (size_t I = 0, E = T->numLits(); I != E; ++I) {
-    auto It = N->Lits.find(TagSig.Lits[I].Link);
-    if (It == N->Lits.end() || !(It->second == T->lit(I)))
+  return true;
+}
+
+/// The one traversal behind render, toString, isClosedWellFormed and
+/// toTree: depth first from top(), kids in signature order, with an
+/// explicit stack, so chains as deep as admission allows cannot overflow
+/// the thread stack. For each slot it calls V.hole(IsTop) if the slot is
+/// empty or absent, V.unknownTag(N, IsTop) if the node's tag has no
+/// signature (its kids are not visited), and otherwise V.enter(N, TagSig,
+/// IsTop) before the node's kids and V.leave(N, TagSig) after them. A
+/// callback returning false stops the walk, which then returns false.
+template <typename Visitor> bool MTree::walk(Visitor &V) const {
+  struct Frame {
+    const MNode *N;
+    const TagSignature *TagSig;
+    size_t NextKid;
+  };
+  std::vector<Frame> Stack;
+  auto Visit = [&](const MNode *N, bool IsTop) {
+    if (N == nullptr)
+      return V.hole(IsTop);
+    const TagSignature *TagSig = Sig.findSignature(N->Tag);
+    if (TagSig == nullptr)
+      return V.unknownTag(*N, IsTop);
+    if (!V.enter(*N, *TagSig, IsTop))
+      return false;
+    Stack.push_back({N, TagSig, 0});
+    return true;
+  };
+  if (!Visit(top(), /*IsTop=*/true))
+    return false;
+  while (!Stack.empty()) {
+    Frame &F = Stack.back();
+    if (F.NextKid == F.TagSig->Kids.size()) {
+      Frame Done = F;
+      Stack.pop_back();
+      if (!V.leave(*Done.N, *Done.TagSig))
+        return false;
+      continue;
+    }
+    auto It = F.N->Kids.find(F.TagSig->Kids[F.NextKid++].Link);
+    if (!Visit(It == F.N->Kids.end() ? nullptr : It->second, false))
       return false;
   }
   return true;
 }
 
-bool MTree::equalsTree(const Tree *T) const { return nodeEqualsTree(top(), T); }
+namespace {
 
-Tree *MTree::toTree(TreeContext &Ctx) const {
-  if (!isClosedWellFormed())
-    return nullptr;
-  std::function<Tree *(const MNode *)> Build =
-      [&](const MNode *N) -> Tree * {
-    const TagSignature &TagSig = Sig.signature(N->Tag);
-    std::vector<Tree *> Kids;
-    Kids.reserve(TagSig.Kids.size());
-    for (const KidSpec &Spec : TagSig.Kids)
-      Kids.push_back(Build(N->Kids.at(Spec.Link)));
+/// Writes the s-expression forms of printSExpr (Plain) and
+/// printSExprWithUris (Uris) as the walk goes; a null sink is skipped.
+/// Checked, it fails wherever isClosedWellFormed() would: an empty slot,
+/// an unknown tag, an absent or mistyped literal, or more reachable
+/// nodes than the index holds (failing as soon as there are more also
+/// ends the walk on a cycle; the caller checks for fewer). Unchecked
+/// (toString), it marks the defects instead.
+struct SExprWriter {
+  const SignatureTable &Sig;
+  std::string *Plain;
+  std::string *Uris;
+  bool Checked;
+  /// Index size minus the root: the most nodes a closed tree can reach.
+  size_t MaxNodes;
+  uint64_t Nodes = 0;
+
+  void put(char C) {
+    if (Plain)
+      Plain->push_back(C);
+    if (Uris)
+      Uris->push_back(C);
+  }
+  void put(std::string_view S) {
+    if (Plain)
+      Plain->append(S);
+    if (Uris)
+      Uris->append(S);
+  }
+
+  /// A defect in place of a node: fails checked, marked unchecked.
+  bool defect(bool IsTop, std::string_view Marker) {
+    if (Checked)
+      return false;
+    if (!IsTop)
+      put(' ');
+    put(Marker);
+    return true;
+  }
+  bool hole(bool IsTop) { return defect(IsTop, "<hole>"); }
+  bool unknownTag(const MNode &, bool IsTop) {
+    return defect(IsTop, "<unknown>");
+  }
+
+  bool enter(const MNode &N, const TagSignature &, bool IsTop) {
+    if (Checked && ++Nodes > MaxNodes)
+      return false;
+    if (!IsTop)
+      put(' ');
+    put('(');
+    put(Sig.name(N.Tag));
+    if (Uris) {
+      char Buf[24];
+      Buf[0] = '_';
+      char *End = std::to_chars(Buf + 1, Buf + sizeof(Buf), N.Uri).ptr;
+      Uris->append(Buf, End);
+    }
+    return true;
+  }
+
+  bool leave(const MNode &N, const TagSignature &TagSig) {
+    for (const LitSpec &Spec : TagSig.Lits) {
+      auto It = N.Lits.find(Spec.Link);
+      bool Present = It != N.Lits.end();
+      if (Checked && (!Present || It->second.kind() != Spec.Kind))
+        return false;
+      if (Plain == nullptr && Uris == nullptr)
+        continue; // a bare check: spell no literals
+      put(' ');
+      put(Present ? It->second.toString() : "<missing>");
+    }
+    put(')');
+    return true;
+  }
+};
+
+/// Rebuilds a closed, well-formed MTree as a typed tree, post-order: when
+/// a node is left, its kids' rebuilds are the top entries of Done.
+struct TreeBuilder {
+  TreeContext &Ctx;
+  bool KeepUris;
+  std::vector<Tree *> Done;
+
+  bool hole(bool) { return false; }
+  bool unknownTag(const MNode &, bool) { return false; }
+  bool enter(const MNode &, const TagSignature &, bool) { return true; }
+
+  bool leave(const MNode &N, const TagSignature &TagSig) {
+    size_t Arity = TagSig.Kids.size();
+    std::vector<Tree *> Kids(Done.end() - Arity, Done.end());
+    Done.resize(Done.size() - Arity);
     std::vector<Literal> Lits;
     Lits.reserve(TagSig.Lits.size());
     for (const LitSpec &Spec : TagSig.Lits)
-      Lits.push_back(N->Lits.at(Spec.Link));
-    return Ctx.make(N->Tag, std::move(Kids), std::move(Lits));
-  };
-  return Build(top());
+      Lits.push_back(N.Lits.at(Spec.Link));
+    Done.push_back(KeepUris ? Ctx.adoptWithUri(N.Tag, N.Uri, std::move(Kids),
+                                               std::move(Lits))
+                            : Ctx.make(N.Tag, std::move(Kids), std::move(Lits)));
+    return true;
+  }
+};
+
+} // namespace
+
+bool MTree::renderChecked(std::string *Plain, std::string *Uris,
+                          uint64_t &Nodes) const {
+  if (Index.empty())
+    return false; // even the root was unloaded
+  size_t MaxNodes = Index.size() - 1;
+  SExprWriter W{Sig, Plain, Uris, /*Checked=*/true, MaxNodes};
+  // No leaked roots: the index holds exactly the reachable nodes.
+  if (!walk(W) || W.Nodes != MaxNodes)
+    return false;
+  Nodes = W.Nodes;
+  return true;
 }
 
-Tree *MTree::toTreePreservingUris(TreeContext &Ctx) const {
-  if (!isClosedWellFormed())
-    return nullptr;
-  std::function<Tree *(const MNode *)> Build =
-      [&](const MNode *N) -> Tree * {
-    const TagSignature &TagSig = Sig.signature(N->Tag);
-    std::vector<Tree *> Kids;
-    Kids.reserve(TagSig.Kids.size());
-    for (const KidSpec &Spec : TagSig.Kids)
-      Kids.push_back(Build(N->Kids.at(Spec.Link)));
-    std::vector<Literal> Lits;
-    Lits.reserve(TagSig.Lits.size());
-    for (const LitSpec &Spec : TagSig.Lits)
-      Lits.push_back(N->Lits.at(Spec.Link));
-    return Ctx.adoptWithUri(N->Tag, N->Uri, std::move(Kids), std::move(Lits));
-  };
-  return Build(top());
+MTree::Rendering MTree::render(Forms F) const {
+  Rendering R;
+  R.Ok = renderChecked(F == Forms::WithUris ? nullptr : &R.Text,
+                       F == Forms::Plain ? nullptr : &R.UriText, R.Size);
+  if (!R.Ok) {
+    R.Text.clear();
+    R.UriText.clear();
+  }
+  return R;
 }
 
 bool MTree::isClosedWellFormed() const {
-  size_t Reachable = 1; // the virtual root
-  std::function<bool(const MNode *)> Walk = [&](const MNode *N) -> bool {
-    if (N == nullptr)
-      return false; // empty slot
-    ++Reachable;
-    if (!Sig.hasTag(N->Tag))
-      return false;
-    const TagSignature &TagSig = Sig.signature(N->Tag);
-    for (const KidSpec &Spec : TagSig.Kids) {
-      auto It = N->Kids.find(Spec.Link);
-      if (It == N->Kids.end() || !Walk(It->second))
-        return false;
-    }
-    for (const LitSpec &Spec : TagSig.Lits) {
-      auto It = N->Lits.find(Spec.Link);
-      if (It == N->Lits.end() || It->second.kind() != Spec.Kind)
-        return false;
-    }
-    return true;
-  };
-  auto TopIt = Root->Kids.find(Sig.rootLink());
-  if (TopIt == Root->Kids.end() || !Walk(TopIt->second))
-    return false;
-  // No leaked roots: the index holds exactly the reachable nodes.
-  return Reachable == Index.size();
+  uint64_t Nodes = 0;
+  return renderChecked(nullptr, nullptr, Nodes);
 }
 
-std::string MTree::nodeToString(const MNode *N) const {
-  if (N == nullptr)
-    return "<hole>";
-  std::string Out = "(" + Sig.name(N->Tag) + "_" + std::to_string(N->Uri);
-  const TagSignature &TagSig = Sig.signature(N->Tag);
-  for (const KidSpec &Spec : TagSig.Kids) {
-    Out += " ";
-    auto It = N->Kids.find(Spec.Link);
-    Out += It == N->Kids.end() ? "<hole>" : nodeToString(It->second);
-  }
-  for (const LitSpec &Spec : TagSig.Lits) {
-    Out += " ";
-    auto It = N->Lits.find(Spec.Link);
-    Out += It == N->Lits.end() ? "<missing>" : It->second.toString();
-  }
-  Out += ")";
+std::string MTree::toString() const {
+  std::string Out;
+  SExprWriter W{Sig, nullptr, &Out, /*Checked=*/false, 0};
+  walk(W);
   return Out;
 }
 
-std::string MTree::toString() const { return nodeToString(top()); }
+Tree *MTree::rebuild(TreeContext &Ctx, bool KeepUris) const {
+  if (!isClosedWellFormed())
+    return nullptr;
+  TreeBuilder B{Ctx, KeepUris, {}};
+  walk(B);
+  return B.Done.front();
+}
+
+Tree *MTree::toTree(TreeContext &Ctx) const {
+  return rebuild(Ctx, /*KeepUris=*/false);
+}
+
+Tree *MTree::toTreePreservingUris(TreeContext &Ctx) const {
+  return rebuild(Ctx, /*KeepUris=*/true);
+}

@@ -103,6 +103,26 @@ public:
   /// guarantees for well-typed, compliant scripts.
   bool isClosedWellFormed() const;
 
+  /// Which s-expression forms render() emits.
+  enum class Forms { Plain, WithUris, Both };
+
+  /// Outcome of render().
+  struct Rendering {
+    /// False iff !isClosedWellFormed(); the texts are then empty.
+    bool Ok = false;
+    /// Nodes below the root: Tree::size() of the typed tree.
+    uint64_t Size = 0;
+    std::string Text;    ///< printSExpr form (Plain, Both)
+    std::string UriText; ///< printSExprWithUris form (WithUris, Both)
+  };
+
+  /// Renders the tree straight from the arena, in one stack-safe walk
+  /// that also checks it: the texts are byte-identical to printSExpr /
+  /// printSExprWithUris of toTreePreservingUris(), and the render fails
+  /// exactly where isClosedWellFormed() is false. This is how reads of
+  /// replicated documents avoid rebuilding (and rehashing) a typed tree.
+  Rendering render(Forms F) const;
+
   /// True iff the patched content equals \p T up to URIs. Kid links are
   /// compared in signature order.
   bool equalsTree(const Tree *T) const;
@@ -123,14 +143,17 @@ public:
   Tree *toTreePreservingUris(TreeContext &Ctx) const;
 
   /// Renders the tree like printSExprWithUris, for tests and debugging.
+  /// Unchecked: empty slots show as "<hole>", absent literals as
+  /// "<missing>" and tags without a signature as "<unknown>".
   std::string toString() const;
   /// @}
 
 private:
   PatchResult checkCompliance(const Edit &E, size_t Index) const;
-  bool nodeEqualsTree(const MNode *N, const Tree *T) const;
-  void buildFromTree(MNode *Parent, LinkId Link, const Tree *T);
-  std::string nodeToString(const MNode *N) const;
+  template <typename Visitor> bool walk(Visitor &V) const;
+  bool renderChecked(std::string *Plain, std::string *Uris,
+                     uint64_t &Nodes) const;
+  Tree *rebuild(TreeContext &Ctx, bool KeepUris) const;
 
   const SignatureTable &Sig;
   std::deque<MNode> Arena;

@@ -7,20 +7,24 @@
 /// \file
 /// Regression test for the recursive-traversal stack overflow: a
 /// pathologically deep (but admission-legal) unary chain used to crash
-/// foreachTree/refreshDerived/clearDiffState/deepCopy once it exceeded
-/// the thread stack. All of these are now iterative with explicit work
-/// stacks; this test drives each of them over a ~300k-deep chain and is
-/// meant to run under ASan, whose instrumented frames blow the stack far
-/// earlier than production builds would.
+/// foreachTree/refreshDerived/clearDiffState/deepCopy -- and MTree's
+/// fromTree/render/isClosedWellFormed/toTree/equalsTree/toString -- once
+/// it exceeded the thread stack. All of these are now iterative with
+/// explicit work stacks; this test drives each of them over a ~300k-deep
+/// chain and is meant to run under ASan, whose instrumented frames blow
+/// the stack far earlier than production builds would.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "support/WorkerPool.h"
 #include "tree/Tree.h"
+#include "truechange/MTree.h"
 
 #include "TestLang.h"
 
 #include <gtest/gtest.h>
+
+#include <string>
 
 using namespace truediff;
 using namespace truediff::testlang;
@@ -75,6 +79,63 @@ TEST(DeepTreeTest, DeepCopySurvivesDeepChains) {
   EXPECT_TRUE(Copy->equalsModuloUris(*T));
   EXPECT_NE(Copy->uri(), T->uri());
   EXPECT_EQ(Copy->size(), ChainDepth + 1);
+}
+
+TEST(DeepTreeTest, MTreeSurvivesDeepChains) {
+  SignatureTable Sig = makeExpSignature();
+  TreeContext Ctx(Sig);
+  Tree *T = deepChain(Ctx);
+
+  // The expected renderings, built without recursion: ChainDepth
+  // "(Call_u " openers, the Num leaf, then ChainDepth " \"f\")" closers.
+  std::string Text, UriText;
+  const Tree *N = T;
+  for (; N->arity() != 0; N = N->kid(0)) {
+    Text += "(Call ";
+    UriText += "(Call_" + std::to_string(N->uri()) + " ";
+  }
+  Text += "(Num 0)";
+  UriText += "(Num_" + std::to_string(N->uri()) + " 0)";
+  for (uint64_t I = 0; I != ChainDepth; ++I) {
+    Text += " \"f\")";
+    UriText += " \"f\")";
+  }
+
+  MTree M = MTree::fromTree(Sig, T);
+  EXPECT_EQ(M.indexSize(), ChainDepth + 2); // plus the root
+  EXPECT_TRUE(M.isClosedWellFormed());
+  EXPECT_TRUE(M.equalsTree(T));
+
+  MTree::Rendering R = M.render(MTree::Forms::Both);
+  ASSERT_TRUE(R.Ok);
+  EXPECT_EQ(R.Size, ChainDepth + 1);
+  EXPECT_TRUE(R.Text == Text);
+  EXPECT_TRUE(R.UriText == UriText);
+  EXPECT_TRUE(M.render(MTree::Forms::Plain).Text == Text);
+  EXPECT_TRUE(M.render(MTree::Forms::WithUris).UriText == UriText);
+  EXPECT_TRUE(M.toString() == UriText);
+
+  TreeContext Fresh(Sig);
+  Tree *Back = M.toTreePreservingUris(Fresh);
+  ASSERT_NE(Back, nullptr);
+  EXPECT_EQ(Back->uri(), T->uri());
+  EXPECT_EQ(Back->size(), ChainDepth + 1);
+  EXPECT_TRUE(Back->equalsModuloUris(*T));
+
+  // A hole at the very bottom: every check walks the full depth first.
+  const Tree *Bottom = T;
+  while (Bottom->kid(0)->arity() != 0)
+    Bottom = Bottom->kid(0);
+  const Tree *Leaf = Bottom->kid(0);
+  ASSERT_TRUE(M.processEdit(Edit::detach(NodeRef{Leaf->tag(), Leaf->uri()},
+                                         Sig.lookup("a"),
+                                         NodeRef{Bottom->tag(), Bottom->uri()}))
+                  .Ok);
+  EXPECT_FALSE(M.isClosedWellFormed());
+  EXPECT_FALSE(M.render(MTree::Forms::Both).Ok);
+  EXPECT_FALSE(M.equalsTree(T));
+  EXPECT_EQ(M.toTreePreservingUris(Fresh), nullptr);
+  EXPECT_NE(M.toString().find("<hole>"), std::string::npos);
 }
 
 } // namespace

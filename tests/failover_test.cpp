@@ -49,6 +49,7 @@
 #include "support/Sha256.h"
 
 #include "TestLang.h"
+#include "TestNet.h"
 #include "TestSeed.h"
 
 #include <gtest/gtest.h>
@@ -348,153 +349,7 @@ uint64_t mixSeed(uint64_t Base, uint64_t I) {
   return Base + I * 0x9e3779b97f4a7c15ULL;
 }
 
-//===----------------------------------------------------------------------===//
-// Blocking raw test client (trimmed copy of net_test's).
-//===----------------------------------------------------------------------===//
-
-class TcpClient {
-public:
-  TcpClient() = default;
-  ~TcpClient() { closeFd(); }
-  TcpClient(const TcpClient &) = delete;
-  TcpClient &operator=(const TcpClient &) = delete;
-
-  bool connect(uint16_t Port) {
-    Fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (Fd < 0)
-      return false;
-    sockaddr_in A{};
-    A.sin_family = AF_INET;
-    A.sin_port = htons(Port);
-    A.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    if (::connect(Fd, reinterpret_cast<sockaddr *>(&A), sizeof(A)) != 0) {
-      closeFd();
-      return false;
-    }
-    return true;
-  }
-
-  void closeFd() {
-    if (Fd >= 0)
-      ::close(Fd);
-    Fd = -1;
-  }
-
-  bool sendAll(std::string_view Bytes) {
-    while (!Bytes.empty()) {
-      ssize_t N = ::send(Fd, Bytes.data(), Bytes.size(), MSG_NOSIGNAL);
-      if (N <= 0)
-        return false;
-      Bytes.remove_prefix(static_cast<size_t>(N));
-    }
-    return true;
-  }
-
-  bool fill(int TimeoutMs) {
-    pollfd P{Fd, POLLIN, 0};
-    int R = ::poll(&P, 1, TimeoutMs);
-    if (R <= 0)
-      return false;
-    char Tmp[4096];
-    ssize_t N = ::recv(Fd, Tmp, sizeof(Tmp), 0);
-    if (N < 0)
-      return false;
-    if (N == 0) {
-      SawEof = true;
-      return false;
-    }
-    Buf.append(Tmp, static_cast<size_t>(N));
-    return true;
-  }
-
-  bool readLine(std::string &Line, int TimeoutMs = 10000) {
-    auto Deadline = std::chrono::steady_clock::now() +
-                    std::chrono::milliseconds(TimeoutMs);
-    for (;;) {
-      size_t NL = Buf.find('\n');
-      if (NL != std::string::npos) {
-        Line = Buf.substr(0, NL);
-        Buf.erase(0, NL + 1);
-        return true;
-      }
-      int Left = static_cast<int>(
-          std::chrono::duration_cast<std::chrono::milliseconds>(
-              Deadline - std::chrono::steady_clock::now())
-              .count());
-      if (Left <= 0 || !fill(Left))
-        return false;
-    }
-  }
-
-  /// Reads one framed textual response up to (excluding) the "." line.
-  bool readTextResponse(std::vector<std::string> &Lines,
-                        int TimeoutMs = 10000) {
-    Lines.clear();
-    std::string Line;
-    for (;;) {
-      if (!readLine(Line, TimeoutMs))
-        return false;
-      if (Line == ".")
-        return true;
-      Lines.push_back(Line);
-    }
-  }
-
-  bool readFrame(net::FrameHeader &H, std::string &Payload,
-                 int TimeoutMs = 10000) {
-    auto Deadline = std::chrono::steady_clock::now() +
-                    std::chrono::milliseconds(TimeoutMs);
-    for (;;) {
-      net::FramePeek P = net::peekFrame(Buf, net::MaxBinaryFrameBytes, H);
-      if (P == net::FramePeek::Ok) {
-        Payload = Buf.substr(net::FrameHeaderBytes, H.Len);
-        Buf.erase(0, net::FrameHeaderBytes + H.Len);
-        return true;
-      }
-      if (P == net::FramePeek::TooLarge)
-        return false;
-      int Left = static_cast<int>(
-          std::chrono::duration_cast<std::chrono::milliseconds>(
-              Deadline - std::chrono::steady_clock::now())
-              .count());
-      if (Left <= 0 || !fill(Left))
-        return false;
-    }
-  }
-
-  bool readBinResponse(net::BinResponse &R, int TimeoutMs = 10000) {
-    net::FrameHeader H;
-    std::string Payload;
-    if (!readFrame(H, Payload, TimeoutMs))
-      return false;
-    if (H.Magic != net::ClientRespMagic)
-      return false;
-    return net::decodeBinResponse(H.Type, Payload, R);
-  }
-
-  bool waitEof(int TimeoutMs = 10000) {
-    auto Deadline = std::chrono::steady_clock::now() +
-                    std::chrono::milliseconds(TimeoutMs);
-    while (!SawEof) {
-      int Left = static_cast<int>(
-          std::chrono::duration_cast<std::chrono::milliseconds>(
-              Deadline - std::chrono::steady_clock::now())
-              .count());
-      if (Left <= 0)
-        return false;
-      if (!fill(Left) && !SawEof)
-        return false;
-    }
-    return true;
-  }
-
-  bool sawEof() const { return SawEof; }
-
-private:
-  int Fd = -1;
-  std::string Buf;
-  bool SawEof = false;
-};
+using tests::TcpClient;
 
 /// One textual request/response; returns the status line ("" on error).
 std::string roundTrip(TcpClient &C, const std::string &Line) {

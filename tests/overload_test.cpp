@@ -44,7 +44,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -83,6 +86,16 @@ TreeBuilder gatedBuilder(std::shared_future<void> Gate, const char *Tag) {
   };
 }
 
+/// Pops the next item and releases its key at once, as a consumer that
+/// finished the item would.
+template <typename T> std::optional<T> popReleased(FairQueue<T> &Q) {
+  uint64_t Key = 0;
+  std::optional<T> Item = Q.pop(Key);
+  if (Item)
+    Q.release(Key);
+  return Item;
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -100,7 +113,7 @@ TEST(FairQueueTest, DrrInterleavesHotAndColdKeys) {
 
   std::vector<int> Order;
   for (int I = 0; I != 4; ++I)
-    Order.push_back(*Q.pop());
+    Order.push_back(*popReleased(Q));
   // The cold item appears within the first two dequeues (one turn of the
   // two-key ring), and the hot key stays FIFO.
   EXPECT_TRUE(Order[0] == 900 || Order[1] == 900) << Order[0] << "," << Order[1];
@@ -122,14 +135,14 @@ TEST(FairQueueTest, ExpensiveKeysGetProportionallyFewerSlots) {
     ASSERT_EQ(Q.tryPush(2, 'b', 100), PushResult::Ok);
   std::string First6;
   for (int I = 0; I != 6; ++I)
-    First6 += *Q.pop();
+    First6 += *popReleased(Q);
   EXPECT_EQ(std::count(First6.begin(), First6.end(), 'a'), 2)
       << First6;
   EXPECT_EQ(std::count(First6.begin(), First6.end(), 'b'), 4)
       << First6;
   // The remainder drains completely.
   for (int I = 0; I != 6; ++I)
-    EXPECT_TRUE(Q.pop().has_value());
+    EXPECT_TRUE(popReleased(Q).has_value());
   EXPECT_EQ(Q.depth(), 0u);
 }
 
@@ -163,7 +176,7 @@ TEST(FairQueueTest, ShedNewestRemovesTheYoungestOfOneKeyOnly) {
   EXPECT_EQ(Q.activeKeys(), 1u);
 
   // The ring survived the surgical removals: key 2 still pops.
-  EXPECT_EQ(*Q.pop(), 42);
+  EXPECT_EQ(*popReleased(Q), 42);
   EXPECT_EQ(Q.depth(), 0u);
 }
 
@@ -172,8 +185,105 @@ TEST(FairQueueTest, CloseDrainsRemainderThenSignalsEndOfQueue) {
   ASSERT_EQ(Q.tryPush(1, 7, 100), PushResult::Ok);
   Q.close();
   EXPECT_EQ(Q.tryPush(1, 8, 100), PushResult::Closed);
-  EXPECT_EQ(*Q.pop(), 7);
-  EXPECT_EQ(Q.pop(), std::nullopt);
+  EXPECT_EQ(*popReleased(Q), 7);
+  EXPECT_EQ(popReleased(Q), std::nullopt);
+}
+
+TEST(FairQueueTest, ClaimedKeyIsHeldBackUntilRelease) {
+  FairQueue<int> Q(16, 0, 100);
+  ASSERT_EQ(Q.tryPush(1, 10, 100), PushResult::Ok);
+  ASSERT_EQ(Q.tryPush(1, 11, 100), PushResult::Ok);
+  ASSERT_EQ(Q.tryPush(2, 20, 100), PushResult::Ok);
+
+  uint64_t Key = 0;
+  EXPECT_EQ(*Q.pop(Key), 10);
+  EXPECT_EQ(Key, 1u);
+  // Key 1 still has an item queued, but it is claimed: only key 2 is
+  // eligible, and a push meanwhile does not re-activate key 1.
+  EXPECT_EQ(Q.activeKeys(), 1u);
+  ASSERT_EQ(Q.tryPush(1, 12, 100), PushResult::Ok);
+  EXPECT_EQ(Q.activeKeys(), 1u);
+  uint64_t Other = 0;
+  EXPECT_EQ(*Q.pop(Other), 20);
+  EXPECT_EQ(Other, 2u);
+  EXPECT_EQ(Q.activeKeys(), 0u);
+  EXPECT_EQ(Q.depth(), 2u);
+
+  // A consumer blocked behind the claim wakes on release and sees the
+  // key's items in push order.
+  std::promise<int> Next;
+  std::thread Consumer([&] {
+    uint64_t K = 0;
+    Next.set_value(*Q.pop(K));
+    Q.release(K);
+  });
+  Q.release(2);
+  Q.release(1);
+  EXPECT_EQ(Next.get_future().get(), 11);
+  Consumer.join();
+  EXPECT_EQ(*Q.pop(Key), 12);
+  Q.release(Key);
+  EXPECT_EQ(Q.depth(), 0u);
+}
+
+TEST(FairQueueTest, CloseWakesConsumersParkedBehindAClaim) {
+  FairQueue<int> Q(8, 0, 100);
+  ASSERT_EQ(Q.tryPush(1, 1, 100), PushResult::Ok);
+  ASSERT_EQ(Q.tryPush(1, 2, 100), PushResult::Ok);
+  uint64_t Key = 0;
+  ASSERT_EQ(*Q.pop(Key), 1);
+  Q.close();
+
+  // Both consumers park: the one item left belongs to the claimed key.
+  std::atomic<int> Served{0}, Ended{0};
+  auto Drain = [&] {
+    uint64_t K = 0;
+    while (std::optional<int> I = Q.pop(K)) {
+      Served.fetch_add(*I);
+      Q.release(K);
+    }
+    Ended.fetch_add(1);
+  };
+  std::thread A(Drain), B(Drain);
+  Q.release(Key);
+  A.join();
+  B.join();
+  EXPECT_EQ(Served.load(), 2);
+  EXPECT_EQ(Ended.load(), 2);
+}
+
+TEST(FairQueueTest, SheddingTheLastItemAfterCloseWakesParkedConsumers) {
+  // Shared so that, should the consumers never wake, the detached
+  // threads do not outlive the queue they are parked on.
+  auto Q = std::make_shared<FairQueue<int>>(8, 0, 100);
+  for (int I = 0; I != 3; ++I)
+    ASSERT_EQ(Q->tryPush(1, int(I), 100), PushResult::Ok);
+  uint64_t Key = 0;
+  ASSERT_EQ(*Q->pop(Key), 0);
+  Q->close();
+
+  // Both consumers park: the items left belong to the claimed key.
+  std::vector<std::future<void>> Ended;
+  for (int I = 0; I != 2; ++I) {
+    std::promise<void> Done;
+    Ended.push_back(Done.get_future());
+    std::thread([Q, Done = std::move(Done)]() mutable {
+      uint64_t K = 0;
+      while (Q->pop(K))
+        Q->release(K);
+      Done.set_value();
+    }).detach();
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  // The claim holder sheds its key's backlog: the closed queue is now
+  // drained, so the parked consumers must see end-of-queue even though
+  // release() finds nothing left to requeue.
+  EXPECT_EQ(*Q->shedNewest(Key), 2);
+  EXPECT_EQ(*Q->shedNewest(Key), 1);
+  Q->release(Key);
+  for (std::future<void> &E : Ended)
+    EXPECT_EQ(E.wait_for(std::chrono::seconds(10)), std::future_status::ready);
 }
 
 //===----------------------------------------------------------------------===//

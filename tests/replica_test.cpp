@@ -10,7 +10,9 @@
 /// assertion is byte-for-byte convergence -- after hundreds of seeded
 /// mutations (submits, rollbacks, erases, re-opens) every follower's
 /// materialised document equals the leader's URI-preserving rendering
-/// exactly, digest included. Also covered: catch-up via tail replay and
+/// exactly, digest included -- and a get over TCP answers the same bytes
+/// from the follower's read endpoint as from the leader's client
+/// endpoint. Also covered: catch-up via tail replay and
 /// via snapshot transfer (including pruning of documents erased while
 /// the follower was away), gap-triggered per-document resync,
 /// stale-leader epoch fencing, and a follower killed mid-stream that
@@ -24,11 +26,15 @@
 
 #include "corpus/JsonGen.h"
 #include "json/Json.h"
+#include "net/NetServer.h"
+#include "net/ServiceHandler.h"
 #include "persist/BinaryCodec.h"
+#include "service/DiffService.h"
 #include "service/DocumentStore.h"
 #include "support/Rng.h"
 #include "support/Sha256.h"
 
+#include "TestNet.h"
 #include "TestSeed.h"
 
 #include <gtest/gtest.h>
@@ -213,6 +219,18 @@ bool caughtUpWith(LeaderNode &L, replica::Follower &F) {
   return F.caughtUp() && F.lastSeq() == L.Log.currentSeq();
 }
 
+/// Sends one textual request and returns its response lines, through the
+/// terminating "." line; empty on error or timeout.
+std::string request(tests::TcpClient &C, const std::string &Line) {
+  std::vector<std::string> Lines;
+  if (!C.sendAll(Line + "\n") || !C.readTextResponse(Lines))
+    return "";
+  std::string Resp;
+  for (const std::string &L : Lines)
+    Resp += L + "\n";
+  return Resp + ".\n";
+}
+
 //===----------------------------------------------------------------------===//
 // Convergence under a long seeded mutation stream
 //===----------------------------------------------------------------------===//
@@ -249,6 +267,63 @@ TEST(Replication, FiveHundredMutationsConvergeOnTwoFollowers) {
 
   replica::Leader::Stats LS = L.Lead->stats();
   EXPECT_EQ(LS.Followers, 2u);
+}
+
+TEST(Replication, FollowerGetAnswersTheLeadersBytesOverTcp) {
+  uint64_t Seed = tests::testSeed(0x5eed0008);
+  SEED_TRACE(Seed);
+
+  SignatureTable Sig = json::makeJsonSignature();
+  LeaderNode L(Sig);
+  ASSERT_TRUE(L.Started);
+  // The leader's client endpoint, wired as diff_server wires it.
+  service::ServiceConfig SC;
+  SC.Workers = 2;
+  service::DiffService Svc(L.Store, SC);
+  net::ServiceHandler LeaderHandler(Svc);
+  net::NetServer LeaderSrv(L.Loop, Sig, LeaderHandler);
+  std::string Err;
+  ASSERT_TRUE(LeaderSrv.start(&Err)) << Err;
+  // The follower's read endpoint.
+  FollowerNode F(Sig);
+  replica::ReplicaReadHandler ReadHandler(*F.F);
+  net::NetServer FollowerSrv(F.Loop, Sig, ReadHandler);
+  ASSERT_TRUE(FollowerSrv.start(&Err)) << Err;
+  ASSERT_TRUE(F.connect(L));
+
+  WorkloadDriver Driver(L, Seed);
+  for (int I = 0; I != 200; ++I) {
+    Driver.step();
+    if (::testing::Test::HasFatalFailure())
+      return;
+  }
+  ASSERT_TRUE(waitUntil([&] { return caughtUpWith(L, *F.F); }));
+
+  tests::TcpClient ToLeader, ToFollower;
+  ASSERT_TRUE(ToLeader.connect(LeaderSrv.port()));
+  ASSERT_TRUE(ToFollower.connect(FollowerSrv.port()));
+  size_t Live = 0;
+  for (uint64_t Doc = 1; Doc <= Driver.numDocs(); ++Doc) {
+    std::string Get = "get " + std::to_string(Doc);
+    std::string FromLeader = request(ToLeader, Get);
+    ASSERT_FALSE(FromLeader.empty()) << Get;
+    // Byte identity covers payload, version and size= (the tree size).
+    EXPECT_EQ(request(ToFollower, Get), FromLeader) << Get;
+    service::DocumentSnapshot S = L.Store.snapshot(Doc);
+    if (!S.Ok)
+      continue;
+    ++Live;
+    EXPECT_EQ(FromLeader, "ok version=" + std::to_string(S.Version) +
+                              " edits=0 coalesced=0 size=" +
+                              std::to_string(S.TreeSize) + "\n" + S.Text +
+                              "\n.\n");
+  }
+  EXPECT_GT(Live, 0u);
+
+  F.F->disconnect();
+  F.Loop.stop();
+  L.Loop.stop();
+  Svc.shutdown();
 }
 
 //===----------------------------------------------------------------------===//

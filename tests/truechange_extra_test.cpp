@@ -12,7 +12,10 @@
 ///  - the textual wire format: parse is the exact inverse of serialize;
 ///  - adversarial fuzzing of Theorem 3.6: randomly corrupted scripts are
 ///    either rejected (by the type checker or the compliance checks) or
-///    still yield closed, well-formed trees.
+///    still yield closed, well-formed trees;
+///  - the checked MTree renderer: byte-identical to the typed-tree
+///    printers, failing exactly where the tree is not closed and
+///    well-formed.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,11 +28,14 @@
 #include "corpus/Corpus.h"
 #include "python/Python.h"
 #include "support/Rng.h"
+#include "tree/SExpr.h"
 #include "truediff/TrueDiff.h"
 
 #include "TestLang.h"
 
 #include <gtest/gtest.h>
+
+#include <functional>
 
 using namespace truediff;
 using namespace truediff::testlang;
@@ -438,5 +444,217 @@ TEST_P(Theorem36FuzzTest, AcceptedScriptsYieldWellFormedTrees) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Theorem36FuzzTest,
                          ::testing::Range<uint64_t>(0, 25));
+
+//===----------------------------------------------------------------------===//
+// The checked renderer against its oracles
+//===----------------------------------------------------------------------===//
+
+/// isClosedWellFormed() as its contract states it, written recursively
+/// over MTree's public surface: the renderer's independent oracle (for
+/// shallow trees only). Counting past the index size fails at once, so
+/// cycles an unchecked patch may build still terminate.
+bool referenceClosedWellFormed(const SignatureTable &Sig, MTree &M) {
+  size_t Reachable = 1; // the root
+  std::function<bool(const MNode *)> Walk = [&](const MNode *N) {
+    if (N == nullptr || ++Reachable > M.indexSize() || !Sig.hasTag(N->Tag))
+      return false;
+    const TagSignature &TagSig = Sig.signature(N->Tag);
+    for (const KidSpec &Spec : TagSig.Kids) {
+      auto It = N->Kids.find(Spec.Link);
+      if (It == N->Kids.end() || !Walk(It->second))
+        return false;
+    }
+    for (const LitSpec &Spec : TagSig.Lits) {
+      auto It = N->Lits.find(Spec.Link);
+      if (It == N->Lits.end() || It->second.kind() != Spec.Kind)
+        return false;
+    }
+    return true;
+  };
+  auto Top = M.root()->Kids.find(Sig.rootLink());
+  return Top != M.root()->Kids.end() && Walk(Top->second) &&
+         Reachable == M.indexSize();
+}
+
+/// Every form render() offers equals the typed-tree printers applied to
+/// toTreePreservingUris(), and the node count equals its size().
+::testing::AssertionResult rendersLikeTypedTree(const SignatureTable &Sig,
+                                                const MTree &M) {
+  TreeContext Ctx(Sig);
+  Tree *T = M.toTreePreservingUris(Ctx);
+  if (T == nullptr)
+    return ::testing::AssertionFailure() << "tree is not closed";
+  std::string Text = printSExpr(Sig, T), UriText = printSExprWithUris(Sig, T);
+  MTree::Rendering Both = M.render(MTree::Forms::Both);
+  MTree::Rendering Plain = M.render(MTree::Forms::Plain);
+  MTree::Rendering Uris = M.render(MTree::Forms::WithUris);
+  if (!Both.Ok || !Plain.Ok || !Uris.Ok)
+    return ::testing::AssertionFailure() << "render failed on a closed tree";
+  if (Both.Text != Text || Plain.Text != Text || !Uris.Text.empty())
+    return ::testing::AssertionFailure()
+           << "plain form differs:\n  render:  " << Both.Text
+           << "\n  printer: " << Text;
+  if (Both.UriText != UriText || Uris.UriText != UriText ||
+      !Plain.UriText.empty())
+    return ::testing::AssertionFailure()
+           << "URI form differs:\n  render:  " << Both.UriText
+           << "\n  printer: " << UriText;
+  if (Both.Size != T->size() || Plain.Size != T->size() ||
+      Uris.Size != T->size())
+    return ::testing::AssertionFailure()
+           << "size " << Both.Size << " != " << T->size();
+  return ::testing::AssertionSuccess();
+}
+
+/// The renderer fails, with empty texts, and so does every other view of
+/// closedness.
+::testing::AssertionResult rendersAsMalformed(const SignatureTable &Sig,
+                                              MTree &M) {
+  MTree::Rendering R = M.render(MTree::Forms::Both);
+  TreeContext Ctx(Sig);
+  if (R.Ok || !R.Text.empty() || !R.UriText.empty())
+    return ::testing::AssertionFailure() << "rendered a malformed tree";
+  if (M.isClosedWellFormed() || referenceClosedWellFormed(Sig, M) ||
+      M.toTreePreservingUris(Ctx) != nullptr)
+    return ::testing::AssertionFailure() << "tree counts as closed";
+  return ::testing::AssertionSuccess();
+}
+
+class RenderOracleTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(RenderOracleTest, MatchesTypedPrintersAlongAPatchedHistory) {
+  SignatureTable Sig = python::makePythonSignature();
+  TreeContext Ctx(Sig);
+  Rng R(GetParam() * 7451 + 3);
+
+  Tree *Cur = corpus::generateModule(Ctx, R);
+  MTree M = MTree::fromTree(Sig, Cur);
+  EXPECT_TRUE(rendersLikeTypedTree(Sig, M));
+  EXPECT_EQ(M.render(MTree::Forms::WithUris).UriText,
+            printSExprWithUris(Sig, Cur));
+  TrueDiff Differ(Ctx);
+  for (int Step = 0; Step != 4; ++Step) {
+    Tree *Next = corpus::mutateModule(Ctx, R, Cur);
+    DiffResult D = Differ.compareTo(Cur, Next);
+    ASSERT_TRUE(M.patchChecked(D.Script).Ok);
+    EXPECT_TRUE(rendersLikeTypedTree(Sig, M)) << "after step " << Step;
+    // The patched typed tree keeps the URIs the script speaks about, so
+    // it prints exactly what the patched MTree renders.
+    MTree::Rendering Both = M.render(MTree::Forms::Both);
+    EXPECT_EQ(Both.Text, printSExpr(Sig, D.Patched));
+    EXPECT_EQ(Both.UriText, printSExprWithUris(Sig, D.Patched));
+    EXPECT_EQ(Both.Size, D.Patched->size());
+    Cur = D.Patched;
+  }
+}
+
+TEST_P(RenderOracleTest, FailsExactlyWhereTheReferenceDoes) {
+  // Unchecked patching with corrupted scripts leaves arbitrary states:
+  // holes, leaks, double attachments, even cycles.
+  SignatureTable Sig = python::makePythonSignature();
+  TreeContext Ctx(Sig);
+  Rng R(GetParam() * 313 + 17);
+
+  Tree *Base = corpus::generateModule(Ctx, R);
+  // An unrelated module as the target, so the script is mostly
+  // structural: corrupting it opens the tree in many ways.
+  Tree *Mutated = corpus::generateModule(Ctx, R);
+  // Rebuilds Base with its own URIs, which the script refers to.
+  EditScript Init = buildInitializingScript(Sig, Base);
+  TrueDiff Differ(Ctx);
+  DiffResult Result = Differ.compareTo(Base, Mutated);
+
+  size_t Closed = 0, Open = 0;
+  for (int Round = 0; Round != 40; ++Round) {
+    MTree M(Sig);
+    ASSERT_TRUE(M.patchChecked(Init).Ok);
+    M.patch(corrupt(R, Result.Script));
+    bool Reference = referenceClosedWellFormed(Sig, M);
+    EXPECT_EQ(M.render(MTree::Forms::Both).Ok, Reference);
+    EXPECT_EQ(M.isClosedWellFormed(), Reference);
+    if (Reference) {
+      EXPECT_TRUE(rendersLikeTypedTree(Sig, M));
+      ++Closed;
+    } else {
+      ++Open;
+    }
+  }
+  EXPECT_GT(Open, 0u);
+  EXPECT_GT(Closed, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RenderOracleTest,
+                         ::testing::Range<uint64_t>(0, 10));
+
+class RenderDefectTest : public ::testing::Test {
+protected:
+  RenderDefectTest()
+      : Sig(makeExpSignature()), Ctx(Sig),
+        T(add(Ctx, num(Ctx, 1), call(Ctx, "f", num(Ctx, 2)))),
+        M(MTree::fromTree(Sig, T)) {}
+
+  NodeRef ref(const Tree *N) const { return NodeRef{N->tag(), N->uri()}; }
+
+  void apply(const Edit &E) { ASSERT_TRUE(M.processEdit(E).Ok); }
+
+  SignatureTable Sig;
+  TreeContext Ctx;
+  Tree *T;
+  MTree M;
+};
+
+TEST_F(RenderDefectTest, ClosedTreeRenders) {
+  EXPECT_TRUE(rendersLikeTypedTree(Sig, M));
+  EXPECT_EQ(M.render(MTree::Forms::Plain).Text,
+            "(Add (Num 1) (Call (Num 2) \"f\"))");
+}
+
+TEST_F(RenderDefectTest, DetachedHoleFails) {
+  // Detach and unload the first operand: nothing leaks, but e1 is empty.
+  const Tree *Kid = T->kid(0);
+  apply(Edit::detach(ref(Kid), Sig.lookup("e1"), ref(T)));
+  apply(Edit::unload(ref(Kid), {}, {LitRef{Sig.lookup("n"), Literal(int64_t(1))}}));
+  EXPECT_TRUE(rendersAsMalformed(Sig, M));
+  EXPECT_NE(M.toString().find("<hole>"), std::string::npos) << M.toString();
+}
+
+TEST_F(RenderDefectTest, LeakedDetachedSubtreeFails) {
+  // Detach without unload and fill the slot again: the tree is closed,
+  // but the index still holds the detached node.
+  const Tree *Kid = T->kid(0);
+  NodeRef Fresh{Sig.lookup("Num"), 1000};
+  apply(Edit::detach(ref(Kid), Sig.lookup("e1"), ref(T)));
+  apply(Edit::load(Fresh, {}, {LitRef{Sig.lookup("n"), Literal(int64_t(7))}}));
+  apply(Edit::attach(Fresh, Sig.lookup("e1"), ref(T)));
+  EXPECT_TRUE(rendersAsMalformed(Sig, M));
+  // Unloading the leak closes the tree again.
+  apply(Edit::unload(ref(Kid), {}, {LitRef{Sig.lookup("n"), Literal(int64_t(1))}}));
+  EXPECT_TRUE(rendersLikeTypedTree(Sig, M));
+}
+
+TEST_F(RenderDefectTest, CycleFailsAndTerminates) {
+  // Unchecked edits can hang the root under its own descendant: the
+  // walk must stop once it has seen more nodes than the index holds.
+  const Tree *Call = T->kid(1);
+  const Tree *Leaf = Call->kid(0);
+  apply(Edit::detach(ref(Leaf), Sig.lookup("a"), ref(Call)));
+  apply(Edit::unload(ref(Leaf), {}, {LitRef{Sig.lookup("n"), Literal(int64_t(2))}}));
+  apply(Edit::attach(ref(T), Sig.lookup("a"), ref(Call)));
+  EXPECT_TRUE(rendersAsMalformed(Sig, M));
+}
+
+TEST_F(RenderDefectTest, RemovedLiteralFails) {
+  MNode *Call = M.root()->Kids.at(Sig.rootLink())->Kids.at(Sig.lookup("e2"));
+  Literal Saved = Call->Lits.at(Sig.lookup("f"));
+  Call->Lits.erase(Sig.lookup("f"));
+  EXPECT_TRUE(rendersAsMalformed(Sig, M));
+  EXPECT_NE(M.toString().find("<missing>"), std::string::npos)
+      << M.toString();
+  // A literal of the wrong kind is no better than none.
+  Call->Lits.emplace(Sig.lookup("f"), Literal(int64_t(3)));
+  EXPECT_TRUE(rendersAsMalformed(Sig, M));
+  Call->Lits[Sig.lookup("f")] = Saved;
+  EXPECT_TRUE(rendersLikeTypedTree(Sig, M));
+}
 
 } // namespace
