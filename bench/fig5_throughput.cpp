@@ -34,11 +34,8 @@
 #include "gumtree/GumTree.h"
 #include "hdiff/HDiff.h"
 #include "python/Python.h"
-#include "support/WorkerPool.h"
 #include "truechange/Serialize.h"
 #include "truediff/TrueDiff.h"
-
-#include <thread>
 
 using namespace truediff;
 using namespace truediff::bench;
@@ -66,16 +63,9 @@ int main(int Argc, char **Argv) {
   SignatureTable Sig = python::makePythonSignature();
   std::vector<corpus::CommitPair> Pairs = defaultCorpus(Argc, Argv, 200);
 
-  unsigned Hw = std::max(1u, std::thread::hardware_concurrency());
-  if (Hw == 1)
-    std::printf("# WARNING: hardware_concurrency == 1; Step-1 parallel "
-                "speedup will be recorded as skipped\n");
-
   std::vector<double> TruediffThroughput, FastThroughput, GumtreeThroughput,
       HdiffThroughput, TruediffMs, FastMs, GumtreeMs, HdiffMs;
   size_t ScriptMismatches = 0, UriMismatches = 0;
-  const corpus::CommitPair *LargestPair = nullptr;
-  uint64_t LargestNodes = 0;
 
   for (const corpus::CommitPair &Pair : Pairs) {
     // Per-policy contexts. Both see the identical operation sequence
@@ -91,10 +81,6 @@ int main(int Argc, char **Argv) {
       continue;
     double Nodes =
         static_cast<double>(Before.Module->size() + After.Module->size());
-    if (Before.Module->size() > LargestNodes) {
-      LargestNodes = Before.Module->size();
-      LargestPair = &Pair;
-    }
 
     // Cross-policy correctness: the edit script must not depend on the
     // digest policy. One copy+diff per context, byte-compared.
@@ -166,38 +152,8 @@ int main(int Argc, char **Argv) {
   std::printf("\n# paper reference for truediff: median 6.4 ms, mean 12.7 "
               "ms per file (JVM, keras corpus)\n");
 
-  // Step-1 parallel speedup: serial vs pooled subtree rehash of the
-  // largest module in the corpus. Meaningless on a single hardware
-  // thread, so record it as skipped there (the ISSUE acceptance
-  // criterion requires measurement on >= 2 cores or an explicit skip).
   JsonReport Report("fig5_throughput");
   Report.meta("pairs", static_cast<double>(TruediffMs.size()));
-  Report.meta("hardware_concurrency", static_cast<double>(Hw));
-  if (Hw >= 2 && LargestPair != nullptr) {
-    TreeContext ParCtx(Sig, DigestPolicy::Fast128);
-    auto Mod = python::parsePython(ParCtx, LargestPair->Before);
-    if (Mod.ok()) {
-      WorkerPool Pool(Hw);
-      double Serial =
-          fastestMs(5, [&] { Mod.Module->refreshDerived(Sig, ParCtx.digestPolicy()); });
-      double Parallel = fastestMs(5, [&] {
-        Mod.Module->refreshDerivedParallel(Sig, ParCtx.digestPolicy(), Pool);
-      });
-      double Speedup = Serial / Parallel;
-      std::printf("# step-1 parallel rehash on %llu-node module: serial "
-                  "%.3f ms, %u-thread %.3f ms (%.2fx)\n",
-                  static_cast<unsigned long long>(LargestNodes), Serial, Hw,
-                  Parallel, Speedup);
-      Report.meta("step1_parallel", "measured");
-      Report.scalar("step1_serial", "ms", Serial);
-      Report.scalar("step1_parallel", "ms", Parallel);
-      Report.scalar("step1_speedup", "x", Speedup);
-    }
-  } else {
-    std::printf("# step-1 parallel speedup: skipped "
-                "(hardware_concurrency == %u)\n", Hw);
-    Report.meta("step1_parallel", "skipped: hardware_concurrency == 1");
-  }
 
   bool Identical = ScriptMismatches == 0 && UriMismatches == 0;
   double ShaMedian = BoxStats::of(TruediffThroughput).Median;

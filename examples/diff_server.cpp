@@ -60,8 +60,6 @@
 ///                         trades that for ~an order of magnitude less
 ///                         hashing cost. Edit scripts are identical
 ///                         either way.
-///   --step1-workers=<n>   hash cold trees on a pool of n threads
-///                         (0/1 = serial, the default)
 ///
 /// Network modes (the stdin REPL is the default front end):
 ///   --listen=<port>       serve the protocol over TCP instead of stdin:
@@ -211,7 +209,6 @@ int main(int Argc, char **Argv) {
   uint64_t Epoch = 1;
   uint64_t IdleTimeoutMs = 60000;
   DigestPolicy Digest = DigestPolicy::Sha256;
-  uint64_t Step1Workers = 0;
   uint64_t ScrubIntervalMs = 0;
   uint64_t ScrubRate = 0;
   // Parses the numeric tail of --flag=<n>. Garbage, trailing junk, and
@@ -271,9 +268,7 @@ int main(int Argc, char **Argv) {
         Digest = *P;
       else
         BadArgs = true;
-    } else if (Arg.rfind("--step1-workers=", 0) == 0)
-      Step1Workers = NumArg(Arg, "--step1-workers=");
-    else if (Arg.rfind("--scrub-interval-ms=", 0) == 0)
+    } else if (Arg.rfind("--scrub-interval-ms=", 0) == 0)
       ScrubIntervalMs = NumArg(Arg, "--scrub-interval-ms=");
     else if (Arg.rfind("--scrub-rate=", 0) == 0)
       ScrubRate = NumArg(Arg, "--scrub-rate=");
@@ -300,7 +295,7 @@ int main(int Argc, char **Argv) {
                  "[--shed-target-ms=<n>] [--degraded-ok] [--listen=<port>] "
                  "[--repl-listen=<port>] [--follow=<host:port>] "
                  "[--epoch=<n>] [--idle-timeout-ms=<n>] "
-                 "[--digest=sha256|fast] [--step1-workers=<n>] "
+                 "[--digest=sha256|fast] "
                  "[--scrub-interval-ms=<n>] [--scrub-rate=<n>]\n",
                  Argv[0]);
     return 2;
@@ -462,7 +457,6 @@ int main(int Argc, char **Argv) {
   if (MemBudgetMb != 0)
     StoreCfg.MemBudget = &Budget;
   StoreCfg.Digest = Digest;
-  StoreCfg.Step1Workers = static_cast<unsigned>(Step1Workers);
   DocumentStore Store(Sig, StoreCfg);
 
   // Per-node attribution, folded incrementally from the script stream.
@@ -671,8 +665,6 @@ int main(int Argc, char **Argv) {
       DeadlineMs != 0 ? ", deadline " + std::to_string(DeadlineMs) + "ms" : "";
   std::string DigestNote = std::string(", ") + digestPolicyName(Digest) +
                            " digests";
-  if (Step1Workers > 1)
-    DigestNote += ", " + std::to_string(Step1Workers) + " step-1 workers";
   std::fprintf(stderr,
                "diff_server: %s signature, %u workers%s%s%s; commands: open, "
                "submit, rollback, get, blame, history, save, scrub, recover, "

@@ -8,6 +8,8 @@
 
 #include "tree/Tree.h"
 
+#include <functional>
+
 using namespace truediff;
 using namespace truediff::incremental;
 

@@ -61,10 +61,7 @@ DocumentStore::DocumentStore(const SignatureTable &Sig)
     : DocumentStore(Sig, Config()) {}
 
 DocumentStore::DocumentStore(const SignatureTable &Sig, Config C)
-    : Sig(Sig), Cfg(C), Shards(std::max<size_t>(1, C.NumShards)) {
-  if (Cfg.Step1Workers > 1)
-    Pool = std::make_unique<WorkerPool>(Cfg.Step1Workers);
-}
+    : Sig(Sig), Cfg(C), Shards(std::max<size_t>(1, C.NumShards)) {}
 
 void DocumentStore::addScriptListener(ScriptListener Listener) {
   std::lock_guard<std::mutex> Lock(ListenersMu);
@@ -226,13 +223,9 @@ StoreResult DocumentStore::submit(DocId Doc, const TreeBuilder &Build,
   // trees between requests.
   TrueDiffOptions DiffOpts;
   DiffOpts.IncrementalRehash = Cfg.PersistDigests;
-  DiffOpts.Step1Pool = Pool.get();
   uint64_t ColdRehash = 0;
   if (!Cfg.PersistDigests) {
-    if (Pool != nullptr)
-      D->Current->refreshDerivedParallel(Sig, Cfg.Digest, *Pool);
-    else
-      D->Current->refreshDerived(Sig, Cfg.Digest);
+    D->Current->refreshDerived(Sig, Cfg.Digest);
     ColdRehash = SourceSize;
   }
 
@@ -365,34 +358,6 @@ DocumentSnapshot DocumentStore::snapshot(DocId Doc) const {
   S.QuarantineReason = D->QuarantineReason;
   return S;
 }
-
-namespace {
-
-/// Compares \p Stored's cached derived data against \p Fresh, a
-/// from-scratch rebuild of the same tree; returns the first divergence.
-std::optional<std::string> compareDerived(const Tree *Stored,
-                                          const Tree *Fresh) {
-  auto Complain = [&](const char *What) {
-    return "stale " + std::string(What) + " at uri " +
-           std::to_string(Stored->uri());
-  };
-  if (Stored->structureHash() != Fresh->structureHash())
-    return Complain("structure hash");
-  if (Stored->literalHash() != Fresh->literalHash())
-    return Complain("literal hash");
-  if (Stored->height() != Fresh->height())
-    return Complain("height");
-  if (Stored->size() != Fresh->size())
-    return Complain("size");
-  if (Stored->arity() != Fresh->arity())
-    return Complain("arity");
-  for (size_t I = 0, E = Stored->arity(); I != E; ++I)
-    if (auto Err = compareDerived(Stored->kid(I), Fresh->kid(I)))
-      return Err;
-  return std::nullopt;
-}
-
-} // namespace
 
 std::optional<std::string> DocumentStore::checkDigests(DocId Doc) const {
   std::shared_ptr<Document> D = find(Doc);

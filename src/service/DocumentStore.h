@@ -50,7 +50,6 @@
 #ifndef TRUEDIFF_SERVICE_DOCUMENTSTORE_H
 #define TRUEDIFF_SERVICE_DOCUMENTSTORE_H
 
-#include "support/WorkerPool.h"
 #include "tree/Tree.h"
 #include "truechange/Edit.h"
 
@@ -246,11 +245,6 @@ public:
     /// processes (replication verification). Scripts are byte-identical
     /// under either policy.
     DigestPolicy Digest = DigestPolicy::Sha256;
-    /// Worker threads for Step-1 hashing on the cold path (PersistDigests
-    /// = false, where every submit rehashes the whole stored tree).
-    /// 0 or 1 keeps hashing on the serving thread. Warm incremental
-    /// rehashes are never distributed -- the touched paths are too small.
-    unsigned Step1Workers = 0;
   };
 
   /// Which store operation a script listener is observing.
@@ -468,10 +462,6 @@ private:
 
   const SignatureTable &Sig;
   const Config Cfg;
-  /// Shared Step-1 hashing pool (null when Step1Workers <= 1). WorkerPool
-  /// batches are independent, so concurrent cold submits on different
-  /// documents can share it safely.
-  std::unique_ptr<WorkerPool> Pool;
   std::vector<Shard> Shards;
 
   mutable std::mutex ListenersMu;

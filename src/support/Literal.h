@@ -64,42 +64,68 @@ public:
   bool operator==(const Literal &O) const { return Value == O.Value; }
   bool operator!=(const Literal &O) const { return Value != O.Value; }
 
-  /// Feeds a canonical encoding (kind byte + payload) into \p Hasher.
-  /// Templated over the hasher so both digest policies (Sha256, Fast128)
-  /// share one encoding; see TreeHash.h.
-  template <typename HasherT> void addToHash(HasherT &Hasher) const {
-    uint8_t KindByte = static_cast<uint8_t>(kind());
-    Hasher.update(&KindByte, 1);
+  /// \name Canonical hash encoding
+  ///
+  /// The bytes a literal contributes to its node's literal hash: a kind
+  /// byte, then the payload little-endian -- 8 bytes for Int, the 8 bytes
+  /// of the IEEE double for Float, 1 byte for Bool, and for String an
+  /// 8-byte length followed by the bytes (the length prefix keeps
+  /// adjacent strings unambiguous).
+  /// @{
+
+  /// Length of hashEncoding's output.
+  size_t hashEncodingSize() const {
     switch (kind()) {
     case LitKind::Int:
-      Hasher.updateU64(static_cast<uint64_t>(asInt()));
-      break;
+    case LitKind::Float:
+      return 1 + 8;
+    case LitKind::Bool:
+      return 1 + 1;
+    case LitKind::String:
+      return 1 + 8 + asString().size();
+    }
+    return 0;
+  }
+
+  /// Writes the encoding at \p Out, which has room for
+  /// hashEncodingSize() bytes; returns the byte after it.
+  uint8_t *hashEncoding(uint8_t *Out) const {
+    *Out++ = static_cast<uint8_t>(kind());
+    switch (kind()) {
+    case LitKind::Int:
+      return putLE64(Out, static_cast<uint64_t>(asInt()));
     case LitKind::Float: {
       double V = asFloat();
       uint64_t Bits;
       static_assert(sizeof(Bits) == sizeof(V));
       std::memcpy(&Bits, &V, sizeof(Bits));
-      Hasher.updateU64(Bits);
-      break;
+      return putLE64(Out, Bits);
     }
-    case LitKind::Bool: {
-      uint8_t B = asBool() ? 1 : 0;
-      Hasher.update(&B, 1);
-      break;
+    case LitKind::Bool:
+      *Out = asBool() ? 1 : 0;
+      return Out + 1;
+    case LitKind::String: {
+      const std::string &Str = asString();
+      Out = putLE64(Out, Str.size());
+      std::memcpy(Out, Str.data(), Str.size());
+      return Out + Str.size();
     }
-    case LitKind::String:
-      // Length prefix prevents ambiguity between adjacent strings.
-      Hasher.updateU64(asString().size());
-      Hasher.update(asString());
-      break;
     }
+    return Out;
   }
+  /// @}
 
   /// Renders the literal the way it appears in s-expressions and edit
   /// script dumps; strings are quoted and escaped.
   std::string toString() const;
 
 private:
+  static uint8_t *putLE64(uint8_t *Out, uint64_t V) {
+    for (unsigned I = 0; I != 8; ++I)
+      Out[I] = static_cast<uint8_t>(V >> (I * 8));
+    return Out + 8;
+  }
+
   std::variant<int64_t, double, bool, std::string> Value;
 };
 

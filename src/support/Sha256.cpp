@@ -6,15 +6,15 @@
 
 #include "support/Sha256.h"
 
+#include <algorithm>
 #include <cassert>
+#include <cstring>
 
 using namespace truediff;
 
-namespace {
-
 /// Round constants: first 32 bits of the fractional parts of the cube roots
 /// of the first 64 primes (FIPS 180-4, Section 4.2.2).
-constexpr uint32_t K[64] = {
+alignas(16) const uint32_t detail::RoundConstants[64] = {
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
     0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
     0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
@@ -27,39 +27,45 @@ constexpr uint32_t K[64] = {
     0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
     0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
 
+namespace {
+
+using detail::RoundConstants;
+
+/// Initial hash values: fractional parts of the square roots of the first
+/// eight primes (FIPS 180-4, Section 5.3.3).
+constexpr uint32_t IV[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                            0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+
 uint32_t rotr(uint32_t X, unsigned N) { return (X >> N) | (X << (32 - N)); }
+
+/// The big-endian serialization of a final state.
+Digest digestOf(const uint32_t State[8]) {
+  std::array<uint8_t, Digest::NumBytes> Out;
+  for (unsigned I = 0; I != 8; ++I) {
+    Out[I * 4] = uint8_t(State[I] >> 24);
+    Out[I * 4 + 1] = uint8_t(State[I] >> 16);
+    Out[I * 4 + 2] = uint8_t(State[I] >> 8);
+    Out[I * 4 + 3] = uint8_t(State[I]);
+  }
+  return Digest(Out);
+}
+
+/// Appends the 0x80 terminator, zero padding, and the 64-bit big-endian
+/// bit length to the \p Len-byte message at \p Buf; returns the number of
+/// 64-byte blocks the padded message spans.
+size_t padInPlace(uint8_t *Buf, size_t Len) {
+  size_t End = (Len + 9 + 63) / 64 * 64;
+  Buf[Len] = 0x80;
+  std::memset(Buf + Len + 1, 0, End - 8 - (Len + 1));
+  uint64_t BitLen = uint64_t(Len) * 8;
+  for (unsigned I = 0; I != 8; ++I)
+    Buf[End - 8 + I] = uint8_t(BitLen >> ((7 - I) * 8));
+  return End / 64;
+}
 
 } // namespace
 
-namespace truediff {
-namespace detail {
-/// Hardware-accelerated compression (Sha256Ni.cpp); used when the CPU
-/// supports the SHA extensions.
-bool haveShaNi();
-void compressBlockShaNi(uint32_t State[8], const uint8_t *Block);
-} // namespace detail
-} // namespace truediff
-
-void Sha256::reset() {
-  // Initial hash values: fractional parts of the square roots of the first
-  // eight primes (FIPS 180-4, Section 5.3.3).
-  State[0] = 0x6a09e667;
-  State[1] = 0xbb67ae85;
-  State[2] = 0x3c6ef372;
-  State[3] = 0xa54ff53a;
-  State[4] = 0x510e527f;
-  State[5] = 0x9b05688c;
-  State[6] = 0x1f83d9ab;
-  State[7] = 0x5be0cd19;
-  BufferLen = 0;
-  TotalBytes = 0;
-}
-
-void Sha256::compressBlock(const uint8_t *Block) {
-  if (detail::haveShaNi()) {
-    detail::compressBlockShaNi(State, Block);
-    return;
-  }
+void detail::compressPortable(uint32_t State[8], const uint8_t *Block) {
   uint32_t W[64];
   for (unsigned I = 0; I != 16; ++I)
     W[I] = (uint32_t(Block[I * 4]) << 24) | (uint32_t(Block[I * 4 + 1]) << 16) |
@@ -76,7 +82,7 @@ void Sha256::compressBlock(const uint8_t *Block) {
   for (unsigned I = 0; I != 64; ++I) {
     uint32_t S1 = rotr(E, 6) ^ rotr(E, 11) ^ rotr(E, 25);
     uint32_t Ch = (E & F) ^ (~E & G);
-    uint32_t Temp1 = H + S1 + Ch + K[I] + W[I];
+    uint32_t Temp1 = H + S1 + Ch + RoundConstants[I] + W[I];
     uint32_t S0 = rotr(A, 2) ^ rotr(A, 13) ^ rotr(A, 22);
     uint32_t Maj = (A & B) ^ (A & C) ^ (B & C);
     uint32_t Temp2 = S0 + Maj;
@@ -98,6 +104,21 @@ void Sha256::compressBlock(const uint8_t *Block) {
   State[5] += F;
   State[6] += G;
   State[7] += H;
+}
+
+void Sha256::reset() {
+  std::memcpy(State, IV, sizeof(State));
+  BufferLen = 0;
+  TotalBytes = 0;
+}
+
+void Sha256::compressBlock(const uint8_t *Block) {
+  if (detail::haveShaNi()) {
+    uint32_t *Lane = State;
+    detail::compressLanesShaNi<1>(&Lane, &Block);
+    return;
+  }
+  detail::compressPortable(State, Block);
 }
 
 void Sha256::update(const void *Data, size_t Size) {
@@ -161,19 +182,46 @@ Digest Sha256::finish() {
     LenBytes[I] = uint8_t(BitLen >> ((7 - I) * 8));
   update(LenBytes, sizeof(LenBytes));
   assert(BufferLen == 0 && "padding must complete the final block");
-
-  std::array<uint8_t, Digest::NumBytes> Out;
-  for (unsigned I = 0; I != 8; ++I) {
-    Out[I * 4] = uint8_t(State[I] >> 24);
-    Out[I * 4 + 1] = uint8_t(State[I] >> 16);
-    Out[I * 4 + 2] = uint8_t(State[I] >> 8);
-    Out[I * 4 + 3] = uint8_t(State[I]);
-  }
-  return Digest(Out);
+  return digestOf(State);
 }
 
 Digest Sha256::hash(const void *Data, size_t Size) {
   Sha256 Hasher;
   Hasher.update(Data, Size);
   return Hasher.finish();
+}
+
+void Sha256::hashPair(uint8_t (&A)[PairBufferBytes], size_t LenA,
+                      uint8_t (&B)[PairBufferBytes], size_t LenB,
+                      Digest &OutA, Digest &OutB) {
+  assert(LenA <= PairMaxBytes && LenB <= PairMaxBytes &&
+         "hashPair messages must fit their buffers once padded");
+  size_t BlocksA = padInPlace(A, LenA);
+  size_t BlocksB = padInPlace(B, LenB);
+  uint32_t StateA[8], StateB[8];
+  std::memcpy(StateA, IV, sizeof(IV));
+  std::memcpy(StateB, IV, sizeof(IV));
+  if (detail::haveShaNi()) {
+    // Both lanes side by side while both have blocks left, then the
+    // longer message's tail alone.
+    uint32_t *States[2] = {StateA, StateB};
+    size_t Both = std::min(BlocksA, BlocksB);
+    for (size_t I = 0; I != Both; ++I) {
+      const uint8_t *Blocks[2] = {A + I * 64, B + I * 64};
+      detail::compressLanesShaNi<2>(States, Blocks);
+    }
+    uint32_t *TailState = BlocksA > BlocksB ? StateA : StateB;
+    const uint8_t *TailMsg = BlocksA > BlocksB ? A : B;
+    for (size_t I = Both, E = std::max(BlocksA, BlocksB); I != E; ++I) {
+      const uint8_t *Block = TailMsg + I * 64;
+      detail::compressLanesShaNi<1>(&TailState, &Block);
+    }
+  } else {
+    for (size_t I = 0; I != BlocksA; ++I)
+      detail::compressPortable(StateA, A + I * 64);
+    for (size_t I = 0; I != BlocksB; ++I)
+      detail::compressPortable(StateB, B + I * 64);
+  }
+  OutA = digestOf(StateA);
+  OutB = digestOf(StateB);
 }

@@ -61,6 +61,30 @@ public:
     return hash(Str.data(), Str.size());
   }
 
+  /// \name One-shot paired digests of short messages
+  ///
+  /// Step 1 hashes two short messages per tree node (structure and
+  /// literal preimages, usually a few dozen bytes each). hashPair pads both
+  /// in place and compresses them side by side, so one chain's round
+  /// latency hides behind the other's and no streaming buffer is copied.
+  /// @{
+
+  /// Capacity of a hashPair message buffer: four blocks.
+  static constexpr size_t PairBufferBytes = 256;
+
+  /// Longest message hashPair accepts: the buffer less the 0x80
+  /// terminator and the 8-byte length field. Callers stream longer ones.
+  static constexpr size_t PairMaxBytes = PairBufferBytes - 9;
+
+  /// Digests of the first \p LenA bytes of \p A and the first \p LenB
+  /// bytes of \p B (each at most PairMaxBytes), equal to hash() of each.
+  /// The buffers are padded in place, so bytes past each message are
+  /// scratch.
+  static void hashPair(uint8_t (&A)[PairBufferBytes], size_t LenA,
+                       uint8_t (&B)[PairBufferBytes], size_t LenB,
+                       Digest &OutA, Digest &OutB);
+  /// @}
+
 private:
   void compressBlock(const uint8_t *Block);
 
@@ -69,6 +93,26 @@ private:
   size_t BufferLen = 0;
   uint64_t TotalBytes = 0;
 };
+
+namespace detail {
+
+/// The 64 round constants (FIPS 180-4, Section 4.2.2), 16-byte aligned so
+/// the SHA-NI kernel loads four at a time.
+extern const uint32_t RoundConstants[64];
+
+/// True when the CPU has the x86 SHA extensions.
+bool haveShaNi();
+
+/// The portable FIPS 180-4 compression of one 64-byte block.
+void compressPortable(uint32_t State[8], const uint8_t *Block);
+
+/// SHA-NI compression of \p N independent (state, block) lanes, their
+/// rounds interleaved. Only call when haveShaNi(); instantiated for N = 1
+/// and 2.
+template <unsigned N>
+void compressLanesShaNi(uint32_t *const State[N], const uint8_t *const Block[N]);
+
+} // namespace detail
 
 } // namespace truediff
 

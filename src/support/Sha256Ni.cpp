@@ -6,15 +6,20 @@
 ///
 /// \file
 /// x86 SHA-NI implementation of the SHA-256 compression function,
-/// following Intel's published instruction sequence. Selected at run time
+/// following Intel's published instruction sequence, generic over the
+/// number of independent lanes it compresses at once. Selected at run time
 /// when the CPU supports it (truediff hashes every tree node twice, so
 /// this directly accelerates Step 1 of the algorithm); the portable
 /// implementation in Sha256.cpp remains the fallback and the reference
 /// for the FIPS test vectors.
 ///
+/// One lane serves the streaming hasher. Two lanes serve Sha256::hashPair:
+/// a chain of sha256rnds2 instructions is latency bound, so interleaving a
+/// second, independent chain costs little more than one.
+///
 //===----------------------------------------------------------------------===//
 
-#include <cstdint>
+#include "support/Sha256.h"
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
@@ -27,148 +32,79 @@ bool haveShaNi() {
   return Have;
 }
 
-__attribute__((target("sha,sse4.1"))) void
-compressBlockShaNi(uint32_t State[8], const uint8_t *Data) {
+// The kernel alone is compiled for the SHA extensions; callers check
+// haveShaNi() first.
+#pragma GCC push_options
+#pragma GCC target("sha,sse4.1")
+
+template <unsigned N>
+void compressLanesShaNi(uint32_t *const State[N], const uint8_t *const Block[N]) {
   const __m128i MASK =
       _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  // Per lane: the state as the ABEF/CDGH register pair the instructions
+  // expect, its value on entry, and the sliding four-group message
+  // schedule (W[L][Q & 3] holds schedule words 4Q..4Q+3).
+  __m128i ABEF[N], CDGH[N], ABEFIn[N], CDGHIn[N], W[N][4];
 
-  __m128i TMP = _mm_loadu_si128(reinterpret_cast<const __m128i *>(&State[0]));
-  __m128i STATE1 =
-      _mm_loadu_si128(reinterpret_cast<const __m128i *>(&State[4]));
+#define FOR_LANES _Pragma("GCC unroll 2") for (unsigned L = 0; L != N; ++L)
 
-  TMP = _mm_shuffle_epi32(TMP, 0xB1);          // CDAB
-  STATE1 = _mm_shuffle_epi32(STATE1, 0x1B);    // EFGH
-  __m128i STATE0 = _mm_alignr_epi8(TMP, STATE1, 8);    // ABEF
-  STATE1 = _mm_blend_epi16(STATE1, TMP, 0xF0);         // CDGH
+  FOR_LANES {
+    __m128i DCBA =
+        _mm_loadu_si128(reinterpret_cast<const __m128i *>(&State[L][0]));
+    __m128i HGFE =
+        _mm_loadu_si128(reinterpret_cast<const __m128i *>(&State[L][4]));
+    __m128i CDAB = _mm_shuffle_epi32(DCBA, 0xB1);
+    __m128i EFGH = _mm_shuffle_epi32(HGFE, 0x1B);
+    ABEF[L] = ABEFIn[L] = _mm_alignr_epi8(CDAB, EFGH, 8);
+    CDGH[L] = CDGHIn[L] = _mm_blend_epi16(EFGH, CDAB, 0xF0);
+  }
 
-  const __m128i ABEF_SAVE = STATE0;
-  const __m128i CDGH_SAVE = STATE1;
-  __m128i MSG, MSG0, MSG1, MSG2, MSG3;
-
-  // Rounds 0-3.
-  MSG = _mm_loadu_si128(reinterpret_cast<const __m128i *>(Data + 0));
-  MSG0 = _mm_shuffle_epi8(MSG, MASK);
-  MSG = _mm_add_epi32(
-      MSG0, _mm_set_epi64x(0xE9B5DBA5B5C0FBCFULL, 0x71374491428A2F98ULL));
-  STATE1 = _mm_sha256rnds2_epu32(STATE1, STATE0, MSG);
-  MSG = _mm_shuffle_epi32(MSG, 0x0E);
-  STATE0 = _mm_sha256rnds2_epu32(STATE0, STATE1, MSG);
-
-  // Rounds 4-7.
-  MSG1 = _mm_loadu_si128(reinterpret_cast<const __m128i *>(Data + 16));
-  MSG1 = _mm_shuffle_epi8(MSG1, MASK);
-  MSG = _mm_add_epi32(
-      MSG1, _mm_set_epi64x(0xAB1C5ED5923F82A4ULL, 0x59F111F13956C25BULL));
-  STATE1 = _mm_sha256rnds2_epu32(STATE1, STATE0, MSG);
-  MSG = _mm_shuffle_epi32(MSG, 0x0E);
-  STATE0 = _mm_sha256rnds2_epu32(STATE0, STATE1, MSG);
-  MSG0 = _mm_sha256msg1_epu32(MSG0, MSG1);
-
-  // Rounds 8-11.
-  MSG2 = _mm_loadu_si128(reinterpret_cast<const __m128i *>(Data + 32));
-  MSG2 = _mm_shuffle_epi8(MSG2, MASK);
-  MSG = _mm_add_epi32(
-      MSG2, _mm_set_epi64x(0x550C7DC3243185BEULL, 0x12835B01D807AA98ULL));
-  STATE1 = _mm_sha256rnds2_epu32(STATE1, STATE0, MSG);
-  MSG = _mm_shuffle_epi32(MSG, 0x0E);
-  STATE0 = _mm_sha256rnds2_epu32(STATE0, STATE1, MSG);
-  MSG1 = _mm_sha256msg1_epu32(MSG1, MSG2);
-
-  // Rounds 12-15.
-  MSG3 = _mm_loadu_si128(reinterpret_cast<const __m128i *>(Data + 48));
-  MSG3 = _mm_shuffle_epi8(MSG3, MASK);
-  MSG = _mm_add_epi32(
-      MSG3, _mm_set_epi64x(0xC19BF1749BDC06A7ULL, 0x80DEB1FE72BE5D74ULL));
-  STATE1 = _mm_sha256rnds2_epu32(STATE1, STATE0, MSG);
-  TMP = _mm_alignr_epi8(MSG3, MSG2, 4);
-  MSG0 = _mm_add_epi32(MSG0, TMP);
-  MSG0 = _mm_sha256msg2_epu32(MSG0, MSG3);
-  MSG = _mm_shuffle_epi32(MSG, 0x0E);
-  STATE0 = _mm_sha256rnds2_epu32(STATE0, STATE1, MSG);
-  MSG2 = _mm_sha256msg1_epu32(MSG2, MSG3);
-
-// One middle round group: rounds use message block A, update B via the
-// schedule, and run msg1 on D.
-#define SHA_ROUND_GROUP(A, B, D, KHI, KLO)                                     \
-  do {                                                                         \
-    MSG = _mm_add_epi32(A, _mm_set_epi64x(KHI, KLO));                          \
-    STATE1 = _mm_sha256rnds2_epu32(STATE1, STATE0, MSG);                       \
-    TMP = _mm_alignr_epi8(A, D, 4);                                            \
-    B = _mm_add_epi32(B, TMP);                                                 \
-    B = _mm_sha256msg2_epu32(B, A);                                            \
-    MSG = _mm_shuffle_epi32(MSG, 0x0E);                                        \
-    STATE0 = _mm_sha256rnds2_epu32(STATE0, STATE1, MSG);                       \
-    D = _mm_sha256msg1_epu32(D, A);                                            \
-  } while (0)
-
-  // Rounds 16-47.
-  SHA_ROUND_GROUP(MSG0, MSG1, MSG3, 0x240CA1CC0FC19DC6ULL,
-                  0xEFBE4786E49B69C1ULL);
-  SHA_ROUND_GROUP(MSG1, MSG2, MSG0, 0x76F988DA5CB0A9DCULL,
-                  0x4A7484AA2DE92C6FULL);
-  SHA_ROUND_GROUP(MSG2, MSG3, MSG1, 0xBF597FC7B00327C8ULL,
-                  0xA831C66D983E5152ULL);
-  SHA_ROUND_GROUP(MSG3, MSG0, MSG2, 0x1429296706CA6351ULL,
-                  0xD5A79147C6E00BF3ULL);
-  SHA_ROUND_GROUP(MSG0, MSG1, MSG3, 0x53380D134D2C6DFCULL,
-                  0x2E1B213827B70A85ULL);
-  SHA_ROUND_GROUP(MSG1, MSG2, MSG0, 0x92722C8581C2C92EULL,
-                  0x766A0ABB650A7354ULL);
-  SHA_ROUND_GROUP(MSG2, MSG3, MSG1, 0xC76C51A3C24B8B70ULL,
-                  0xA81A664BA2BFE8A1ULL);
-  SHA_ROUND_GROUP(MSG3, MSG0, MSG2, 0x106AA070F40E3585ULL,
-                  0xD6990624D192E819ULL);
-#undef SHA_ROUND_GROUP
-
-  // Rounds 48-51 (W60..63 still needs msg1 of the W44..47 block).
-  MSG = _mm_add_epi32(
-      MSG0, _mm_set_epi64x(0x34B0BCB52748774CULL, 0x1E376C0819A4C116ULL));
-  STATE1 = _mm_sha256rnds2_epu32(STATE1, STATE0, MSG);
-  TMP = _mm_alignr_epi8(MSG0, MSG3, 4);
-  MSG1 = _mm_add_epi32(MSG1, TMP);
-  MSG1 = _mm_sha256msg2_epu32(MSG1, MSG0);
-  MSG = _mm_shuffle_epi32(MSG, 0x0E);
-  STATE0 = _mm_sha256rnds2_epu32(STATE0, STATE1, MSG);
-  MSG3 = _mm_sha256msg1_epu32(MSG3, MSG0);
-
-  // Rounds 52-55.
-  MSG = _mm_add_epi32(
-      MSG1, _mm_set_epi64x(0x682E6FF35B9CCA4FULL, 0x4ED8AA4A391C0CB3ULL));
-  STATE1 = _mm_sha256rnds2_epu32(STATE1, STATE0, MSG);
-  TMP = _mm_alignr_epi8(MSG1, MSG0, 4);
-  MSG2 = _mm_add_epi32(MSG2, TMP);
-  MSG2 = _mm_sha256msg2_epu32(MSG2, MSG1);
-  MSG = _mm_shuffle_epi32(MSG, 0x0E);
-  STATE0 = _mm_sha256rnds2_epu32(STATE0, STATE1, MSG);
-
-  // Rounds 56-59.
-  MSG = _mm_add_epi32(
-      MSG2, _mm_set_epi64x(0x8CC7020884C87814ULL, 0x78A5636F748F82EEULL));
-  STATE1 = _mm_sha256rnds2_epu32(STATE1, STATE0, MSG);
-  TMP = _mm_alignr_epi8(MSG2, MSG1, 4);
-  MSG3 = _mm_add_epi32(MSG3, TMP);
-  MSG3 = _mm_sha256msg2_epu32(MSG3, MSG2);
-  MSG = _mm_shuffle_epi32(MSG, 0x0E);
-  STATE0 = _mm_sha256rnds2_epu32(STATE0, STATE1, MSG);
-
-  // Rounds 60-63.
-  MSG = _mm_add_epi32(
-      MSG3, _mm_set_epi64x(0xC67178F2BEF9A3F7ULL, 0xA4506CEB90BEFFFAULL));
-  STATE1 = _mm_sha256rnds2_epu32(STATE1, STATE0, MSG);
-  MSG = _mm_shuffle_epi32(MSG, 0x0E);
-  STATE0 = _mm_sha256rnds2_epu32(STATE0, STATE1, MSG);
+  // Sixteen groups of four rounds. Group Q consumes schedule words
+  // 4Q..4Q+3; from group 3 on it also finishes the words of group Q+1
+  // (msg2), and from group 1 on it starts those of group Q+3 (msg1).
+  // The conditions fold away once the loop is unrolled.
+  _Pragma("GCC unroll 16") for (unsigned Q = 0; Q != 16; ++Q) {
+    const __m128i KQ =
+        _mm_load_si128(reinterpret_cast<const __m128i *>(RoundConstants + 4 * Q));
+    FOR_LANES {
+      if (Q < 4)
+        W[L][Q] = _mm_shuffle_epi8(
+            _mm_loadu_si128(
+                reinterpret_cast<const __m128i *>(Block[L] + 16 * Q)),
+            MASK);
+      __m128i MSG = _mm_add_epi32(W[L][Q & 3], KQ);
+      CDGH[L] = _mm_sha256rnds2_epu32(CDGH[L], ABEF[L], MSG);
+      if (Q >= 3 && Q < 15) {
+        __m128i TMP = _mm_alignr_epi8(W[L][Q & 3], W[L][(Q - 1) & 3], 4);
+        W[L][(Q + 1) & 3] = _mm_sha256msg2_epu32(
+            _mm_add_epi32(W[L][(Q + 1) & 3], TMP), W[L][Q & 3]);
+      }
+      MSG = _mm_shuffle_epi32(MSG, 0x0E);
+      ABEF[L] = _mm_sha256rnds2_epu32(ABEF[L], CDGH[L], MSG);
+      if (Q >= 1 && Q < 13)
+        W[L][(Q - 1) & 3] =
+            _mm_sha256msg1_epu32(W[L][(Q - 1) & 3], W[L][Q & 3]);
+    }
+  }
 
   // Write back in the conventional ABCDEFGH order.
-  STATE0 = _mm_add_epi32(STATE0, ABEF_SAVE);
-  STATE1 = _mm_add_epi32(STATE1, CDGH_SAVE);
-  TMP = _mm_shuffle_epi32(STATE0, 0x1B);       // FEBA
-  STATE1 = _mm_shuffle_epi32(STATE1, 0xB1);    // DCHG
-  STATE0 = _mm_blend_epi16(TMP, STATE1, 0xF0); // DCBA
-  STATE1 = _mm_alignr_epi8(STATE1, TMP, 8);    // HGFE
-
-  _mm_storeu_si128(reinterpret_cast<__m128i *>(&State[0]), STATE0);
-  _mm_storeu_si128(reinterpret_cast<__m128i *>(&State[4]), STATE1);
+  FOR_LANES {
+    __m128i S0 = _mm_add_epi32(ABEF[L], ABEFIn[L]);
+    __m128i S1 = _mm_add_epi32(CDGH[L], CDGHIn[L]);
+    __m128i FEBA = _mm_shuffle_epi32(S0, 0x1B);
+    __m128i DCHG = _mm_shuffle_epi32(S1, 0xB1);
+    _mm_storeu_si128(reinterpret_cast<__m128i *>(&State[L][0]),
+                     _mm_blend_epi16(FEBA, DCHG, 0xF0)); // DCBA
+    _mm_storeu_si128(reinterpret_cast<__m128i *>(&State[L][4]),
+                     _mm_alignr_epi8(DCHG, FEBA, 8)); // HGFE
+  }
+#undef FOR_LANES
 }
+
+template void compressLanesShaNi<1>(uint32_t *const[1], const uint8_t *const[1]);
+template void compressLanesShaNi<2>(uint32_t *const[2], const uint8_t *const[2]);
+
+#pragma GCC pop_options
 
 } // namespace detail
 } // namespace truediff
@@ -177,8 +113,19 @@ compressBlockShaNi(uint32_t State[8], const uint8_t *Data) {
 
 namespace truediff {
 namespace detail {
+
 bool haveShaNi() { return false; }
-void compressBlockShaNi(uint32_t *, const uint8_t *) {}
+
+// Never selected (haveShaNi() is false); defined so callers link.
+template <unsigned N>
+void compressLanesShaNi(uint32_t *const State[N], const uint8_t *const Block[N]) {
+  for (unsigned L = 0; L != N; ++L)
+    compressPortable(State[L], Block[L]);
+}
+
+template void compressLanesShaNi<1>(uint32_t *const[1], const uint8_t *const[1]);
+template void compressLanesShaNi<2>(uint32_t *const[2], const uint8_t *const[2]);
+
 } // namespace detail
 } // namespace truediff
 

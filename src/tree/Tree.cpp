@@ -8,10 +8,10 @@
 
 #include "support/Sha256.h"
 #include "support/TreeHash.h"
-#include "support/WorkerPool.h"
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 
 using namespace truediff;
 
@@ -26,29 +26,59 @@ static constexpr size_t KidDigestBytes = 16;
 
 namespace {
 
-/// The node-digest computation, shared by both digest policies.
-template <typename HasherT>
-void hashNode(TagId Tag, const std::vector<Tree *> &Kids,
-              const std::vector<Literal> &Lits, Digest &StructOut,
-              Digest &LitOut) {
-  // Structure hash: tag + arity + kid structure hashes (Section 4.1).
-  HasherT StructHasher;
-  StructHasher.updateU32(Tag);
-  StructHasher.updateU32(static_cast<uint32_t>(Kids.size()));
-  for (const Tree *Kid : Kids) {
-    assert(Kid != nullptr && "derived data requires complete trees");
-    StructHasher.update(Kid->structureHash().bytes().data(), KidDigestBytes);
-  }
-  StructOut = StructHasher.finish();
+/// Writes \p V's low \p Bytes bytes little-endian at \p P; returns the end.
+uint8_t *putLE(uint8_t *P, uint64_t V, unsigned Bytes) {
+  for (unsigned I = 0; I != Bytes; ++I)
+    P[I] = uint8_t(V >> (I * 8));
+  return P + Bytes;
+}
 
-  // Literal hash: own literals + kid literal hashes, tag NOT included.
-  HasherT LitHasher;
-  LitHasher.updateU32(static_cast<uint32_t>(Lits.size()));
+/// Writes a node's two SHA-256 preimages (Section 4.1) at \p StructOut and
+/// \p LitOut:
+///   structure: u32 tag, u32 arity, 16 bytes of each kid's structure hash;
+///   literal:   u32 literal count, each literal's Literal::hashEncoding,
+///              16 bytes of each kid's literal hash (the tag is NOT
+///              included).
+/// Integers are little-endian.
+void writePreimages(TagId Tag, Tree *const *Kids, size_t Arity,
+                    const std::vector<Literal> &Lits, uint8_t *StructOut,
+                    uint8_t *LitOut) {
+  StructOut = putLE(StructOut, Tag, 4);
+  StructOut = putLE(StructOut, Arity, 4);
+  LitOut = putLE(LitOut, Lits.size(), 4);
   for (const Literal &L : Lits)
-    L.addToHash(LitHasher);
-  for (const Tree *Kid : Kids)
-    LitHasher.update(Kid->literalHash().bytes().data(), KidDigestBytes);
-  LitOut = LitHasher.finish();
+    LitOut = L.hashEncoding(LitOut);
+  for (size_t I = 0; I != Arity; ++I) {
+    std::memcpy(StructOut, Kids[I]->structureHash().bytes().data(),
+                KidDigestBytes);
+    std::memcpy(LitOut, Kids[I]->literalHash().bytes().data(),
+                KidDigestBytes);
+    StructOut += KidDigestBytes;
+    LitOut += KidDigestBytes;
+  }
+}
+
+/// The SHA-256 node digests. Both preimages usually fit the stack buffers
+/// of one Sha256::hashPair call; longer ones (long string literals, very
+/// wide nodes) are hashed from the heap, one message at a time.
+void hashNodeSha256(TagId Tag, Tree *const *Kids, size_t Arity,
+                    const std::vector<Literal> &Lits, Digest &StructOut,
+                    Digest &LitOut) {
+  size_t StructLen = 8 + Arity * KidDigestBytes;
+  size_t LitLen = 4 + Arity * KidDigestBytes;
+  for (const Literal &L : Lits)
+    LitLen += L.hashEncodingSize();
+  if (StructLen <= Sha256::PairMaxBytes && LitLen <= Sha256::PairMaxBytes) {
+    alignas(16) uint8_t StructMsg[Sha256::PairBufferBytes];
+    alignas(16) uint8_t LitMsg[Sha256::PairBufferBytes];
+    writePreimages(Tag, Kids, Arity, Lits, StructMsg, LitMsg);
+    Sha256::hashPair(StructMsg, StructLen, LitMsg, LitLen, StructOut, LitOut);
+    return;
+  }
+  std::vector<uint8_t> StructMsg(StructLen), LitMsg(LitLen);
+  writePreimages(Tag, Kids, Arity, Lits, StructMsg.data(), LitMsg.data());
+  StructOut = Sha256::hash(StructMsg.data(), StructLen);
+  LitOut = Sha256::hash(LitMsg.data(), LitLen);
 }
 
 //===----------------------------------------------------------------------===//
@@ -106,16 +136,17 @@ struct FastAcc {
   }
 };
 
-/// The Fast128-policy analogue of hashNode: same fields in the same roles
-/// (structure hash never sees literals), both digests built in a single
-/// pass over the kids so each kid's digest cache lines are touched once.
-void hashNodeFast(TagId Tag, const std::vector<Tree *> &Kids,
+/// The Fast128-policy analogue of the SHA-256 node digests: same fields in
+/// the same roles (structure hash never sees literals), both digests built
+/// in a single pass over the kids so each kid's digest cache lines are
+/// touched once.
+void hashNodeFast(TagId Tag, Tree *const *Kids, size_t Arity,
                   const std::vector<Literal> &Lits, Digest &StructOut,
                   Digest &LitOut) {
   const std::array<uint64_t, 4> &Seeds = fast128SeededLanes();
   FastAcc S(Seeds[0], Seeds[1]);
   FastAcc L(Seeds[2], Seeds[3]);
-  S.fold(Tag, Kids.size());
+  S.fold(Tag, Arity);
   L.fold(Lits.size(), 0x4C495453ULL /* "LITS" */);
   for (const Literal &Lit : Lits) {
     switch (Lit.kind()) {
@@ -141,8 +172,8 @@ void hashNodeFast(TagId Tag, const std::vector<Tree *> &Kids,
     }
     }
   }
-  for (const Tree *Kid : Kids) {
-    assert(Kid != nullptr && "derived data requires complete trees");
+  for (size_t I = 0; I != Arity; ++I) {
+    const Tree *Kid = Kids[I];
     S.fold(Kid->structureHash().word(0), Kid->structureHash().word(1));
     L.fold(Kid->literalHash().word(0), Kid->literalHash().word(1));
   }
@@ -153,20 +184,22 @@ void hashNodeFast(TagId Tag, const std::vector<Tree *> &Kids,
 } // namespace
 
 void Tree::computeDerived(const SignatureTable &Sig, DigestPolicy Policy) {
+  for (size_t I = 0; I != Arity; ++I)
+    assert(Kids[I] != nullptr && "derived data requires complete trees");
   switch (Policy) {
   case DigestPolicy::Sha256:
-    hashNode<Sha256>(Tag, Kids, Lits, StructHash, LitHash);
+    hashNodeSha256(Tag, Kids, Arity, Lits, StructHash, LitHash);
     break;
   case DigestPolicy::Fast128:
-    hashNodeFast(Tag, Kids, Lits, StructHash, LitHash);
+    hashNodeFast(Tag, Kids, Arity, Lits, StructHash, LitHash);
     break;
   }
 
   Height = 1;
   Size = 1;
-  for (const Tree *Kid : Kids) {
-    Height = std::max(Height, Kid->Height + 1);
-    Size += Kid->Size;
+  for (size_t I = 0; I != Arity; ++I) {
+    Height = std::max(Height, Kids[I]->Height + 1);
+    Size += Kids[I]->Size;
   }
   (void)Sig;
 }
@@ -189,7 +222,7 @@ void Tree::refreshDerived(const SignatureTable &Sig, DigestPolicy Policy) {
   Stack.push_back({this, 0});
   while (!Stack.empty()) {
     PostorderFrame &Top = Stack.back();
-    if (Top.NextKid < Top.Node->Kids.size()) {
+    if (Top.NextKid < Top.Node->Arity) {
       Tree *Kid = Top.Node->Kids[Top.NextKid++];
       Stack.push_back({Kid, 0});
       continue;
@@ -209,7 +242,7 @@ uint64_t Tree::rehashDirtyPaths(const SignatureTable &Sig,
   Stack.push_back({this, 0});
   while (!Stack.empty()) {
     PostorderFrame &Top = Stack.back();
-    if (Top.NextKid < Top.Node->Kids.size()) {
+    if (Top.NextKid < Top.Node->Arity) {
       Tree *Kid = Top.Node->Kids[Top.NextKid++];
       // Clean subtrees keep their digests: the dirtiness invariant says
       // every node with a stale descendant is itself marked.
@@ -225,43 +258,6 @@ uint64_t Tree::rehashDirtyPaths(const SignatureTable &Sig,
   return Rehashed;
 }
 
-void Tree::refreshDerivedParallel(const SignatureTable &Sig,
-                                  DigestPolicy Policy, WorkerPool &Pool) {
-  if (Pool.numWorkers() <= 1) {
-    refreshDerived(Sig, Policy);
-    return;
-  }
-
-  // Partition the tree into chunk roots of at most Grain nodes (using the
-  // possibly stale cached sizes -- staleness only skews load balance, not
-  // correctness: every node ends up either below exactly one chunk root or
-  // on the spine above all of them). Spine nodes are collected preorder so
-  // the reversed vector recomputes kids before parents.
-  const uint64_t Grain =
-      std::max<uint64_t>(2048, Size / (uint64_t(Pool.numWorkers()) * 8));
-  std::vector<Tree *> Spine;
-  std::vector<Tree *> ChunkRoots;
-  foreachTreePruned([&](Tree *T) {
-    if (T->Size <= Grain || T->Kids.empty()) {
-      ChunkRoots.push_back(T);
-      return false; // chunk subtrees are handled by the pool tasks
-    }
-    Spine.push_back(T);
-    return true;
-  });
-
-  std::vector<std::function<void()>> Tasks;
-  Tasks.reserve(ChunkRoots.size());
-  for (Tree *Root : ChunkRoots)
-    Tasks.push_back([Root, &Sig, Policy] { Root->refreshDerived(Sig, Policy); });
-  Pool.run(std::move(Tasks));
-
-  for (size_t I = Spine.size(); I != 0; --I) {
-    Spine[I - 1]->computeDerived(Sig, Policy);
-    Spine[I - 1]->DerivedDirty = false;
-  }
-}
-
 void Tree::clearDiffState() {
   foreachTree([](Tree *T) {
     T->Share = nullptr;
@@ -273,13 +269,13 @@ void Tree::clearDiffState() {
 }
 
 static void assertMatchesSignature(const SignatureTable &Sig, TagId Tag,
-                                   const std::vector<Tree *> &Kids,
+                                   Tree *const *Kids, size_t Arity,
                                    const std::vector<Literal> &Lits) {
 #ifndef NDEBUG
   const TagSignature &TagSig = Sig.signature(Tag);
-  assert(Kids.size() == TagSig.Kids.size() && "kid arity mismatch");
+  assert(Arity == TagSig.Kids.size() && "kid arity mismatch");
   assert(Lits.size() == TagSig.Lits.size() && "literal arity mismatch");
-  for (size_t I = 0, E = Kids.size(); I != E; ++I) {
+  for (size_t I = 0; I != Arity; ++I) {
     assert(Kids[I] != nullptr && "kids of constructed nodes must be present");
     SortId KidSort = Sig.signature(Kids[I]->tag()).Result;
     assert(Sig.isSubsort(KidSort, TagSig.Kids[I].Sort) &&
@@ -292,26 +288,35 @@ static void assertMatchesSignature(const SignatureTable &Sig, TagId Tag,
   (void)Sig;
   (void)Tag;
   (void)Kids;
+  (void)Arity;
   (void)Lits;
 #endif
 }
 
-Tree *TreeContext::make(TagId Tag, std::vector<Tree *> Kids,
+Tree *TreeContext::make(TagId Tag, const std::vector<Tree *> &Kids,
                         std::vector<Literal> Lits) {
-  return makeWithUri(Tag, NextUri, std::move(Kids), std::move(Lits));
+  return build(Tag, NextUri, Kids.data(), Kids.size(), std::move(Lits));
 }
 
-Tree *TreeContext::make(std::string_view TagName, std::vector<Tree *> Kids,
+Tree *TreeContext::make(std::string_view TagName,
+                        const std::vector<Tree *> &Kids,
                         std::vector<Literal> Lits) {
   Symbol Tag = Sig.lookup(TagName);
   assert(Tag != InvalidSymbol && "unknown tag name");
-  return make(Tag, std::move(Kids), std::move(Lits));
+  return make(Tag, Kids, std::move(Lits));
 }
 
-Tree *TreeContext::makeWithUri(TagId Tag, URI Uri, std::vector<Tree *> Kids,
+Tree *TreeContext::makeWithUri(TagId Tag, URI Uri,
+                               const std::vector<Tree *> &Kids,
                                std::vector<Literal> Lits) {
   assert(Uri >= NextUri && "URI already used in this context");
-  return adoptWithUri(Tag, Uri, std::move(Kids), std::move(Lits));
+  return build(Tag, Uri, Kids.data(), Kids.size(), std::move(Lits));
+}
+
+Tree *TreeContext::adoptWithUri(TagId Tag, URI Uri,
+                                const std::vector<Tree *> &Kids,
+                                std::vector<Literal> Lits) {
+  return build(Tag, Uri, Kids.data(), Kids.size(), std::move(Lits));
 }
 
 /// Estimate of a node's heap footprint for memory-budget accounting: the
@@ -334,21 +339,45 @@ TreeContext::~TreeContext() {
     Budget->release(BytesCharged);
 }
 
-Tree *TreeContext::adoptWithUri(TagId Tag, URI Uri, std::vector<Tree *> Kids,
-                                std::vector<Literal> Lits) {
-  assertMatchesSignature(Sig, Tag, Kids, Lits);
+Tree *TreeContext::allocNode() {
+  size_t Slot = NumNodes % NodeSlabSize;
+  if (Slot == 0)
+    NodeSlabs.emplace_back(new Tree[NodeSlabSize]);
+  ++NumNodes;
+  return &NodeSlabs.back()[Slot];
+}
 
-  Nodes.emplace_back(Tree());
-  Tree *Node = &Nodes.back();
+Tree **TreeContext::allocKids(size_t N) {
+  if (N > KidsLeft) {
+    size_t Slab = std::max(N, KidSlabSize);
+    KidSlabs.emplace_back(new Tree *[Slab]);
+    KidCursor = KidSlabs.back().get();
+    KidsLeft = Slab;
+  }
+  Tree **Kids = KidCursor;
+  KidCursor += N;
+  KidsLeft -= N;
+  return Kids;
+}
+
+Tree *TreeContext::build(TagId Tag, URI Uri, Tree *const *Kids, size_t Arity,
+                         std::vector<Literal> Lits) {
+  assertMatchesSignature(Sig, Tag, Kids, Arity, Lits);
+
+  Tree *Node = allocNode();
   Node->Tag = Tag;
   Node->Uri = Uri;
-  Node->Kids = std::move(Kids);
+  Node->Arity = static_cast<uint32_t>(Arity);
+  if (Arity != 0) {
+    Node->Kids = allocKids(Arity);
+    std::copy(Kids, Kids + Arity, Node->Kids);
+  }
   Node->Lits = std::move(Lits);
   Node->computeDerived(Sig, Policy);
   NextUri = std::max(NextUri, Uri + 1);
   if (Budget != nullptr) {
-    // All make/makeWithUri variants funnel through here, so this is the
-    // single accounting point for the arena.
+    // Every node of the arena is built here, so this is the single
+    // accounting point.
     size_t Bytes = approxNodeBytes(*Node);
     Budget->charge(Bytes);
     BytesCharged += Bytes;
@@ -359,9 +388,10 @@ Tree *TreeContext::adoptWithUri(TagId Tag, URI Uri, std::vector<Tree *> Kids,
 Tree *TreeContext::deepCopy(const Tree *T) {
   // Iterative post-order with POD frames and one shared results stack:
   // when a frame completes, its kids' copies are the top arity() entries
-  // of Done (in order). This is the hot path of every diff invocation
-  // (source trees are consumed), so no per-frame vector allocations.
-  // Stack-safe on chains as deep as admission allows.
+  // of Done (in order), which build() copies straight into the kid slab.
+  // This is the hot path of every diff invocation (source trees are
+  // consumed), so no per-frame allocations. Stack-safe on chains as deep
+  // as admission allows.
   struct CopyFrame {
     const Tree *Src;
     size_t NextKid;
@@ -380,37 +410,59 @@ Tree *TreeContext::deepCopy(const Tree *T) {
     const Tree *Src = Top.Src;
     Stack.pop_back();
     size_t Arity = Src->arity();
-    std::vector<Tree *> Kids(Done.end() - Arity, Done.end());
+    Tree *Copy = build(Src->tag(), NextUri, Done.data() + Done.size() - Arity,
+                       Arity, Src->lits());
     Done.resize(Done.size() - Arity);
-    Done.push_back(
-        adoptWithUri(Src->tag(), NextUri, std::move(Kids), Src->lits()));
+    Done.push_back(Copy);
   }
   return Done.front();
 }
 
 std::optional<std::string> TreeContext::validate(const Tree *T) const {
-  if (!Sig.hasTag(T->tag()))
-    return "unknown tag: " + Sig.name(T->tag());
-  const TagSignature &TagSig = Sig.signature(T->tag());
-  if (T->arity() != TagSig.Kids.size())
-    return "kid arity mismatch at " + Sig.name(T->tag());
-  if (T->numLits() != TagSig.Lits.size())
-    return "literal arity mismatch at " + Sig.name(T->tag());
-  for (size_t I = 0, E = T->arity(); I != E; ++I) {
-    const Tree *Kid = T->kid(I);
-    if (Kid == nullptr)
-      return "empty slot in completed tree at " + Sig.name(T->tag());
-    SortId KidSort = Sig.signature(Kid->tag()).Result;
-    if (!Sig.isSubsort(KidSort, TagSig.Kids[I].Sort))
-      return "kid sort mismatch at " + Sig.name(T->tag()) + "." +
-             Sig.name(TagSig.Kids[I].Link);
-    if (auto Err = validate(Kid))
-      return Err;
+  // Iterative, in the order of the recursive definition: a node's tag and
+  // arities, then per kid its presence and sort followed by the kid's own
+  // subtree, then the node's literal kinds.
+  struct Frame {
+    const Tree *Node;
+    size_t NextKid;
+  };
+  std::vector<Frame> Stack;
+  auto Enter = [&](const Tree *N) -> std::optional<std::string> {
+    if (!Sig.hasTag(N->tag()))
+      return "unknown tag: " + Sig.name(N->tag());
+    const TagSignature &TagSig = Sig.signature(N->tag());
+    if (N->arity() != TagSig.Kids.size())
+      return "kid arity mismatch at " + Sig.name(N->tag());
+    if (N->numLits() != TagSig.Lits.size())
+      return "literal arity mismatch at " + Sig.name(N->tag());
+    Stack.push_back({N, 0});
+    return std::nullopt;
+  };
+  if (auto Err = Enter(T))
+    return Err;
+  while (!Stack.empty()) {
+    Frame &Top = Stack.back();
+    const Tree *N = Top.Node;
+    const TagSignature &TagSig = Sig.signature(N->tag());
+    if (Top.NextKid < N->arity()) {
+      size_t I = Top.NextKid++;
+      const Tree *Kid = N->kid(I);
+      if (Kid == nullptr)
+        return "empty slot in completed tree at " + Sig.name(N->tag());
+      SortId KidSort = Sig.signature(Kid->tag()).Result;
+      if (!Sig.isSubsort(KidSort, TagSig.Kids[I].Sort))
+        return "kid sort mismatch at " + Sig.name(N->tag()) + "." +
+               Sig.name(TagSig.Kids[I].Link);
+      if (auto Err = Enter(Kid))
+        return Err;
+      continue;
+    }
+    for (size_t I = 0, E = N->numLits(); I != E; ++I)
+      if (N->lit(I).kind() != TagSig.Lits[I].Kind)
+        return "literal kind mismatch at " + Sig.name(N->tag()) + "." +
+               Sig.name(TagSig.Lits[I].Link);
+    Stack.pop_back();
   }
-  for (size_t I = 0, E = T->numLits(); I != E; ++I)
-    if (T->lit(I).kind() != TagSig.Lits[I].Kind)
-      return "literal kind mismatch at " + Sig.name(T->tag()) + "." +
-             Sig.name(TagSig.Lits[I].Link);
   return std::nullopt;
 }
 
@@ -421,14 +473,44 @@ void TreeContext::corruptDerivedForTest(Tree *T) {
 }
 
 bool truediff::treeEqualsModuloUris(const Tree *A, const Tree *B) {
-  if (A->tag() != B->tag() || A->arity() != B->arity() ||
-      A->numLits() != B->numLits())
-    return false;
-  for (size_t I = 0, E = A->numLits(); I != E; ++I)
-    if (A->lit(I) != B->lit(I))
+  std::vector<std::pair<const Tree *, const Tree *>> Stack{{A, B}};
+  while (!Stack.empty()) {
+    auto [X, Y] = Stack.back();
+    Stack.pop_back();
+    if (X->tag() != Y->tag() || X->arity() != Y->arity() ||
+        X->numLits() != Y->numLits())
       return false;
-  for (size_t I = 0, E = A->arity(); I != E; ++I)
-    if (!treeEqualsModuloUris(A->kid(I), B->kid(I)))
-      return false;
+    for (size_t I = 0, E = X->numLits(); I != E; ++I)
+      if (X->lit(I) != Y->lit(I))
+        return false;
+    for (size_t I = X->arity(); I != 0; --I)
+      Stack.emplace_back(X->kid(I - 1), Y->kid(I - 1));
+  }
   return true;
+}
+
+std::optional<std::string> truediff::compareDerived(const Tree *Stored,
+                                                    const Tree *Fresh) {
+  std::vector<std::pair<const Tree *, const Tree *>> Stack{{Stored, Fresh}};
+  while (!Stack.empty()) {
+    auto [S, F] = Stack.back();
+    Stack.pop_back();
+    auto Complain = [&](const char *What) {
+      return "stale " + std::string(What) + " at uri " +
+             std::to_string(S->uri());
+    };
+    if (S->structureHash() != F->structureHash())
+      return Complain("structure hash");
+    if (S->literalHash() != F->literalHash())
+      return Complain("literal hash");
+    if (S->height() != F->height())
+      return Complain("height");
+    if (S->size() != F->size())
+      return Complain("size");
+    if (S->arity() != F->arity())
+      return Complain("arity");
+    for (size_t I = S->arity(); I != 0; --I)
+      Stack.emplace_back(S->kid(I - 1), F->kid(I - 1));
+  }
+  return std::nullopt;
 }

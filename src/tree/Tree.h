@@ -16,7 +16,16 @@
 /// Nodes are owned by a TreeContext arena. truediff moves nodes between the
 /// source and the patched tree, so nodes cannot belong to a single tree
 /// object; the arena is the C++ realisation of the paper's "mutable, yet
-/// linearly typed resources".
+/// linearly typed resources". The arena hands out nodes from fixed slabs
+/// of 64 and kid arrays from a bump slab, so a node's address and its kid
+/// array stay put for the context's lifetime, and building a node costs
+/// no per-node heap allocation beyond its literals.
+///
+/// With the SHA-256 policy, a node's two digests come from one paired
+/// one-shot call (Sha256::hashPair): both preimages are written to stack
+/// buffers and compressed side by side. Preimages too long for those
+/// buffers (long string literals, very wide nodes) are streamed instead;
+/// the bytes hashed, and so the digests, are the same either way.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,8 +39,7 @@
 #include "tree/Limits.h"
 #include "tree/Signature.h"
 
-#include <deque>
-#include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -40,7 +48,6 @@ namespace truediff {
 
 class SubtreeShare;
 class TreeContext;
-class WorkerPool;
 
 namespace detail {
 
@@ -86,7 +93,7 @@ public:
   TagId tag() const { return Tag; }
   URI uri() const { return Uri; }
 
-  size_t arity() const { return Kids.size(); }
+  size_t arity() const { return Arity; }
   Tree *kid(size_t I) const { return Kids[I]; }
   void setKid(size_t I, Tree *New) { Kids[I] = New; }
 
@@ -174,26 +181,10 @@ public:
   /// Applies \p Fn to every proper descendant, pre-order.
   template <typename Fn> void foreachSubtree(Fn &&F) {
     detail::TraversalStack<Tree *> Stack;
-    for (size_t I = Kids.size(); I != 0; --I)
+    for (size_t I = Arity; I != 0; --I)
       if (Kids[I - 1] != nullptr)
         Stack.push(Kids[I - 1]);
     drainPreorder(Stack, F);
-  }
-
-  /// Pre-order traversal with pruning: \p Fn returns true to descend into
-  /// a node's kids, false to skip the subtree. Used by the parallel
-  /// refresh to split off chunk roots.
-  template <typename Fn> void foreachTreePruned(Fn &&F) {
-    detail::TraversalStack<Tree *> Stack;
-    Stack.push(this);
-    while (!Stack.empty()) {
-      Tree *T = Stack.pop();
-      if (!F(T))
-        continue;
-      for (size_t I = T->Kids.size(); I != 0; --I)
-        if (T->Kids[I - 1] != nullptr)
-          Stack.push(T->Kids[I - 1]);
-    }
   }
   /// @}
 
@@ -230,13 +221,6 @@ public:
   /// owning context.
   void refreshDerived(const SignatureTable &Sig, DigestPolicy Policy);
 
-  /// refreshDerived with Step-1 hashing fanned out over \p Pool: the tree
-  /// is partitioned into subtree chunks hashed in parallel, then the spine
-  /// above the chunks is recomputed serially (kids before parents).
-  /// Produces exactly the digests of the serial refresh.
-  void refreshDerivedParallel(const SignatureTable &Sig, DigestPolicy Policy,
-                              WorkerPool &Pool);
-
   /// Clears share and assignment pointers in the whole tree.
   void clearDiffState();
 
@@ -251,7 +235,7 @@ private:
     while (!Stack.empty()) {
       Tree *T = Stack.pop();
       F(T);
-      for (size_t I = T->Kids.size(); I != 0; --I)
+      for (size_t I = T->Arity; I != 0; --I)
         if (T->Kids[I - 1] != nullptr)
           Stack.push(T->Kids[I - 1]);
     }
@@ -261,21 +245,24 @@ private:
   void computeDerived(const SignatureTable &Sig, DigestPolicy Policy);
 
   TagId Tag = InvalidSymbol;
+  /// Length of Kids, fixed by the tag's signature.
+  uint32_t Arity = 0;
   URI Uri = NullURI;
-  std::vector<Tree *> Kids;
+  /// The kid array, carved from the owning context's kid slab.
+  Tree **Kids = nullptr;
   std::vector<Literal> Lits;
 
   Digest StructHash;
   Digest LitHash;
-  uint32_t Height = 0;
   uint64_t Size = 0;
+  uint32_t Height = 0;
+  uint32_t Mark = 0;
 
   SubtreeShare *Share = nullptr;
   Tree *Assigned = nullptr;
   bool Covered = false;
   bool DerivedDirty = false;
   bool ShareAvailable = false;
-  uint32_t Mark = 0;
 };
 
 /// Arena that owns every node of a diffing session and hands out fresh
@@ -326,15 +313,16 @@ public:
   /// Creates a node with the given tag, children, and literals, assigning
   /// a fresh URI and computing all derived data. Asserts that children and
   /// literals match the tag's signature (arity, sorts, literal kinds).
-  Tree *make(TagId Tag, std::vector<Tree *> Kids, std::vector<Literal> Lits);
+  Tree *make(TagId Tag, const std::vector<Tree *> &Kids,
+             std::vector<Literal> Lits);
 
   /// Same, with the tag given by name.
-  Tree *make(std::string_view TagName, std::vector<Tree *> Kids,
+  Tree *make(std::string_view TagName, const std::vector<Tree *> &Kids,
              std::vector<Literal> Lits);
 
   /// Creates a node with a caller-chosen URI (used by edit-script replay
   /// and by tests). Asserts the URI has not been used by this context.
-  Tree *makeWithUri(TagId Tag, URI Uri, std::vector<Tree *> Kids,
+  Tree *makeWithUri(TagId Tag, URI Uri, const std::vector<Tree *> &Kids,
                     std::vector<Literal> Lits);
 
   /// Like makeWithUri, but without the monotonicity requirement: the
@@ -343,16 +331,17 @@ public:
   /// calls stay unique. Used by MTree::toTreePreservingUris to rebuild
   /// rolled-back documents whose historical URIs are out of allocation
   /// order.
-  Tree *adoptWithUri(TagId Tag, URI Uri, std::vector<Tree *> Kids,
+  Tree *adoptWithUri(TagId Tag, URI Uri, const std::vector<Tree *> &Kids,
                      std::vector<Literal> Lits);
 
   /// Deep-copies \p T into this context with fresh URIs. Used by the
   /// benchmarks to rebuild trees so hashing time is measured (Section 6).
   Tree *deepCopy(const Tree *T);
 
-  /// Checks the whole tree against the signatures; returns an error
-  /// message or std::nullopt if well-typed. Construction already asserts
-  /// this, so the function exists for tests and external input.
+  /// Checks the whole tree against the signatures; returns the first
+  /// error in pre-order or std::nullopt if well-typed. Construction
+  /// already asserts this, so the function exists for tests and external
+  /// input. Iterative, so admission-legal deep chains are safe.
   std::optional<std::string> validate(const Tree *T) const;
 
   /// Test-only fault injection: flips one byte of \p T's cached
@@ -367,12 +356,34 @@ public:
   URI peekNextUri() const { return NextUri; }
 
   /// Number of nodes allocated so far.
-  size_t numNodes() const { return Nodes.size(); }
+  size_t numNodes() const { return NumNodes; }
 
 private:
+  /// Nodes per node slab.
+  static constexpr size_t NodeSlabSize = 64;
+  /// Minimum kid pointers per kid slab; a wider node gets a slab of its
+  /// own size.
+  static constexpr size_t KidSlabSize = 1024;
+
+  /// The one node constructor every make variant and deepCopy funnel
+  /// through: copies the \p Arity kid pointers at \p Kids into the kid
+  /// slab, computes derived data, and charges the budget.
+  Tree *build(TagId Tag, URI Uri, Tree *const *Kids, size_t Arity,
+              std::vector<Literal> Lits);
+
+  /// The next free node slot, opening a new slab when the last is full.
+  Tree *allocNode();
+
+  /// \p N contiguous kid-pointer slots from the kid slab.
+  Tree **allocKids(size_t N);
+
   const SignatureTable &Sig;
   DigestPolicy Policy = DigestPolicy::Sha256;
-  std::deque<Tree> Nodes;
+  std::vector<std::unique_ptr<Tree[]>> NodeSlabs;
+  size_t NumNodes = 0;
+  std::vector<std::unique_ptr<Tree *[]>> KidSlabs;
+  Tree **KidCursor = nullptr;
+  size_t KidsLeft = 0;
   URI NextUri = 1;
   MemoryBudget *Budget = nullptr;
   size_t BytesCharged = 0;
@@ -380,8 +391,15 @@ private:
 
 /// True iff \p A and \p B have identical shapes, tags, and literals,
 /// ignoring URIs. Unlike Tree::equalsModuloUris this walks the trees, so it
-/// is usable in tests that deliberately corrupt cached hashes.
+/// is usable in tests that deliberately corrupt cached hashes. Iterative.
 bool treeEqualsModuloUris(const Tree *A, const Tree *B);
+
+/// Compares \p Stored's cached derived data (digests, height, size) node
+/// for node against \p Fresh, a from-scratch rebuild of the same tree, and
+/// returns the first divergence in pre-order. Iterative: the integrity
+/// scrubber runs it over every stored document.
+std::optional<std::string> compareDerived(const Tree *Stored,
+                                          const Tree *Fresh);
 
 } // namespace truediff
 

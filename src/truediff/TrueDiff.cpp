@@ -364,11 +364,7 @@ DiffResult TrueDiff::compareTo(Tree *Source, Tree *Target) {
   if (Opts.IncrementalRehash)
     Result.NodesRehashed = Patched->rehashDirtyPaths(Sig, Ctx.digestPolicy());
   else {
-    if (Opts.Step1Pool != nullptr)
-      Patched->refreshDerivedParallel(Sig, Ctx.digestPolicy(),
-                                      *Opts.Step1Pool);
-    else
-      Patched->refreshDerived(Sig, Ctx.digestPolicy());
+    Patched->refreshDerived(Sig, Ctx.digestPolicy());
     Result.NodesRehashed = Patched->size();
   }
   Patched->clearDiffState();

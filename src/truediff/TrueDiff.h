@@ -31,7 +31,6 @@
 #ifndef TRUEDIFF_TRUEDIFF_TRUEDIFF_H
 #define TRUEDIFF_TRUEDIFF_TRUEDIFF_H
 
-#include "support/WorkerPool.h"
 #include "tree/Tree.h"
 #include "truechange/Edit.h"
 #include "truediff/EditBuffer.h"
@@ -60,14 +59,6 @@ struct TrueDiffOptions {
   /// a persisted, pre-hashed source tree "warm" (DocumentStore's digest
   /// cache). When false, the paper-faithful full refresh runs instead.
   bool IncrementalRehash = true;
-
-  /// Optional worker pool for Step-1 hashing. Only consulted on the
-  /// full-refresh path (IncrementalRehash = false): the whole-tree rehash
-  /// after Step 4 is fanned out via Tree::refreshDerivedParallel. The
-  /// incremental path rehashes only the touched root-to-edit paths, which
-  /// are too small to be worth distributing. The pool must outlive the
-  /// TrueDiff session; nullptr keeps everything on the calling thread.
-  WorkerPool *Step1Pool = nullptr;
 };
 
 /// Result of one diff: the edit script and the patched tree.

@@ -7,16 +7,17 @@
 /// \file
 /// Regression test for the recursive-traversal stack overflow: a
 /// pathologically deep (but admission-legal) unary chain used to crash
-/// foreachTree/refreshDerived/clearDiffState/deepCopy -- and MTree's
-/// fromTree/render/isClosedWellFormed/toTree/equalsTree/toString -- once
-/// it exceeded the thread stack. All of these are now iterative with
-/// explicit work stacks; this test drives each of them over a ~300k-deep
-/// chain and is meant to run under ASan, whose instrumented frames blow
-/// the stack far earlier than production builds would.
+/// foreachTree/refreshDerived/clearDiffState/deepCopy, the whole-tree
+/// checks validate/treeEqualsModuloUris/compareDerived (the scrubber's
+/// digest check) -- and MTree's fromTree/render/isClosedWellFormed/
+/// toTree/equalsTree/toString -- once it exceeded the thread stack. All of
+/// these are now iterative with explicit work stacks; this test drives
+/// each of them over a ~300k-deep chain and is meant to run under ASan,
+/// whose instrumented frames blow the stack far earlier than production
+/// builds would.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "support/WorkerPool.h"
 #include "tree/Tree.h"
 #include "truechange/MTree.h"
 
@@ -24,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 
 using namespace truediff;
@@ -62,13 +64,6 @@ TEST(DeepTreeTest, TraversalsSurviveDeepChains) {
   T->foreachTree([&](Tree *N) { EXPECT_FALSE(N->derivedDirty()); });
 
   T->clearDiffState();
-
-  // Parallel refresh degenerates to mostly-spine work on a chain but must
-  // stay stack-safe too.
-  WorkerPool Pool(2);
-  Digest SerialHash = T->structureHash();
-  T->refreshDerivedParallel(Sig, Ctx.digestPolicy(), Pool);
-  EXPECT_EQ(T->structureHash(), SerialHash);
 }
 
 TEST(DeepTreeTest, DeepCopySurvivesDeepChains) {
@@ -79,6 +74,34 @@ TEST(DeepTreeTest, DeepCopySurvivesDeepChains) {
   EXPECT_TRUE(Copy->equalsModuloUris(*T));
   EXPECT_NE(Copy->uri(), T->uri());
   EXPECT_EQ(Copy->size(), ChainDepth + 1);
+}
+
+TEST(DeepTreeTest, WholeTreeChecksSurviveDeepChains) {
+  SignatureTable Sig = makeExpSignature();
+  TreeContext Ctx(Sig);
+  Tree *T = deepChain(Ctx);
+  EXPECT_FALSE(Ctx.validate(T).has_value());
+
+  TreeContext Scratch(Sig);
+  Tree *Fresh = Scratch.deepCopy(T);
+  EXPECT_TRUE(treeEqualsModuloUris(T, Fresh));
+  EXPECT_FALSE(compareDerived(T, Fresh).has_value());
+
+  // A divergence at the very bottom is found after walking the full depth.
+  Tree *Bottom = Fresh;
+  while (Bottom->arity() != 0)
+    Bottom = Bottom->kid(0);
+  TreeContext::corruptDerivedForTest(Bottom);
+  std::optional<std::string> Err = compareDerived(Fresh, T);
+  ASSERT_TRUE(Err.has_value());
+  EXPECT_EQ(*Err, "stale structure hash at uri " + std::to_string(Bottom->uri()));
+
+  Tree *Other = Scratch.make("Num", {}, {Literal(int64_t(1))});
+  Tree *Parent = Fresh;
+  while (Parent->kid(0)->arity() != 0)
+    Parent = Parent->kid(0);
+  Parent->setKid(0, Other);
+  EXPECT_FALSE(treeEqualsModuloUris(T, Fresh));
 }
 
 TEST(DeepTreeTest, MTreeSurvivesDeepChains) {

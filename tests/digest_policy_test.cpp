@@ -14,13 +14,17 @@
 ///     byte-identical edit scripts and identical touched-URI sets over
 ///     hundreds of seeded mutation chains, cold and warm, with every
 ///     script passing the linear type checker;
-///   - refreshDerivedParallel produces exactly the serial digests.
+///   - SHA-256 node digests from the paired one-shot kernel equal the
+///     streamed digests of the same preimages, node for node, including
+///     preimages around and past the kernel's buffer bound.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "corpus/Corpus.h"
+#include "python/Python.h"
 #include "support/Rng.h"
+#include "support/Sha256.h"
 #include "support/TreeHash.h"
-#include "support/WorkerPool.h"
 #include "truechange/Serialize.h"
 #include "truechange/TypeChecker.h"
 #include "truediff/TrueDiff.h"
@@ -30,6 +34,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstring>
+#include <string>
 #include <unordered_set>
 
 using namespace truediff;
@@ -201,74 +207,119 @@ TEST(DigestPolicyProperty, ScriptsIdenticalAcrossPoliciesColdAndWarm) {
 }
 
 //===----------------------------------------------------------------------===//
-// Parallel Step-1 refresh
+// SHA-256 node digests: paired one-shot kernel vs. streaming reference
 //===----------------------------------------------------------------------===//
 
-/// Builds a full binary Add tree with \p Leaves Num leaves, bottom-up (no
-/// recursion), so the parallel refresh actually gets chunks to fan out.
-Tree *bigBalancedTree(TreeContext &Ctx, int Leaves) {
-  std::vector<Tree *> Level;
-  for (int I = 0; I != Leaves; ++I)
-    Level.push_back(num(Ctx, I % 10));
-  while (Level.size() > 1) {
-    std::vector<Tree *> Next;
-    for (size_t I = 0; I + 1 < Level.size(); I += 2)
-      Next.push_back(add(Ctx, Level[I], Level[I + 1]));
-    if (Level.size() % 2 != 0)
-      Next.push_back(Level.back());
-    Level = std::move(Next);
-  }
-  return Level.front();
-}
-
-TEST(DigestPolicyTest, ParallelRefreshMatchesSerialDigests) {
-  SignatureTable Sig = makeExpSignature();
-  for (DigestPolicy Policy : {DigestPolicy::Sha256, DigestPolicy::Fast128}) {
-    TreeContext SerialCtx(Sig, Policy);
-    TreeContext ParCtx(Sig, Policy);
-    Tree *Serial = bigBalancedTree(SerialCtx, 8192);
-    Tree *Par = bigBalancedTree(ParCtx, 8192);
-
-    Serial->refreshDerived(Sig, Policy);
-    WorkerPool Pool(4);
-    Par->refreshDerivedParallel(Sig, Policy, Pool);
-
-    // Node-for-node agreement, iteratively (the trees are big).
-    std::vector<std::pair<Tree *, Tree *>> Stack{{Serial, Par}};
-    while (!Stack.empty()) {
-      auto [A, B] = Stack.back();
-      Stack.pop_back();
-      ASSERT_EQ(A->structureHash(), B->structureHash());
-      ASSERT_EQ(A->literalHash(), B->literalHash());
-      ASSERT_EQ(A->height(), B->height());
-      ASSERT_EQ(A->size(), B->size());
-      ASSERT_EQ(A->arity(), B->arity());
-      for (size_t I = 0, E = A->arity(); I != E; ++I)
-        Stack.push_back({A->kid(I), B->kid(I)});
+/// \p T's structure and literal hashes recomputed by streaming their
+/// preimages field by field through Sha256: u32 tag, u32 arity, and 16
+/// bytes of each kid structure hash; u32 literal count, each literal as a
+/// kind byte plus little-endian payload (strings length-prefixed), and 16
+/// bytes of each kid literal hash.
+std::pair<Digest, Digest> streamedNodeDigests(const Tree *T) {
+  Sha256 S;
+  S.updateU32(T->tag());
+  S.updateU32(static_cast<uint32_t>(T->arity()));
+  for (size_t I = 0; I != T->arity(); ++I)
+    S.update(T->kid(I)->structureHash().bytes().data(), 16);
+  Sha256 L;
+  L.updateU32(static_cast<uint32_t>(T->numLits()));
+  for (const Literal &Lit : T->lits()) {
+    uint8_t Kind = static_cast<uint8_t>(Lit.kind());
+    L.update(&Kind, 1);
+    switch (Lit.kind()) {
+    case LitKind::Int:
+      L.updateU64(static_cast<uint64_t>(Lit.asInt()));
+      break;
+    case LitKind::Float: {
+      double V = Lit.asFloat();
+      uint64_t Bits;
+      std::memcpy(&Bits, &V, sizeof(Bits));
+      L.updateU64(Bits);
+      break;
+    }
+    case LitKind::Bool: {
+      uint8_t B = Lit.asBool() ? 1 : 0;
+      L.update(&B, 1);
+      break;
+    }
+    case LitKind::String:
+      L.updateU64(Lit.asString().size());
+      L.update(Lit.asString());
+      break;
     }
   }
+  for (size_t I = 0; I != T->arity(); ++I)
+    L.update(T->kid(I)->literalHash().bytes().data(), 16);
+  return {S.finish(), L.finish()};
 }
 
-TEST(DigestPolicyTest, PooledStep1OptionKeepsScriptsIdentical) {
-  // TrueDiffOptions::Step1Pool only changes how the full refresh is
-  // scheduled; diff output must be unchanged.
-  SignatureTable Sig = makeExpSignature();
-  std::array<std::string, 2> Out;
-  WorkerPool Pool(3);
-  for (int Mode = 0; Mode != 2; ++Mode) {
-    TreeContext Ctx(Sig, DigestPolicy::Fast128);
-    Rng R(77);
-    Tree *Source = randomExp(Ctx, R, 7);
-    Tree *Target = mutateExp(Ctx, R, Source, 12);
-    TrueDiffOptions Opts;
-    Opts.IncrementalRehash = false; // force the full-refresh path
-    if (Mode == 1)
-      Opts.Step1Pool = &Pool;
-    TrueDiff Diff(Ctx, Opts);
-    DiffResult Res = Diff.compareTo(Source, Target);
-    Out[Mode] = serializeEditScript(Sig, Res.Script);
+/// Checks every node of \p Root against streamedNodeDigests; returns the
+/// number of nodes checked.
+size_t expectStreamedDigests(Tree *Root) {
+  size_t Checked = 0;
+  Root->foreachTree([&](Tree *T) {
+    auto [Struct, Lit] = streamedNodeDigests(T);
+    EXPECT_EQ(T->structureHash(), Struct) << "uri " << T->uri();
+    EXPECT_EQ(T->literalHash(), Lit) << "uri " << T->uri();
+    ++Checked;
+  });
+  return Checked;
+}
+
+TEST(Sha256NodeDigestTest, SeededPythonCorpusMatchesStreaming) {
+  SignatureTable Sig = python::makePythonSignature();
+  corpus::CorpusOptions Opts;
+  Opts.NumPairs = 20;
+  Opts.Seed = 7;
+  size_t Checked = 0;
+  for (const corpus::CommitPair &Pair : corpus::buildCommitCorpus(Opts)) {
+    TreeContext Ctx(Sig);
+    auto Before = python::parsePython(Ctx, Pair.Before);
+    auto After = python::parsePython(Ctx, Pair.After);
+    ASSERT_TRUE(Before.ok() && After.ok());
+    Checked += expectStreamedDigests(Before.Module);
+    Checked += expectStreamedDigests(After.Module);
+    // The patched tree's nodes are rehashed after the diff.
+    TrueDiff Differ(Ctx);
+    Checked += expectStreamedDigests(
+        Differ.compareTo(Ctx.deepCopy(Before.Module), After.Module).Patched);
   }
-  EXPECT_EQ(Out[0], Out[1]);
+  EXPECT_GT(Checked, 10000u);
+}
+
+TEST(Sha256NodeDigestTest, PreimagesAroundTheBufferBoundMatchStreaming) {
+  // Call's literal preimage is 4 (count) + 1 (kind) + 8 (length) + the
+  // name + 16 (one kid): name lengths put it just under, at, and just
+  // over Sha256::PairMaxBytes, where the kernel hands off to streaming,
+  // and at the block-padding edges below.
+  SignatureTable Sig = makeExpSignature();
+  TreeContext Ctx(Sig);
+  const size_t Overhead = 4 + 1 + 8 + 16;
+  const size_t Max = Sha256::PairMaxBytes;
+  for (size_t Preimage : {Overhead, size_t(55), size_t(56), size_t(63),
+                          size_t(64), size_t(119), size_t(120), Max - 1, Max,
+                          Max + 1}) {
+    std::string Name(Preimage - Overhead, 'f');
+    Tree *T = call(Ctx, Name, add(Ctx, num(Ctx, 1), var(Ctx, Name)));
+    expectStreamedDigests(T);
+  }
+}
+
+TEST(Sha256NodeDigestTest, LongStringLiteralTakesTheStreamingPath) {
+  SignatureTable Sig = makeExpSignature();
+  TreeContext Ctx(Sig);
+  std::string Long(5000, 'x');
+  for (size_t I = 0; I != Long.size(); ++I)
+    Long[I] = static_cast<char>('a' + I % 26);
+  Tree *T = call(Ctx, Long, var(Ctx, Long));
+  EXPECT_EQ(expectStreamedDigests(T), 2u);
+  // The digest is a function of content: an equal rebuild agrees, a
+  // one-byte change does not.
+  Tree *Same = call(Ctx, Long, var(Ctx, Long));
+  EXPECT_TRUE(Same->equalsModuloUris(*T));
+  std::string Changed = Long;
+  Changed.back() = '!';
+  EXPECT_NE(var(Ctx, Changed)->literalHash(), T->kid(0)->literalHash());
 }
 
 } // namespace

@@ -12,6 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 using namespace truediff;
 using namespace truediff::testlang;
 
@@ -189,6 +192,114 @@ TEST_F(TreeTest, ParsedTreeEqualsBuiltTree) {
   Tree *Built = mul(Ctx, num(Ctx, 6), num(Ctx, 7));
   EXPECT_TRUE(treeEqualsModuloUris(R.Root, Built));
   EXPECT_TRUE(R.Root->equalsModuloUris(*Built));
+}
+
+//===----------------------------------------------------------------------===//
+// Arena: node slabs, kid slabs, and budget accounting
+//===----------------------------------------------------------------------===//
+
+TEST_F(TreeTest, ArenaKeepsNodesAndKidArraysStableAcrossSlabs) {
+  // 5000 Add nodes and their leaves span over a hundred node slabs and
+  // about ten kid slabs; every node must still read back exactly as
+  // built.
+  struct Built {
+    Tree *Node;
+    URI Uri;
+    Tree *Kids[2];
+  };
+  std::vector<Built> Log;
+  Tree *Acc = num(Ctx, 0);
+  for (int I = 1; I != 5000; ++I) {
+    Tree *Leaf = I % 2 == 0 ? num(Ctx, I) : var(Ctx, std::to_string(I));
+    Tree *Next = add(Ctx, Acc, Leaf);
+    Log.push_back({Next, Next->uri(), {Acc, Leaf}});
+    Acc = Next;
+    ASSERT_EQ(Ctx.numNodes(), 1u + 2u * I);
+  }
+  for (const Built &B : Log) {
+    ASSERT_EQ(B.Node->uri(), B.Uri);
+    ASSERT_EQ(B.Node->tag(), Sig.lookup("Add"));
+    ASSERT_EQ(B.Node->arity(), 2u);
+    ASSERT_EQ(B.Node->kid(0), B.Kids[0]);
+    ASSERT_EQ(B.Node->kid(1), B.Kids[1]);
+  }
+
+  // Kid arrays are disjoint: rewiring one node leaves its neighbours be.
+  Tree *Fresh = num(Ctx, -1);
+  Log[100].Node->setKid(1, Fresh);
+  EXPECT_EQ(Log[100].Node->kid(1), Fresh);
+  EXPECT_EQ(Log[99].Node->kid(1), Log[99].Kids[1]);
+  EXPECT_EQ(Log[101].Node->kid(0), Log[101].Kids[0]);
+  EXPECT_EQ(Log[101].Node->kid(1), Log[101].Kids[1]);
+  Acc->refreshDerived(Sig, Ctx.digestPolicy());
+
+  // A deep copy spans fresh slabs and agrees node for node.
+  size_t Before = Ctx.numNodes();
+  Tree *Copy = Ctx.deepCopy(Acc);
+  EXPECT_EQ(Ctx.numNodes(), Before + Acc->size());
+  EXPECT_TRUE(treeEqualsModuloUris(Acc, Copy));
+  EXPECT_TRUE(Acc->equalsModuloUris(*Copy));
+}
+
+TEST(TreeArenaTest, NodesWiderThanAKidSlab) {
+  // A node with more kids than a kid slab holds gets an array of its
+  // own, even while the current slab still has room for small ones; its
+  // preimage is far past the one-shot hashing bound, too.
+  SignatureTable Sig;
+  std::vector<std::pair<std::string, std::string>> Links;
+  for (int I = 0; I != 1500; ++I)
+    Links.push_back({std::to_string(I), "E"});
+  Sig.defineTag("Wide", "E", Links, {});
+  Sig.defineTag("Pair", "E", {{"l", "E"}, {"r", "E"}}, {});
+  Sig.defineTag("Leaf", "E", {}, {{"n", LitKind::Int}});
+  TreeContext Ctx(Sig);
+  std::vector<Tree *> Kids;
+  for (int I = 0; I != 1500; ++I)
+    Kids.push_back(Ctx.make("Leaf", {}, {Literal(int64_t(I))}));
+  Tree *P1 = Ctx.make("Pair", {Kids[0], Kids[1]}, {});
+  Tree *W = Ctx.make("Wide", Kids, {});
+  Tree *W2 = Ctx.make("Wide", Kids, {});
+  Tree *P2 = Ctx.make("Pair", {Kids[2], Kids[3]}, {});
+  ASSERT_EQ(W->arity(), 1500u);
+  for (size_t I = 0; I != Kids.size(); ++I) {
+    ASSERT_EQ(W->kid(I), Kids[I]);
+    ASSERT_EQ(W2->kid(I), Kids[I]);
+  }
+  EXPECT_EQ(P1->kid(0), Kids[0]);
+  EXPECT_EQ(P1->kid(1), Kids[1]);
+  EXPECT_EQ(P2->kid(0), Kids[2]);
+  EXPECT_EQ(P2->kid(1), Kids[3]);
+  EXPECT_EQ(W->size(), 1501u);
+  EXPECT_EQ(W->structureHash(), W2->structureHash());
+  EXPECT_EQ(W->literalHash(), W2->literalHash());
+  EXPECT_FALSE(Ctx.validate(W).has_value());
+}
+
+TEST(TreeArenaTest, BudgetChargedOncePerNodeAndReleasedInFull) {
+  SignatureTable Sig = makeExpSignature();
+  MemoryBudget Budget;
+  {
+    TreeContext Ctx(Sig);
+    Ctx.attachBudget(&Budget);
+    size_t Used = Budget.used();
+    Tree *N = num(Ctx, 1);
+    EXPECT_EQ(Budget.used() - Used, sizeof(Tree) + sizeof(Literal));
+    Used = Budget.used();
+    Tree *A = add(Ctx, N, num(Ctx, 2));
+    EXPECT_EQ(Budget.used() - Used,
+              2 * sizeof(Tree) + sizeof(Literal) + 2 * sizeof(Tree *));
+    Tree *T = A;
+    for (int I = 0; I != 1000; ++I)
+      T = add(Ctx, T, num(Ctx, I));
+    // Every node so far is in T, so copying it charges the same again.
+    size_t BeforeCopy = Budget.used();
+    ASSERT_EQ(Ctx.numNodes(), T->size());
+    Tree *Copy = Ctx.deepCopy(T);
+    EXPECT_EQ(Copy->size(), T->size());
+    EXPECT_EQ(Budget.used(), 2 * BeforeCopy);
+    EXPECT_EQ(Budget.used(), Ctx.bytesCharged());
+  }
+  EXPECT_EQ(Budget.used(), 0u);
 }
 
 } // namespace

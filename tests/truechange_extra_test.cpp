@@ -415,17 +415,24 @@ TEST_P(Theorem36FuzzTest, AcceptedScriptsYieldWellFormedTrees) {
 
   Tree *Base = corpus::generateModule(Ctx, R);
   Tree *Mutated = corpus::mutateModule(Ctx, R, Base);
-  Tree *BaseCopy = Ctx.deepCopy(Base);
+  // Rebuilds Base with its own URIs, which the script refers to, so a
+  // corrupted script applies until the corruption bites instead of
+  // failing on its first edit.
+  EditScript Init = buildInitializingScript(Sig, Base);
   TrueDiff Differ(Ctx);
   DiffResult Result = Differ.compareTo(Base, Mutated);
 
-  size_t Accepted = 0, Rejected = 0;
+  size_t Accepted = 0, TypeRejected = 0, PatchRejected = 0, Midway = 0;
   for (int Round = 0; Round != 40; ++Round) {
     EditScript Bad = corrupt(R, Result.Script);
-    bool WellTyped = Checker.checkWellTyped(Bad).Ok;
-    MTree M = MTree::fromTree(Sig, BaseCopy);
-    bool Applied = WellTyped && M.patchChecked(Bad).Ok;
-    if (Applied) {
+    if (!Checker.checkWellTyped(Bad).Ok) {
+      ++TypeRejected;
+      continue;
+    }
+    MTree M(Sig);
+    ASSERT_TRUE(M.patchChecked(Init).Ok);
+    MTree::PatchResult Patched = M.patchChecked(Bad);
+    if (Patched.Ok) {
       // Theorem 3.6: a script that passes the type system and the
       // compliance checks must produce a closed, well-typed tree.
       EXPECT_TRUE(M.isClosedWellFormed())
@@ -433,13 +440,20 @@ TEST_P(Theorem36FuzzTest, AcceptedScriptsYieldWellFormedTrees) {
           << Bad.toString(Sig);
       ++Accepted;
     } else {
-      ++Rejected;
+      ++PatchRejected;
+      if (Patched.ErrorIndex > 0)
+        ++Midway;
     }
   }
   // Most corruptions must be caught; a few (e.g. swapping commuting
   // edits) legitimately stay valid.
-  EXPECT_GT(Rejected, 0u);
+  EXPECT_GT(TypeRejected + PatchRejected, 0u);
   (void)Accepted;
+  // At least a third of the scripts the compliance checks reject apply an
+  // edit first (over all seeds: 93 of 104; from a deep copy with fresh
+  // URIs it was 1 of 396). Single-edit scripts whose one edit is
+  // corrupted fail at index 0, so the share is not 1.
+  EXPECT_GE(3 * Midway, PatchRejected);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Theorem36FuzzTest,
