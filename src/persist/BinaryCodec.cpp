@@ -370,87 +370,136 @@ DecodeScriptResult persist::decodeEditScript(const SignatureTable &Sig,
 
 namespace {
 
+/// Writes \p T pre-order: tag, URI and kid count on the way down, then
+/// the kids, then the literal count and literals on the way up.
+/// Iterative, so any depth is safe.
 void encodeTreeNode(std::string &Body, SymbolSink &Syms, const Tree *T) {
-  putVarint(Body, Syms.localIndex(T->tag()));
-  putVarint(Body, T->uri());
-  putVarint(Body, T->arity());
-  for (size_t I = 0, E = T->arity(); I != E; ++I)
-    encodeTreeNode(Body, Syms, T->kid(I));
-  putVarint(Body, T->numLits());
-  for (size_t I = 0, E = T->numLits(); I != E; ++I)
-    putLiteral(Body, T->lit(I));
+  struct Frame {
+    const Tree *Node;
+    size_t NextKid;
+  };
+  std::vector<Frame> Stack;
+  auto Open = [&](const Tree *N) {
+    putVarint(Body, Syms.localIndex(N->tag()));
+    putVarint(Body, N->uri());
+    putVarint(Body, N->arity());
+    Stack.push_back({N, 0});
+  };
+  Open(T);
+  while (!Stack.empty()) {
+    Frame &Top = Stack.back();
+    const Tree *N = Top.Node;
+    if (Top.NextKid < N->arity()) {
+      Open(N->kid(Top.NextKid++));
+      continue;
+    }
+    putVarint(Body, N->numLits());
+    for (size_t I = 0, E = N->numLits(); I != E; ++I)
+      putLiteral(Body, N->lit(I));
+    Stack.pop_back();
+  }
 }
 
-/// Recursion guard: a hostile blob can claim arbitrarily deep nesting at
-/// ~4 bytes per level, which must not become a stack overflow.
-constexpr unsigned MaxTreeDepth = 8192;
+/// Hostile-input bounds. Nesting costs the decoder heap, not stack, so
+/// depth is not bounded: any tree admission accepted decodes. A blob's
+/// size and node count are, so a forged blob cannot make the decoder
+/// allocate far beyond what a real document of that size would.
+constexpr size_t MaxTreeBlobBytes = size_t(1) << 30;
+constexpr uint64_t MaxTreeNodes = uint64_t(1) << 26;
 
-/// Decodes one node, validating the claimed structure against the
-/// signature before allocating anything in \p Ctx: kid/literal counts
+/// Decodes one tree, validating the claimed structure against the
+/// signature before allocating each node in \p Ctx: kid/literal counts
 /// must match the tag's arity, literal kinds its literal specs, kid
 /// sorts its slot sorts, and URIs must be unique within the blob.
+/// Iterative, with POD frames and one shared results stack as in
+/// TreeContext::deepCopy: a node's kids are the top entries of Done when
+/// its literals are read.
 Tree *decodeTreeNode(BinReader &R, const SignatureTable &Sig,
                      TreeContext &Ctx, const std::vector<Symbol> &Table,
-                     std::unordered_set<URI> &SeenUris, unsigned Depth,
                      bool PreserveUris) {
-  if (Depth > MaxTreeDepth) {
-    R.fail("tree too deep");
-    return nullptr;
-  }
-  TagId Tag = localSymbol(R, Table);
-  URI Uri = R.getVarint();
-  if (!R.ok())
-    return nullptr;
-  if (!Sig.hasTag(Tag)) {
-    R.fail("node symbol is not a constructor tag");
-    return nullptr;
-  }
-  if (!SeenUris.insert(Uri).second) {
-    R.fail("duplicate URI in tree");
-    return nullptr;
-  }
-  const TagSignature &TagSig = Sig.signature(Tag);
-
-  uint64_t NumKids = R.getVarint();
-  if (R.ok() && NumKids != TagSig.Kids.size())
-    R.fail("kid count does not match tag signature");
-  if (!R.ok())
-    return nullptr;
-  std::vector<Tree *> Kids;
-  Kids.reserve(NumKids);
-  for (uint64_t I = 0; I != NumKids; ++I) {
-    Tree *Kid =
-        decodeTreeNode(R, Sig, Ctx, Table, SeenUris, Depth + 1, PreserveUris);
-    if (Kid == nullptr)
-      return nullptr;
-    if (!Sig.isSubsort(Sig.signature(Kid->tag()).Result,
-                       TagSig.Kids[I].Sort)) {
-      R.fail("kid sort does not match slot sort");
-      return nullptr;
+  struct Frame {
+    TagId Tag;
+    URI Uri;
+    const TagSignature *TagSig;
+    size_t NextKid;
+  };
+  std::vector<Frame> Stack;
+  std::vector<Tree *> Done;
+  std::unordered_set<URI> SeenUris;
+  uint64_t Nodes = 0;
+  auto Open = [&]() {
+    if (++Nodes > MaxTreeNodes) {
+      R.fail("tree has too many nodes");
+      return false;
     }
-    Kids.push_back(Kid);
-  }
+    TagId Tag = localSymbol(R, Table);
+    URI Uri = R.getVarint();
+    if (!R.ok())
+      return false;
+    if (!Sig.hasTag(Tag)) {
+      R.fail("node symbol is not a constructor tag");
+      return false;
+    }
+    if (!SeenUris.insert(Uri).second) {
+      R.fail("duplicate URI in tree");
+      return false;
+    }
+    const TagSignature &TagSig = Sig.signature(Tag);
+    uint64_t NumKids = R.getVarint();
+    if (R.ok() && NumKids != TagSig.Kids.size())
+      R.fail("kid count does not match tag signature");
+    if (!R.ok())
+      return false;
+    Stack.push_back({Tag, Uri, &TagSig, 0});
+    return true;
+  };
 
-  uint64_t NumLits = R.getVarint();
-  if (R.ok() && NumLits != TagSig.Lits.size())
-    R.fail("literal count does not match tag signature");
-  if (!R.ok())
+  if (!Open())
     return nullptr;
-  std::vector<Literal> Lits;
-  Lits.reserve(NumLits);
-  for (uint64_t I = 0; I != NumLits; ++I) {
-    Literal L = getLiteral(R);
+  while (!Stack.empty()) {
+    Frame &Top = Stack.back();
+    if (Top.NextKid < Top.TagSig->Kids.size()) {
+      ++Top.NextKid;
+      if (!Open())
+        return nullptr;
+      continue;
+    }
+    Frame F = Top;
+    Stack.pop_back();
+    uint64_t NumLits = R.getVarint();
+    if (R.ok() && NumLits != F.TagSig->Lits.size())
+      R.fail("literal count does not match tag signature");
     if (!R.ok())
       return nullptr;
-    if (L.kind() != TagSig.Lits[I].Kind) {
-      R.fail("literal kind does not match tag signature");
-      return nullptr;
+    std::vector<Literal> Lits;
+    Lits.reserve(NumLits);
+    for (uint64_t I = 0; I != NumLits; ++I) {
+      Literal L = getLiteral(R);
+      if (!R.ok())
+        return nullptr;
+      if (L.kind() != F.TagSig->Lits[I].Kind) {
+        R.fail("literal kind does not match tag signature");
+        return nullptr;
+      }
+      Lits.push_back(std::move(L));
     }
-    Lits.push_back(std::move(L));
+    size_t Arity = F.TagSig->Kids.size();
+    Tree *const *Kids = Done.data() + Done.size() - Arity;
+    Tree *Node = PreserveUris ? Ctx.adoptWithUri(F.Tag, F.Uri, Kids, Arity,
+                                                 std::move(Lits))
+                              : Ctx.make(F.Tag, Kids, Arity, std::move(Lits));
+    Done.resize(Done.size() - Arity);
+    if (!Stack.empty()) {
+      const Frame &Parent = Stack.back();
+      if (!Sig.isSubsort(Sig.signature(F.Tag).Result,
+                         Parent.TagSig->Kids[Parent.NextKid - 1].Sort)) {
+        R.fail("kid sort does not match slot sort");
+        return nullptr;
+      }
+    }
+    Done.push_back(Node);
   }
-  return PreserveUris ? Ctx.adoptWithUri(Tag, Uri, std::move(Kids),
-                                         std::move(Lits))
-                      : Ctx.make(Tag, std::move(Kids), std::move(Lits));
+  return Done.back();
 }
 
 } // namespace
@@ -472,12 +521,15 @@ DecodeTreeResult persist::decodeTree(const SignatureTable &Sig,
                                      TreeContext &Ctx, std::string_view Blob,
                                      bool PreserveUris) {
   DecodeTreeResult Result;
+  if (Blob.size() > MaxTreeBlobBytes) {
+    Result.Error = "tree blob too large";
+    return Result;
+  }
   BinReader R(Blob);
   std::vector<Symbol> Table;
   if (!readSymbolTable(R, Sig, Table, Result.Error))
     return Result;
-  std::unordered_set<URI> SeenUris;
-  Tree *Root = decodeTreeNode(R, Sig, Ctx, Table, SeenUris, 0, PreserveUris);
+  Tree *Root = decodeTreeNode(R, Sig, Ctx, Table, PreserveUris);
   if (Root == nullptr || !R.ok()) {
     Result.Error = R.ok() ? "invalid tree blob" : R.error();
     return Result;

@@ -71,7 +71,7 @@ struct DecodeTreeResult {
 /// Decodes a blob produced by encodeTree into \p Ctx, preserving the
 /// encoded URIs via TreeContext::adoptWithUri. \p Ctx must not hold live
 /// nodes with any of those URIs (pass a fresh context, as with
-/// MTree::toTreePreservingUris).
+/// TreeContext::CopyUris::Preserve).
 DecodeTreeResult decodeTree(const SignatureTable &Sig, TreeContext &Ctx,
                             std::string_view Blob);
 

@@ -9,9 +9,8 @@
 #include "blame/Provenance.h"
 #include "persist/BinaryCodec.h"
 #include "persist/Snapshot.h"
+#include "truechange/Apply.h"
 #include "truechange/Inverse.h"
-#include "truechange/MTree.h"
-#include "truechange/TypeChecker.h"
 
 #include <algorithm>
 #include <chrono>
@@ -651,9 +650,22 @@ RecoveryResult Persistence::recoverAndAttach(DocumentStore &S,
 
 namespace {
 
+/// A replayed document tree, URIs preserved, in its own arena, with the
+/// applier that keeps its URI index across records. Its derived data is
+/// not maintained (decoded snapshots hash with the cheap policy):
+/// installing copies the tree into the store's context, which re-derives
+/// every digest with the store's policy.
+struct ReplayTree {
+  explicit ReplayTree(const SignatureTable &Sig)
+      : Ctx(Sig, DigestPolicy::Fast128) {}
+  TreeContext Ctx;
+  Tree *Root = nullptr;
+  ScriptApplier Applier{Ctx, Root, ScriptApplier::Derived::Skip};
+};
+
 /// Replay-time state of one document.
 struct ReplayDoc {
-  std::unique_ptr<MTree> M;
+  std::unique_ptr<ReplayTree> T;
   uint64_t Version = 0;
   uint64_t SnapSeq = 0;
   uint64_t LastSeq = 0;
@@ -661,7 +673,8 @@ struct ReplayDoc {
   /// A record failed to decode or type-check: keep the current (still
   /// consistent) state, apply nothing further.
   bool Frozen = false;
-  /// A record tore the tree mid-apply: exclude the document entirely.
+  /// A record failed mid-script, so the log and the replayed state
+  /// disagree: exclude the document entirely.
   bool Dropped = false;
   /// Forward scripts of the rollback ring (with authors), oldest first.
   std::vector<DocumentStore::RestoreEntry> History;
@@ -676,7 +689,6 @@ RecoveryResult Persistence::recover(const SignatureTable &Sig,
                                     DocumentStore &Store,
                                     blame::ProvenanceIndex *Prov) {
   RecoveryResult R;
-  LinearTypeChecker Checker(Sig);
   std::unordered_map<uint64_t, ReplayDoc> Docs;
   if (Prov != nullptr)
     Prov->clear();
@@ -701,8 +713,8 @@ RecoveryResult Persistence::recover(const SignatureTable &Sig,
     D.SnapSeq = D.LastSeq = Snap.Seq;
     if (Snap.Tombstone)
       continue; // D.Live stays false: erased as of Snap.Seq
-    TreeContext Ctx(Sig); // transient: MTree copies the structure out
-    DecodeTreeResult TreeRes = decodeTree(Sig, Ctx, Snap.TreeBlob);
+    auto T = std::make_unique<ReplayTree>(Sig);
+    DecodeTreeResult TreeRes = decodeTree(Sig, T->Ctx, Snap.TreeBlob);
     if (!TreeRes.ok()) {
       // CRC passed but the blob is undecodable: without the base state
       // the log suffix is useless for this document.
@@ -711,7 +723,8 @@ RecoveryResult Persistence::recover(const SignatureTable &Sig,
       D.Dropped = true;
       continue;
     }
-    D.M = std::make_unique<MTree>(MTree::fromTree(Sig, TreeRes.Root));
+    T->Root = TreeRes.Root;
+    D.T = std::move(T);
     D.Version = Snap.Version;
     D.Live = true;
     D.OpenAuthor = Snap.OpenAuthor;
@@ -757,7 +770,7 @@ RecoveryResult Persistence::recover(const SignatureTable &Sig,
           ++R.OrphanRecords;
           continue;
         }
-        D.M.reset();
+        D.T.reset();
         D.Live = false;
         D.History.clear();
         if (Prov != nullptr)
@@ -784,22 +797,16 @@ RecoveryResult Persistence::recover(const SignatureTable &Sig,
       }
 
       if (Rec.Kind == WalKind::Open) {
-        if (!Checker.checkInitializing(SR.Script).Ok) {
-          D.Frozen = true;
-          ++R.InvalidRecords;
-          continue;
-        }
-        auto M = std::make_unique<MTree>(Sig);
-        MTree::PatchResult P = M->patchChecked(SR.Script);
-        if (!P.Ok) {
-          // The fresh MTree is discarded, so nothing tears; but the
+        auto T = std::make_unique<ReplayTree>(Sig);
+        if (!T->Applier.apply(SR.Script).Ok) {
+          // The fresh arena is discarded, so nothing tears; but the
           // document cannot come into being.
           D.Frozen = true;
           ++R.InvalidRecords;
           continue;
         }
         R.EditsReplayed += SR.Script.size();
-        D.M = std::move(M);
+        D.T = std::move(T);
         D.Live = true;
         D.Version = 0;
         D.History.clear();
@@ -812,19 +819,20 @@ RecoveryResult Persistence::recover(const SignatureTable &Sig,
       }
 
       // Submit or Rollback on an existing document.
-      if (!Checker.checkWellTyped(SR.Script).Ok) {
+      ApplyResult P = D.T->Applier.apply(SR.Script);
+      if (!P.Ok && P.IllTyped) {
         D.Frozen = true;
         ++R.InvalidRecords;
         continue;
       }
-      MTree::PatchResult P = D.M->patchChecked(SR.Script);
       if (!P.Ok) {
-        // patchChecked applies edit by edit; a mid-script failure leaves
-        // the tree torn, so the document is excluded rather than
-        // restored half-applied.
+        // A well-typed script that fails mid-way does not fit the state
+        // it was logged against. The applier left that state untouched,
+        // but the log says the document moved past it, so the document
+        // is excluded rather than restored at a version it never had.
         D.Dropped = true;
         D.Live = false;
-        D.M.reset();
+        D.T.reset();
         D.History.clear();
         if (Prov != nullptr)
           Prov->eraseDoc(Rec.Doc);
@@ -861,18 +869,17 @@ RecoveryResult Persistence::recover(const SignatureTable &Sig,
 
   // Phase 3: install the survivors.
   for (auto &[Doc, D] : Docs) {
-    if (!D.Live || !D.M)
+    if (!D.Live || !D.T)
       continue;
     service::StoreResult Res = Store.restore(
         Doc, D.Version,
         [&](TreeContext &Ctx) {
           service::BuildResult B;
-          B.Root = D.M->toTreePreservingUris(Ctx);
-          if (B.Root == nullptr)
-            B.Error = "recovered tree is not closed";
+          B.Root = Ctx.deepCopy(D.T->Root, TreeContext::CopyUris::Preserve);
           return B;
         },
         std::move(D.History), D.OpenAuthor);
+    D.T.reset(); // the replay arena is no longer needed
     if (!Res.Ok) {
       if (Prov != nullptr)
         Prov->eraseDoc(Doc);

@@ -27,9 +27,9 @@
 ///
 /// Recovery. recover() loads the newest valid snapshot of each document,
 /// replays the WAL suffix (records with Seq greater than the snapshot's)
-/// through the standard semantics -- every script is validated with
-/// LinearTypeChecker and applied with MTree::patchChecked -- and
-/// installs the results via DocumentStore::restore. Torn log tails are
+/// onto the typed tree decoded from the snapshot -- every script is
+/// type-checked and compliance-checked by applyChecked -- and installs
+/// the results via DocumentStore::restore with a URI-preserving copy. Torn log tails are
 /// CRC-detected and discarded; a record is either fully applied or not
 /// at all, so the recovered store always equals a committed prefix of
 /// the accepted operations. Orphan records (an erase can overtake an

@@ -7,9 +7,9 @@
 #include "service/DocumentStore.h"
 
 #include "tree/SExpr.h"
+#include "truechange/Apply.h"
 #include "truechange/InitScript.h"
 #include "truechange/Inverse.h"
-#include "truechange/MTree.h"
 #include "truediff/TrueDiff.h"
 
 using namespace truediff;
@@ -215,8 +215,8 @@ StoreResult DocumentStore::submit(DocId Doc, const TreeBuilder &Build,
   }
 
   // Warm path: the stored tree's Step-1 digests are valid (populated at
-  // construction, maintained by every previous submit's dirty-path rehash
-  // and every rollback/compaction rebuild), so the diff consumes them
+  // construction, maintained by every previous submit's and rollback's
+  // dirty-path rehash and re-derived by compaction), so the diff consumes them
   // as-is and afterwards rehashes only the root-to-edit paths it touched.
   // Cold path: recompute the stored digests from scratch first and fully
   // rehash the patched tree after, like a service that does not own its
@@ -290,37 +290,23 @@ StoreResult DocumentStore::rollback(DocId Doc) {
     return R;
   }
 
-  // Lift into the standard semantics, undo, and rebuild with the same
-  // URIs so older ring entries remain applicable. Nothing is committed --
-  // the record stays in the ring and the document keeps its tree -- until
-  // the restored tree exists; a failure at any step leaves the document
-  // exactly as it was.
-  const VersionRecord &Rec = D->History.back();
-  MTree M = MTree::fromTree(Sig, D->Current);
-  MTree::PatchResult P = M.patchChecked(Rec.Inverse);
-  if (!P.Ok) {
+  // Undo in place. The recorded inverse is well-typed (Thm 3.8) and
+  // compliant with the tree its forward script produced, so it applies
+  // (Thm 3.6) and restores the previous tree with its URIs, which keeps
+  // older ring entries applicable. Only the paths it touches are rehashed.
+  // Nothing is committed -- the record stays in the ring -- unless it
+  // applies; a failed apply leaves the document exactly as it was.
+  ApplyResult Applied =
+      applyChecked(*D->Ctx, D->Current, D->History.back().Inverse);
+  if (!Applied.Ok) {
     // Cannot happen for scripts we recorded ourselves; fail loudly.
-    R.Error = "internal error: inverse script rejected: " + P.Error;
-    return R;
-  }
-  // Rollback rebuilds an existing tree, so it proceeds even when the
-  // budget is tight: its peak charge is bounded by the tree we already
-  // hold, and the old arena's (larger) charge is released right after.
-  auto FreshCtx = std::make_unique<TreeContext>(Sig, Cfg.Digest);
-  FreshCtx->attachBudget(Cfg.MemBudget);
-  Tree *Restored = M.toTreePreservingUris(*FreshCtx);
-  if (Restored == nullptr) {
-    R.Error = "internal error: rolled-back tree is not closed";
+    R.Error = "internal error: inverse script rejected: " + Applied.Error;
     return R;
   }
 
-  // Commit point: consume the record and swap in the rebuilt tree, whose
-  // construction re-derived every digest (the cache "drop" of the
-  // populate/invalidate/drop lifecycle).
+  // Commit point: consume the record.
   VersionRecord Taken = std::move(D->History.back());
   D->History.pop_back();
-  D->Ctx = std::move(FreshCtx);
-  D->Current = Restored;
   D->Version = Taken.Version - 1;
 
   // Rollback's provenance attributes to the *target* version's author:
@@ -333,6 +319,7 @@ StoreResult DocumentStore::rollback(DocId Doc) {
   else if (!D->History.empty() && D->History.back().Version == D->Version)
     TargetAuthor = D->History.back().Author;
   emit(Doc, D->Version, StoreOp::Rollback, Taken.Inverse, TargetAuthor);
+  maybeCompact(*D);
 
   R.Ok = true;
   R.Version = D->Version;
@@ -588,12 +575,10 @@ void DocumentStore::maybeCompact(Document &D) const {
     return;
   if (D.Ctx->numNodes() <= Cfg.CompactionFactor * D.Current->size() + 256)
     return;
-  MTree M = MTree::fromTree(Sig, D.Current);
+  // The copy re-derives every digest: compaction drops the digest cache
+  // and recomputes it from scratch.
   auto FreshCtx = std::make_unique<TreeContext>(Sig, Cfg.Digest);
   FreshCtx->attachBudget(Cfg.MemBudget);
-  Tree *Fresh = M.toTreePreservingUris(*FreshCtx);
-  if (Fresh == nullptr)
-    return; // live trees are always closed; keep the old arena if not
+  D.Current = FreshCtx->deepCopy(D.Current, TreeContext::CopyUris::Preserve);
   D.Ctx = std::move(FreshCtx);
-  D.Current = Fresh;
 }

@@ -20,26 +20,27 @@
 /// acquires a shard mutex while holding a document mutex, so the two
 /// levels cannot deadlock.
 ///
-/// Rollback works in URI space: the current tree is lifted into the
-/// standard semantics (MTree), the recorded inverse script is applied
-/// with full compliance checking, and the restored tree is rebuilt into a
-/// fresh context *preserving URIs*, so the remaining history ring stays
-/// meaningful for further rollbacks. The same rebuild doubles as arena
-/// compaction once a long-lived document's context accumulates garbage.
-/// Rollback commits nothing until the restored tree exists: if any step
-/// fails (e.g. the requested version's record was evicted from the ring),
-/// the document -- tree, context, history -- is left exactly as it was
-/// and a clean error is returned; a torn document is never observable.
+/// Rollback works in URI space, in place: the recorded inverse script is
+/// applied to the stored tree with applyChecked (truechange/Apply.h) --
+/// type-checked, compliance-checked edit by edit, and undone if any edit
+/// fails -- so the restored tree keeps its historical URIs and the
+/// remaining history ring stays meaningful for further rollbacks. Once a
+/// long-lived document's arena accumulates garbage, it is compacted by a
+/// URI-preserving typed copy into a fresh context. Rollback commits
+/// nothing until the inverse has applied: if any step fails (e.g. the
+/// requested version's record was evicted from the ring), the document --
+/// tree, context, history -- is left exactly as it was and a clean error
+/// is returned; a torn document is never observable.
 ///
 /// Digest cache (truediff Step 1, paper Section 4.2): every stored tree
 /// carries its structural/literal SHA-256 digests, heights, and sizes in
 /// its nodes, so they persist across requests. The lifecycle is
-///   populate     at open/submit/rollback (tree construction hashes),
-///   invalidate   on submit along the root-to-edit paths the applied
-///                script touched (TrueDiff's dirty marks), rehashing only
-///                those paths, and
-///   drop         on rollback and arena compaction, whose URI-preserving
-///                rebuild re-derives every digest from scratch.
+///   populate     at open (tree construction hashes),
+///   invalidate   on submit and rollback along the root-to-edit paths the
+///                applied script touched (TrueDiff's and applyChecked's
+///                dirty marks), rehashing only those paths, and
+///   drop         on arena compaction, whose URI-preserving copy
+///                re-derives every digest from scratch.
 /// A warm diff therefore skips rehashing the unchanged bulk of the stored
 /// tree. Config::PersistDigests turns the cache off, which recomputes the
 /// stored tree's digests from scratch on every diff (the cold path); cold
@@ -355,7 +356,7 @@ public:
   };
 
   /// Installs a recovered document: \p Build produces the tree (URIs
-  /// preserved, as with MTree::toTreePreservingUris) in the document's
+  /// preserved, as with TreeContext::CopyUris::Preserve) in the document's
   /// fresh context, \p History carries the forward scripts of the
   /// retained ring (oldest first; inverses are recomputed, the ring is
   /// truncated to Config::HistoryCapacity). Unlike open this emits
@@ -456,7 +457,7 @@ private:
   void emit(DocId Doc, uint64_t Version, StoreOp Op, const EditScript &Script,
             std::string_view Author) const;
 
-  /// Rebuilds \p D's tree into a fresh context, URIs preserved, if the
+  /// Copies \p D's tree into a fresh context, URIs preserved, if the
   /// arena has outgrown the live tree. Requires D.Mu held.
   void maybeCompact(Document &D) const;
 

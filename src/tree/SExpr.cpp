@@ -8,13 +8,18 @@
 
 #include <cctype>
 #include <cstdlib>
+#include <vector>
 
 using namespace truediff;
 
 namespace {
 
-/// Recursive-descent s-expression parser. No exceptions: errors set Err and
-/// unwind through nullptr returns.
+/// S-expression parser. No exceptions: errors set Err and unwind through
+/// nullptr returns. Iterative: the nesting lives in a heap stack of POD
+/// frames, and finished kids wait on one shared results stack until their
+/// parent is built from them, as in TreeContext::deepCopy. So input
+/// nesting is bounded by ParseLimits::MaxDepth as an admission policy,
+/// not by the thread's stack.
 class SExprParser {
 public:
   SExprParser(TreeContext &Ctx, std::string_view Text,
@@ -159,51 +164,73 @@ private:
     return Literal(std::move(Value));
   }
 
+  /// One node whose kids are being parsed.
+  struct Frame {
+    TagId Tag;
+    const TagSignature *TagSig;
+    size_t NextKid;
+  };
+
   Tree *parseTree() {
-    // Admission caps fire on the way down: a million-paren hostile input
-    // unwinds after MaxDepth stack frames instead of smashing the stack.
-    ++Depth;
-    if (Limits.MaxDepth != 0 && Depth > Limits.MaxDepth) {
-      failTyped(ParseFail::TooDeep, "input nesting exceeds the depth cap of " +
-                                        std::to_string(Limits.MaxDepth));
+    if (!enter())
       return nullptr;
+    while (!Stack.empty()) {
+      Frame &Top = Stack.back();
+      if (Top.NextKid < Top.TagSig->Kids.size()) {
+        ++Top.NextKid;
+        if (!enter())
+          return nullptr;
+        continue;
+      }
+      Frame Done = Top;
+      Stack.pop_back();
+      Tree *T = leave(Done);
+      if (T == nullptr)
+        return nullptr;
+      if (!Stack.empty()) {
+        const Frame &Parent = Stack.back();
+        SortId KidSort = Sig.signature(T->tag()).Result;
+        if (!Sig.isSubsort(KidSort,
+                           Parent.TagSig->Kids[Parent.NextKid - 1].Sort)) {
+          fail("kid sort mismatch under '" + Sig.name(Parent.Tag) + "'");
+          return nullptr;
+        }
+      }
+      Results.push_back(T);
     }
-    Tree *T = parseTreeBody();
-    --Depth;
-    return T;
+    return Results.back();
   }
 
-  Tree *parseTreeBody() {
+  /// Reads a node's opening paren and tag and pushes its frame. Admission
+  /// caps fire on the way down: a million-paren hostile input stops after
+  /// MaxDepth frames.
+  bool enter() {
+    if (Limits.MaxDepth != 0 && Stack.size() >= Limits.MaxDepth) {
+      failTyped(ParseFail::TooDeep, "input nesting exceeds the depth cap of " +
+                                        std::to_string(Limits.MaxDepth));
+      return false;
+    }
     if (!expect('('))
-      return nullptr;
+      return false;
     std::string_view TagName = parseSymbol();
     if (!Err.empty())
-      return nullptr;
+      return false;
     Symbol Tag = Sig.lookup(TagName);
     if (Tag == InvalidSymbol || !Sig.hasTag(Tag)) {
       fail("unknown tag '" + std::string(TagName) + "'");
-      return nullptr;
+      return false;
     }
-    const TagSignature &TagSig = Sig.signature(Tag);
+    Stack.push_back({Tag, &Sig.signature(Tag), 0});
+    return true;
+  }
 
-    std::vector<Tree *> Kids;
-    Kids.reserve(TagSig.Kids.size());
-    for (size_t I = 0, E = TagSig.Kids.size(); I != E; ++I) {
-      Tree *Kid = parseTree();
-      if (Kid == nullptr)
-        return nullptr;
-      SortId KidSort = Sig.signature(Kid->tag()).Result;
-      if (!Sig.isSubsort(KidSort, TagSig.Kids[I].Sort)) {
-        fail("kid sort mismatch under '" + std::string(TagName) + "'");
-        return nullptr;
-      }
-      Kids.push_back(Kid);
-    }
-
+  /// Reads the literals and closing paren of \p F, whose kids are the
+  /// top entries of Results, and builds the node from them.
+  Tree *leave(const Frame &F) {
     std::vector<Literal> Lits;
-    Lits.reserve(TagSig.Lits.size());
-    for (size_t I = 0, E = TagSig.Lits.size(); I != E; ++I) {
-      std::optional<Literal> Lit = parseLiteral(TagSig.Lits[I].Kind);
+    Lits.reserve(F.TagSig->Lits.size());
+    for (const LitSpec &Spec : F.TagSig->Lits) {
+      std::optional<Literal> Lit = parseLiteral(Spec.Kind);
       if (!Lit)
         return nullptr;
       Lits.push_back(std::move(*Lit));
@@ -223,7 +250,11 @@ private:
       return nullptr;
     }
     ++NodesMade;
-    return Ctx.make(Tag, std::move(Kids), std::move(Lits));
+    size_t Arity = F.TagSig->Kids.size();
+    Tree *T = Ctx.make(F.Tag, Results.data() + Results.size() - Arity, Arity,
+                       std::move(Lits));
+    Results.resize(Results.size() - Arity);
+    return T;
   }
 
   TreeContext &Ctx;
@@ -231,32 +262,53 @@ private:
   std::string_view Text;
   ParseLimits Limits;
   size_t Pos = 0;
-  uint32_t Depth = 0;
+  std::vector<Frame> Stack;
+  /// Finished nodes whose parent is not built yet, in document order.
+  std::vector<Tree *> Results;
   uint32_t NodesMade = 0;
   std::string Err;
   ParseFail Fail = ParseFail::None;
 };
 
-void printRec(const SignatureTable &Sig, const Tree *T, bool WithUris,
-              std::string &Out) {
-  Out.push_back('(');
-  Out += Sig.name(T->tag());
-  if (WithUris) {
-    Out.push_back('_');
-    Out += std::to_string(T->uri());
+/// Prints \p T in s-expression form, iteratively: a frame per open node,
+/// so chains of any depth print without growing the thread's stack.
+std::string print(const SignatureTable &Sig, const Tree *T, bool WithUris) {
+  struct Frame {
+    const Tree *Node;
+    size_t NextKid;
+  };
+  std::string Out;
+  std::vector<Frame> Stack;
+  auto Open = [&](const Tree *N) {
+    Out.push_back('(');
+    Out += Sig.name(N->tag());
+    if (WithUris) {
+      Out.push_back('_');
+      Out += std::to_string(N->uri());
+    }
+    Stack.push_back({N, 0});
+  };
+  Open(T);
+  while (!Stack.empty()) {
+    Frame &Top = Stack.back();
+    const Tree *N = Top.Node;
+    if (Top.NextKid < N->arity()) {
+      const Tree *Kid = N->kid(Top.NextKid++);
+      Out.push_back(' ');
+      if (Kid == nullptr)
+        Out += "<hole>";
+      else
+        Open(Kid);
+      continue;
+    }
+    for (size_t I = 0, E = N->numLits(); I != E; ++I) {
+      Out.push_back(' ');
+      Out += N->lit(I).toString();
+    }
+    Out.push_back(')');
+    Stack.pop_back();
   }
-  for (size_t I = 0, E = T->arity(); I != E; ++I) {
-    Out.push_back(' ');
-    if (T->kid(I) == nullptr)
-      Out += "<hole>";
-    else
-      printRec(Sig, T->kid(I), WithUris, Out);
-  }
-  for (size_t I = 0, E = T->numLits(); I != E; ++I) {
-    Out.push_back(' ');
-    Out += T->lit(I).toString();
-  }
-  Out.push_back(')');
+  return Out;
 }
 
 } // namespace
@@ -274,14 +326,10 @@ ParseResult truediff::parseSExpr(TreeContext &Ctx, std::string_view Text,
 }
 
 std::string truediff::printSExpr(const SignatureTable &Sig, const Tree *T) {
-  std::string Out;
-  printRec(Sig, T, /*WithUris=*/false, Out);
-  return Out;
+  return print(Sig, T, /*WithUris=*/false);
 }
 
 std::string truediff::printSExprWithUris(const SignatureTable &Sig,
                                          const Tree *T) {
-  std::string Out;
-  printRec(Sig, T, /*WithUris=*/true, Out);
-  return Out;
+  return print(Sig, T, /*WithUris=*/true);
 }

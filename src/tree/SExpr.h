@@ -38,9 +38,9 @@ struct ParseResult {
 };
 
 /// Parses \p Text into a tree allocated in \p Ctx. \p Limits caps the
-/// nesting depth and node count of the input; the depth check fires on
-/// the way down, so hostile deep inputs cannot exhaust the parser's
-/// stack. If \p Ctx has a memory budget attached, the parse also aborts
+/// nesting depth and node count of the input as admission policy; the
+/// parser keeps its nesting on the heap, so no depth can exhaust the
+/// thread's stack. If \p Ctx has a memory budget attached, the parse also aborts
 /// with ParseFail::OverBudget once the budget is exhausted.
 ParseResult parseSExpr(TreeContext &Ctx, std::string_view Text,
                        const ParseLimits &Limits = {});

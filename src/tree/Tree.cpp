@@ -298,6 +298,11 @@ Tree *TreeContext::make(TagId Tag, const std::vector<Tree *> &Kids,
   return build(Tag, NextUri, Kids.data(), Kids.size(), std::move(Lits));
 }
 
+Tree *TreeContext::make(TagId Tag, Tree *const *Kids, size_t Arity,
+                        std::vector<Literal> Lits) {
+  return build(Tag, NextUri, Kids, Arity, std::move(Lits));
+}
+
 Tree *TreeContext::make(std::string_view TagName,
                         const std::vector<Tree *> &Kids,
                         std::vector<Literal> Lits) {
@@ -317,6 +322,12 @@ Tree *TreeContext::adoptWithUri(TagId Tag, URI Uri,
                                 const std::vector<Tree *> &Kids,
                                 std::vector<Literal> Lits) {
   return build(Tag, Uri, Kids.data(), Kids.size(), std::move(Lits));
+}
+
+Tree *TreeContext::adoptWithUri(TagId Tag, URI Uri, Tree *const *Kids,
+                                size_t Arity, std::vector<Literal> Lits,
+                                Derive When) {
+  return build(Tag, Uri, Kids, Arity, std::move(Lits), When);
 }
 
 /// Estimate of a node's heap footprint for memory-budget accounting: the
@@ -361,7 +372,7 @@ Tree **TreeContext::allocKids(size_t N) {
 }
 
 Tree *TreeContext::build(TagId Tag, URI Uri, Tree *const *Kids, size_t Arity,
-                         std::vector<Literal> Lits) {
+                         std::vector<Literal> Lits, Derive When) {
   assertMatchesSignature(Sig, Tag, Kids, Arity, Lits);
 
   Tree *Node = allocNode();
@@ -373,7 +384,10 @@ Tree *TreeContext::build(TagId Tag, URI Uri, Tree *const *Kids, size_t Arity,
     std::copy(Kids, Kids + Arity, Node->Kids);
   }
   Node->Lits = std::move(Lits);
-  Node->computeDerived(Sig, Policy);
+  if (When == Derive::Now)
+    Node->computeDerived(Sig, Policy);
+  else
+    Node->DerivedDirty = true;
   NextUri = std::max(NextUri, Uri + 1);
   if (Budget != nullptr) {
     // Every node of the arena is built here, so this is the single
@@ -385,13 +399,14 @@ Tree *TreeContext::build(TagId Tag, URI Uri, Tree *const *Kids, size_t Arity,
   return Node;
 }
 
-Tree *TreeContext::deepCopy(const Tree *T) {
+Tree *TreeContext::deepCopy(const Tree *T, CopyUris Uris) {
   // Iterative post-order with POD frames and one shared results stack:
   // when a frame completes, its kids' copies are the top arity() entries
   // of Done (in order), which build() copies straight into the kid slab.
   // This is the hot path of every diff invocation (source trees are
   // consumed), so no per-frame allocations. Stack-safe on chains as deep
-  // as admission allows.
+  // as admission allows. Both URI modes run this one loop.
+  const bool KeepUris = Uris == CopyUris::Preserve;
   struct CopyFrame {
     const Tree *Src;
     size_t NextKid;
@@ -410,8 +425,8 @@ Tree *TreeContext::deepCopy(const Tree *T) {
     const Tree *Src = Top.Src;
     Stack.pop_back();
     size_t Arity = Src->arity();
-    Tree *Copy = build(Src->tag(), NextUri, Done.data() + Done.size() - Arity,
-                       Arity, Src->lits());
+    Tree *Copy = build(Src->tag(), KeepUris ? Src->uri() : NextUri,
+                       Done.data() + Done.size() - Arity, Arity, Src->lits());
     Done.resize(Done.size() - Arity);
     Done.push_back(Copy);
   }

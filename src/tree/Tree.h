@@ -310,10 +310,26 @@ public:
   /// always comparable.
   DigestPolicy digestPolicy() const { return Policy; }
 
+  /// When a node's derived data (digests, height, size) is computed.
+  enum class Derive : bool {
+    /// At construction, from the kids' cached derived data.
+    Now,
+    /// Later: the node is born derived-dirty with no derived data, and the
+    /// caller must mark its ancestors dirty and run rehashDirtyPaths. For
+    /// in-place script application, where a kid may itself still have an
+    /// empty slot when the node is built.
+    Deferred,
+  };
+
   /// Creates a node with the given tag, children, and literals, assigning
   /// a fresh URI and computing all derived data. Asserts that children and
   /// literals match the tag's signature (arity, sorts, literal kinds).
   Tree *make(TagId Tag, const std::vector<Tree *> &Kids,
+             std::vector<Literal> Lits);
+
+  /// Same, with the \p Arity kids read from \p Kids: the form for
+  /// builders that keep finished kids on a results stack.
+  Tree *make(TagId Tag, Tree *const *Kids, size_t Arity,
              std::vector<Literal> Lits);
 
   /// Same, with the tag given by name.
@@ -328,15 +344,31 @@ public:
   /// Like makeWithUri, but without the monotonicity requirement: the
   /// caller guarantees \p Uri is not carried by any live node of this
   /// context. The next fresh URI is bumped past \p Uri, so later make()
-  /// calls stay unique. Used by MTree::toTreePreservingUris to rebuild
-  /// rolled-back documents whose historical URIs are out of allocation
-  /// order.
+  /// calls stay unique. Used where historical URIs arrive out of
+  /// allocation order: decoding snapshots and applying rollback scripts.
   Tree *adoptWithUri(TagId Tag, URI Uri, const std::vector<Tree *> &Kids,
                      std::vector<Literal> Lits);
 
-  /// Deep-copies \p T into this context with fresh URIs. Used by the
-  /// benchmarks to rebuild trees so hashing time is measured (Section 6).
-  Tree *deepCopy(const Tree *T);
+  /// Same, with the \p Arity kids read from \p Kids, and with derived
+  /// data computed when \p When says.
+  Tree *adoptWithUri(TagId Tag, URI Uri, Tree *const *Kids, size_t Arity,
+                     std::vector<Literal> Lits, Derive When = Derive::Now);
+
+  /// Which URIs deepCopy gives the copied nodes.
+  enum class CopyUris : bool {
+    /// Fresh URIs from this context.
+    Fresh,
+    /// The source nodes' URIs, as adoptWithUri does: \p T's URIs must not
+    /// be carried by any live node of this context (pass a fresh one).
+    /// This is how a stored document is compacted into a new arena with
+    /// its history still applicable.
+    Preserve,
+  };
+
+  /// Deep-copies \p T into this context, re-deriving every node's digests
+  /// with this context's policy. With fresh URIs it is how the benchmarks
+  /// rebuild trees so hashing time is measured (Section 6).
+  Tree *deepCopy(const Tree *T, CopyUris Uris = CopyUris::Fresh);
 
   /// Checks the whole tree against the signatures; returns the first
   /// error in pre-order or std::nullopt if well-typed. Construction
@@ -367,9 +399,9 @@ private:
 
   /// The one node constructor every make variant and deepCopy funnel
   /// through: copies the \p Arity kid pointers at \p Kids into the kid
-  /// slab, computes derived data, and charges the budget.
+  /// slab, computes (or defers) derived data, and charges the budget.
   Tree *build(TagId Tag, URI Uri, Tree *const *Kids, size_t Arity,
-              std::vector<Literal> Lits);
+              std::vector<Literal> Lits, Derive When = Derive::Now);
 
   /// The next free node slot, opening a new slab when the last is full.
   Tree *allocNode();

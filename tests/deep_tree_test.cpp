@@ -10,15 +10,21 @@
 /// foreachTree/refreshDerived/clearDiffState/deepCopy, the whole-tree
 /// checks validate/treeEqualsModuloUris/compareDerived (the scrubber's
 /// digest check) -- and MTree's fromTree/render/isClosedWellFormed/
-/// toTree/equalsTree/toString -- once it exceeded the thread stack. All of
-/// these are now iterative with explicit work stacks; this test drives
-/// each of them over a ~300k-deep chain and is meant to run under ASan,
-/// whose instrumented frames blow the stack far earlier than production
-/// builds would.
+/// toTree/equalsTree/toString -- once it exceeded the thread stack, and so
+/// did the s-expression reader and printers and the binary tree codec
+/// that carries snapshots. The in-place applier is driven over the same
+/// depth. All of these are now iterative with explicit
+/// work stacks; this test drives each of them over a ~300k-deep chain and
+/// is meant to run under ASan, whose instrumented frames blow the stack
+/// far earlier than production builds would.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "persist/BinaryCodec.h"
+#include "tree/SExpr.h"
 #include "tree/Tree.h"
+#include "truechange/Apply.h"
+#include "truechange/Inverse.h"
 #include "truechange/MTree.h"
 
 #include "TestLang.h"
@@ -102,6 +108,93 @@ TEST(DeepTreeTest, WholeTreeChecksSurviveDeepChains) {
     Parent = Parent->kid(0);
   Parent->setKid(0, Other);
   EXPECT_FALSE(treeEqualsModuloUris(T, Fresh));
+}
+
+TEST(DeepTreeTest, SExprSurvivesDeepChains) {
+  SignatureTable Sig = makeExpSignature();
+  TreeContext Ctx(Sig);
+  Tree *T = deepChain(Ctx);
+
+  std::string Text = printSExpr(Sig, T);
+  EXPECT_EQ(Text.size(), ChainDepth * 11 + 7); // "(Call " ... " \"f\")"
+
+  TreeContext Fresh(Sig);
+  ParseResult P = parseSExpr(Fresh, Text);
+  ASSERT_TRUE(P.ok()) << P.Error;
+  EXPECT_EQ(P.Root->size(), ChainDepth + 1);
+  EXPECT_TRUE(P.Root->equalsModuloUris(*T));
+  EXPECT_TRUE(printSExpr(Sig, P.Root) == Text);
+
+  // The depth cap is admission policy, checked on the way down.
+  TreeContext Capped(Sig);
+  ParseResult Deep = parseSExpr(Capped, Text, ParseLimits{0, 1000});
+  EXPECT_FALSE(Deep.ok());
+  EXPECT_EQ(Deep.Fail, ParseFail::TooDeep);
+  EXPECT_EQ(Deep.Error, "input nesting exceeds the depth cap of 1000");
+  EXPECT_EQ(Capped.numNodes(), 0u);
+
+  // A syntax error at the very bottom unwinds cleanly.
+  std::string Broken = Text;
+  Broken.replace(Broken.find("(Num 0)"), 7, "(Num 0 0)");
+  TreeContext Unused(Sig);
+  ParseResult Bad = parseSExpr(Unused, Broken);
+  EXPECT_FALSE(Bad.ok());
+  EXPECT_EQ(Bad.Fail, ParseFail::Syntax);
+}
+
+TEST(DeepTreeTest, BinaryCodecSurvivesDeepChains) {
+  SignatureTable Sig = makeExpSignature();
+  TreeContext Ctx(Sig);
+  Tree *T = deepChain(Ctx);
+  std::string Blob = persist::encodeTree(Sig, T);
+
+  TreeContext Fresh(Sig);
+  persist::DecodeTreeResult D = persist::decodeTree(Sig, Fresh, Blob);
+  ASSERT_TRUE(D.ok()) << D.Error;
+  EXPECT_EQ(D.Root->uri(), T->uri());
+  EXPECT_EQ(D.Root->size(), ChainDepth + 1);
+  EXPECT_TRUE(D.Root->equalsModuloUris(*T));
+  EXPECT_TRUE(printSExprWithUris(Sig, D.Root) == printSExprWithUris(Sig, T));
+
+  // Fresh-URI mode decodes into a context that already holds the chain.
+  persist::DecodeTreeResult Again =
+      persist::decodeTree(Sig, Ctx, Blob, /*PreserveUris=*/false);
+  ASSERT_TRUE(Again.ok()) << Again.Error;
+  EXPECT_TRUE(Again.Root->equalsModuloUris(*T));
+  EXPECT_NE(Again.Root->uri(), T->uri());
+
+  // Every strict prefix is rejected, however deep the cut.
+  for (size_t Cut : {Blob.size() - 1, Blob.size() / 2, size_t(40)}) {
+    TreeContext Scratch(Sig);
+    EXPECT_FALSE(
+        persist::decodeTree(Sig, Scratch, std::string_view(Blob).substr(0, Cut))
+            .ok());
+  }
+}
+
+TEST(DeepTreeTest, InPlaceApplySurvivesDeepChains) {
+  SignatureTable Sig = makeExpSignature();
+  TreeContext Ctx(Sig);
+  Tree *T = deepChain(Ctx);
+  const Tree *Leaf = T;
+  while (Leaf->arity() != 0)
+    Leaf = Leaf->kid(0);
+  LinkId N = Sig.lookup("n");
+  EditScript Bump({Edit::update(NodeRef{Leaf->tag(), Leaf->uri()},
+                                {LitRef{N, Literal(int64_t(0))}},
+                                {LitRef{N, Literal(int64_t(1))}})});
+
+  // Re-literaling the bottom leaf dirties the whole chain: the index
+  // build, the ancestor walk and the rehash all cover the full depth.
+  Tree *Root = T;
+  ApplyResult R = applyChecked(Ctx, Root, Bump);
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.NodesRehashed, ChainDepth + 1);
+  TreeContext Scratch(Sig);
+  EXPECT_FALSE(compareDerived(Root, Scratch.deepCopy(Root)).has_value());
+
+  ASSERT_TRUE(applyChecked(Ctx, Root, invertScript(Bump)).Ok);
+  EXPECT_EQ(Leaf->lit(0), Literal(int64_t(0)));
 }
 
 TEST(DeepTreeTest, MTreeSurvivesDeepChains) {

@@ -173,6 +173,35 @@ TEST(NetServerTextual, RoundTrip) {
   EXPECT_TRUE(C.waitEof());
 }
 
+TEST(NetServerTextual, DeepOpenGetsAReply) {
+  // 30,000 nested Calls are 330 KB of text, well under the line cap. The
+  // parser, printer and initializing script keep their nesting on the
+  // heap, so the worker answers instead of overflowing its stack.
+  constexpr int Depth = 30000;
+  std::string Tree;
+  for (int I = 0; I != Depth; ++I)
+    Tree += "(Call ";
+  Tree += "(Num 0)";
+  for (int I = 0; I != Depth; ++I)
+    Tree += " \"f\")";
+
+  ServerHarness H;
+  ASSERT_TRUE(H.Started);
+  TcpClient C;
+  ASSERT_TRUE(C.connect(H.port()));
+  std::vector<std::string> Lines;
+  ASSERT_TRUE(C.sendAll("open 1 " + Tree + "\n"));
+  ASSERT_TRUE(C.readTextResponse(Lines, 60000));
+  ASSERT_FALSE(Lines.empty());
+  EXPECT_EQ(Lines[0].rfind("ok version=0", 0), 0u) << Lines[0].substr(0, 80);
+
+  ASSERT_TRUE(C.sendAll("get 1\n"));
+  ASSERT_TRUE(C.readTextResponse(Lines, 60000));
+  ASSERT_GE(Lines.size(), 2u);
+  EXPECT_EQ(Lines[0].rfind("ok version=0", 0), 0u) << Lines[0].substr(0, 80);
+  EXPECT_TRUE(Lines[1] == Tree);
+}
+
 TEST(NetServerTextual, PipelinedRequestsAnswerInOrder) {
   ServerHarness H;
   ASSERT_TRUE(H.Started);

@@ -37,6 +37,7 @@
 #include "truechange/TypeChecker.h"
 #include "truediff/TrueDiff.h"
 
+#include "DeepModule.h"
 #include "TestLang.h"
 #include "TestSeed.h"
 
@@ -675,6 +676,42 @@ TEST_F(RecoveryTest, RecoversDocumentsVersionsAndHistory) {
   StoreResult RB = Fresh.rollback(1);
   ASSERT_TRUE(RB.Ok) << RB.Error;
   EXPECT_EQ(Fresh.snapshot(1).UriText, PreRollbackUriText);
+}
+
+TEST(DeepDocumentRecoveryTest, SnapshotCompactRecoverKeepsADeepModule) {
+  // 9,000 statements nest 9,003 levels deep. The snapshot must decode
+  // after compaction has dropped the log records it covers, or the
+  // document is lost; the logged suffix then replays onto it in place.
+  SignatureTable Sig = python::makePythonSignature();
+  TempDir Dir;
+  std::map<DocId, std::pair<uint64_t, std::string>> Expected;
+  {
+    DocumentStore Store(Sig);
+    Persistence P(Sig, plainConfig(Dir.path()));
+    P.attach(Store);
+    ASSERT_TRUE(Store.open(1, makeSExprBuilder(tests::deepModuleText(9000)))
+                    .Ok);
+    ASSERT_TRUE(
+        Store.submit(1, makeSExprBuilder(tests::deepModuleText(9000, "Break")))
+            .Ok);
+    ASSERT_TRUE(P.snapshotDocument(1));
+    P.compact();
+    ASSERT_TRUE(
+        Store.submit(1, makeSExprBuilder(tests::deepModuleText(9000, "Continue")))
+            .Ok);
+    ASSERT_TRUE(Store.rollback(1).Ok);
+    Expected = captureState(Store, {1});
+    P.flush();
+  }
+  DocumentStore Fresh(Sig);
+  RecoveryResult R = Persistence::recover(Sig, Dir.path(), Fresh);
+  EXPECT_EQ(R.SnapshotsCorrupt, 0u);
+  EXPECT_EQ(R.SnapshotsLoaded, 1u);
+  EXPECT_EQ(R.RecordsReplayed, 2u); // the submit and rollback after it
+  EXPECT_EQ(R.DocsRecovered, 1u);
+  expectStoreMatches(Fresh, {1}, Expected);
+  EXPECT_EQ(Fresh.checkDigests(1), std::nullopt);
+  EXPECT_TRUE(Fresh.rollback(1).Ok); // the ring came through the snapshot
 }
 
 TEST_F(RecoveryTest, SnapshotCutsReplayAndPreservesState) {

@@ -29,11 +29,14 @@
 #include "net/NetServer.h"
 #include "net/ServiceHandler.h"
 #include "persist/BinaryCodec.h"
+#include "python/Python.h"
 #include "service/DiffService.h"
 #include "service/DocumentStore.h"
+#include "service/Wire.h"
 #include "support/Rng.h"
 #include "support/Sha256.h"
 
+#include "DeepModule.h"
 #include "TestNet.h"
 #include "TestSeed.h"
 
@@ -393,6 +396,27 @@ TEST(Replication, CatchUpBySnapshotTransfer) {
   EXPECT_TRUE(converged(L, *F.F, Driver.numDocs()));
   EXPECT_GT(F.F->stats().SnapshotsInstalled, 0u);
   EXPECT_GT(L.Lead->stats().SnapshotsSent, 0u);
+}
+
+TEST(Replication, SnapshotCatchUpCarriesADeepDocument) {
+  // A 9,000-statement module nests 9,003 levels deep; the follower must
+  // decode its snapshot rather than drop it as corrupt.
+  SignatureTable Sig = python::makePythonSignature();
+  LeaderNode L(Sig, /*Epoch=*/1, /*TailCapacity=*/2);
+  ASSERT_TRUE(L.Started);
+  ASSERT_TRUE(
+      L.Store.open(1, service::makeSExprBuilder(tests::deepModuleText(9000)))
+          .Ok);
+  for (uint64_t Doc = 2; Doc != 6; ++Doc)
+    ASSERT_TRUE(
+        L.Store.open(Doc, service::makeSExprBuilder("(Module (StmtNil))")).Ok);
+  ASSERT_GT(L.Log.firstTailSeq(), 1u) << "the open must fall off the ring";
+
+  FollowerNode F(Sig);
+  ASSERT_TRUE(F.connect(L));
+  ASSERT_TRUE(waitUntil([&] { return caughtUpWith(L, *F.F); }));
+  EXPECT_TRUE(converged(L, *F.F, 5));
+  EXPECT_GT(F.F->stats().SnapshotsInstalled, 0u);
 }
 
 TEST(Replication, SnapshotCatchUpPrunesDocsErasedWhileAway) {

@@ -276,12 +276,14 @@ TEST(StoreConfigTest, CompactionPreservesRollback) {
         std::to_string(I * 2) + ") (Num " + std::to_string(I * 3) + ")))";
     ASSERT_TRUE(Store.submit(1, makeSExprBuilder(Text)).Ok);
     Snaps.push_back(Store.snapshot(1));
+    ASSERT_EQ(Store.checkDigests(1), std::nullopt) << "at version " << I;
   }
   for (int I = 24; I >= 1; --I) {
     ASSERT_TRUE(Store.rollback(1).Ok) << "at version " << I;
     DocumentSnapshot S = Store.snapshot(1);
     EXPECT_EQ(S.Text, Snaps[static_cast<size_t>(I) - 1].Text);
     EXPECT_EQ(S.UriText, Snaps[static_cast<size_t>(I) - 1].UriText);
+    ASSERT_EQ(Store.checkDigests(1), std::nullopt) << "back at " << I - 1;
   }
 }
 
@@ -369,8 +371,10 @@ TEST(DigestCacheTest, WarmAndColdScriptsAreByteIdentical) {
 }
 
 TEST(DigestCacheTest, CacheSurvivesRollbackAndCompaction) {
-  // Rollback and history-ring compaction rebuild the document into a
-  // fresh context, dropping the cached digests. Later warm diffs must
+  // Rollback applies the inverse in place and rehashes only the paths it
+  // touches; compaction copies the document into a fresh context,
+  // re-deriving every digest. Either way the cached digests must equal a
+  // from-scratch rebuild after every step, and later warm diffs must
   // still emit scripts byte-identical to a cold store driven through the
   // same sequence.
   SignatureTable Sig = makeExpSignature();
@@ -388,6 +392,7 @@ TEST(DigestCacheTest, CacheSurvivesRollbackAndCompaction) {
     EXPECT_EQ(serializeEditScript(Sig, WR.Script),
               serializeEditScript(Sig, CR.Script));
     ASSERT_EQ(Warm.checkDigests(1), std::nullopt);
+    ASSERT_EQ(Cold.checkDigests(1), std::nullopt);
   };
   Step([](DocumentStore &S) { return S.open(1, makeSExprBuilder("(Num 0)")); });
   uint64_t Seed = tests::testSeed(4242);

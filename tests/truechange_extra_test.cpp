@@ -31,6 +31,7 @@
 #include "tree/SExpr.h"
 #include "truediff/TrueDiff.h"
 
+#include "ScriptFuzz.h"
 #include "TestLang.h"
 
 #include <gtest/gtest.h>
@@ -368,43 +369,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, InitScriptPropertyTest,
 // Theorem 3.6 under adversarial corruption
 //===----------------------------------------------------------------------===//
 
-/// Randomly corrupts one aspect of a script.
-EditScript corrupt(Rng &R, const EditScript &Script) {
-  std::vector<Edit> Edits(Script.edits());
-  if (Edits.empty())
-    return EditScript(std::move(Edits));
-  switch (R.below(6)) {
-  case 0: { // swap two edits
-    size_t I = R.below(Edits.size()), J = R.below(Edits.size());
-    std::swap(Edits[I], Edits[J]);
-    break;
-  }
-  case 1: // drop an edit
-    Edits.erase(Edits.begin() + static_cast<long>(R.below(Edits.size())));
-    break;
-  case 2: { // duplicate an edit
-    size_t I = R.below(Edits.size());
-    Edits.insert(Edits.begin() + static_cast<long>(I), Edits[I]);
-    break;
-  }
-  case 3: { // perturb a node URI
-    Edit &E = Edits[R.below(Edits.size())];
-    E.Node.Uri += R.range(1, 5);
-    break;
-  }
-  case 4: { // perturb a parent URI (detach/attach only)
-    Edit &E = Edits[R.below(Edits.size())];
-    E.Parent.Uri += R.range(1, 5);
-    break;
-  }
-  default: { // reverse the whole script without inverting the edits
-    std::reverse(Edits.begin(), Edits.end());
-    break;
-  }
-  }
-  return EditScript(std::move(Edits));
-}
-
 class Theorem36FuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(Theorem36FuzzTest, AcceptedScriptsYieldWellFormedTrees) {
@@ -424,7 +388,7 @@ TEST_P(Theorem36FuzzTest, AcceptedScriptsYieldWellFormedTrees) {
 
   size_t Accepted = 0, TypeRejected = 0, PatchRejected = 0, Midway = 0;
   for (int Round = 0; Round != 40; ++Round) {
-    EditScript Bad = corrupt(R, Result.Script);
+    EditScript Bad = tests::corruptScript(R, Result.Script);
     if (!Checker.checkWellTyped(Bad).Ok) {
       ++TypeRejected;
       continue;
@@ -582,7 +546,7 @@ TEST_P(RenderOracleTest, FailsExactlyWhereTheReferenceDoes) {
   for (int Round = 0; Round != 40; ++Round) {
     MTree M(Sig);
     ASSERT_TRUE(M.patchChecked(Init).Ok);
-    M.patch(corrupt(R, Result.Script));
+    M.patch(tests::corruptScript(R, Result.Script));
     bool Reference = referenceClosedWellFormed(Sig, M);
     EXPECT_EQ(M.render(MTree::Forms::Both).Ok, Reference);
     EXPECT_EQ(M.isClosedWellFormed(), Reference);
