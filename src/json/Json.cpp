@@ -6,6 +6,8 @@
 
 #include "json/Json.h"
 
+#include "tree/Builder.h"
+
 #include <cctype>
 #include <charconv>
 #include <cstdlib>
@@ -39,7 +41,7 @@ class JsonParser {
 public:
   JsonParser(TreeContext &Ctx, std::string_view Text,
              const ParseLimits &Limits)
-      : Ctx(Ctx), Text(Text), Limits(Limits), BaseNodes(Ctx.numNodes()) {}
+      : Ctx(Ctx), Text(Text), Adm(Ctx, Limits), BaseNodes(Ctx.numNodes()) {}
 
   Tree *run() {
     Tree *V = parseValue();
@@ -190,20 +192,8 @@ private:
     // Admission caps fire on the way down, so hostile deeply-nested input
     // unwinds after MaxDepth parser frames instead of smashing the stack.
     ++Depth;
-    if (Limits.MaxDepth != 0 && Depth > Limits.MaxDepth) {
-      failTyped(ParseFail::TooDeep, "input nesting exceeds the depth cap of " +
-                                        std::to_string(Limits.MaxDepth));
-      return nullptr;
-    }
-    if (Limits.MaxNodes != 0 && Ctx.numNodes() - BaseNodes > Limits.MaxNodes) {
-      failTyped(ParseFail::TooLarge, "input exceeds the node cap of " +
-                                         std::to_string(Limits.MaxNodes) +
-                                         " nodes");
-      return nullptr;
-    }
-    if (Ctx.overBudget()) {
-      failTyped(ParseFail::OverBudget,
-                "memory budget exhausted while parsing input");
+    if (!Adm.depth(Depth) || !Adm.nodes(Ctx.numNodes() - BaseNodes)) {
+      failTyped(Adm.fail(), Adm.message());
       return nullptr;
     }
     Tree *V = parseValueBody();
@@ -295,7 +285,7 @@ private:
 
   TreeContext &Ctx;
   std::string_view Text;
-  ParseLimits Limits;
+  Admission Adm;
   size_t BaseNodes = 0;
   uint32_t Depth = 0;
   size_t Pos = 0;

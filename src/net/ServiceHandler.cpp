@@ -16,18 +16,21 @@ namespace {
 
 /// Builds a client-supplied binary tree blob inside the document's
 /// context. Fresh URIs: the decoder validates the encoded ones but
-/// allocates every node via TreeContext::make. Structural caps live in
-/// the codec (depth/symbol/list bounds); the memory budget is enforced
-/// by the context's arena like any other build.
-TreeBuilder makeBlobBuilder(std::string Blob) {
-  return [Blob = std::move(Blob)](TreeContext &Ctx) -> BuildResult {
+/// allocates every node via TreeContext::make. The decode runs through
+/// the same admission point as a textual parse: \p Limits caps depth and
+/// node count, the context's memory budget is polled before every node,
+/// and a refusal answers with the textual path's ErrCode. A blob that is
+/// merely malformed answers MalformedFrame.
+TreeBuilder makeBlobBuilder(std::string Blob, ParseLimits Limits) {
+  return [Blob = std::move(Blob), Limits](TreeContext &Ctx) -> BuildResult {
     BuildResult Out;
     persist::DecodeTreeResult R =
         persist::decodeTree(Ctx.signatures(), Ctx, Blob,
-                            /*PreserveUris=*/false);
+                            /*PreserveUris=*/false, Limits);
     if (!R.ok()) {
       Out.Error = R.Error.empty() ? "malformed tree blob" : R.Error;
-      Out.Code = ErrCode::MalformedFrame;
+      Out.Code = R.Fail == ParseFail::Syntax ? ErrCode::MalformedFrame
+                                             : errCodeForParseFail(R.Fail);
       return Out;
     }
     Out.Root = R.Root;
@@ -80,7 +83,7 @@ void ServiceHandler::handle(NetRequest Req,
   case WireCommand::Kind::Open: {
     size_t Bytes = Req.Binary ? Req.Blob.size() : Cmd.Arg.size();
     TreeBuilder Build = Req.Binary
-                            ? makeBlobBuilder(std::move(Req.Blob))
+                            ? makeBlobBuilder(std::move(Req.Blob), Cfg.Limits)
                             : makeSExprBuilder(Cmd.Arg, Cfg.Limits);
     Svc.openCb(Cmd.Doc, std::move(Build), Bytes, std::move(Req.Cmd.Author),
                std::move(Done));
@@ -89,7 +92,7 @@ void ServiceHandler::handle(NetRequest Req,
   case WireCommand::Kind::Submit: {
     size_t Bytes = Req.Binary ? Req.Blob.size() : Cmd.Arg.size();
     TreeBuilder Build = Req.Binary
-                            ? makeBlobBuilder(std::move(Req.Blob))
+                            ? makeBlobBuilder(std::move(Req.Blob), Cfg.Limits)
                             : makeSExprBuilder(Cmd.Arg, Cfg.Limits);
     Svc.submitCb(Cmd.Doc, std::move(Build), Cfg.SubmitDeadlineMs, Bytes,
                  /*RawScript=*/Req.Binary, std::move(Req.Cmd.Author),

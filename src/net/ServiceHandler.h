@@ -32,7 +32,8 @@ namespace net {
 class ServiceHandler : public RequestHandler {
 public:
   struct Config {
-    /// Admission caps for textual s-expression parses ({0,0} = none).
+    /// Admission caps for every tree a write carries, textual s-expression
+    /// or binary blob ({0,0} = none).
     ParseLimits Limits;
     /// Deadline handed to every submit, ms from enqueue (0 = service
     /// default).

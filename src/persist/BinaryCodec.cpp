@@ -7,10 +7,10 @@
 #include "persist/BinaryCodec.h"
 
 #include "persist/Varint.h"
+#include "tree/Builder.h"
 
 #include <cstring>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 using namespace truediff;
@@ -401,105 +401,47 @@ void encodeTreeNode(std::string &Body, SymbolSink &Syms, const Tree *T) {
 }
 
 /// Hostile-input bounds. Nesting costs the decoder heap, not stack, so
-/// depth is not bounded: any tree admission accepted decodes. A blob's
-/// size and node count are, so a forged blob cannot make the decoder
-/// allocate far beyond what a real document of that size would.
+/// depth is bounded only by the caller's ParseLimits: any tree admission
+/// accepted decodes. A blob's size and node count are, so a forged blob
+/// cannot make the decoder allocate far beyond what a real document of
+/// that size would.
 constexpr size_t MaxTreeBlobBytes = size_t(1) << 30;
 constexpr uint64_t MaxTreeNodes = uint64_t(1) << 26;
 
-/// Decodes one tree, validating the claimed structure against the
-/// signature before allocating each node in \p Ctx: kid/literal counts
-/// must match the tag's arity, literal kinds its literal specs, kid
-/// sorts its slot sorts, and URIs must be unique within the blob.
-/// Iterative, with POD frames and one shared results stack as in
-/// TreeContext::deepCopy: a node's kids are the top entries of Done when
-/// its literals are read.
-Tree *decodeTreeNode(BinReader &R, const SignatureTable &Sig,
-                     TreeContext &Ctx, const std::vector<Symbol> &Table,
-                     bool PreserveUris) {
-  struct Frame {
-    TagId Tag;
-    URI Uri;
-    const TagSignature *TagSig;
-    size_t NextKid;
-  };
-  std::vector<Frame> Stack;
-  std::vector<Tree *> Done;
-  std::unordered_set<URI> SeenUris;
+/// Streams one tree into \p B: tag, URI and kid count open a node, its
+/// literal count and literals close it. The builder checks each node
+/// against the signature, the URIs for uniqueness, and the admission
+/// caps. Returns the root, or nullptr with the failure in \p R or \p B.
+Tree *decodeTreeBody(BinReader &R, CheckedBuilder &B,
+                     const std::vector<Symbol> &Table) {
   uint64_t Nodes = 0;
-  auto Open = [&]() {
-    if (++Nodes > MaxTreeNodes) {
-      R.fail("tree has too many nodes");
-      return false;
-    }
-    TagId Tag = localSymbol(R, Table);
-    URI Uri = R.getVarint();
-    if (!R.ok())
-      return false;
-    if (!Sig.hasTag(Tag)) {
-      R.fail("node symbol is not a constructor tag");
-      return false;
-    }
-    if (!SeenUris.insert(Uri).second) {
-      R.fail("duplicate URI in tree");
-      return false;
-    }
-    const TagSignature &TagSig = Sig.signature(Tag);
-    uint64_t NumKids = R.getVarint();
-    if (R.ok() && NumKids != TagSig.Kids.size())
-      R.fail("kid count does not match tag signature");
-    if (!R.ok())
-      return false;
-    Stack.push_back({Tag, Uri, &TagSig, 0});
-    return true;
-  };
-
-  if (!Open())
-    return nullptr;
-  while (!Stack.empty()) {
-    Frame &Top = Stack.back();
-    if (Top.NextKid < Top.TagSig->Kids.size()) {
-      ++Top.NextKid;
-      if (!Open())
+  while (!B.done()) {
+    if (B.wantsNode()) {
+      if (++Nodes > MaxTreeNodes) {
+        R.fail("tree has too many nodes");
+        return nullptr;
+      }
+      TagId Tag = localSymbol(R, Table);
+      URI Uri = R.getVarint();
+      if (!R.ok() || !B.open(Tag, Uri))
+        return nullptr;
+      uint64_t NumKids = R.getVarint();
+      if (!R.ok() || !B.kidCount(NumKids))
         return nullptr;
       continue;
     }
-    Frame F = Top;
-    Stack.pop_back();
     uint64_t NumLits = R.getVarint();
-    if (R.ok() && NumLits != F.TagSig->Lits.size())
-      R.fail("literal count does not match tag signature");
-    if (!R.ok())
+    if (!R.ok() || !B.litCount(NumLits))
       return nullptr;
-    std::vector<Literal> Lits;
-    Lits.reserve(NumLits);
     for (uint64_t I = 0; I != NumLits; ++I) {
       Literal L = getLiteral(R);
-      if (!R.ok())
+      if (!R.ok() || !B.lit(std::move(L)))
         return nullptr;
-      if (L.kind() != F.TagSig->Lits[I].Kind) {
-        R.fail("literal kind does not match tag signature");
-        return nullptr;
-      }
-      Lits.push_back(std::move(L));
     }
-    size_t Arity = F.TagSig->Kids.size();
-    Tree *const *Kids = Done.data() + Done.size() - Arity;
-    Tree *Node = PreserveUris ? Ctx.adoptWithUri(F.Tag, F.Uri, Kids, Arity,
-                                                 std::move(Lits))
-                              : Ctx.make(F.Tag, Kids, Arity, std::move(Lits));
-    Done.resize(Done.size() - Arity);
-    if (!Stack.empty()) {
-      const Frame &Parent = Stack.back();
-      if (!Sig.isSubsort(Sig.signature(F.Tag).Result,
-                         Parent.TagSig->Kids[Parent.NextKid - 1].Sort)) {
-        R.fail("kid sort does not match slot sort");
-        return nullptr;
-      }
-    }
-    Done.push_back(Node);
+    if (B.close() == nullptr)
+      return nullptr;
   }
-  return Done.back();
+  return B.root();
 }
 
 } // namespace
@@ -519,8 +461,10 @@ DecodeTreeResult persist::decodeTree(const SignatureTable &Sig,
 
 DecodeTreeResult persist::decodeTree(const SignatureTable &Sig,
                                      TreeContext &Ctx, std::string_view Blob,
-                                     bool PreserveUris) {
+                                     bool PreserveUris,
+                                     const ParseLimits &Limits) {
   DecodeTreeResult Result;
+  Result.Fail = ParseFail::Syntax;
   if (Blob.size() > MaxTreeBlobBytes) {
     Result.Error = "tree blob too large";
     return Result;
@@ -529,7 +473,15 @@ DecodeTreeResult persist::decodeTree(const SignatureTable &Sig,
   std::vector<Symbol> Table;
   if (!readSymbolTable(R, Sig, Table, Result.Error))
     return Result;
-  Tree *Root = decodeTreeNode(R, Sig, Ctx, Table, PreserveUris);
+  CheckedBuilder B(Ctx, Limits,
+                   PreserveUris ? TreeContext::CopyUris::Preserve
+                                : TreeContext::CopyUris::Fresh);
+  Tree *Root = decodeTreeBody(R, B, Table);
+  if (B.failure() != CheckedBuilder::Check::None) {
+    Result.Error = B.error();
+    Result.Fail = B.parseFail();
+    return Result;
+  }
   if (Root == nullptr || !R.ok()) {
     Result.Error = R.ok() ? "invalid tree blob" : R.error();
     return Result;
@@ -539,5 +491,6 @@ DecodeTreeResult persist::decodeTree(const SignatureTable &Sig,
     return Result;
   }
   Result.Root = Root;
+  Result.Fail = ParseFail::None;
   return Result;
 }

@@ -65,6 +65,9 @@ std::string encodeTree(const SignatureTable &Sig, const Tree *T);
 struct DecodeTreeResult {
   Tree *Root = nullptr;
   std::string Error;
+  /// Why the decode failed: ParseFail::Syntax for a malformed blob, or
+  /// the admission cap that refused it.
+  ParseFail Fail = ParseFail::None;
   bool ok() const { return Root != nullptr; }
 };
 
@@ -81,8 +84,14 @@ DecodeTreeResult decodeTree(const SignatureTable &Sig, TreeContext &Ctx,
 /// already holds live nodes. This is the mode for client-supplied trees
 /// on the binary wire protocol, where the client's URIs must not collide
 /// with a document's live URI space.
+///
+/// Either way the tree is built through CheckedBuilder (tree/Builder.h),
+/// the admission point the s-expression reader shares: \p Limits caps
+/// its depth and node count, and a memory budget attached to \p Ctx is
+/// polled before every node.
 DecodeTreeResult decodeTree(const SignatureTable &Sig, TreeContext &Ctx,
-                            std::string_view Blob, bool PreserveUris);
+                            std::string_view Blob, bool PreserveUris,
+                            const ParseLimits &Limits = {});
 
 } // namespace persist
 } // namespace truediff

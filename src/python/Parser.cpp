@@ -7,22 +7,50 @@
 #include "python/Python.h"
 
 #include "python/Lexer.h"
+#include "tree/Builder.h"
 
+#include <cassert>
 #include <cstdlib>
-#include <functional>
+#include <initializer_list>
 
 using namespace truediff;
 using namespace truediff::python;
 
 namespace {
 
+/// Every constructor tag the parser builds.
+#define PY_TAGS(X)                                                             \
+  X(Module) X(StmtNil) X(StmtCons) X(ExprNil) X(ExprCons) X(ParamNil)          \
+  X(ParamCons) X(EntryNil) X(EntryCons) X(Param) X(FuncDef) X(ClassDef) X(If)  \
+  X(While) X(TupleExpr) X(For) X(Pass) X(Break) X(Continue) X(Return)          \
+  X(NoneLit) X(Import) X(ImportFrom) X(Assert) X(AugAssign) X(Assign)          \
+  X(ExprStmt) X(BoolOp) X(UnaryOp) X(Compare) X(BinOp) X(Call) X(Attribute)    \
+  X(Subscript) X(Name) X(IntLit) X(FloatLit) X(StrLit) X(BoolLit) X(ListExpr)  \
+  X(Entry) X(DictExpr)
+
+/// The parser's tags, looked up by name once per parse rather than once
+/// per node.
+struct PyTags {
+#define PY_TAG_FIELD(Name) TagId Name;
+  PY_TAGS(PY_TAG_FIELD)
+#undef PY_TAG_FIELD
+
+  explicit PyTags(const SignatureTable &Sig) {
+#define PY_TAG_LOOKUP(Name)                                                    \
+  Name = Sig.lookup(#Name);                                                    \
+  assert(Name != InvalidSymbol && "not the Python signature");
+    PY_TAGS(PY_TAG_LOOKUP)
+#undef PY_TAG_LOOKUP
+  }
+};
+
 /// Recursive-descent parser; errors unwind through nullptr with the first
 /// message retained.
 class Parser {
 public:
   Parser(TreeContext &Ctx, std::vector<Tok> Tokens, const ParseLimits &Limits)
-      : Ctx(Ctx), Sig(Ctx.signatures()), Toks(std::move(Tokens)),
-        Limits(Limits), BaseNodes(Ctx.numNodes()) {}
+      : Ctx(Ctx), T(Ctx.signatures()), Toks(std::move(Tokens)),
+        Adm(Ctx, Limits), BaseNodes(Ctx.numNodes()) {}
 
   Tree *parseModule() {
     if (!Toks.empty() && Toks.back().Kind == TokKind::Error) {
@@ -36,7 +64,7 @@ public:
         return nullptr;
       Stmts.push_back(S);
     }
-    return Ctx.make("Module", {stmtList(Stmts)}, {});
+    return mk(T.Module, {stmtList(Stmts)}, {});
   }
 
   const std::string &error() const { return Err; }
@@ -95,23 +123,10 @@ private:
   /// how much arena a single parse can allocate before being abandoned.
   bool enterNested() {
     ++Depth;
-    if (Limits.MaxDepth != 0 && Depth > Limits.MaxDepth) {
-      failTyped(ParseFail::TooDeep, "input nesting exceeds the depth cap of " +
-                                        std::to_string(Limits.MaxDepth));
-      return false;
-    }
-    if (Limits.MaxNodes != 0 && Ctx.numNodes() - BaseNodes > Limits.MaxNodes) {
-      failTyped(ParseFail::TooLarge, "input exceeds the node cap of " +
-                                         std::to_string(Limits.MaxNodes) +
-                                         " nodes");
-      return false;
-    }
-    if (Ctx.overBudget()) {
-      failTyped(ParseFail::OverBudget,
-                "memory budget exhausted while parsing input");
-      return false;
-    }
-    return true;
+    if (Adm.depth(Depth) && Adm.nodes(Ctx.numNodes() - BaseNodes))
+      return true;
+    failTyped(Adm.fail(), Adm.message());
+    return false;
   }
 
   bool expectOp(std::string_view O) {
@@ -132,31 +147,37 @@ private:
   // Tree builders
   //===--------------------------------------------------------------===//
 
+  /// One node, its kids passed as a pointer range (no kid vector).
+  Tree *mk(TagId Tag, std::initializer_list<Tree *> Kids,
+           std::vector<Literal> Lits) {
+    return Ctx.make(Tag, Kids.begin(), Kids.size(), std::move(Lits));
+  }
+
   Tree *stmtList(const std::vector<Tree *> &Stmts) {
-    Tree *List = Ctx.make("StmtNil", {}, {});
+    Tree *List = mk(T.StmtNil, {}, {});
     for (size_t I = Stmts.size(); I-- > 0;)
-      List = Ctx.make("StmtCons", {Stmts[I], List}, {});
+      List = mk(T.StmtCons, {Stmts[I], List}, {});
     return List;
   }
 
   Tree *exprList(const std::vector<Tree *> &Exprs) {
-    Tree *List = Ctx.make("ExprNil", {}, {});
+    Tree *List = mk(T.ExprNil, {}, {});
     for (size_t I = Exprs.size(); I-- > 0;)
-      List = Ctx.make("ExprCons", {Exprs[I], List}, {});
+      List = mk(T.ExprCons, {Exprs[I], List}, {});
     return List;
   }
 
   Tree *paramList(const std::vector<Tree *> &Params) {
-    Tree *List = Ctx.make("ParamNil", {}, {});
+    Tree *List = mk(T.ParamNil, {}, {});
     for (size_t I = Params.size(); I-- > 0;)
-      List = Ctx.make("ParamCons", {Params[I], List}, {});
+      List = mk(T.ParamCons, {Params[I], List}, {});
     return List;
   }
 
   Tree *entryList(const std::vector<Tree *> &Entries) {
-    Tree *List = Ctx.make("EntryNil", {}, {});
+    Tree *List = mk(T.EntryNil, {}, {});
     for (size_t I = Entries.size(); I-- > 0;)
-      List = Ctx.make("EntryCons", {Entries[I], List}, {});
+      List = mk(T.EntryCons, {Entries[I], List}, {});
     return List;
   }
 
@@ -225,7 +246,7 @@ private:
       do {
         if (!at(TokKind::Name))
           return fail("expected parameter name");
-        Params.push_back(Ctx.make("Param", {}, {Literal(take().Text)}));
+        Params.push_back(mk(T.Param, {}, {Literal(take().Text)}));
       } while (eatOp(","));
     }
     if (!expectOp(")"))
@@ -233,7 +254,7 @@ private:
     Tree *Body = parseBlock();
     if (Body == nullptr)
       return nullptr;
-    return Ctx.make("FuncDef", {paramList(Params), Body},
+    return mk(T.FuncDef, {paramList(Params), Body},
                     {Literal(std::move(Name))});
   }
 
@@ -258,7 +279,7 @@ private:
     Tree *Body = parseBlock();
     if (Body == nullptr)
       return nullptr;
-    return Ctx.make("ClassDef", {exprList(Bases), Body},
+    return mk(T.ClassDef, {exprList(Bases), Body},
                     {Literal(std::move(Name))});
   }
 
@@ -287,9 +308,9 @@ private:
       if (Else == nullptr)
         return nullptr;
     } else {
-      Else = Ctx.make("StmtNil", {}, {});
+      Else = mk(T.StmtNil, {}, {});
     }
-    return Ctx.make("If", {Cond, Then, Else}, {});
+    return mk(T.If, {Cond, Then, Else}, {});
   }
 
   Tree *parseWhile() {
@@ -300,7 +321,7 @@ private:
     Tree *Body = parseBlock();
     if (Body == nullptr)
       return nullptr;
-    return Ctx.make("While", {Cond, Body}, {});
+    return mk(T.While, {Cond, Body}, {});
   }
 
   /// For-loop targets are postfix expressions (names, attributes,
@@ -321,7 +342,7 @@ private:
         return nullptr;
       Elts.push_back(E);
     }
-    return Ctx.make("TupleExpr", {exprList(Elts)}, {});
+    return mk(T.TupleExpr, {exprList(Elts)}, {});
   }
 
   Tree *parseFor() {
@@ -337,29 +358,29 @@ private:
     Tree *Body = parseBlock();
     if (Body == nullptr)
       return nullptr;
-    return Ctx.make("For", {Target, Iter, Body}, {});
+    return mk(T.For, {Target, Iter, Body}, {});
   }
 
   Tree *parseSimpleStmt() {
     if (eatKw("pass"))
-      return Ctx.make("Pass", {}, {});
+      return mk(T.Pass, {}, {});
     if (eatKw("break"))
-      return Ctx.make("Break", {}, {});
+      return mk(T.Break, {}, {});
     if (eatKw("continue"))
-      return Ctx.make("Continue", {}, {});
+      return mk(T.Continue, {}, {});
     if (eatKw("return")) {
       if (at(TokKind::Newline))
-        return Ctx.make("Return", {Ctx.make("NoneLit", {}, {})}, {});
+        return mk(T.Return, {mk(T.NoneLit, {}, {})}, {});
       Tree *V = parseExprListAsExpr();
       if (V == nullptr)
         return nullptr;
-      return Ctx.make("Return", {V}, {});
+      return mk(T.Return, {V}, {});
     }
     if (eatKw("import")) {
       std::string Module = parseDottedName();
       if (Module.empty())
         return nullptr;
-      return Ctx.make("Import", {}, {Literal(std::move(Module))});
+      return mk(T.Import, {}, {Literal(std::move(Module))});
     }
     if (eatKw("from")) {
       std::string Module = parseDottedName();
@@ -370,14 +391,14 @@ private:
       if (!at(TokKind::Name) && !atOp("*"))
         return fail("expected imported name");
       std::string Name = take().Text;
-      return Ctx.make("ImportFrom", {},
+      return mk(T.ImportFrom, {},
                       {Literal(std::move(Module)), Literal(std::move(Name))});
     }
     if (eatKw("assert")) {
-      Tree *T = parseExpr();
-      if (T == nullptr)
+      Tree *Test = parseExpr();
+      if (Test == nullptr)
         return nullptr;
-      return Ctx.make("Assert", {T}, {});
+      return mk(T.Assert, {Test}, {});
     }
 
     // Expression statement, assignment, or augmented assignment.
@@ -392,7 +413,7 @@ private:
         Tree *Value = parseExprListAsExpr();
         if (Value == nullptr)
           return nullptr;
-        return Ctx.make("AugAssign", {Target, Value},
+        return mk(T.AugAssign, {Target, Value},
                         {Literal(std::move(Op))});
       }
     }
@@ -400,9 +421,9 @@ private:
       Tree *Value = parseExprListAsExpr();
       if (Value == nullptr)
         return nullptr;
-      return Ctx.make("Assign", {Target, Value}, {});
+      return mk(T.Assign, {Target, Value}, {});
     }
-    return Ctx.make("ExprStmt", {Target}, {});
+    return mk(T.ExprStmt, {Target}, {});
   }
 
   std::string parseDottedName() {
@@ -444,7 +465,7 @@ private:
         return nullptr;
       Elts.push_back(E);
     }
-    return Ctx.make("TupleExpr", {exprList(Elts)}, {});
+    return mk(T.TupleExpr, {exprList(Elts)}, {});
   }
 
   Tree *parseExpr() {
@@ -464,7 +485,7 @@ private:
       Tree *R = parseAnd();
       if (R == nullptr)
         return nullptr;
-      L = Ctx.make("BoolOp", {L, R}, {Literal("or")});
+      L = mk(T.BoolOp, {L, R}, {Literal("or")});
     }
     return L;
   }
@@ -478,7 +499,7 @@ private:
       Tree *R = parseNot();
       if (R == nullptr)
         return nullptr;
-      L = Ctx.make("BoolOp", {L, R}, {Literal("and")});
+      L = mk(T.BoolOp, {L, R}, {Literal("and")});
     }
     return L;
   }
@@ -489,7 +510,7 @@ private:
       Tree *E = parseNot();
       if (E == nullptr)
         return nullptr;
-      return Ctx.make("UnaryOp", {E}, {Literal("not")});
+      return mk(T.UnaryOp, {E}, {Literal("not")});
     }
     return parseComparison();
   }
@@ -521,7 +542,7 @@ private:
       Tree *R = parseArith();
       if (R == nullptr)
         return nullptr;
-      L = Ctx.make("Compare", {L, R}, {Literal(std::move(Op))});
+      L = mk(T.Compare, {L, R}, {Literal(std::move(Op))});
     }
   }
 
@@ -534,7 +555,7 @@ private:
       Tree *R = parseTerm();
       if (R == nullptr)
         return nullptr;
-      L = Ctx.make("BinOp", {L, R}, {Literal(std::move(Op))});
+      L = mk(T.BinOp, {L, R}, {Literal(std::move(Op))});
     }
     return L;
   }
@@ -548,7 +569,7 @@ private:
       Tree *R = parseFactor();
       if (R == nullptr)
         return nullptr;
-      L = Ctx.make("BinOp", {L, R}, {Literal(std::move(Op))});
+      L = mk(T.BinOp, {L, R}, {Literal(std::move(Op))});
     }
     return L;
   }
@@ -559,7 +580,7 @@ private:
       Tree *E = parseFactor();
       if (E == nullptr)
         return nullptr;
-      return Ctx.make("UnaryOp", {E}, {Literal(std::move(Op))});
+      return mk(T.UnaryOp, {E}, {Literal(std::move(Op))});
     }
     return parsePower();
   }
@@ -573,7 +594,7 @@ private:
       Tree *R = parseFactor(); // right-associative
       if (R == nullptr)
         return nullptr;
-      return Ctx.make("BinOp", {L, R}, {Literal("**")});
+      return mk(T.BinOp, {L, R}, {Literal("**")});
     }
     return L;
   }
@@ -597,13 +618,13 @@ private:
         }
         if (!expectOp(")"))
           return nullptr;
-        E = Ctx.make("Call", {E, exprList(Args)}, {});
+        E = mk(T.Call, {E, exprList(Args)}, {});
         continue;
       }
       if (eatOp(".")) {
         if (!at(TokKind::Name))
           return fail("expected attribute name");
-        E = Ctx.make("Attribute", {E}, {Literal(take().Text)});
+        E = mk(T.Attribute, {E}, {Literal(take().Text)});
         continue;
       }
       if (eatOp("[")) {
@@ -612,7 +633,7 @@ private:
           return nullptr;
         if (!expectOp("]"))
           return nullptr;
-        E = Ctx.make("Subscript", {E, Index}, {});
+        E = mk(T.Subscript, {E, Index}, {});
         continue;
       }
       return E;
@@ -621,26 +642,25 @@ private:
 
   Tree *parseAtom() {
     if (at(TokKind::Name))
-      return Ctx.make("Name", {}, {Literal(take().Text)});
+      return mk(T.Name, {}, {Literal(take().Text)});
     if (at(TokKind::Int))
-      return Ctx.make(
-          "IntLit", {},
+      return mk(T.IntLit, {},
           {Literal(static_cast<int64_t>(
               std::strtoll(take().Text.c_str(), nullptr, 10)))});
     if (at(TokKind::Float))
-      return Ctx.make("FloatLit", {},
+      return mk(T.FloatLit, {},
                       {Literal(std::strtod(take().Text.c_str(), nullptr))});
     if (at(TokKind::Str))
-      return Ctx.make("StrLit", {}, {Literal(take().Text)});
+      return mk(T.StrLit, {}, {Literal(take().Text)});
     if (eatKw("True"))
-      return Ctx.make("BoolLit", {}, {Literal(true)});
+      return mk(T.BoolLit, {}, {Literal(true)});
     if (eatKw("False"))
-      return Ctx.make("BoolLit", {}, {Literal(false)});
+      return mk(T.BoolLit, {}, {Literal(false)});
     if (eatKw("None"))
-      return Ctx.make("NoneLit", {}, {});
+      return mk(T.NoneLit, {}, {});
     if (eatOp("(")) {
       if (eatOp(")")) // empty tuple
-        return Ctx.make("TupleExpr", {exprList({})}, {});
+        return mk(T.TupleExpr, {exprList({})}, {});
       Tree *E = parseExprListAsExpr();
       if (E == nullptr)
         return nullptr;
@@ -662,7 +682,7 @@ private:
       }
       if (!expectOp("]"))
         return nullptr;
-      return Ctx.make("ListExpr", {exprList(Elts)}, {});
+      return mk(T.ListExpr, {exprList(Elts)}, {});
     }
     if (eatOp("{")) {
       std::vector<Tree *> Entries;
@@ -678,20 +698,20 @@ private:
           Tree *V = parseExpr();
           if (V == nullptr)
             return nullptr;
-          Entries.push_back(Ctx.make("Entry", {K, V}, {}));
+          Entries.push_back(mk(T.Entry, {K, V}, {}));
         } while (eatOp(","));
       }
       if (!expectOp("}"))
         return nullptr;
-      return Ctx.make("DictExpr", {entryList(Entries)}, {});
+      return mk(T.DictExpr, {entryList(Entries)}, {});
     }
     return fail("expected expression");
   }
 
   TreeContext &Ctx;
-  const SignatureTable &Sig;
+  const PyTags T;
   std::vector<Tok> Toks;
-  ParseLimits Limits;
+  Admission Adm;
   size_t BaseNodes = 0;
   uint32_t Depth = 0;
   size_t Pos = 0;

@@ -440,14 +440,16 @@ StoreResult DocumentStore::repair(DocId Doc, uint64_t Version,
   // Build the recovered state into a fresh context first; the corrupt
   // arena is only released once the replacement exists, so a failed
   // repair leaves the document exactly as it was (still quarantined).
+  // The state was accepted once, so the budget counts it but may not
+  // refuse it: attach only after the build.
   auto FreshCtx = std::make_unique<TreeContext>(Sig, Cfg.Digest);
-  FreshCtx->attachBudget(Cfg.MemBudget);
   BuildResult B = Build(*FreshCtx);
   if (B.Root == nullptr) {
     R.Error = B.Error.empty() ? "builder produced no tree" : B.Error;
     R.Code = B.Code != ErrCode::None ? B.Code : ErrCode::BuildFailed;
     return R;
   }
+  FreshCtx->attachBudget(Cfg.MemBudget);
   std::deque<VersionRecord> Ring;
   if (History.size() > Cfg.HistoryCapacity)
     History.erase(History.begin(),
@@ -506,14 +508,16 @@ StoreResult DocumentStore::restore(DocId Doc, uint64_t Version,
                                    std::string OpenAuthor) {
   StoreResult R;
   auto D = std::make_shared<Document>();
+  // Installs accepted state, as repair() does: the budget counts the
+  // tree once it is built but cannot refuse it.
   D->Ctx = std::make_unique<TreeContext>(Sig, Cfg.Digest);
-  D->Ctx->attachBudget(Cfg.MemBudget);
   BuildResult B = Build(*D->Ctx);
   if (B.Root == nullptr) {
     R.Error = B.Error.empty() ? "builder produced no tree" : B.Error;
     R.Code = B.Code != ErrCode::None ? B.Code : ErrCode::BuildFailed;
     return R;
   }
+  D->Ctx->attachBudget(Cfg.MemBudget);
   D->Current = B.Root;
   D->Version = Version;
   D->OpenAuthor = std::move(OpenAuthor);

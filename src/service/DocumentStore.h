@@ -234,10 +234,11 @@ public:
     /// emitted edit scripts are byte-identical either way.
     bool PersistDigests = true;
     /// Process-wide memory budget every document context accounts
-    /// against (open, restore, rollback and compaction rebuilds).
-    /// Builders running in those contexts observe it via
-    /// TreeContext::overBudget(). Null = unlimited. Must outlive the
-    /// store.
+    /// against (open, restore, repair, rollback and compaction
+    /// rebuilds). Open and submit builders observe it via
+    /// TreeContext::overBudget() and refuse once it is exhausted; restore
+    /// and repair install already-accepted state, which the budget counts
+    /// but never refuses. Null = unlimited. Must outlive the store.
     MemoryBudget *MemBudget = nullptr;
     /// Digest policy for every document context (see TreeHash.h).
     /// SHA-256 is the default; Fast128 speeds up Step-1 hashing
@@ -362,7 +363,9 @@ public:
   /// truncated to Config::HistoryCapacity). Unlike open this emits
   /// nothing to listeners -- recovery runs before traffic -- and leaves
   /// the document at \p Version with version 0 attributed to
-  /// \p OpenAuthor. Fails if the document already exists.
+  /// \p OpenAuthor. \p Build runs before the memory budget is attached,
+  /// so an exhausted budget cannot refuse it. Fails if the document
+  /// already exists.
   StoreResult restore(DocId Doc, uint64_t Version, const TreeBuilder &Build,
                       std::vector<RestoreEntry> History,
                       std::string OpenAuthor = std::string());

@@ -6,6 +6,8 @@
 
 #include "tree/SExpr.h"
 
+#include "tree/Builder.h"
+
 #include <cctype>
 #include <cstdlib>
 #include <vector>
@@ -15,16 +17,15 @@ using namespace truediff;
 namespace {
 
 /// S-expression parser. No exceptions: errors set Err and unwind through
-/// nullptr returns. Iterative: the nesting lives in a heap stack of POD
-/// frames, and finished kids wait on one shared results stack until their
-/// parent is built from them, as in TreeContext::deepCopy. So input
-/// nesting is bounded by ParseLimits::MaxDepth as an admission policy,
-/// not by the thread's stack.
+/// false/nullptr returns. The tree streams into a CheckedBuilder, which
+/// keeps the nesting on the heap and runs every structural and admission
+/// check, so input nesting is bounded by ParseLimits::MaxDepth as an
+/// admission policy, not by the thread's stack.
 class SExprParser {
 public:
   SExprParser(TreeContext &Ctx, std::string_view Text,
               const ParseLimits &Limits)
-      : Ctx(Ctx), Sig(Ctx.signatures()), Text(Text), Limits(Limits) {}
+      : Sig(Ctx.signatures()), B(Ctx, Limits), Text(Text) {}
 
   Tree *parse() {
     Tree *T = parseTree();
@@ -164,108 +165,68 @@ private:
     return Literal(std::move(Value));
   }
 
-  /// One node whose kids are being parsed.
-  struct Frame {
-    TagId Tag;
-    const TagSignature *TagSig;
-    size_t NextKid;
-  };
-
+  /// Streams the input into the builder: a header per '(' and a close
+  /// per ')'.
   Tree *parseTree() {
-    if (!enter())
-      return nullptr;
-    while (!Stack.empty()) {
-      Frame &Top = Stack.back();
-      if (Top.NextKid < Top.TagSig->Kids.size()) {
-        ++Top.NextKid;
-        if (!enter())
-          return nullptr;
-        continue;
-      }
-      Frame Done = Top;
-      Stack.pop_back();
-      Tree *T = leave(Done);
-      if (T == nullptr)
+    while (!B.done()) {
+      if (!(B.wantsNode() ? enter() : leave()))
         return nullptr;
-      if (!Stack.empty()) {
-        const Frame &Parent = Stack.back();
-        SortId KidSort = Sig.signature(T->tag()).Result;
-        if (!Sig.isSubsort(KidSort,
-                           Parent.TagSig->Kids[Parent.NextKid - 1].Sort)) {
-          fail("kid sort mismatch under '" + Sig.name(Parent.Tag) + "'");
-          return nullptr;
-        }
-      }
-      Results.push_back(T);
     }
-    return Results.back();
+    return B.root();
   }
 
-  /// Reads a node's opening paren and tag and pushes its frame. Admission
-  /// caps fire on the way down: a million-paren hostile input stops after
-  /// MaxDepth frames.
-  bool enter() {
-    if (Limits.MaxDepth != 0 && Stack.size() >= Limits.MaxDepth) {
-      failTyped(ParseFail::TooDeep, "input nesting exceeds the depth cap of " +
-                                        std::to_string(Limits.MaxDepth));
-      return false;
+  /// Records the builder's refusal: admission caps with their own typed
+  /// messages, structural checks in this reader's words.
+  bool refused(std::string_view TagName = {}) {
+    switch (B.failure()) {
+    case CheckedBuilder::Check::Admission:
+      failTyped(B.parseFail(), B.error());
+      break;
+    case CheckedBuilder::Check::UnknownTag:
+      fail("unknown tag '" + std::string(TagName) + "'");
+      break;
+    case CheckedBuilder::Check::KidSort:
+      fail("kid sort mismatch under '" + Sig.name(B.failTag()) + "'");
+      break;
+    default:
+      fail(B.error());
+      break;
     }
+    return false;
+  }
+
+  /// Reads a node's opening paren and tag. The depth cap fires before
+  /// the paren is read: a million-paren hostile input stops after
+  /// MaxDepth levels.
+  bool enter() {
+    if (!B.admitLevel())
+      return refused();
     if (!expect('('))
       return false;
     std::string_view TagName = parseSymbol();
     if (!Err.empty())
       return false;
-    Symbol Tag = Sig.lookup(TagName);
-    if (Tag == InvalidSymbol || !Sig.hasTag(Tag)) {
-      fail("unknown tag '" + std::string(TagName) + "'");
-      return false;
-    }
-    Stack.push_back({Tag, &Sig.signature(Tag), 0});
-    return true;
+    return B.open(Sig.lookup(TagName)) || refused(TagName);
   }
 
-  /// Reads the literals and closing paren of \p F, whose kids are the
-  /// top entries of Results, and builds the node from them.
-  Tree *leave(const Frame &F) {
-    std::vector<Literal> Lits;
-    Lits.reserve(F.TagSig->Lits.size());
-    for (const LitSpec &Spec : F.TagSig->Lits) {
+  /// Reads the innermost node's literals and closing paren, then builds
+  /// it from its kids.
+  bool leave() {
+    for (const LitSpec &Spec : B.litSpecs()) {
       std::optional<Literal> Lit = parseLiteral(Spec.Kind);
       if (!Lit)
-        return nullptr;
-      Lits.push_back(std::move(*Lit));
+        return false;
+      B.lit(std::move(*Lit));
     }
-
     if (!expect(')'))
-      return nullptr;
-    if (Limits.MaxNodes != 0 && NodesMade >= Limits.MaxNodes) {
-      failTyped(ParseFail::TooLarge, "input exceeds the node cap of " +
-                                         std::to_string(Limits.MaxNodes) +
-                                         " nodes");
-      return nullptr;
-    }
-    if (Ctx.overBudget()) {
-      failTyped(ParseFail::OverBudget,
-                "memory budget exhausted while parsing input");
-      return nullptr;
-    }
-    ++NodesMade;
-    size_t Arity = F.TagSig->Kids.size();
-    Tree *T = Ctx.make(F.Tag, Results.data() + Results.size() - Arity, Arity,
-                       std::move(Lits));
-    Results.resize(Results.size() - Arity);
-    return T;
+      return false;
+    return B.close() != nullptr || refused();
   }
 
-  TreeContext &Ctx;
   const SignatureTable &Sig;
+  CheckedBuilder B;
   std::string_view Text;
-  ParseLimits Limits;
   size_t Pos = 0;
-  std::vector<Frame> Stack;
-  /// Finished nodes whose parent is not built yet, in document order.
-  std::vector<Tree *> Results;
-  uint32_t NodesMade = 0;
   std::string Err;
   ParseFail Fail = ParseFail::None;
 };

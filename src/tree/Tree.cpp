@@ -345,6 +345,18 @@ static size_t approxNodeBytes(const Tree &N) {
   return Bytes;
 }
 
+void TreeContext::attachBudget(MemoryBudget *B) {
+  assert(Budget == nullptr && "a context is charged to one budget");
+  Budget = B;
+  if (Budget == nullptr)
+    return;
+  size_t Bytes = 0;
+  for (size_t I = 0; I != NumNodes; ++I)
+    Bytes += approxNodeBytes(NodeSlabs[I / NodeSlabSize][I % NodeSlabSize]);
+  Budget->charge(Bytes);
+  BytesCharged += Bytes;
+}
+
 TreeContext::~TreeContext() {
   if (Budget != nullptr)
     Budget->release(BytesCharged);

@@ -287,10 +287,12 @@ public:
   ///
   /// When a budget is attached, every node allocation charges an estimate
   /// of its heap footprint against it, and the whole charge is released
-  /// when the context is destroyed. Attach before allocating any nodes;
-  /// nodes made earlier are not accounted retroactively.
+  /// when the context is destroyed. Nodes made before the budget is
+  /// attached are charged when it is, without a check: attaching after a
+  /// build installs already-accepted state that the budget must count but
+  /// may not refuse.
   /// @{
-  void attachBudget(MemoryBudget *B) { Budget = B; }
+  void attachBudget(MemoryBudget *B);
   MemoryBudget *budget() const { return Budget; }
 
   /// True when an attached budget is exhausted. Parsers poll this at each

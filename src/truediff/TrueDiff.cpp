@@ -16,32 +16,38 @@ using namespace truediff;
 // Step 2: find reuse candidates
 //===----------------------------------------------------------------------===//
 
-void TrueDiff::assignShares(Tree *This, Tree *That) {
-  Registry.assignShare(This);
-  Registry.assignShare(That);
-  if (This->share() == That->share()) {
-    // this and that are structurally equivalent: preemptively assign the
-    // pair and stop recursing; the whole subtree is reused in place.
-    This->assignTree(That);
-    return;
-  }
-  assignSharesRec(This, That);
-}
-
-void TrueDiff::assignSharesRec(Tree *This, Tree *That) {
-  if (This->tag() == That->tag()) {
-    // Same constructor: this may be reusable in place, and we recurse
+void TrueDiff::assignShares(Tree *Source, Tree *Target) {
+  // Pre-order over the simultaneous traversal, kids left to right, with
+  // an explicit stack: the visit order (and so the order shares and
+  // available trees are registered in) is the recursive definition's,
+  // and no tree height can exhaust the thread's stack.
+  std::vector<std::pair<Tree *, Tree *>> Stack{{Source, Target}};
+  while (!Stack.empty()) {
+    auto [This, That] = Stack.back();
+    Stack.pop_back();
+    Registry.assignShare(This);
+    Registry.assignShare(That);
+    if (This->share() == That->share()) {
+      // this and that are structurally equivalent: preemptively assign
+      // the pair and stop descending; the whole subtree is reused in
+      // place.
+      This->assignTree(That);
+      continue;
+    }
+    if (This->tag() != That->tag()) {
+      // Different constructors: every source subtree becomes available
+      // for moves; every target subtree receives its share for Step 3.
+      This->foreachTree(
+          [this](Tree *T) { Registry.assignShareAndRegisterTree(T); });
+      That->foreachSubtree([this](Tree *T) { Registry.assignShare(T); });
+      continue;
+    }
+    // Same constructor: this may be reusable in place, and we descend
     // simultaneously into the kids.
     This->share()->registerAvailableTree(This);
-    for (size_t I = 0, E = This->arity(); I != E; ++I)
-      assignShares(This->kid(I), That->kid(I));
-    return;
+    for (size_t I = This->arity(); I != 0; --I)
+      Stack.emplace_back(This->kid(I - 1), That->kid(I - 1));
   }
-  // Different constructors: every source subtree becomes available for
-  // moves; every target subtree receives its share for Step 3.
-  This->foreachTree(
-      [this](Tree *T) { Registry.assignShareAndRegisterTree(T); });
-  That->foreachSubtree([this](Tree *T) { Registry.assignShare(T); });
 }
 
 //===----------------------------------------------------------------------===//
@@ -206,105 +212,173 @@ std::vector<LitRef> TrueDiff::litRefs(TagId Tag,
   return Refs;
 }
 
+// Every Step-4 traversal keeps its nesting in an explicit stack and visits
+// nodes in the order of the paper's recursive definition, so the edits
+// come out in that order and no tree height can exhaust the thread's
+// stack.
+
 Tree *TrueDiff::updateLits(Tree *This, Tree *That, EditBuffer &Edits) {
-  if (This->literalHash() != That->literalHash()) {
+  if (This->literalHash() == That->literalHash())
+    return This;
+  // Pre-order: a node's update precedes its kids'.
+  detail::TraversalStack<std::pair<Tree *, Tree *>> Stack;
+  Stack.push({This, That});
+  while (!Stack.empty()) {
+    auto [S, T] = Stack.pop();
+    if (S->literalHash() == T->literalHash())
+      continue;
     // Literals change somewhere in this subtree: the cached literal hashes
     // along the descent become stale.
-    This->markDerivedDirty();
-    if (This->lits() != That->lits()) {
-      Edits.emit(Edit::update(NodeRef{This->tag(), This->uri()},
-                              litRefs(This->tag(), This->lits()),
-                              litRefs(This->tag(), That->lits())));
-      This->setLits(That->lits());
-    }
+    S->markDerivedDirty();
+    if (S->lits() != T->lits())
+      emitUpdate(S, T, Edits);
     // Structurally equivalent trees have identical shapes; descend to fix
     // literal mismatches further down.
-    for (size_t I = 0, E = This->arity(); I != E; ++I)
-      updateLits(This->kid(I), That->kid(I), Edits);
+    for (size_t I = S->arity(); I != 0; --I)
+      Stack.push({S->kid(I - 1), T->kid(I - 1)});
   }
   return This;
 }
 
-Tree *TrueDiff::computeEditsRec(Tree *This, Tree *That, EditBuffer &Edits) {
-  if (This->tag() != That->tag())
-    return nullptr;
-  // Reuse this node in place and continue the simultaneous traversal. The
-  // node sits on a root-to-edit path (it may receive new kids or
-  // literals), so its cached derived data is invalidated.
-  This->markDerivedDirty();
-  NodeRef Parent{This->tag(), This->uri()};
-  const TagSignature &TagSig = Sig.signature(This->tag());
-  for (size_t I = 0, E = This->arity(); I != E; ++I)
-    This->setKid(I, computeEdits(This->kid(I), That->kid(I), Parent,
-                                 TagSig.Kids[I].Link, Edits));
-  if (This->lits() != That->lits()) {
-    Edits.emit(Edit::update(NodeRef{This->tag(), This->uri()},
-                            litRefs(This->tag(), This->lits()),
-                            litRefs(This->tag(), That->lits())));
-    This->setLits(That->lits());
-  }
-  return This;
+void TrueDiff::emitUpdate(Tree *This, const Tree *That, EditBuffer &Edits) {
+  Edits.emit(Edit::update(NodeRef{This->tag(), This->uri()},
+                          litRefs(This->tag(), This->lits()),
+                          litRefs(This->tag(), That->lits())));
+  This->setLits(That->lits());
 }
 
 void TrueDiff::unloadUnassigned(Tree *This, EditBuffer &Edits) {
-  if (This->assigned() != nullptr) {
+  // Pre-order: a node's unload precedes its kids'.
+  detail::TraversalStack<Tree *> Stack;
+  Stack.push(This);
+  while (!Stack.empty()) {
+    Tree *T = Stack.pop();
     // Assigned subtrees are kept: they stay unattached roots until they
     // are reattached at their new position.
-    return;
+    if (T->assigned() != nullptr)
+      continue;
+    Edits.emit(Edit::unload(NodeRef{T->tag(), T->uri()}, kidRefs(T),
+                            litRefs(T->tag(), T->lits())));
+    for (size_t I = T->arity(); I != 0; --I)
+      Stack.push(T->kid(I - 1));
   }
-  Edits.emit(Edit::unload(NodeRef{This->tag(), This->uri()}, kidRefs(This),
-                          litRefs(This->tag(), This->lits())));
-  for (size_t I = 0, E = This->arity(); I != E; ++I)
-    unloadUnassigned(This->kid(I), Edits);
 }
 
 Tree *TrueDiff::loadUnassigned(Tree *That, EditBuffer &Edits) {
-  if (That->assigned() != nullptr) {
-    // Reuse the assigned source tree, adapting its literals if it was
-    // only structurally equivalent.
-    return updateLits(That->assigned(), That, Edits);
-  }
-  const TagSignature &TagSig = Sig.signature(That->tag());
-  std::vector<Tree *> NewKids;
-  std::vector<KidRef> Refs;
-  NewKids.reserve(That->arity());
-  Refs.reserve(That->arity());
-  for (size_t I = 0, E = That->arity(); I != E; ++I) {
-    Tree *Kid = loadUnassigned(That->kid(I), Edits);
-    Refs.push_back(KidRef{TagSig.Kids[I].Link, Kid->uri()});
-    NewKids.push_back(Kid);
-  }
-  Tree *NewNode = Ctx.make(That->tag(), std::move(NewKids), That->lits());
-  // make() hashed the fresh node from its kids' cached digests; if a kid
-  // is a reused tree with pending literal updates, those inputs were
-  // stale, so the node must be rehashed with them.
-  for (size_t I = 0, E = NewNode->arity(); I != E; ++I)
-    if (NewNode->kid(I)->derivedDirty()) {
-      NewNode->markDerivedDirty();
-      break;
+  // Post-order: a node is loaded once its kids are, and finished kids wait
+  // on Loaded until their parent is built from them, as in
+  // TreeContext::deepCopy.
+  struct Frame {
+    Tree *That;
+    size_t NextKid;
+  };
+  std::vector<Frame> Stack;
+  auto Enter = [&](Tree *T) {
+    if (T->assigned() != nullptr)
+      // Reuse the assigned source tree, adapting its literals if it was
+      // only structurally equivalent.
+      Loaded.push_back(updateLits(T->assigned(), T, Edits));
+    else
+      Stack.push_back({T, 0});
+  };
+  Enter(That);
+  while (!Stack.empty()) {
+    Frame &Top = Stack.back();
+    if (Top.NextKid < Top.That->arity()) {
+      Enter(Top.That->kid(Top.NextKid++));
+      continue;
     }
-  Edits.emit(Edit::load(NodeRef{NewNode->tag(), NewNode->uri()},
-                        std::move(Refs),
-                        litRefs(That->tag(), That->lits())));
-  return NewNode;
+    const Tree *T = Top.That;
+    Stack.pop_back();
+    size_t Arity = T->arity();
+    Tree *NewNode = Ctx.make(T->tag(), Loaded.data() + Loaded.size() - Arity,
+                             Arity, T->lits());
+    Loaded.resize(Loaded.size() - Arity);
+    // make() hashed the fresh node from its kids' cached digests; if a kid
+    // is a reused tree with pending literal updates, those inputs were
+    // stale, so the node must be rehashed with them.
+    for (size_t I = 0; I != Arity; ++I)
+      if (NewNode->kid(I)->derivedDirty()) {
+        NewNode->markDerivedDirty();
+        break;
+      }
+    Edits.emit(Edit::load(NodeRef{NewNode->tag(), NewNode->uri()},
+                          kidRefs(NewNode), litRefs(T->tag(), T->lits())));
+    Loaded.push_back(NewNode);
+  }
+  Tree *Root = Loaded.back();
+  Loaded.pop_back();
+  return Root;
 }
 
-Tree *TrueDiff::computeEdits(Tree *This, Tree *That, NodeRef Parent,
-                             LinkId Link, EditBuffer &Edits) {
-  if (This->assigned() == That)
-    return updateLits(This, That, Edits);
-
-  if (This->assigned() == nullptr && That->assigned() == nullptr)
-    if (Tree *Reused = computeEditsRec(This, That, Edits))
-      return Reused;
-
-  // Replace this subtree by that subtree.
+Tree *TrueDiff::replaceTree(Tree *This, Tree *That, NodeRef Parent,
+                            LinkId Link, EditBuffer &Edits) {
   Edits.emit(Edit::detach(NodeRef{This->tag(), This->uri()}, Link, Parent));
   unloadUnassigned(This, Edits);
   Tree *NewTree = loadUnassigned(That, Edits);
   Edits.emit(
       Edit::attach(NodeRef{NewTree->tag(), NewTree->uri()}, Link, Parent));
   return NewTree;
+}
+
+Tree *TrueDiff::computeEdits(Tree *Source, Tree *Target, NodeRef Parent,
+                             LinkId Link, EditBuffer &Edits) {
+  // The simultaneous traversal. A source node reused in place gets a
+  // frame: its kids are diffed in order, each result going back into its
+  // kid slot, and then its literals are updated.
+  struct Frame {
+    Tree *This;
+    Tree *That;
+    const TagSignature *TagSig;
+    size_t NextKid;
+  };
+  std::vector<Frame> Stack;
+  Tree *Result = nullptr;
+  // Diffs This against That in slot Link of Parent. Returns the tree that
+  // now fills the slot, or nullptr after pushing This's frame.
+  auto Enter = [&](Tree *This, Tree *That, NodeRef Parent,
+                   LinkId Link) -> Tree * {
+    if (This->assigned() == That)
+      return updateLits(This, That, Edits);
+    if (This->assigned() == nullptr && That->assigned() == nullptr &&
+        This->tag() == That->tag()) {
+      // Reuse this node in place and continue the simultaneous traversal.
+      // The node sits on a root-to-edit path (it may receive new kids or
+      // literals), so its cached derived data is invalidated.
+      This->markDerivedDirty();
+      Stack.push_back({This, That, &Sig.signature(This->tag()), 0});
+      return nullptr;
+    }
+    return replaceTree(This, That, Parent, Link, Edits);
+  };
+  auto Fill = [&](Tree *Done) {
+    if (Stack.empty())
+      Result = Done;
+    else
+      Stack.back().This->setKid(Stack.back().NextKid - 1, Done);
+  };
+
+  if (Tree *Done = Enter(Source, Target, Parent, Link))
+    Fill(Done);
+  while (!Stack.empty()) {
+    Frame &Top = Stack.back();
+    if (Top.NextKid < Top.This->arity()) {
+      size_t I = Top.NextKid++;
+      Tree *This = Top.This;
+      Tree *That = Top.That;
+      LinkId KidLink = Top.TagSig->Kids[I].Link;
+      if (Tree *Done = Enter(This->kid(I), That->kid(I),
+                             NodeRef{This->tag(), This->uri()}, KidLink))
+        Fill(Done);
+      continue;
+    }
+    Frame F = Top;
+    Stack.pop_back();
+    if (F.This->lits() != F.That->lits())
+      emitUpdate(F.This, F.That, Edits);
+    Fill(F.This);
+  }
+  return Result;
 }
 
 //===----------------------------------------------------------------------===//

@@ -104,9 +104,9 @@ public:
 
 private:
   /// \name Step 2
+  /// Iterative, in the order of the paper's recursive definition.
   /// @{
-  void assignShares(Tree *This, Tree *That);
-  void assignSharesRec(Tree *This, Tree *That);
+  void assignShares(Tree *Source, Tree *Target);
   /// @}
 
   /// \name Step 3
@@ -124,13 +124,19 @@ private:
   /// @}
 
   /// \name Step 4
+  /// Iterative, in the order of the paper's recursive definition.
   /// @{
-  Tree *computeEdits(Tree *This, Tree *That, NodeRef Parent, LinkId Link,
+  Tree *computeEdits(Tree *Source, Tree *Target, NodeRef Parent, LinkId Link,
                      EditBuffer &Edits);
-  Tree *computeEditsRec(Tree *This, Tree *That, EditBuffer &Edits);
   Tree *updateLits(Tree *This, Tree *That, EditBuffer &Edits);
   Tree *loadUnassigned(Tree *That, EditBuffer &Edits);
   void unloadUnassigned(Tree *This, EditBuffer &Edits);
+  /// Replaces \p This by \p That below \p Parent: detach, unload, load,
+  /// attach.
+  Tree *replaceTree(Tree *This, Tree *That, NodeRef Parent, LinkId Link,
+                    EditBuffer &Edits);
+  /// Emits the update of \p This's literals to \p That's and applies it.
+  void emitUpdate(Tree *This, const Tree *That, EditBuffer &Edits);
   /// @}
 
   std::vector<KidRef> kidRefs(const Tree *T) const;
@@ -155,6 +161,9 @@ private:
 
   /// Session-unique stamp source for takeTree's containment marks.
   uint32_t MarkCounter = 0;
+
+  /// Step 4: loaded (or reused) trees whose parent is not built yet.
+  std::vector<Tree *> Loaded;
 };
 
 } // namespace truediff

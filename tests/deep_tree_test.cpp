@@ -12,11 +12,11 @@
 /// digest check) -- and MTree's fromTree/render/isClosedWellFormed/
 /// toTree/equalsTree/toString -- once it exceeded the thread stack, and so
 /// did the s-expression reader and printers and the binary tree codec
-/// that carries snapshots. The in-place applier is driven over the same
-/// depth. All of these are now iterative with explicit
-/// work stacks; this test drives each of them over a ~300k-deep chain and
-/// is meant to run under ASan, whose instrumented frames blow the stack
-/// far earlier than production builds would.
+/// that carries snapshots. The in-place applier and truediff's Steps 2
+/// and 4 are driven over the same depth. All of these are now iterative
+/// with explicit work stacks; this test drives each of them over a
+/// ~300k-deep chain and is meant to run under ASan, whose instrumented
+/// frames blow the stack far earlier than production builds would.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,6 +26,7 @@
 #include "truechange/Apply.h"
 #include "truechange/Inverse.h"
 #include "truechange/MTree.h"
+#include "truediff/TrueDiff.h"
 
 #include "TestLang.h"
 
@@ -195,6 +196,53 @@ TEST(DeepTreeTest, InPlaceApplySurvivesDeepChains) {
 
   ASSERT_TRUE(applyChecked(Ctx, Root, invertScript(Bump)).Ok);
   EXPECT_EQ(Leaf->lit(0), Literal(int64_t(0)));
+}
+
+TEST(DeepTreeTest, DiffSurvivesDeepChains) {
+  // truediff's Steps 2 and 4 walk the source and target simultaneously;
+  // each case drives one of their traversals down the whole chain.
+  SignatureTable Sig = makeExpSignature();
+  auto Check = [&](const char *What, auto MakeSource, auto MakeTarget) {
+    SCOPED_TRACE(What);
+    TreeContext Ctx(Sig);
+    Tree *Source = MakeSource(Ctx);
+    Tree *Target = MakeTarget(Ctx);
+    TrueDiffOptions Opts;
+    Opts.IncrementalRehash = true;
+    TrueDiff Differ(Ctx, Opts);
+    DiffResult R = Differ.compareTo(Source, Target);
+    EXPECT_TRUE(treeEqualsModuloUris(R.Patched, Target));
+    TreeContext Scratch(Sig);
+    EXPECT_FALSE(compareDerived(R.Patched, Scratch.deepCopy(R.Patched)));
+    return R.Script.size();
+  };
+  auto Chain = [](Tree *Leaf) {
+    return [Leaf](TreeContext &Ctx) {
+      Tree *T = Leaf == nullptr ? num(Ctx, 0) : Leaf;
+      for (uint64_t I = 0; I != ChainDepth; ++I)
+        T = call(Ctx, "f", T);
+      return T;
+    };
+  };
+  auto Small = [](TreeContext &Ctx) { return num(Ctx, 5); };
+
+  // Same constructors all the way down, different leaves: the in-place
+  // traversal reaches the bottom (detach, unload, three loads, attach).
+  EXPECT_EQ(Check("in place", Chain(nullptr),
+                  [&](TreeContext &Ctx) {
+                    return Chain(add(Ctx, leaf(Ctx, "a"), leaf(Ctx, "b")))(
+                        Ctx);
+                  }),
+            6u);
+  // Different roots: the whole target chain is loaded around the reused
+  // Num (detach, loads, an update of its literal, attach), or the whole
+  // source chain unloaded.
+  EXPECT_EQ(Check("load", Small, Chain(nullptr)), ChainDepth + 3);
+  EXPECT_EQ(Check("unload", Chain(nullptr), Small), ChainDepth + 3);
+  // Same shape, one literal changed at the bottom: the update walk.
+  EXPECT_EQ(Check("update", Chain(nullptr),
+                  [&](TreeContext &Ctx) { return Chain(num(Ctx, 1))(Ctx); }),
+            1u);
 }
 
 TEST(DeepTreeTest, MTreeSurvivesDeepChains) {

@@ -466,6 +466,63 @@ TEST(Failover, PromotedFollowerMatchesCommittedPrefixAndServesWrites) {
   EXPECT_TRUE(convergedWith(*B.Store, *P.F, 3));
 }
 
+TEST(Failover, PromotionInstallsEveryDocumentWhenTheBudgetIsExhausted) {
+  // Promotion installs state the old leader already accepted. The memory
+  // budget counts it but may not refuse it: a promotion that stopped at
+  // its first refused document would leave a fenced node that is neither
+  // follower nor leader.
+  uint64_t Seed = tests::testSeed(0x5eedf003);
+  SEED_TRACE(Seed);
+  SignatureTable Sig = json::makeJsonSignature();
+
+  Node A(Sig);
+  ASSERT_TRUE(A.Started);
+  ASSERT_TRUE(A.promote(1).Ok);
+  Node B(Sig);
+  ASSERT_TRUE(B.Started);
+  StoreDriver D(Sig, *A.Store, Seed, 3);
+  for (int I = 0; I != 12; ++I) {
+    D.step();
+    if (::testing::Test::HasFatalFailure())
+      return;
+  }
+  ASSERT_TRUE(B.F->connectTo("127.0.0.1", A.Lead->port()));
+  ASSERT_TRUE(ensureCaughtUp(A, B));
+  B.F->disconnect();
+  ASSERT_TRUE(waitUntil([&] { return !B.F->connected(); }));
+
+  MemoryBudget Budget(1);
+  Budget.charge(1);
+  ASSERT_TRUE(Budget.over());
+  service::DocumentStore::Config SC;
+  SC.MemBudget = &Budget;
+  service::DocumentStore Store(Sig, SC);
+  replica::ReplicationLog Log(Store, replica::ReplicationLog::Config{1024});
+  replica::PromotionResult PR =
+      replica::promoteFollower(*B.F, Store, nullptr, Log, 2);
+  ASSERT_TRUE(PR.Ok) << PR.Error;
+  uint64_t Opened = 0;
+  for (uint64_t Doc = 1; Doc <= D.numDocs(); ++Doc) {
+    service::DocumentSnapshot L = A.Store->snapshot(Doc);
+    if (!L.Ok)
+      continue;
+    ++Opened;
+    service::DocumentSnapshot P = Store.snapshot(Doc);
+    ASSERT_TRUE(P.Ok) << "doc " << Doc << " lost in promotion";
+    EXPECT_EQ(P.Version, L.Version) << "doc " << Doc;
+    EXPECT_EQ(P.UriText, L.UriText) << "doc " << Doc;
+  }
+  EXPECT_GT(Opened, 0u);
+  EXPECT_EQ(PR.Docs, Opened);
+  // The installed documents are charged, and new client trees are still
+  // refused while the budget stays exhausted.
+  EXPECT_GT(Budget.used(), 1u);
+  service::StoreResult R =
+      Store.open(D.numDocs() + 1, service::makeSExprBuilder("(JNull)"));
+  EXPECT_FALSE(R.Ok);
+  EXPECT_EQ(R.Code, service::ErrCode::MemoryBudget) << R.Error;
+}
+
 //===----------------------------------------------------------------------===//
 // The admin verbs over the wire, and not_leader redirect hints
 //===----------------------------------------------------------------------===//

@@ -366,6 +366,56 @@ TEST(ScrubberTest, MemoryCorruptionDetectedQuarantinedAndRepairedInOneCycle) {
   EXPECT_EQ(Again.NewlyQuarantined, 0u);
 }
 
+TEST(ScrubberTest, RepairInstallsDurableStateWhenTheBudgetIsExhausted) {
+  // Repair installs state that was accepted once. The memory budget
+  // counts it but may not refuse it, or the document would stay
+  // quarantined for as long as the process is short of memory.
+  uint64_t Seed = tests::testSeed(0x1a7e6005);
+  SEED_TRACE(Seed);
+  Rng R(Seed);
+
+  SignatureTable Sig = makeExpSignature();
+  MemoryBudget Budget(size_t(64) << 20);
+  DocumentStore::Config SC;
+  SC.MemBudget = &Budget;
+  DocumentStore Store(Sig, SC);
+  TempDir Dir;
+  Persistence P(Sig, plainConfig(Dir.path()));
+  P.attach(Store);
+  for (DocId Doc = 1; Doc <= 2; ++Doc) {
+    ASSERT_TRUE(Store.open(Doc, makeSExprBuilder(randomExpText(R, 3))).Ok);
+    for (int I = 0; I != 4; ++I)
+      ASSERT_TRUE(Store.submit(Doc, makeSExprBuilder(randomExpText(R, 3))).Ok);
+  }
+  DocumentSnapshot Golden = Store.snapshot(2);
+  ASSERT_TRUE(Golden.Ok);
+
+  ASSERT_TRUE(Store.corruptDigestForTest(2));
+  Budget.charge(Budget.limit());
+  ASSERT_TRUE(Budget.over());
+
+  Scrubber::Config ScC;
+  Scrubber Scrub(Store, ScC, &P);
+  Scrubber::CycleReport Rep = Scrub.scrubCycle();
+  EXPECT_EQ(Rep.NewlyQuarantined, 1u);
+  EXPECT_EQ(Rep.Repaired, 1u);
+  EXPECT_FALSE(Store.quarantineInfo(2).has_value());
+  EXPECT_EQ(Store.checkDigests(2), std::nullopt);
+  DocumentSnapshot After = Store.snapshot(2);
+  ASSERT_TRUE(After.Ok);
+  EXPECT_EQ(After.Version, Golden.Version);
+  EXPECT_EQ(After.UriText, Golden.UriText);
+
+  // Client trees are still refused while the budget stays exhausted.
+  StoreResult Sub = Store.submit(1, makeSExprBuilder("(a)"));
+  EXPECT_FALSE(Sub.Ok);
+  EXPECT_EQ(Sub.Code, ErrCode::MemoryBudget) << Sub.Error;
+  // The repaired tree was charged: dropping the document releases it.
+  size_t Used = Budget.used();
+  ASSERT_TRUE(Store.erase(2));
+  EXPECT_LT(Budget.used(), Used);
+}
+
 TEST(ScrubberTest, UnrepairableCorruptionStaysQuarantinedOthersKeepServing) {
   uint64_t Seed = tests::testSeed(0x1a7e6003);
   SEED_TRACE(Seed);

@@ -63,12 +63,17 @@ struct ServerHarness {
   std::unique_ptr<net::NetServer> Srv;
   bool Started = false;
 
-  explicit ServerHarness(net::NetServer::Config C = net::NetServer::Config())
-      : Sig(makeExpSignature()), Store(Sig) {
+  /// \p HC carries the handler's admission caps; a non-null \p Budget
+  /// is attached to every document arena.
+  explicit ServerHarness(
+      net::NetServer::Config C = net::NetServer::Config(),
+      net::ServiceHandler::Config HC = net::ServiceHandler::Config(),
+      MemoryBudget *Budget = nullptr)
+      : Sig(makeExpSignature()), Store(Sig, storeConfig(Budget)) {
     service::ServiceConfig SC;
     SC.Workers = 2;
     Svc = std::make_unique<service::DiffService>(Store, SC);
-    Handler = std::make_unique<net::ServiceHandler>(*Svc);
+    Handler = std::make_unique<net::ServiceHandler>(*Svc, HC);
     Srv = std::make_unique<net::NetServer>(Loop, Sig, *Handler, C);
     std::string Err;
     Started = Srv->start(&Err);
@@ -82,6 +87,12 @@ struct ServerHarness {
   }
 
   uint16_t port() const { return Srv->port(); }
+
+  static service::DocumentStore::Config storeConfig(MemoryBudget *Budget) {
+    service::DocumentStore::Config Cfg;
+    Cfg.MemBudget = Budget;
+    return Cfg;
+  }
 };
 
 using tests::TcpClient;
@@ -508,6 +519,111 @@ TEST(NetServerBinary, MalformedPayloadKeepsConnectionAlive) {
 
   // The connection still serves real requests.
   ASSERT_TRUE(C.sendAll(binRequest(net::BinVerb::Health, {})));
+  ASSERT_TRUE(C.readBinResponse(R));
+  EXPECT_TRUE(R.Ok) << R.Error;
+}
+
+/// \p Depth nested Calls around a Num: a chain Depth + 1 nodes tall.
+std::string callChain(unsigned Depth) {
+  std::string Text;
+  for (unsigned I = 0; I != Depth; ++I)
+    Text += "(Call ";
+  Text += "(Num 0)";
+  for (unsigned I = 0; I != Depth; ++I)
+    Text += " \"f\")";
+  return Text;
+}
+
+/// A balanced Add tree over \p Leaves leaves: 2 * Leaves - 1 nodes.
+std::string balancedAdds(unsigned Leaves) {
+  if (Leaves == 1)
+    return "(a)";
+  unsigned L = Leaves / 2;
+  return "(Add " + balancedAdds(L) + " " + balancedAdds(Leaves - L) + ")";
+}
+
+/// The binary tree blob of \p Text.
+std::string treeBlob(const SignatureTable &Sig, const std::string &Text) {
+  TreeContext Ctx(Sig);
+  ParseResult P = parseSExpr(Ctx, Text);
+  EXPECT_TRUE(P.ok()) << P.Error;
+  return P.ok() ? persist::encodeTree(Sig, P.Root) : std::string();
+}
+
+TEST(NetServerBinary, TreeFramesHonourTheNodeAndDepthCaps) {
+  // The handler's caps apply to binary open and submit frames exactly as
+  // to textual ones, with the same typed errors, and a refused frame
+  // leaves the document and the connection as they were.
+  net::ServiceHandler::Config HC;
+  HC.Limits.MaxNodes = 63;
+  HC.Limits.MaxDepth = 16;
+  ServerHarness H(net::NetServer::Config(), HC);
+  ASSERT_TRUE(H.Started);
+  TcpClient C;
+  ASSERT_TRUE(C.connect(H.port()));
+  net::BinResponse R;
+
+  std::string Wide = treeBlob(H.Sig, balancedAdds(64)); // 127 nodes
+  std::string Deep = treeBlob(H.Sig, callChain(30));    // 31 levels
+  ASSERT_TRUE(C.sendAll(binRequest(net::BinVerb::Open, openPayload(1, Wide))));
+  ASSERT_TRUE(C.readBinResponse(R));
+  EXPECT_FALSE(R.Ok);
+  EXPECT_EQ(R.Code, service::ErrCode::TreeTooLarge) << R.Error;
+  EXPECT_EQ(R.Error, "input exceeds the node cap of 63 nodes");
+
+  ASSERT_TRUE(C.sendAll(binRequest(net::BinVerb::Open, openPayload(1, Deep))));
+  ASSERT_TRUE(C.readBinResponse(R));
+  EXPECT_FALSE(R.Ok);
+  EXPECT_EQ(R.Code, service::ErrCode::TreeTooDeep) << R.Error;
+  EXPECT_EQ(R.Error, "input nesting exceeds the depth cap of 16");
+  EXPECT_FALSE(H.Store.contains(1));
+
+  // Trees inside both caps pass; over-cap submits are refused the same
+  // way and leave the document at its version.
+  std::string Small = treeBlob(H.Sig, balancedAdds(32)); // 63 nodes
+  ASSERT_TRUE(C.sendAll(binRequest(net::BinVerb::Open, openPayload(1, Small))));
+  ASSERT_TRUE(C.readBinResponse(R));
+  ASSERT_TRUE(R.Ok) << R.Error;
+  std::string Before = H.Store.snapshot(1).UriText;
+  ASSERT_TRUE(
+      C.sendAll(binRequest(net::BinVerb::Submit, openPayload(1, Wide))));
+  ASSERT_TRUE(C.readBinResponse(R));
+  EXPECT_FALSE(R.Ok);
+  EXPECT_EQ(R.Code, service::ErrCode::TreeTooLarge) << R.Error;
+  ASSERT_TRUE(
+      C.sendAll(binRequest(net::BinVerb::Submit, openPayload(1, Deep))));
+  ASSERT_TRUE(C.readBinResponse(R));
+  EXPECT_FALSE(R.Ok);
+  EXPECT_EQ(R.Code, service::ErrCode::TreeTooDeep) << R.Error;
+  service::DocumentSnapshot After = H.Store.snapshot(1);
+  EXPECT_EQ(After.Version, 0u);
+  EXPECT_EQ(After.UriText, Before);
+}
+
+TEST(NetServerBinary, TreeFramesHonourTheMemoryBudget) {
+  // The decoder polls the document arena's budget before every node, so
+  // a blob that would outgrow the budget is refused mid-decode with the
+  // textual path's typed error, and its arena's charge is returned.
+  MemoryBudget Budget(16 * 1024);
+  ServerHarness H(net::NetServer::Config(), net::ServiceHandler::Config(),
+                  &Budget);
+  ASSERT_TRUE(H.Started);
+  TcpClient C;
+  ASSERT_TRUE(C.connect(H.port()));
+  net::BinResponse R;
+
+  std::string Big = treeBlob(H.Sig, balancedAdds(2048)); // 4,095 nodes
+  ASSERT_TRUE(C.sendAll(binRequest(net::BinVerb::Open, openPayload(1, Big))));
+  ASSERT_TRUE(C.readBinResponse(R));
+  EXPECT_FALSE(R.Ok);
+  EXPECT_EQ(R.Code, service::ErrCode::MemoryBudget) << R.Error;
+  EXPECT_EQ(R.Error, "memory budget exhausted while parsing input");
+  EXPECT_FALSE(H.Store.contains(1));
+  EXPECT_EQ(Budget.used(), 0u);
+
+  // A tree that fits still opens.
+  std::string Small = treeBlob(H.Sig, balancedAdds(4));
+  ASSERT_TRUE(C.sendAll(binRequest(net::BinVerb::Open, openPayload(1, Small))));
   ASSERT_TRUE(C.readBinResponse(R));
   EXPECT_TRUE(R.Ok) << R.Error;
 }

@@ -29,6 +29,7 @@
 #include "truechange/Serialize.h"
 #include "truechange/TypeChecker.h"
 
+#include "DeepModule.h"
 #include "TestLang.h"
 #include "TestSeed.h"
 
@@ -451,6 +452,36 @@ TEST(DiffServiceTest, SubmitReturnsSerializedScript) {
 
   Service.shutdown();
   EXPECT_FALSE(Service.submit(1, makeSExprBuilder("(a)")).Ok);
+}
+
+TEST(DeepDocumentTest, HundredThousandStatementSubmitDiffsOnAWorker) {
+  // Appending one statement to a 100,000-statement module once crashed a
+  // worker: truediff's Steps 2 and 4 recursed along the StmtCons spine,
+  // which the append edits from top to bottom, and overflowed the
+  // worker's default stack. Both steps are iterative now, so the submit
+  // diffs like any other and the service keeps answering.
+  constexpr int Stmts = 100000;
+  SignatureTable Sig = python::makePythonSignature();
+  DocumentStore Store(Sig);
+  ServiceConfig Cfg;
+  Cfg.Workers = 1;
+  DiffService Service(Store, Cfg);
+
+  ASSERT_TRUE(
+      Service.open(1, makeSExprBuilder(tests::deepModuleText(Stmts - 1))).Ok);
+  Response R =
+      Service.submit(1, makeSExprBuilder(tests::deepModuleText(Stmts)));
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_FALSE(R.Fallback);
+  EXPECT_EQ(R.Version, 1u);
+
+  DocumentSnapshot After = Store.snapshot(1);
+  ASSERT_TRUE(After.Ok);
+  EXPECT_EQ(After.TreeSize, 2u * Stmts + 2u);
+  EXPECT_EQ(Store.checkDigests(1), std::nullopt);
+  R = Service.getVersion(1);
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.Payload, After.Text);
 }
 
 TEST(DiffServiceTest, BackpressureRejectsWhenQueueFull) {
