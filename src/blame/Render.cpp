@@ -75,6 +75,13 @@ Response errResponse(ErrCode Code, std::string Msg) {
   return R;
 }
 
+/// One retained revision of a document's history ring.
+struct HistoryRef {
+  uint64_t Version = 0;
+  std::string_view Author;
+  const EditScript *Script = nullptr;
+};
+
 } // namespace
 
 std::string blame::renderBlameTree(const SignatureTable &Sig, const Tree *Root,
@@ -89,7 +96,12 @@ std::string blame::renderBlameTree(const SignatureTable &Sig, const Tree *Root,
   while (!Stack.empty()) {
     auto [T, Depth] = Stack.back();
     Stack.pop_back();
-    Out.append(static_cast<size_t>(Depth) * 2, ' ');
+    Out.append(static_cast<size_t>(std::min(Depth, MaxIndentDepth)) * 2, ' ');
+    if (Depth > MaxIndentDepth) {
+      Out += '@';
+      Out += std::to_string(Depth);
+      Out += ' ';
+    }
     Out += Sig.name(T->tag());
     Out += '#';
     Out += std::to_string(T->uri());
@@ -105,9 +117,13 @@ std::string blame::renderBlameTree(const SignatureTable &Sig, const Tree *Root,
   return Out;
 }
 
-Response blame::blameTreeResponse(const SignatureTable &Sig, const Tree *Root,
-                                  const ProvenanceIndex &Idx, DocId Doc,
-                                  bool HasUri, URI Uri) {
+namespace {
+
+/// Serves `blame <doc> [uri]` against a live tree. \p Root may be null
+/// only when \p HasUri (single-node blame needs no tree).
+Response blameTreeResponse(const SignatureTable &Sig, const Tree *Root,
+                           const ProvenanceIndex &Idx, DocId Doc, bool HasUri,
+                           URI Uri) {
   Response R;
   bool Known = Idx.withDocIndex(Doc, [&](const ProvenanceIndex::DocView &V) {
     R.Version = V.version();
@@ -133,8 +149,10 @@ Response blame::blameTreeResponse(const SignatureTable &Sig, const Tree *Root,
   return R;
 }
 
-Response blame::historyResponse(const ProvenanceIndex &Idx, DocId Doc, URI Uri,
-                                const std::vector<HistoryRef> &Ring) {
+/// Serves `history <doc> <uri>` from the index plus the retained ring
+/// (\p Ring oldest first).
+Response historyFromRing(const ProvenanceIndex &Idx, DocId Doc, URI Uri,
+                         const std::vector<HistoryRef> &Ring) {
   Response R;
   bool Known = Idx.withDocIndex(Doc, [&](const ProvenanceIndex::DocView &V) {
     R.Version = V.version();
@@ -214,6 +232,8 @@ Response blame::historyResponse(const ProvenanceIndex &Idx, DocId Doc, URI Uri,
   return R;
 }
 
+} // namespace
+
 Response blame::blameResponse(const DocumentStore &Store,
                               const ProvenanceIndex &Idx, DocId Doc,
                               bool HasUri, URI Uri) {
@@ -252,7 +272,7 @@ Response blame::historyResponse(const DocumentStore &Store,
           Ref.Script = H.Script;
           Ring.push_back(Ref);
         }
-        R = historyResponse(Idx, Doc, Uri, Ring);
+        R = historyFromRing(Idx, Doc, Uri, Ring);
       });
   if (!Found)
     return errResponse(ErrCode::NoSuchDocument,

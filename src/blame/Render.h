@@ -6,15 +6,19 @@
 ///
 /// \file
 /// Renders blame and history answers from the ProvenanceIndex into wire
-/// responses, shared by the leader (serving from the DocumentStore) and
-/// follower replicas (serving from their materialized trees and bounded
-/// record rings). The text is deterministic: a leader and a caught-up
-/// follower render byte-identical blame output for the same document,
-/// which the replication smoke test asserts.
+/// responses, shared by the leader and follower replicas: both serve
+/// from a DocumentStore and a provenance index listening to it. The text
+/// is deterministic: a leader and a caught-up follower render
+/// byte-identical blame output for the same document, which the
+/// replication smoke test asserts.
 ///
 /// `blame <doc>` renders the live tree pre-order, one line per node:
 ///
-///   <indent><tag>#<uri> intro=v<V>:<author|-> last=v<V>:<author|-> <op>
+///   <indent>[@<depth> ]<tag>#<uri> intro=v<V>:<author|-> last=v<V>:<author|-> <op>
+///
+/// The indent is two spaces per level, capped at MaxIndentDepth levels;
+/// a deeper line is indented as that level and names its depth, so the
+/// answer grows linearly with the tree, whatever its height.
 ///
 /// `blame <doc> <uri>` is the single-node line, served from the index
 /// alone -- one hash probe, no tree walk, no history replay.
@@ -37,41 +41,22 @@
 namespace truediff {
 namespace blame {
 
-/// One retained revision of a document's history ring, for history
-/// rendering. Leaders build these from DocumentStore::HistoryEntry,
-/// followers from their replicated record rings.
-struct HistoryRef {
-  uint64_t Version = 0;
-  std::string_view Author;
-  const EditScript *Script = nullptr;
-};
+/// Levels of indentation a blame tree line gets at most.
+inline constexpr unsigned MaxIndentDepth = 32;
 
 /// Renders the annotated pre-order tree for `blame <doc>` (the DocView
 /// must belong to \p Doc's index and the tree to the same version).
 std::string renderBlameTree(const SignatureTable &Sig, const Tree *Root,
                             const ProvenanceIndex::DocView &View);
 
-/// Serves `blame <doc> [uri]` against a live tree. \p Root may be null
-/// only when \p HasUri (single-node blame needs no tree).
-service::Response blameTreeResponse(const SignatureTable &Sig,
-                                    const Tree *Root,
-                                    const ProvenanceIndex &Idx,
-                                    service::DocId Doc, bool HasUri, URI Uri);
-
-/// Serves `history <doc> <uri>` from the index plus the retained ring
-/// (\p Ring oldest first).
-service::Response historyResponse(const ProvenanceIndex &Idx,
-                                  service::DocId Doc, URI Uri,
-                                  const std::vector<HistoryRef> &Ring);
-
-/// Leader-side `blame <doc> [uri]`: walks the store's live tree under
-/// the document lock.
+/// `blame <doc> [uri]`: walks the store's live tree under the document
+/// lock (single-node blame reads the index alone).
 service::Response blameResponse(const service::DocumentStore &Store,
                                 const ProvenanceIndex &Idx,
                                 service::DocId Doc, bool HasUri, URI Uri);
 
-/// Leader-side `history <doc> <uri>`: reads the store's history ring
-/// under the document lock.
+/// `history <doc> <uri>`: lists the store's retained revisions that
+/// touched the node, read under the document lock.
 service::Response historyResponse(const service::DocumentStore &Store,
                                   const ProvenanceIndex &Idx,
                                   service::DocId Doc, URI Uri);

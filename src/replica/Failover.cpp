@@ -7,34 +7,10 @@
 #include "replica/Failover.h"
 
 #include "blame/Provenance.h"
-#include "persist/BinaryCodec.h"
 
 using namespace truediff;
 using namespace truediff::replica;
 using service::DocumentStore;
-
-namespace {
-
-/// Restores an exported tree blob with its URIs intact -- the promoted
-/// store must be byte-identical (URI-level) to the follower's applied
-/// state, or the convergence digests would diverge on re-replication.
-service::TreeBuilder
-makeRestoreBuilder(const std::string &Blob,
-                   const SignatureTable &Sig) {
-  return [&Blob, &Sig](TreeContext &Ctx) -> service::BuildResult {
-    service::BuildResult Out;
-    persist::DecodeTreeResult R =
-        persist::decodeTree(Sig, Ctx, Blob, /*PreserveUris=*/true);
-    if (!R.ok()) {
-      Out.Error = R.Error.empty() ? "malformed exported tree" : R.Error;
-      return Out;
-    }
-    Out.Root = R.Root;
-    return Out;
-  };
-}
-
-} // namespace
 
 PromotionResult replica::promoteFollower(Follower &F, DocumentStore &Store,
                                          blame::ProvenanceIndex *Prov,
@@ -52,9 +28,11 @@ PromotionResult replica::promoteFollower(Follower &F, DocumentStore &Store,
   std::vector<ReplicationLog::SeedDoc> Seeds;
   Seeds.reserve(E.Docs.size());
   for (Follower::ExportedDoc &D : E.Docs) {
+    // URIs preserved: the promoted store must be byte-identical (URI
+    // level) to the follower's applied state, or the convergence digests
+    // would diverge on re-replication.
     service::StoreResult R =
-        Store.restore(D.Doc, D.Version,
-                      makeRestoreBuilder(D.TreeBlob, Store.signatures()),
+        Store.restore(D.Doc, D.Version, restoreBuilder(D.TreeBlob),
                       std::move(D.History), std::move(D.OpenAuthor));
     if (!R.Ok) {
       Out.Error = "restore of document " + std::to_string(D.Doc) +

@@ -9,7 +9,6 @@
 #include "blame/Render.h"
 #include "persist/BinaryCodec.h"
 #include "support/Sha256.h"
-#include "truechange/TypeChecker.h"
 
 #include <cstdio>
 #include <cstring>
@@ -20,9 +19,41 @@
 using namespace truediff;
 using namespace truediff::net;
 using namespace truediff::replica;
+using service::DocumentStore;
+
+service::TreeBuilder replica::restoreBuilder(const std::string &Blob) {
+  return [&Blob](TreeContext &Ctx) -> service::BuildResult {
+    service::BuildResult Out;
+    persist::DecodeTreeResult R =
+        persist::decodeTree(Ctx.signatures(), Ctx, Blob);
+    if (!R.ok()) {
+      Out.Error = R.Error.empty() ? "malformed tree blob" : R.Error;
+      return Out;
+    }
+    Out.Root = R.Root;
+    return Out;
+  };
+}
+
+namespace {
+
+/// The follower's node digests never leave this process: convergence is
+/// checked on the SHA-256 of the URI rendering, snapshots and promotion
+/// carry structure, and every consumer rehashes. So they use the cheap
+/// seeded policy: all they cost is their upkeep on every record.
+service::DocumentStore::Config followerStoreConfig() {
+  service::DocumentStore::Config C;
+  C.Digest = DigestPolicy::Fast128;
+  return C;
+}
+
+} // namespace
 
 Follower::Follower(EventLoop &Loop, const SignatureTable &Sig, Config C)
-    : Loop(Loop), Sig(Sig), Cfg(C), MaxEpochSeen(C.MaxEpochSeen) {}
+    : Loop(Loop), Sig(Sig), Cfg(C), MaxEpochSeen(C.MaxEpochSeen),
+      Store(Sig, followerStoreConfig()) {
+  Prov.attach(Store);
+}
 
 Follower::Follower(EventLoop &Loop, const SignatureTable &Sig)
     : Follower(Loop, Sig, Config()) {}
@@ -274,8 +305,7 @@ void Follower::applyDocRecord(Conn &C, const RecordMsg &R) {
       ++Counters.OrphanRecords;
       return;
     }
-    Docs.erase(It);
-    Prov.eraseDoc(R.Doc);
+    dropDoc(R.Doc);
     ++Counters.RecordsApplied;
     return;
   }
@@ -285,92 +315,56 @@ void Follower::applyDocRecord(Conn &C, const RecordMsg &R) {
       ++Counters.DupRecords; // a newer snapshot already covers this life
       return;
     }
-    persist::DecodeScriptResult D = persist::decodeEditScript(Sig, R.Blob);
-    LinearTypeChecker TC(Sig);
-    if (!D.Ok || !TC.checkInitializing(D.Script).Ok) {
+  } else {
+    if (It == Docs.end()) {
+      // Erase notifications can overtake in-flight script notifications
+      // on the leader; a record for a document we no longer hold is
+      // expected noise, not an error.
+      ++Counters.OrphanRecords;
+      return;
+    }
+    if (It->second.Resyncing)
+      return; // the pending snapshot supersedes everything before it
+    if (R.Seq <= It->second.DocSeq) {
+      ++Counters.DupRecords;
+      return;
+    }
+    if (R.Incarnation != It->second.Incarnation) {
       requestResync(C, R.Doc);
       return;
     }
-    MTree M(Sig);
-    if (!M.patchChecked(D.Script).Ok) {
-      requestResync(C, R.Doc);
-      return;
-    }
-    ReplicaDoc &RD = Docs[R.Doc];
-    RD.T = std::make_unique<MTree>(std::move(M));
-    RD.Version = R.Version;
-    RD.Incarnation = R.Incarnation;
-    RD.DocSeq = R.Seq;
-    RD.Resyncing = false;
-    RD.RefreshGen = HelloGen;
-    RD.Ring.clear();
-    RD.OpenAuthor = R.Author;
-    Prov.apply(R.Doc, R.Version, service::DocumentStore::StoreOp::Open,
-               R.Author, D.Script);
-    ++Counters.RecordsApplied;
-    return;
   }
 
-  // Submit / Rollback.
-  if (It == Docs.end()) {
-    // Erase notifications can overtake in-flight script notifications on
-    // the leader; a record for a document we no longer hold is expected
-    // noise, not an error.
-    ++Counters.OrphanRecords;
-    return;
-  }
-  ReplicaDoc &D = It->second;
-  if (D.Resyncing)
-    return; // the pending snapshot supersedes everything before it
-  if (R.Seq <= D.DocSeq) {
-    ++Counters.DupRecords;
-    return;
-  }
-  uint64_t Expect =
-      R.Op == ReplOp::Submit ? D.Version + 1
-                             : (D.Version == 0 ? uint64_t(0) : D.Version - 1);
-  if (R.Incarnation != D.Incarnation || R.Version != Expect ||
-      (R.Op == ReplOp::Rollback && D.Version == 0)) {
-    requestResync(C, R.Doc);
-    return;
-  }
+  // The store checks that the version follows, type-checks the script
+  // and applies it in place; a rejected record leaves the document as it
+  // was, and the snapshot we request replaces it. The provenance index
+  // folds the script from the store's listener, so attribution never
+  // gets ahead of the tree.
   persist::DecodeScriptResult Dec = persist::decodeEditScript(Sig, R.Blob);
-  LinearTypeChecker TC(Sig);
-  if (!Dec.Ok || !TC.checkWellTyped(Dec.Script).Ok ||
-      !D.T->patchChecked(Dec.Script).Ok) {
-    // patchChecked may have applied a prefix before failing; the
-    // snapshot we request replaces the whole document, so a torn state
-    // is never served (Resyncing gates reads' records until then).
+  DocumentStore::StoreOp Op = R.Op == ReplOp::Open
+                                  ? DocumentStore::StoreOp::Open
+                              : R.Op == ReplOp::Submit
+                                  ? DocumentStore::StoreOp::Submit
+                                  : DocumentStore::StoreOp::Rollback;
+  if (!Dec.Ok ||
+      !Store.applyRecord(R.Doc, Op, R.Version, std::move(Dec.Script), R.Author)
+           .Ok) {
     requestResync(C, R.Doc);
     return;
   }
-  D.Version = R.Version;
+  ReplicaDoc &D = Docs[R.Doc];
+  if (R.Op == ReplOp::Open) {
+    D.Incarnation = R.Incarnation;
+    D.Resyncing = false;
+  }
   D.DocSeq = R.Seq;
   D.RefreshGen = HelloGen;
-  // Fold the applied record into the provenance index and the retained
-  // ring -- only after the patch succeeded, so attribution never gets
-  // ahead of the tree.
-  if (R.Op == ReplOp::Submit) {
-    Prov.apply(R.Doc, R.Version, service::DocumentStore::StoreOp::Submit,
-               R.Author, Dec.Script);
-    HistoryRec H;
-    H.Version = R.Version;
-    H.Author = R.Author;
-    H.Script = std::move(Dec.Script);
-    D.Ring.push_back(std::move(H));
-    if (D.Ring.size() > HistoryCap)
-      D.Ring.pop_front();
-  } else {
-    Prov.apply(R.Doc, R.Version, service::DocumentStore::StoreOp::Rollback,
-               R.Author, Dec.Script);
-    // Rollback undoes the newest retained submit, exactly as the
-    // leader's store pops its ring.
-    if (!D.Ring.empty() && D.Ring.back().Version == R.Version + 1)
-      D.Ring.pop_back();
-    else
-      D.Ring.clear();
-  }
   ++Counters.RecordsApplied;
+}
+
+void Follower::dropDoc(uint64_t Doc) {
+  Docs.erase(Doc);
+  Store.erase(Doc);
 }
 
 void Follower::onSnapshot(const DocSnapshotMsg &S) {
@@ -378,10 +372,8 @@ void Follower::onSnapshot(const DocSnapshotMsg &S) {
   auto It = Docs.find(S.Doc);
 
   if (S.Tombstone) {
-    if (It != Docs.end() && S.Seq >= It->second.DocSeq) {
-      Docs.erase(It);
-      Prov.eraseDoc(S.Doc);
-    }
+    if (It != Docs.end() && S.Seq >= It->second.DocSeq)
+      dropDoc(S.Doc);
     ++Counters.SnapshotsInstalled;
     return;
   }
@@ -393,23 +385,22 @@ void Follower::onSnapshot(const DocSnapshotMsg &S) {
     return;
   }
 
-  TreeContext Tmp(Sig);
-  persist::DecodeTreeResult D = persist::decodeTree(Sig, Tmp, S.Blob);
-  if (!D.ok())
-    return; // corrupt snapshot: keep the old state; a gap will re-sync
-  MTree M = MTree::fromTree(Sig, D.Root);
+  // State transfer replaces the record chain: the tree decodes straight
+  // into the store (replacing the document in place if it exists), the
+  // history before it is gone (and degrades explicitly on queries), and
+  // the provenance index comes from the snapshot's canonical blob. A
+  // corrupt snapshot keeps the old state; a gap will re-sync.
+  service::TreeBuilder Build = restoreBuilder(S.Blob);
+  service::StoreResult Installed =
+      It != Docs.end() ? Store.repair(S.Doc, S.Version, Build, {})
+                       : Store.restore(S.Doc, S.Version, Build, {});
+  if (!Installed.Ok)
+    return;
   ReplicaDoc &RD = Docs[S.Doc];
-  RD.T = std::make_unique<MTree>(std::move(M));
-  RD.Version = S.Version;
   RD.Incarnation = S.Incarnation;
   RD.DocSeq = S.Seq;
   RD.Resyncing = false;
   RD.RefreshGen = HelloGen;
-  // State transfer replaces the record chain: history before it is gone
-  // (and degrades explicitly on queries), the provenance index comes
-  // from the snapshot's canonical blob.
-  RD.Ring.clear();
-  RD.OpenAuthor.clear();
   if (S.ProvBlob.empty() || !Prov.installSnapshot(S.Doc, S.ProvBlob))
     Prov.eraseDoc(S.Doc);
   ++Counters.SnapshotsInstalled;
@@ -422,14 +413,12 @@ void Follower::onCatchupDone(const CatchupDoneMsg &D) {
   if (D.SnapshotMode) {
     // Full state transfer: anything the dump did not refresh was erased
     // while we were away (its erase record may be long evicted).
-    for (auto It = Docs.begin(); It != Docs.end();) {
-      if (It->second.RefreshGen == HelloGen) {
-        ++It;
-      } else {
-        Prov.eraseDoc(It->first);
-        It = Docs.erase(It);
-      }
-    }
+    std::vector<uint64_t> Stale;
+    for (const auto &[Doc, RD] : Docs)
+      if (RD.RefreshGen != HelloGen)
+        Stale.push_back(Doc);
+    for (uint64_t Doc : Stale)
+      dropDoc(Doc);
   }
   CatchupSeen = true;
 }
@@ -451,18 +440,14 @@ void Follower::onShardSummary(Conn &C, const ShardSummaryMsg &M) {
       requestResync(C, E.Doc);
       continue;
     }
-    ReplicaDoc &D = It->second;
     // A doc that advanced past the summary's cut (or is mid-resync) is
     // being compared against stale information; skip, the next summary
     // covers it.
-    if (D.Resyncing || D.DocSeq > M.AsOfSeq)
+    if (It->second.Resyncing || It->second.DocSeq > M.AsOfSeq)
       continue;
-    bool Mismatch = D.Version != E.Version;
-    if (!Mismatch) {
-      MTree::Rendering R = D.T->render(MTree::Forms::WithUris);
-      Mismatch = !R.Ok || Sha256::hash(R.UriText).toHex() != E.DigestHex;
-    }
-    if (Mismatch) {
+    service::DocumentSnapshot Snap = Store.snapshot(E.Doc);
+    if (!Snap.Ok || Snap.Version != E.Version ||
+        Sha256::hash(Snap.UriText).toHex() != E.DigestHex) {
       ++Counters.SummaryMismatches;
       requestResync(C, E.Doc);
     }
@@ -482,30 +467,24 @@ void Follower::requestResync(Conn &C, uint64_t Doc) {
   C.send(encodeResyncReq(R));
 }
 
-Follower::ReadResult Follower::render(uint64_t Doc, MTree::Forms F) const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  ReadResult Out;
-  auto It = Docs.find(Doc);
-  if (It == Docs.end()) {
-    Out.Error = "no such document";
-    return Out;
-  }
-  MTree::Rendering R = It->second.T->render(F);
-  if (!R.Ok) {
-    Out.Error = "document is not well-formed";
-    return Out;
-  }
-  Out.Ok = true;
-  Out.Version = It->second.Version;
-  Out.TreeSize = R.Size;
-  Out.Text = std::move(R.Text);
-  Out.UriText = std::move(R.UriText);
+namespace {
+
+Follower::ReadResult readResult(service::DocumentSnapshot S) {
+  Follower::ReadResult Out;
+  Out.Ok = S.Ok;
+  Out.Error = std::move(S.Error);
+  Out.Version = S.Version;
+  Out.TreeSize = S.TreeSize;
+  Out.Text = std::move(S.Text);
+  Out.UriText = std::move(S.UriText);
   return Out;
 }
 
+} // namespace
+
 Follower::ReadResult Follower::read(uint64_t Doc) const {
-  ReadResult Out = render(Doc, MTree::Forms::Both);
-  // Hashed after the state mutex is released: record application need
+  ReadResult Out = readResult(Store.snapshot(Doc));
+  // Hashed after the document lock is released: record application need
   // not wait for the digest.
   if (Out.Ok)
     Out.DigestHex = Sha256::hash(Out.UriText).toHex();
@@ -513,56 +492,18 @@ Follower::ReadResult Follower::read(uint64_t Doc) const {
 }
 
 Follower::ReadResult Follower::readText(uint64_t Doc) const {
-  return render(Doc, MTree::Forms::Plain);
+  return readResult(Store.snapshotText(Doc));
 }
 
-bool Follower::contains(uint64_t Doc) const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return Docs.count(Doc) != 0;
-}
+bool Follower::contains(uint64_t Doc) const { return Store.contains(Doc); }
 
 service::Response Follower::blameRead(uint64_t Doc, bool HasUri,
                                       URI Uri) const {
-  // Single-node blame never needs the tree.
-  if (HasUri)
-    return blame::blameTreeResponse(Sig, nullptr, Prov, Doc, true, Uri);
-  std::lock_guard<std::mutex> Lock(Mu);
-  auto It = Docs.find(Doc);
-  if (It == Docs.end()) {
-    service::Response R;
-    R.Code = service::ErrCode::NoSuchDocument;
-    R.Error = "no document " + std::to_string(Doc);
-    return R;
-  }
-  TreeContext Tmp(Sig);
-  Tree *T = It->second.T->toTreePreservingUris(Tmp);
-  if (T == nullptr) {
-    service::Response R;
-    R.Error = "document is not well-formed";
-    return R;
-  }
-  return blame::blameTreeResponse(Sig, T, Prov, Doc, false, Uri);
+  return blame::blameResponse(Store, Prov, Doc, HasUri, Uri);
 }
 
 service::Response Follower::historyRead(uint64_t Doc, URI Uri) const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  auto It = Docs.find(Doc);
-  if (It == Docs.end()) {
-    service::Response R;
-    R.Code = service::ErrCode::NoSuchDocument;
-    R.Error = "no document " + std::to_string(Doc);
-    return R;
-  }
-  std::vector<blame::HistoryRef> Ring;
-  Ring.reserve(It->second.Ring.size());
-  for (const HistoryRec &H : It->second.Ring) {
-    blame::HistoryRef Ref;
-    Ref.Version = H.Version;
-    Ref.Author = H.Author;
-    Ref.Script = &H.Script;
-    Ring.push_back(Ref);
-  }
-  return blame::historyResponse(Prov, Doc, Uri, Ring);
+  return blame::historyResponse(Store, Prov, Doc, Uri);
 }
 
 Follower::Stats Follower::stats() const {
@@ -604,25 +545,27 @@ std::string Follower::statsJson() const {
 }
 
 void Follower::injectGapForTest(uint64_t Doc) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  auto It = Docs.find(Doc);
-  if (It != Docs.end())
-    It->second.Version += 1000;
+  Store.mutateForTest(Doc, [](Tree *, uint64_t &Version) { Version += 1000; });
 }
 
 bool Follower::corruptDocForTest(uint64_t Doc) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  auto It = Docs.find(Doc);
-  if (It == Docs.end() || It->second.T == nullptr)
-    return false;
-  // Kind-preserving mutation of the first literal found: the tree stays
-  // well-formed (rendering, export, and patching all keep working), only
-  // its *content* is silently wrong. Version and seq are untouched.
-  std::deque<MNode *> Work{It->second.T->root()};
-  while (!Work.empty()) {
-    MNode *N = Work.front();
-    Work.pop_front();
-    for (auto &[Link, Lit] : N->Lits) {
+  // Kind-preserving mutation of the first literal in pre-order: the tree
+  // stays well-formed (reads, export, and patching all keep working),
+  // only its *content* is silently wrong. Version, seq and the cached
+  // digests are untouched.
+  bool Mutated = false;
+  Store.mutateForTest(Doc, [&](Tree *Root, uint64_t &) {
+    std::vector<Tree *> Stack{Root};
+    while (!Stack.empty() && !Mutated) {
+      Tree *T = Stack.back();
+      Stack.pop_back();
+      if (T->lits().empty()) {
+        for (size_t I = T->arity(); I != 0; --I)
+          Stack.push_back(T->kid(I - 1));
+        continue;
+      }
+      std::vector<Literal> Lits = T->lits();
+      Literal &Lit = Lits.front();
       switch (Lit.kind()) {
       case LitKind::Int:
         Lit = Literal(Lit.asInt() + 1);
@@ -637,12 +580,11 @@ bool Follower::corruptDocForTest(uint64_t Doc) {
         Lit = Literal(Lit.asString() + "?");
         break;
       }
-      return true;
+      T->setLits(std::move(Lits));
+      Mutated = true;
     }
-    for (auto &[Link, Kid] : N->Kids)
-      Work.push_back(Kid);
-  }
-  return false;
+  });
+  return Mutated;
 }
 
 void Follower::prepareForPromotion(uint64_t NewEpoch) {
@@ -664,23 +606,23 @@ Follower::Export Follower::exportForPromotion() const {
     ExportedDoc E;
     E.Doc = Doc;
     E.Incarnation = RD.Incarnation;
-    E.Version = RD.Version;
     E.DocSeq = RD.DocSeq;
-    E.OpenAuthor = RD.OpenAuthor;
-    TreeContext Tmp(Sig);
-    Tree *T = RD.T->toTreePreservingUris(Tmp);
-    if (T == nullptr)
-      continue; // cannot happen for applied state; skip defensively
-    E.TreeBlob = persist::encodeTree(Sig, T);
-    E.ProvBlob = Prov.snapshotDoc(Doc);
-    E.History.reserve(RD.Ring.size());
-    for (const HistoryRec &H : RD.Ring) {
-      service::DocumentStore::RestoreEntry R;
-      R.Version = H.Version;
-      R.Script = H.Script;
-      R.Author = H.Author;
-      E.History.push_back(std::move(R));
-    }
+    E.OpenAuthor = Store.openAuthor(Doc);
+    Store.withDocument(
+        Doc, [&](const Tree *T, uint64_t Version,
+                 const std::vector<DocumentStore::HistoryEntry> &History) {
+          E.Version = Version;
+          E.TreeBlob = persist::encodeTree(Sig, T);
+          E.ProvBlob = Prov.snapshotDoc(Doc);
+          E.History.reserve(History.size());
+          for (const DocumentStore::HistoryEntry &H : History) {
+            DocumentStore::RestoreEntry R;
+            R.Version = H.Version;
+            R.Script = *H.Script;
+            R.Author = *H.Author;
+            E.History.push_back(std::move(R));
+          }
+        });
     Out.Docs.push_back(std::move(E));
   }
   return Out;

@@ -6,11 +6,17 @@
 ///
 /// \file
 /// A follower replica: connects to a leader, catches up (tail replay or
-/// snapshot transfer), then applies the live record stream. Every script
-/// is re-verified on arrival -- LinearTypeChecker (Definitions 3.1/3.2)
-/// plus MTree::patchChecked compliance -- so a follower only ever holds
-/// state a well-typed, compliant script sequence produces; replication
-/// cannot smuggle in a state the type system would reject.
+/// snapshot transfer), then applies the live record stream. Its documents
+/// live in a service::DocumentStore of its own, fed by
+/// DocumentStore::applyRecord: every script is re-verified on arrival --
+/// the linear type checker (Definitions 3.1/3.2), then syntactic
+/// compliance edit by edit (Definition 3.5) -- and applied to the typed
+/// tree in place by the document's kept ScriptApplier (truechange/
+/// Apply.h). So a follower only ever holds state a well-typed, compliant
+/// script sequence produces; replication cannot smuggle in a state the
+/// type system would reject. The standard semantics of Figure 2 is not
+/// involved: it stays the reference the applier is tested against.
+/// Snapshot transfers decode straight into the store, URIs preserved.
 ///
 /// Consistency machinery:
 ///   - a global, gap-free seq: a gap after catch-up means lost records,
@@ -21,19 +27,21 @@
 ///   - epoch fencing: a leader announcing an epoch below the highest
 ///     this follower has ever seen is stale and is rejected.
 ///
-/// Reads render straight from the document's applied MTree in one
-/// checked, stack-safe walk (MTree::render): the get verb gets the plain
-/// s-expression, byte-identical to the leader's; read() adds the
-/// URI-subscripted form and its SHA-256 digest -- the byte-identical
-/// convergence check the tests assert against the leader -- and the
-/// anti-entropy check hashes that same URI form. No read rebuilds a
-/// typed tree, so none pays for its digests. A tree that is not closed
-/// and well-formed reads as an error.
+/// Reads print straight from the stored typed tree, exactly as the
+/// leader's store does: the get verb gets the plain s-expression,
+/// byte-identical to the leader's; read() adds the URI-subscripted form
+/// and its SHA-256 digest -- the byte-identical convergence check the
+/// tests assert against the leader -- and the anti-entropy check hashes
+/// that same URI form. Blame and history are the leader's own renderers
+/// (blame/Render.h) over the follower's store and its provenance index,
+/// which listens to the store as the leader's does.
 ///
-/// Threading: records apply on the event-loop thread; reads and stats
-/// come from any thread under the state mutex. connectTo() blocks the
-/// calling thread until the handshake completes (never call it from the
-/// loop thread).
+/// Threading: records apply on the event-loop thread under the state
+/// mutex, which guards the replication metadata. Reads come from any
+/// thread and take only the document's lock in the store, so a read of
+/// one document never waits for a record of another. connectTo() blocks
+/// the calling thread until the handshake completes (never call it from
+/// the loop thread).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,10 +54,8 @@
 #include "net/Role.h"
 #include "replica/Protocol.h"
 #include "service/DocumentStore.h"
-#include "truechange/MTree.h"
 
 #include <condition_variable>
-#include <deque>
 #include <mutex>
 
 namespace truediff {
@@ -101,10 +107,10 @@ public:
   ReadResult readText(uint64_t Doc) const;
   bool contains(uint64_t Doc) const;
 
-  /// Blame/history reads served from the follower's own provenance
-  /// index, maintained from the record stream (and installed from
-  /// snapshot transfers), so attribution answers do not need the leader.
-  /// Rendering is shared with the leader (blame/Render.h), so a
+  /// Blame/history reads served from the follower's own store and
+  /// provenance index, maintained from the record stream (and installed
+  /// from snapshot transfers), so attribution answers do not need the
+  /// leader. Rendering is shared with the leader (blame/Render.h), so a
   /// caught-up follower answers byte-identically.
   service::Response blameRead(uint64_t Doc, bool HasUri, URI Uri) const;
   service::Response historyRead(uint64_t Doc, URI Uri) const;
@@ -128,6 +134,9 @@ public:
   };
   Stats stats() const;
   std::string statsJson() const;
+
+  /// The applied state, read-only (e.g. for DocumentStore::checkDigests).
+  const service::DocumentStore &store() const { return Store; }
 
   /// Test hook: corrupts \p Doc's applied version so the next record for
   /// it fails the version check and triggers a ResyncReq.
@@ -180,25 +189,11 @@ public:
   Export exportForPromotion() const;
 
 private:
-  /// One retained submit record, for history rendering; mirrors the
-  /// leader's history ring (same capacity), so both sides list the same
-  /// retained revisions.
-  struct HistoryRec {
-    uint64_t Version = 0;
-    std::string Author;
-    EditScript Script;
-  };
-
-  /// Bound of the per-document record ring; matches the store's default
-  /// HistoryCapacity so leader and follower history degrade at the same
-  /// boundary.
-  static constexpr size_t HistoryCap = 32;
-
+  /// Replication metadata of one stored document; its tree, version and
+  /// history live in Store.
   struct ReplicaDoc {
-    std::unique_ptr<MTree> T;
-    uint64_t Version = 0;
     uint64_t Incarnation = 0;
-    /// Global seq of the newest record reflected in T.
+    /// Global seq of the newest record reflected in the stored document.
     uint64_t DocSeq = 0;
     /// A ResyncReq is in flight; records are ignored until the snapshot
     /// lands.
@@ -206,13 +201,6 @@ private:
     /// Handshake generation that last refreshed this doc; snapshot-mode
     /// catch-up prunes docs the dump did not refresh.
     uint64_t RefreshGen = 0;
-    /// Retained submit records, oldest first. Cleared on snapshot
-    /// install (history before a state transfer degrades explicitly,
-    /// never silently misattributes).
-    std::deque<HistoryRec> Ring;
-    /// Author of version 0, from the Open record (empty when the doc
-    /// arrived by snapshot, which does not carry it).
-    std::string OpenAuthor;
   };
 
   enum class Handshake { Idle, Pending, Accepted, Stale, Failed };
@@ -226,9 +214,9 @@ private:
   void onCatchupDone(const CatchupDoneMsg &D);
   void applyDocRecord(net::Conn &C, const RecordMsg &R);
   void requestResync(net::Conn &C, uint64_t Doc);
-  void failHandshake(Handshake Result);
-  /// Renders \p Doc's applied tree in forms \p F under the state mutex.
-  ReadResult render(uint64_t Doc, MTree::Forms F) const;
+  /// Drops \p Doc from the metadata and the store (whose erase listener
+  /// drops its provenance).
+  void dropDoc(uint64_t Doc);
 
   net::EventLoop &Loop;
   const SignatureTable &Sig;
@@ -247,12 +235,20 @@ private:
   uint64_t LastAckSent = 0;
   uint64_t Epoch = 0;
   uint64_t MaxEpochSeen = 0;
+  /// Same key set as Store's documents.
   std::unordered_map<uint64_t, ReplicaDoc> Docs;
   Stats Counters;
-  /// Per-node attribution, folded from the same records the trees are
-  /// built from (and installed from snapshot transfers).
+  /// The applied documents; reads take only its document locks.
+  service::DocumentStore Store;
+  /// Per-node attribution, folded from the store's script stream (and
+  /// installed from snapshot transfers).
   blame::ProvenanceIndex Prov;
 };
+
+/// A TreeBuilder that decodes an encodeTree blob with its URIs preserved:
+/// how a transferred document is installed into a store. \p Blob must
+/// outlive the builder.
+service::TreeBuilder restoreBuilder(const std::string &Blob);
 
 /// Serves the follower's state through a NetServer: get/stats/health
 /// work, every write answers ErrCode::NotLeader -- carrying the leader's

@@ -541,10 +541,10 @@ Response DiffService::execute(Operation &Op, Clock::time_point Deadline) {
         } else if constexpr (std::is_same_v<T, RollbackOp>) {
           return fromStoreResult(Store.rollback(Req.Doc));
         } else if constexpr (std::is_same_v<T, GetVersionOp>) {
-          DocumentSnapshot S = Store.snapshot(Req.Doc);
+          DocumentSnapshot S = Store.snapshotText(Req.Doc);
           Response Out;
           Out.Ok = S.Ok;
-          // snapshot()'s only failure mode is an absent document.
+          // snapshotText()'s only failure mode is an absent document.
           Out.Code = S.Ok ? ErrCode::None : ErrCode::NoSuchDocument;
           Out.Error = std::move(S.Error);
           Out.Version = S.Version;

@@ -7,7 +7,6 @@
 #include "service/DocumentStore.h"
 
 #include "tree/SExpr.h"
-#include "truechange/Apply.h"
 #include "truechange/InitScript.h"
 #include "truechange/Inverse.h"
 #include "truediff/TrueDiff.h"
@@ -190,19 +189,10 @@ StoreResult DocumentStore::submit(DocId Doc, const TreeBuilder &Build,
     EditScript Forward{std::move(Edits)};
 
     D->Current = B.Root;
+    D->Applier.reset();
     ++D->Version;
 
-    VersionRecord Rec;
-    Rec.Version = D->Version;
-    Rec.Inverse = invertScript(Forward);
-    Rec.Script = std::move(Forward);
-    Rec.Author = Opts.Author;
-    D->History.push_back(std::move(Rec));
-    if (D->History.size() > Cfg.HistoryCapacity)
-      D->History.pop_front();
-
-    emit(Doc, D->Version, StoreOp::Submit, D->History.back().Script,
-         D->History.back().Author);
+    commitSubmit(Doc, *D, std::move(Forward), Opts.Author);
     maybeCompact(*D);
 
     R.Ok = true;
@@ -232,6 +222,7 @@ StoreResult DocumentStore::submit(DocId Doc, const TreeBuilder &Build,
   TrueDiff Differ(*D->Ctx, DiffOpts);
   DiffResult Diff = Differ.compareTo(D->Current, B.Root);
   D->Current = Diff.Patched;
+  D->Applier.reset();
   ++D->Version;
 
   uint64_t PatchedSize = D->Current->size();
@@ -240,17 +231,7 @@ StoreResult DocumentStore::submit(DocId Doc, const TreeBuilder &Build,
   if (Cfg.PersistDigests)
     D->NodesDigestCacheSaved += PatchedSize - Diff.NodesRehashed;
 
-  VersionRecord Rec;
-  Rec.Version = D->Version;
-  Rec.Inverse = invertScript(Diff.Script);
-  Rec.Script = std::move(Diff.Script);
-  Rec.Author = Opts.Author;
-  D->History.push_back(std::move(Rec));
-  if (D->History.size() > Cfg.HistoryCapacity)
-    D->History.pop_front();
-
-  emit(Doc, D->Version, StoreOp::Submit, D->History.back().Script,
-       D->History.back().Author);
+  commitSubmit(Doc, *D, std::move(Diff.Script), Opts.Author);
   maybeCompact(*D);
 
   R.Ok = true;
@@ -259,6 +240,15 @@ StoreResult DocumentStore::submit(DocId Doc, const TreeBuilder &Build,
   R.NodesDiffed = SourceSize + TargetSize;
   R.TreeSize = D->Current->size();
   return R;
+}
+
+void DocumentStore::commitSubmit(DocId Doc, Document &D, EditScript Script,
+                                 std::string Author) const {
+  D.History.push_back({D.Version, std::move(Script), std::move(Author)});
+  if (D.History.size() > Cfg.HistoryCapacity)
+    D.History.pop_front();
+  emit(Doc, D.Version, StoreOp::Submit, D.History.back().Script,
+       D.History.back().Author);
 }
 
 StoreResult DocumentStore::rollback(DocId Doc) {
@@ -290,14 +280,16 @@ StoreResult DocumentStore::rollback(DocId Doc) {
     return R;
   }
 
-  // Undo in place. The recorded inverse is well-typed (Thm 3.8) and
-  // compliant with the tree its forward script produced, so it applies
-  // (Thm 3.6) and restores the previous tree with its URIs, which keeps
-  // older ring entries applicable. Only the paths it touches are rehashed.
-  // Nothing is committed -- the record stays in the ring -- unless it
-  // applies; a failed apply leaves the document exactly as it was.
-  ApplyResult Applied =
-      applyChecked(*D->Ctx, D->Current, D->History.back().Inverse);
+  // Undo in place. The inverse of the newest recorded script is
+  // well-typed (Thm 3.8) and compliant with the tree that script
+  // produced, so it applies (Thm 3.6) and restores the previous tree with
+  // its URIs, which keeps older ring entries applicable. Only the paths
+  // it touches are rehashed. Nothing is committed -- the record stays in
+  // the ring -- unless it applies; a failed apply leaves the document
+  // exactly as it was.
+  EditScript Inverse = invertScript(D->History.back().Script);
+  D->Applier.reset();
+  ApplyResult Applied = applyChecked(*D->Ctx, D->Current, Inverse);
   if (!Applied.Ok) {
     // Cannot happen for scripts we recorded ourselves; fail loudly.
     R.Error = "internal error: inverse script rejected: " + Applied.Error;
@@ -305,9 +297,8 @@ StoreResult DocumentStore::rollback(DocId Doc) {
   }
 
   // Commit point: consume the record.
-  VersionRecord Taken = std::move(D->History.back());
+  D->Version = D->History.back().Version - 1;
   D->History.pop_back();
-  D->Version = Taken.Version - 1;
 
   // Rollback's provenance attributes to the *target* version's author:
   // the rollback restores that author's work. Version 0 is the open's
@@ -318,17 +309,104 @@ StoreResult DocumentStore::rollback(DocId Doc) {
     TargetAuthor = D->OpenAuthor;
   else if (!D->History.empty() && D->History.back().Version == D->Version)
     TargetAuthor = D->History.back().Author;
-  emit(Doc, D->Version, StoreOp::Rollback, Taken.Inverse, TargetAuthor);
+  emit(Doc, D->Version, StoreOp::Rollback, Inverse, TargetAuthor);
   maybeCompact(*D);
 
   R.Ok = true;
   R.Version = D->Version;
-  R.Script = std::move(Taken.Inverse);
+  R.Script = std::move(Inverse);
   R.TreeSize = D->Current->size();
   return R;
 }
 
-DocumentSnapshot DocumentStore::snapshot(DocId Doc) const {
+StoreResult DocumentStore::openRecord(DocId Doc, const EditScript &Script,
+                                      std::string Author) {
+  StoreResult R;
+  auto D = std::make_shared<Document>();
+  D->Ctx = std::make_unique<TreeContext>(Sig, Cfg.Digest);
+  D->Ctx->attachBudget(Cfg.MemBudget);
+  D->Applier = std::make_unique<ScriptApplier>(*D->Ctx, D->Current);
+  ApplyResult Applied = D->Applier->apply(Script);
+  if (!Applied.Ok) {
+    R.Error = "open record rejected: " + Applied.Error;
+    return R;
+  }
+  D->OpenAuthor = std::move(Author);
+
+  // As in open(): the new life's lock is held across publication, so its
+  // script notification precedes any later record's.
+  std::lock_guard<std::mutex> DocLock(D->Mu);
+  {
+    Shard &S = shardFor(Doc);
+    std::lock_guard<std::mutex> Lock(S.Mu);
+    S.Docs[Doc] = D;
+  }
+  emit(Doc, 0, StoreOp::Open, Script, D->OpenAuthor);
+  R.Ok = true;
+  R.TreeSize = D->Current->size();
+  R.NodesRehashed = Applied.NodesRehashed;
+  return R;
+}
+
+StoreResult DocumentStore::applyRecord(DocId Doc, StoreOp Op, uint64_t Version,
+                                       EditScript Script, std::string Author) {
+  if (Op == StoreOp::Open)
+    return openRecord(Doc, Script, std::move(Author));
+  StoreResult R;
+  std::shared_ptr<Document> D = find(Doc);
+  if (!D) {
+    R.Error = "no such document";
+    R.Code = ErrCode::NoSuchDocument;
+    return R;
+  }
+  std::lock_guard<std::mutex> Lock(D->Mu);
+  R.Version = D->Version;
+  if (D->Quarantined) {
+    R.Error = "document is quarantined: " + D->QuarantineReason;
+    R.Code = ErrCode::Quarantined;
+    return R;
+  }
+  bool Follows = Op == StoreOp::Submit
+                     ? Version == D->Version + 1
+                     : D->Version != 0 && Version == D->Version - 1;
+  if (!Follows) {
+    R.Error = "version " + std::to_string(Version) +
+              " does not follow version " + std::to_string(D->Version);
+    R.Code = ErrCode::CasMismatch;
+    return R;
+  }
+  if (!D->Applier)
+    D->Applier = std::make_unique<ScriptApplier>(*D->Ctx, D->Current);
+  ApplyResult Applied = D->Applier->apply(Script);
+  if (!Applied.Ok) {
+    R.Error = "record rejected: " + Applied.Error;
+    return R;
+  }
+
+  uint64_t Undone = D->Version;
+  D->Version = Version;
+  if (Op == StoreOp::Submit) {
+    commitSubmit(Doc, *D, std::move(Script), std::move(Author));
+  } else {
+    // The leader popped the record of the version it undid; a ring that
+    // does not end with that record (it began after a state transfer) no
+    // longer lines up with the leader's, so it is dropped.
+    if (!D->History.empty() && D->History.back().Version == Undone)
+      D->History.pop_back();
+    else
+      D->History.clear();
+    emit(Doc, Version, Op, Script, Author);
+  }
+  maybeCompact(*D);
+
+  R.Ok = true;
+  R.Version = Version;
+  R.TreeSize = D->Current->size();
+  R.NodesRehashed = Applied.NodesRehashed;
+  return R;
+}
+
+DocumentSnapshot DocumentStore::read(DocId Doc, bool WithUris) const {
   DocumentSnapshot S;
   std::shared_ptr<Document> D = find(Doc);
   if (!D) {
@@ -340,10 +418,19 @@ DocumentSnapshot DocumentStore::snapshot(DocId Doc) const {
   S.Version = D->Version;
   S.TreeSize = D->Current->size();
   S.Text = printSExpr(Sig, D->Current);
-  S.UriText = printSExprWithUris(Sig, D->Current);
+  if (WithUris)
+    S.UriText = printSExprWithUris(Sig, D->Current);
   S.Quarantined = D->Quarantined;
   S.QuarantineReason = D->QuarantineReason;
   return S;
+}
+
+DocumentSnapshot DocumentStore::snapshot(DocId Doc) const {
+  return read(Doc, true);
+}
+
+DocumentSnapshot DocumentStore::snapshotText(DocId Doc) const {
+  return read(Doc, false);
 }
 
 std::optional<std::string> DocumentStore::checkDigests(DocId Doc) const {
@@ -406,6 +493,16 @@ bool DocumentStore::corruptDigestForTest(DocId Doc) {
   return true;
 }
 
+bool DocumentStore::mutateForTest(
+    DocId Doc, const std::function<void(Tree *, uint64_t &)> &Fn) {
+  std::shared_ptr<Document> D = find(Doc);
+  if (!D)
+    return false;
+  std::lock_guard<std::mutex> Lock(D->Mu);
+  Fn(D->Current, D->Version);
+  return true;
+}
+
 bool DocumentStore::clearQuarantine(DocId Doc) {
   std::shared_ptr<Document> D = find(Doc);
   if (!D)
@@ -424,6 +521,17 @@ std::optional<std::string> DocumentStore::quarantineInfo(DocId Doc) const {
   if (!D->Quarantined)
     return std::nullopt;
   return D->QuarantineReason;
+}
+
+std::deque<DocumentStore::VersionRecord>
+DocumentStore::ringFrom(std::vector<RestoreEntry> History) const {
+  if (History.size() > Cfg.HistoryCapacity)
+    History.erase(History.begin(),
+                  History.end() - static_cast<ptrdiff_t>(Cfg.HistoryCapacity));
+  std::deque<VersionRecord> Ring;
+  for (RestoreEntry &E : History)
+    Ring.push_back({E.Version, std::move(E.Script), std::move(E.Author)});
+  return Ring;
 }
 
 StoreResult DocumentStore::repair(DocId Doc, uint64_t Version,
@@ -450,20 +558,10 @@ StoreResult DocumentStore::repair(DocId Doc, uint64_t Version,
     return R;
   }
   FreshCtx->attachBudget(Cfg.MemBudget);
-  std::deque<VersionRecord> Ring;
-  if (History.size() > Cfg.HistoryCapacity)
-    History.erase(History.begin(),
-                  History.end() - static_cast<ptrdiff_t>(Cfg.HistoryCapacity));
-  for (RestoreEntry &E : History) {
-    VersionRecord Rec;
-    Rec.Version = E.Version;
-    Rec.Inverse = invertScript(E.Script);
-    Rec.Script = std::move(E.Script);
-    Rec.Author = std::move(E.Author);
-    Ring.push_back(std::move(Rec));
-  }
+  std::deque<VersionRecord> Ring = ringFrom(std::move(History));
 
   std::lock_guard<std::mutex> Lock(D->Mu);
+  D->Applier.reset();
   D->Ctx = std::move(FreshCtx);
   D->Current = B.Root;
   D->Version = Version;
@@ -521,17 +619,7 @@ StoreResult DocumentStore::restore(DocId Doc, uint64_t Version,
   D->Current = B.Root;
   D->Version = Version;
   D->OpenAuthor = std::move(OpenAuthor);
-  if (History.size() > Cfg.HistoryCapacity)
-    History.erase(History.begin(),
-                  History.end() - static_cast<ptrdiff_t>(Cfg.HistoryCapacity));
-  for (RestoreEntry &E : History) {
-    VersionRecord Rec;
-    Rec.Version = E.Version;
-    Rec.Inverse = invertScript(E.Script);
-    Rec.Script = std::move(E.Script);
-    Rec.Author = std::move(E.Author);
-    D->History.push_back(std::move(Rec));
-  }
+  D->History = ringFrom(std::move(History));
 
   {
     Shard &S = shardFor(Doc);
@@ -571,6 +659,7 @@ StoreStats DocumentStore::stats() const {
         ++Out.Quarantined;
     }
   }
+  Out.Compactions = Compactions.load(std::memory_order_relaxed);
   return Out;
 }
 
@@ -583,6 +672,8 @@ void DocumentStore::maybeCompact(Document &D) const {
   // and recomputes it from scratch.
   auto FreshCtx = std::make_unique<TreeContext>(Sig, Cfg.Digest);
   FreshCtx->attachBudget(Cfg.MemBudget);
+  D.Applier.reset();
   D.Current = FreshCtx->deepCopy(D.Current, TreeContext::CopyUris::Preserve);
   D.Ctx = std::move(FreshCtx);
+  Compactions.fetch_add(1, std::memory_order_relaxed);
 }

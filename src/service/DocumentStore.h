@@ -8,9 +8,10 @@
 /// A thread-safe, sharded store of live documents -- the version-control
 /// and database use cases the paper motivates (Section 1), grown into a
 /// subsystem. Each document owns its TreeContext and current Tree plus a
-/// bounded ring of applied edit scripts and their inverses (via
-/// truechange/Inverse), so any document can be rolled back version by
-/// version or its history replayed by a subscriber.
+/// bounded ring of applied edit scripts, so any document can be rolled
+/// back version by version (inverting the newest script via
+/// truechange/Inverse when the rollback runs) or its history replayed by
+/// a subscriber.
 ///
 /// Locking model: a shard mutex guards only the DocId -> Document map;
 /// every document has its own mutex that serialises all tree access. This
@@ -20,8 +21,9 @@
 /// acquires a shard mutex while holding a document mutex, so the two
 /// levels cannot deadlock.
 ///
-/// Rollback works in URI space, in place: the recorded inverse script is
-/// applied to the stored tree with applyChecked (truechange/Apply.h) --
+/// Rollback works in URI space, in place: the inverse of the newest
+/// recorded script is applied to the stored tree with applyChecked
+/// (truechange/Apply.h) --
 /// type-checked, compliance-checked edit by edit, and undone if any edit
 /// fails -- so the restored tree keeps its historical URIs and the
 /// remaining history ring stays meaningful for further rollbacks. Once a
@@ -46,14 +48,23 @@
 /// stored tree's digests from scratch on every diff (the cold path); cold
 /// and warm diffs produce byte-identical edit scripts.
 ///
+/// Replica mode: a follower replica holds its documents in a store too,
+/// fed by applyRecord() with the scripts its leader's store committed.
+/// Each such document keeps one ScriptApplier across records, so its URI
+/// index is built once, not once per record; the applier is dropped
+/// whenever the tree changes any other way (compaction, repair, a
+/// leader-side submit or rollback) and rebuilt by the next record.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef TRUEDIFF_SERVICE_DOCUMENTSTORE_H
 #define TRUEDIFF_SERVICE_DOCUMENTSTORE_H
 
 #include "tree/Tree.h"
+#include "truechange/Apply.h"
 #include "truechange/Edit.h"
 
+#include <atomic>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -213,6 +224,8 @@ struct StoreStats {
   uint64_t NodesDigestCacheSaved = 0;
   /// Documents currently quarantined by an integrity check.
   uint64_t Quarantined = 0;
+  /// Arena compactions since the store was created.
+  uint64_t Compactions = 0;
 };
 
 class DocumentStore {
@@ -307,7 +320,8 @@ public:
   StoreResult submit(DocId Doc, const TreeBuilder &Build,
                      const SubmitOptions &Opts);
 
-  /// Undoes the most recent submit by applying its recorded inverse.
+  /// Undoes the most recent submit by applying the inverse of its
+  /// recorded script.
   /// Fails with a clean error -- leaving the document untouched at its
   /// current version -- if the history ring is exhausted, distinguishing
   /// "already at the initial version" from "the record was evicted from
@@ -322,8 +336,33 @@ public:
   /// path.
   std::optional<std::string> checkDigests(DocId Doc) const;
 
-  /// Current version and serialized tree of \p Doc.
+  /// Replica mode: replays one operation a leader's store committed, as
+  /// its script listener saw it -- \p Version is the version the
+  /// operation produced, \p Author its attribution (for a rollback, the
+  /// target version's author) and \p Script the script it applied (for
+  /// a rollback, the applied inverse). The script is type-checked and
+  /// applied in place through the document's kept ScriptApplier:
+  ///   Open      builds a fresh document from the initializing script,
+  ///             replacing any earlier life of the id;
+  ///   Submit    needs \p Version == current + 1 and records the script
+  ///             in the history ring;
+  ///   Rollback  needs \p Version == current - 1 and pops the ring's
+  ///             newest record (clearing the ring if that is not the
+  ///             record being undone).
+  /// A version that does not follow fails with ErrCode::CasMismatch, and
+  /// an ill-typed or non-compliant script fails too; either way the
+  /// document is left exactly as it was. A successful record is emitted
+  /// to the script listeners like the operation it replays. The result
+  /// carries no script.
+  StoreResult applyRecord(DocId Doc, StoreOp Op, uint64_t Version,
+                          EditScript Script, std::string Author);
+
+  /// Current version and serialized tree of \p Doc, in both forms.
   DocumentSnapshot snapshot(DocId Doc) const;
+
+  /// What a get answers: snapshot() without the URI form (UriText stays
+  /// empty), so the document lock is held for one print, not two.
+  DocumentSnapshot snapshotText(DocId Doc) const;
 
   /// One retained history-ring entry, exposed to withDocument visitors.
   /// The script and author pointers are valid only for the duration of
@@ -359,8 +398,8 @@ public:
   /// Installs a recovered document: \p Build produces the tree (URIs
   /// preserved, as with TreeContext::CopyUris::Preserve) in the document's
   /// fresh context, \p History carries the forward scripts of the
-  /// retained ring (oldest first; inverses are recomputed, the ring is
-  /// truncated to Config::HistoryCapacity). Unlike open this emits
+  /// retained ring (oldest first; the ring is truncated to
+  /// Config::HistoryCapacity). Unlike open this emits
   /// nothing to listeners -- recovery runs before traffic -- and leaves
   /// the document at \p Version with version 0 attributed to
   /// \p OpenAuthor. \p Build runs before the memory budget is attached,
@@ -402,6 +441,15 @@ public:
   /// stale. Returns false if the document does not exist.
   bool corruptDigestForTest(DocId Doc);
 
+  /// Test-only fault injection: runs \p Fn on \p Doc's live tree and
+  /// version under the document lock, so a test can make the document
+  /// silently wrong (a changed literal, a skewed version) without
+  /// touching anything else. \p Fn must not change the tree's shape.
+  /// Returns false if the document does not exist.
+  bool mutateForTest(DocId Doc,
+                     const std::function<void(Tree *Root, uint64_t &Version)>
+                         &Fn);
+
   /// Repairs \p Doc in place from recovered state: \p Build produces the
   /// known-good tree (URIs preserved) in a fresh context, \p History the
   /// forward scripts of the retained ring (oldest first), exactly like
@@ -420,7 +468,6 @@ private:
   struct VersionRecord {
     uint64_t Version = 0;
     EditScript Script;
-    EditScript Inverse;
     /// Who authored this version (empty = unattributed).
     std::string Author;
   };
@@ -442,6 +489,10 @@ private:
     /// clearQuarantine() lifts it; reads carry QuarantineReason.
     bool Quarantined = false;
     std::string QuarantineReason;
+    /// Replica mode: applies applyRecord's scripts, keeping its URI index
+    /// across records. Null until the first record; reset whenever Ctx or
+    /// the tree changes any other way.
+    std::unique_ptr<ScriptApplier> Applier;
   };
 
   struct Shard {
@@ -457,8 +508,19 @@ private:
   }
 
   std::shared_ptr<Document> find(DocId Doc) const;
+  DocumentSnapshot read(DocId Doc, bool WithUris) const;
+  /// applyRecord's Open: a fresh document, published on success.
+  StoreResult openRecord(DocId Doc, const EditScript &Script,
+                         std::string Author);
+  /// restore()'s and repair()'s ring: the newest HistoryCapacity entries.
+  std::deque<VersionRecord> ringFrom(std::vector<RestoreEntry> History) const;
   void emit(DocId Doc, uint64_t Version, StoreOp Op, const EditScript &Script,
             std::string_view Author) const;
+
+  /// Records \p D's new version D.Version, produced by \p Script, in the
+  /// history ring and emits it as a submit. Requires D.Mu held.
+  void commitSubmit(DocId Doc, Document &D, EditScript Script,
+                    std::string Author) const;
 
   /// Copies \p D's tree into a fresh context, URIs preserved, if the
   /// arena has outgrown the live tree. Requires D.Mu held.
@@ -467,6 +529,7 @@ private:
   const SignatureTable &Sig;
   const Config Cfg;
   std::vector<Shard> Shards;
+  mutable std::atomic<uint64_t> Compactions{0};
 
   mutable std::mutex ListenersMu;
   std::vector<ScriptListener> Listeners;

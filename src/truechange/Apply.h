@@ -6,7 +6,8 @@
 ///
 /// \file
 /// Applies a truechange edit script to a typed tree in place: the path a
-/// stored document takes when it is rolled back or replayed from the log.
+/// stored document takes when it is rolled back, replayed from the log,
+/// or fed a replicated record on a follower.
 ///
 /// The script is first gated on the linear type system (paper Figure 3).
 /// Each edit is then checked for syntactic compliance (Definition 3.5)

@@ -745,6 +745,9 @@ TEST(AntiEntropyTest, SilentFollowerDivergenceIsDetectedAndResynced) {
   ASSERT_NE(Victim, 0u) << "no document with a mutable literal";
   ASSERT_FALSE(converged(L, *F.F, NumDocs))
       << "corruption must actually diverge the follower";
+  // The literal changed in the stored typed tree behind its cached
+  // digests, which a local digest check would also notice.
+  EXPECT_TRUE(F.F->store().checkDigests(Victim).has_value());
 
   // One scrub cycle on the leader broadcasts the digest summaries; the
   // follower detects the mismatch and resyncs back to byte identity.
@@ -770,6 +773,8 @@ TEST(AntiEntropyTest, SilentFollowerDivergenceIsDetectedAndResynced) {
   EXPECT_GE(FS.ResyncsRequested, 1u);
   EXPECT_GE(L.Lead->stats().ResyncsServed, 1u);
   EXPECT_GE(Scrub.stats().ResyncsTriggered, 1u);
+  // The resync installed a freshly decoded tree with clean digests.
+  EXPECT_FALSE(F.F->store().checkDigests(Victim).has_value());
 
   // Clean steady state: further cycles produce summaries but no
   // mismatches -- anti-entropy does not thrash a converged replica.

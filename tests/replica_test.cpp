@@ -16,13 +16,19 @@
 /// via snapshot transfer (including pruning of documents erased while
 /// the follower was away), gap-triggered per-document resync,
 /// stale-leader epoch fencing, and a follower killed mid-stream that
-/// reconnects and converges again.
+/// reconnects and converges again. The follower's documents live in a
+/// DocumentStore fed by applyRecord, so the tests also check its digest
+/// cache, its arena compaction, and deep documents and blame trees read
+/// from it.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "replica/Follower.h"
 #include "replica/Leader.h"
 #include "replica/ReplicationLog.h"
+
+#include "blame/Provenance.h"
+#include "blame/Render.h"
 
 #include "corpus/JsonGen.h"
 #include "json/Json.h"
@@ -176,6 +182,7 @@ public:
   }
 
   uint64_t numDocs() const { return NumDocs; }
+  bool live(uint64_t Doc) const { return Model.count(Doc) != 0; }
 
 private:
   LeaderNode &L;
@@ -220,6 +227,22 @@ private:
 
 bool caughtUpWith(LeaderNode &L, replica::Follower &F) {
   return F.caughtUp() && F.lastSeq() == L.Log.currentSeq();
+}
+
+/// Every document the follower holds carries exactly the digests a
+/// from-scratch recomputation yields: applyRecord keeps the digest cache
+/// of the stored trees current.
+::testing::AssertionResult digestsClean(const replica::Follower &F,
+                                        uint64_t NumDocs) {
+  for (uint64_t Doc = 1; Doc <= NumDocs; ++Doc) {
+    if (!F.contains(Doc))
+      continue;
+    std::optional<std::string> Stale = F.store().checkDigests(Doc);
+    if (Stale)
+      return ::testing::AssertionFailure()
+             << "doc " << Doc << " has a stale digest: " << *Stale;
+  }
+  return ::testing::AssertionSuccess();
 }
 
 /// Sends one textual request and returns its response lines, through the
@@ -585,6 +608,178 @@ TEST(Replication, FollowerKilledMidStreamRecovers) {
   }
   ASSERT_TRUE(waitUntil([&] { return caughtUpWith(L, *F.F); }));
   EXPECT_TRUE(converged(L, *F.F, Driver.numDocs()));
+}
+
+} // namespace
+
+//===----------------------------------------------------------------------===//
+// The follower's document store
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+TEST(ReplicaStore, StaysByteIdenticalThroughResyncAndSnapshotCatchUp) {
+  uint64_t Seed = tests::testSeed(0x5eed0009);
+  SEED_TRACE(Seed);
+
+  SignatureTable Sig = json::makeJsonSignature();
+  LeaderNode L(Sig, /*Epoch=*/1, /*TailCapacity=*/16);
+  ASSERT_TRUE(L.Started);
+  FollowerNode F(Sig);
+  ASSERT_TRUE(F.connect(L));
+
+  // Opens, submits, rollbacks, erases and re-opens on the live stream.
+  WorkloadDriver Driver(L, Seed, 6);
+  auto Steps = [&](int N) {
+    for (int I = 0; I != N && !::testing::Test::HasFatalFailure(); ++I)
+      Driver.step();
+  };
+  Steps(150);
+  if (::testing::Test::HasFatalFailure())
+    return;
+  ASSERT_TRUE(waitUntil([&] { return caughtUpWith(L, *F.F); }));
+  EXPECT_TRUE(converged(L, *F.F, Driver.numDocs()));
+  EXPECT_TRUE(digestsClean(*F.F, Driver.numDocs()));
+
+  // A forced per-document resync: the skewed version makes the store
+  // refuse the next record, and the snapshot repairs the document.
+  uint64_t Victim = 0;
+  for (uint64_t Doc = 1; Doc <= Driver.numDocs() && Victim == 0; ++Doc)
+    if (Driver.live(Doc))
+      Victim = Doc;
+  ASSERT_NE(Victim, 0u);
+  F.F->injectGapForTest(Victim);
+  Driver.submitDoc(Victim);
+  if (::testing::Test::HasFatalFailure())
+    return;
+  ASSERT_TRUE(waitUntil([&] {
+    return F.F->stats().SnapshotsInstalled > 0 && caughtUpWith(L, *F.F) &&
+           converged(L, *F.F, Driver.numDocs());
+  }));
+  EXPECT_GE(F.F->stats().ResyncsRequested, 1u);
+
+  // Away long enough for the tail ring to evict the continuation: the
+  // reconnect catches up by snapshot transfer, then the live stream
+  // applies on top of the installed documents.
+  F.F->disconnect();
+  ASSERT_TRUE(waitUntil([&] { return !F.F->connected(); }));
+  uint64_t InstalledBefore = F.F->stats().SnapshotsInstalled;
+  Steps(60);
+  if (::testing::Test::HasFatalFailure())
+    return;
+  ASSERT_TRUE(F.connect(L));
+  Steps(60);
+  if (::testing::Test::HasFatalFailure())
+    return;
+  ASSERT_TRUE(waitUntil([&] { return caughtUpWith(L, *F.F); }));
+  EXPECT_GT(F.F->stats().SnapshotsInstalled, InstalledBefore);
+  EXPECT_TRUE(converged(L, *F.F, Driver.numDocs()));
+  EXPECT_TRUE(digestsClean(*F.F, Driver.numDocs()));
+}
+
+TEST(ReplicaStore, RecordsApplyAfterTheFollowerCompactsADocument) {
+  uint64_t Seed = tests::testSeed(0x5eed000a);
+  SEED_TRACE(Seed);
+
+  SignatureTable Sig = json::makeJsonSignature();
+  LeaderNode L(Sig);
+  ASSERT_TRUE(L.Started);
+  FollowerNode F(Sig);
+  ASSERT_TRUE(F.connect(L));
+
+  // Each submit of an unrelated document loads most of its nodes, and
+  // the replaced ones stay behind in the follower's arena until
+  // compaction copies the live tree out.
+  TreeContext Ctx(Sig);
+  Rng R(Seed);
+  corpus::JsonGenOptions Opts;
+  Opts.MaxDepth = 3;
+  Opts.MaxFanout = 4;
+  auto Fresh = [&] {
+    return blobBuilder(Sig, persist::encodeTree(
+                                Sig, corpus::generateJson(Ctx, R, Opts)));
+  };
+  ASSERT_TRUE(L.Store.open(1, Fresh()).Ok);
+  for (int Batch = 0; Batch != 20; ++Batch) {
+    for (int I = 0; I != 20; ++I)
+      ASSERT_TRUE(L.Store.submit(1, Fresh()).Ok);
+    ASSERT_TRUE(waitUntil([&] { return caughtUpWith(L, *F.F); }));
+    if (F.F->store().stats().Compactions > 0)
+      break;
+  }
+  ASSERT_GT(F.F->store().stats().Compactions, 0u);
+
+  // The applier is rebuilt over the compacted tree: submits and
+  // rollbacks keep applying without a resync.
+  for (int I = 0; I != 10; ++I)
+    ASSERT_TRUE(L.Store.submit(1, Fresh()).Ok);
+  ASSERT_TRUE(L.Store.rollback(1).Ok);
+  ASSERT_TRUE(L.Store.rollback(1).Ok);
+  ASSERT_TRUE(L.Store.submit(1, Fresh()).Ok);
+  ASSERT_TRUE(waitUntil([&] { return caughtUpWith(L, *F.F); }));
+  EXPECT_TRUE(converged(L, *F.F, 1));
+  EXPECT_TRUE(digestsClean(*F.F, 1));
+  EXPECT_EQ(F.F->stats().ResyncsRequested, 0u);
+}
+
+TEST(ReplicaStore, ThirtyThousandLevelDocumentReplicatesAndServesGet) {
+  // 29,998 statements nest 30,001 levels deep. The open and a submit
+  // travel as live records; the follower applies both and prints the
+  // tree for get, byte-identical to the leader.
+  SignatureTable Sig = python::makePythonSignature();
+  LeaderNode L(Sig);
+  ASSERT_TRUE(L.Started);
+  FollowerNode F(Sig);
+  ASSERT_TRUE(F.connect(L));
+
+  ASSERT_TRUE(
+      L.Store.open(1, service::makeSExprBuilder(tests::deepModuleText(29998)))
+          .Ok);
+  ASSERT_TRUE(L.Store
+                  .submit(1, service::makeSExprBuilder(
+                                 tests::deepModuleText(29998, "Break")))
+                  .Ok);
+  ASSERT_TRUE(waitUntil([&] { return caughtUpWith(L, *F.F); }));
+  EXPECT_EQ(F.F->stats().ResyncsRequested, 0u);
+
+  service::DocumentSnapshot Want = L.Store.snapshotText(1);
+  replica::Follower::ReadResult Got = F.F->readText(1);
+  ASSERT_TRUE(Got.Ok) << Got.Error;
+  EXPECT_EQ(Got.Version, 1u);
+  EXPECT_EQ(Got.TreeSize, Want.TreeSize);
+  EXPECT_TRUE(Got.Text == Want.Text);
+  EXPECT_TRUE(converged(L, *F.F, 1));
+  EXPECT_TRUE(digestsClean(*F.F, 1));
+}
+
+TEST(ReplicaStore, DeepBlameTreeIsIdenticalAndLinearOnBothSides) {
+  // A 65,536-level chain: with one indent per level the blame tree
+  // would be over 4 GB of spaces. Capped, it stays linear in the node
+  // count, and leader and follower render the same bytes.
+  SignatureTable Sig = python::makePythonSignature();
+  LeaderNode L(Sig);
+  ASSERT_TRUE(L.Started);
+  blame::ProvenanceIndex Prov;
+  Prov.attach(L.Store);
+  FollowerNode F(Sig);
+  ASSERT_TRUE(F.connect(L));
+
+  ASSERT_TRUE(
+      L.Store.open(1, service::makeSExprBuilder(tests::deepModuleText(65533)))
+          .Ok);
+  ASSERT_TRUE(waitUntil([&] { return caughtUpWith(L, *F.F); }));
+
+  service::Response Leader = blame::blameResponse(L.Store, Prov, 1, false, 0);
+  service::Response Follower = F.F->blameRead(1, false, 0);
+  ASSERT_TRUE(Leader.Ok) << Leader.Error;
+  ASSERT_TRUE(Follower.Ok) << Follower.Error;
+  EXPECT_TRUE(Leader.Payload == Follower.Payload);
+
+  uint64_t Nodes = L.Store.snapshotText(1).TreeSize;
+  EXPECT_EQ(Nodes, 2u * 65533u + 2u);
+  EXPECT_LE(Leader.Payload.size(), 128u * Nodes);
+  // The deepest line names its depth instead of indenting to it.
+  EXPECT_NE(Leader.Payload.find("@65534 StmtNil#"), std::string::npos);
 }
 
 } // namespace

@@ -209,6 +209,73 @@ TEST_F(StoreTest, RollbackAfterResubmitKeepsHistoryConsistent) {
   (void)V1;
 }
 
+TEST_F(StoreTest, ApplyRecordReplaysAnotherStoresStream) {
+  // Replica mode: a second store fed this store's script stream through
+  // applyRecord ends URI-identical with a clean digest cache, keeps the
+  // same history ring (its own rollback emits the same inverse), and
+  // refuses a record that does not follow without touching the document.
+  struct Rec {
+    DocumentStore::StoreOp Op;
+    uint64_t Version;
+    EditScript Script;
+    std::string Author;
+  };
+  std::vector<Rec> Stream;
+  Store.addScriptListener([&](DocId, uint64_t Version,
+                              DocumentStore::StoreOp Op, const EditScript &S,
+                              const DocumentStore::ScriptInfo &Info) {
+    Stream.push_back({Op, Version, S, std::string(Info.Author)});
+  });
+  ASSERT_TRUE(Store.open(1, sexprBuilder("(Add (Num 1) (Num 2))")).Ok);
+  ASSERT_TRUE(Store.submit(1, sexprBuilder("(Mul (Num 2) (Num 3))")).Ok);
+  ASSERT_TRUE(
+      Store.submit(1, sexprBuilder("(Mul (Num 2) (Add (Num 3) (a)))")).Ok);
+  ASSERT_TRUE(Store.rollback(1).Ok);
+  ASSERT_TRUE(Store.submit(1, sexprBuilder("(Sub (Num 3) (Num 2))")).Ok);
+
+  DocumentStore Replica(Sig);
+  for (const Rec &R : Stream) {
+    StoreResult A = Replica.applyRecord(1, R.Op, R.Version, R.Script, R.Author);
+    ASSERT_TRUE(A.Ok) << A.Error;
+    EXPECT_EQ(A.Version, R.Version);
+  }
+  DocumentSnapshot Want = Store.snapshot(1);
+  EXPECT_EQ(Replica.snapshot(1).UriText, Want.UriText);
+  EXPECT_EQ(Replica.snapshot(1).Version, Want.Version);
+  EXPECT_FALSE(Replica.checkDigests(1).has_value());
+
+  // A version that skips ahead does not follow.
+  StoreResult Skip = Replica.applyRecord(1, DocumentStore::StoreOp::Submit,
+                                         Want.Version + 2, Stream[1].Script,
+                                         "");
+  EXPECT_EQ(Skip.Code, ErrCode::CasMismatch);
+  // The initializing script is ill-typed against a filled root.
+  StoreResult Ill = Replica.applyRecord(1, DocumentStore::StoreOp::Submit,
+                                        Want.Version + 1, Stream[0].Script,
+                                        "");
+  EXPECT_FALSE(Ill.Ok);
+  EXPECT_EQ(Replica.snapshot(1).UriText, Want.UriText);
+  EXPECT_EQ(Replica.snapshot(1).Version, Want.Version);
+
+  StoreResult Back = Store.rollback(1);
+  StoreResult ReplicaBack = Replica.rollback(1);
+  ASSERT_TRUE(Back.Ok && ReplicaBack.Ok) << ReplicaBack.Error;
+  EXPECT_EQ(serializeEditScript(Sig, ReplicaBack.Script),
+            serializeEditScript(Sig, Back.Script));
+  EXPECT_EQ(Replica.snapshot(1).UriText, Store.snapshot(1).UriText);
+
+  // Erased and opened again: the Open record replaces the earlier life.
+  ASSERT_TRUE(Store.erase(1));
+  Stream.clear();
+  ASSERT_TRUE(Store.open(1, sexprBuilder("(Num 7)")).Ok);
+  ASSERT_TRUE(Replica
+                  .applyRecord(1, Stream[0].Op, Stream[0].Version,
+                               Stream[0].Script, Stream[0].Author)
+                  .Ok);
+  EXPECT_EQ(Replica.snapshot(1).UriText, Store.snapshot(1).UriText);
+  EXPECT_EQ(Replica.snapshot(1).Version, 0u);
+}
+
 TEST(StoreConfigTest, HistoryRingIsBounded) {
   SignatureTable Sig = makeExpSignature();
   DocumentStore::Config Cfg;
