@@ -616,15 +616,18 @@ std::string DiffService::statsJson() const {
                                  std::memory_order_relaxed);
   }
   StoreStats S = Store.stats();
-  char Buf[256];
+  char Buf[512];
   std::snprintf(
       Buf, sizeof(Buf),
       ",\"store\":{\"documents\":%llu,\"versions_retained\":%llu,"
-      "\"live_nodes\":%llu,\"nodes_rehashed\":%llu,"
-      "\"digest_cache_saved_nodes\":%llu,\"quarantined\":%llu}}",
+      "\"live_nodes\":%llu,\"arena_nodes\":%llu,\"compactions\":%llu,"
+      "\"nodes_rehashed\":%llu,\"digest_cache_saved_nodes\":%llu,"
+      "\"quarantined\":%llu}}",
       static_cast<unsigned long long>(S.NumDocuments),
       static_cast<unsigned long long>(S.VersionsRetained),
       static_cast<unsigned long long>(S.LiveNodes),
+      static_cast<unsigned long long>(S.ArenaNodes),
+      static_cast<unsigned long long>(S.Compactions),
       static_cast<unsigned long long>(S.NodesRehashed),
       static_cast<unsigned long long>(S.NodesDigestCacheSaved),
       static_cast<unsigned long long>(S.Quarantined));

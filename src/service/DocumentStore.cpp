@@ -161,12 +161,23 @@ StoreResult DocumentStore::submit(DocId Doc, const TreeBuilder &Build,
     R.TreeSize = D->Current->size();
     return R;
   }
-  BuildResult B = Build(*D->Ctx);
+  // The target is built in an arena this request owns. Step 4 moves
+  // reused nodes over from the stored tree and builds loaded ones in the
+  // document's arena, so no stored node points into the target once the
+  // diff has run, and the request arena -- with a refused build's partial
+  // tree -- is released when the submit returns. Its URIs continue the
+  // document's counter, which then moves past them: every URI alive
+  // during the diff is unique.
+  auto ReqCtx = std::make_unique<TreeContext>(Sig, Cfg.Digest);
+  ReqCtx->attachBudget(Cfg.MemBudget);
+  ReqCtx->continueUrisFrom(*D->Ctx);
+  BuildResult B = Build(*ReqCtx);
   if (B.Root == nullptr) {
     R.Error = B.Error.empty() ? "builder produced no tree" : B.Error;
     R.Code = B.Code != ErrCode::None ? B.Code : ErrCode::BuildFailed;
     return R;
   }
+  D->Ctx->continueUrisFrom(*ReqCtx);
   uint64_t SourceSize = D->Current->size();
   uint64_t TargetSize = B.Root->size();
 
@@ -188,12 +199,14 @@ StoreResult DocumentStore::submit(DocId Doc, const TreeBuilder &Build,
       Edits.push_back(E);
     EditScript Forward{std::move(Edits)};
 
+    // The new stored tree is the target itself: its arena becomes the
+    // document's, and the old tree's arena is dropped.
     D->Current = B.Root;
+    D->Ctx = std::move(ReqCtx);
     D->Applier.reset();
     ++D->Version;
 
     commitSubmit(Doc, *D, std::move(Forward), Opts.Author);
-    maybeCompact(*D);
 
     R.Ok = true;
     R.UsedFallback = true;
@@ -653,6 +666,7 @@ StoreStats DocumentStore::stats() const {
       ++Out.NumDocuments;
       Out.VersionsRetained += D->History.size();
       Out.LiveNodes += D->Current->size();
+      Out.ArenaNodes += D->Ctx->numNodes();
       Out.NodesRehashed += D->NodesRehashed;
       Out.NodesDigestCacheSaved += D->NodesDigestCacheSaved;
       if (D->Quarantined)

@@ -26,13 +26,23 @@
 /// (truechange/Apply.h) --
 /// type-checked, compliance-checked edit by edit, and undone if any edit
 /// fails -- so the restored tree keeps its historical URIs and the
-/// remaining history ring stays meaningful for further rollbacks. Once a
-/// long-lived document's arena accumulates garbage, it is compacted by a
-/// URI-preserving typed copy into a fresh context. Rollback commits
-/// nothing until the inverse has applied: if any step fails (e.g. the
-/// requested version's record was evicted from the ring), the document --
-/// tree, context, history -- is left exactly as it was and a clean error
-/// is returned; a torn document is never observable.
+/// remaining history ring stays meaningful for further rollbacks.
+/// Rollback commits nothing until the inverse has applied: if any step
+/// fails (e.g. the requested version's record was evicted from the
+/// ring), the document -- tree, context, history -- is left exactly as
+/// it was and a clean error is returned; a torn document is never
+/// observable.
+///
+/// Arenas: a document's arena holds its stored tree plus the garbage that
+/// in-place edits leave behind -- nodes a submit or rollback unloaded.
+/// A submit builds its target tree in an arena of its own, which is
+/// released when the submit returns: the diff moves reused nodes over
+/// from the stored tree and builds the nodes it loads in the document's
+/// arena, so the target is dead once diffed. (The replace-root fallback
+/// is the exception: its new stored tree is the target, so the request
+/// arena becomes the document's.) Once the garbage outgrows the live
+/// tree (Config::CompactionFactor), the arena is compacted by a
+/// URI-preserving typed copy into a fresh context.
 ///
 /// Digest cache (truediff Step 1, paper Section 4.2): every stored tree
 /// carries its structural/literal SHA-256 digests, heights, and sizes in
@@ -133,9 +143,10 @@ struct BuildResult {
   ErrCode Code = ErrCode::None;
 };
 
-/// Builds a version of a document inside the document's own context.
-/// Called under the document lock, so it must not call back into the
-/// store. Returning a null Root fails the request with Error.
+/// Builds a version of a document inside \p Ctx: the document's own
+/// context for open, restore and repair, an arena owned by the request
+/// for submit. Called under the document lock, so it must not call back
+/// into the store. Returning a null Root fails the request with Error.
 using TreeBuilder = std::function<BuildResult(TreeContext &)>;
 
 /// Result of a mutating store operation.
@@ -216,6 +227,10 @@ struct StoreStats {
   uint64_t NumDocuments = 0;
   uint64_t VersionsRetained = 0;
   uint64_t LiveNodes = 0;
+  /// Nodes held by all document arenas, live or dead: LiveNodes plus the
+  /// garbage in-place edits left behind that compaction has not yet
+  /// reclaimed.
+  uint64_t ArenaNodes = 0;
   /// Total nodes rehashed serving submits (see StoreResult::NodesRehashed).
   uint64_t NodesRehashed = 0;
   /// Total stored-tree nodes whose persisted digests a warm submit reused
@@ -237,7 +252,8 @@ public:
     /// to this many versions.
     size_t HistoryCapacity = 32;
     /// Compact a document's arena when it holds more than
-    /// CompactionFactor * treeSize + 256 nodes. 0 disables compaction.
+    /// CompactionFactor * treeSize + 256 nodes, live or unloaded. 0
+    /// disables compaction.
     size_t CompactionFactor = 8;
     /// Keep each stored tree's Step-1 digests warm across requests and
     /// rehash only the root-to-edit paths a submit touches. When false,
@@ -246,12 +262,14 @@ public:
     /// path a stateless diff service pays). Purely an optimisation: the
     /// emitted edit scripts are byte-identical either way.
     bool PersistDigests = true;
-    /// Process-wide memory budget every document context accounts
-    /// against (open, restore, repair, rollback and compaction
-    /// rebuilds). Open and submit builders observe it via
-    /// TreeContext::overBudget() and refuse once it is exhausted; restore
-    /// and repair install already-accepted state, which the budget counts
-    /// but never refuses. Null = unlimited. Must outlive the store.
+    /// Process-wide memory budget every document context and every
+    /// submit's request arena accounts against (open, submit, restore,
+    /// repair, rollback and compaction rebuilds). Open and submit
+    /// builders observe it via TreeContext::overBudget() and refuse once
+    /// it is exhausted; restore and repair install already-accepted
+    /// state, which the budget counts but never refuses. A request
+    /// arena's charge is released when its submit returns. Null =
+    /// unlimited. Must outlive the store.
     MemoryBudget *MemBudget = nullptr;
     /// Digest policy for every document context (see TreeHash.h).
     /// SHA-256 is the default; Fast128 speeds up Step-1 hashing

@@ -39,6 +39,7 @@
 #include "tree/Limits.h"
 #include "tree/Signature.h"
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <string>
@@ -266,9 +267,11 @@ private:
 };
 
 /// Arena that owns every node of a diffing session and hands out fresh
-/// URIs. Source and target trees of one diff must come from the same
-/// context so URIs are globally unique (the paper's uniqueness-of-URIs
-/// requirement).
+/// URIs. Source and target trees of one diff must carry disjoint URIs
+/// (the paper's uniqueness-of-URIs requirement): build both in one
+/// context, or build the target in its own context that continues the
+/// source context's URI counter (continueUrisFrom), as a document
+/// store's submit does.
 class TreeContext {
 public:
   /// \p Policy selects the hash computing node digests (TreeHash.h).
@@ -388,6 +391,15 @@ public:
   /// Next URI that will be handed out; also used by truediff to allocate
   /// URIs for loaded nodes.
   URI peekNextUri() const { return NextUri; }
+
+  /// Moves this context's next fresh URI up to \p Other's, never back.
+  /// A request arena continues its document arena's counter this way, so
+  /// the target it builds shares no URI with the stored tree; the
+  /// document arena then continues from the request arena, so nodes it
+  /// loads later share none with the target either.
+  void continueUrisFrom(const TreeContext &Other) {
+    NextUri = std::max(NextUri, Other.NextUri);
+  }
 
   /// Number of nodes allocated so far.
   size_t numNodes() const { return NumNodes; }

@@ -24,6 +24,10 @@
 ///    gap, no version skew -- only the content digest disagrees) is
 ///    detected by the scrubber's shard summaries and resynced back to
 ///    byte-identical convergence.
+///  - Arena hand-over: a replace-root fallback submit, whose request
+///    arena becomes the document's, stays URI-exact and digest-clean
+///    through later submits, a rollback across it, a compaction, WAL
+///    recovery and a follower.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -785,4 +789,90 @@ TEST(AntiEntropyTest, SilentFollowerDivergenceIsDetectedAndResynced) {
   }));
   EXPECT_EQ(F.F->stats().SummaryMismatches, MismatchesBefore);
   EXPECT_TRUE(converged(L, *F.F, NumDocs));
+}
+
+TEST(ArenaHandOverTest,
+     FallbackSubmitSurvivesRollbackCompactionRecoveryAndAFollower) {
+  uint64_t Seed = tests::testSeed(0xfa11bac);
+  SEED_TRACE(Seed);
+  Rng R(Seed);
+
+  SignatureTable Sig = json::makeJsonSignature();
+  TempDir Dir;
+  LeaderNode L(Sig);
+  ASSERT_TRUE(L.Started);
+  Persistence P(Sig, plainConfig(Dir.path()));
+  P.attach(L.Store);
+  FollowerNode F(Sig);
+  std::string Err;
+  ASSERT_TRUE(F.F->connectTo("127.0.0.1", L.Lead->port(), &Err)) << Err;
+
+  // Unrelated documents: each submit loads most of its nodes, so the
+  // unloaded ones pile up in the leader's arena until it compacts.
+  TreeContext Ctx(Sig);
+  corpus::JsonGenOptions Opts;
+  Opts.MaxDepth = 3;
+  Opts.MaxFanout = 4;
+  auto Fresh = [&] {
+    return blobBuilder(Sig,
+                       encodeTree(Sig, corpus::generateJson(Ctx, R, Opts)));
+  };
+  SubmitOptions Fallback;
+  Fallback.UseFallback = [] { return true; };
+  auto Clean = [](const DocumentStore &S) {
+    EXPECT_EQ(S.checkDigests(1), std::nullopt);
+  };
+
+  ASSERT_TRUE(L.Store.open(1, Fresh()).Ok);
+  for (int I = 0; I != 3; ++I)
+    ASSERT_TRUE(L.Store.submit(1, Fresh()).Ok);
+  std::string BeforeFallback = L.Store.snapshot(1).UriText;
+  StoreResult FB = L.Store.submit(1, Fresh(), Fallback);
+  ASSERT_TRUE(FB.Ok) << FB.Error;
+  ASSERT_TRUE(FB.UsedFallback);
+  Clean(L.Store);
+  for (int I = 0; I != 3; ++I)
+    ASSERT_TRUE(L.Store.submit(1, Fresh()).Ok);
+
+  // Roll back across the fallback: the old tree returns URI-exactly
+  // into what was the request arena.
+  for (int I = 0; I != 4; ++I)
+    ASSERT_TRUE(L.Store.rollback(1).Ok);
+  EXPECT_EQ(L.Store.snapshot(1).UriText, BeforeFallback);
+  Clean(L.Store);
+
+  // A second fallback, then submits until the arena compacts, and a
+  // rollback across the compaction.
+  ASSERT_TRUE(L.Store.submit(1, Fresh(), Fallback).Ok);
+  for (int I = 0; I != 500 && L.Store.stats().Compactions == 0; ++I)
+    ASSERT_TRUE(L.Store.submit(1, Fresh()).Ok);
+  ASSERT_GT(L.Store.stats().Compactions, 0u);
+  ASSERT_TRUE(L.Store.rollback(1).Ok);
+  ASSERT_TRUE(L.Store.submit(1, Fresh()).Ok);
+  Clean(L.Store);
+
+  ASSERT_TRUE(waitUntil(
+      [&] { return F.F->caughtUp() && F.F->lastSeq() == L.Log.currentSeq(); }));
+  EXPECT_TRUE(converged(L, *F.F, 1));
+  Clean(F.F->store());
+
+  P.flush();
+  DocumentStore Recovered(Sig);
+  RecoveryResult RR = Persistence::recover(Sig, Dir.path(), Recovered);
+  EXPECT_EQ(RR.InvalidRecords, 0u);
+  DocumentSnapshot Want = L.Store.snapshot(1), Got = Recovered.snapshot(1);
+  ASSERT_TRUE(Got.Ok) << Got.Error;
+  EXPECT_EQ(Got.Version, Want.Version);
+  EXPECT_EQ(Got.UriText, Want.UriText);
+  Clean(Recovered);
+
+  // The recovered ring undoes the same script as the leader's.
+  StoreResult LR = L.Store.rollback(1), RR2 = Recovered.rollback(1);
+  ASSERT_TRUE(LR.Ok) << LR.Error;
+  ASSERT_TRUE(RR2.Ok) << RR2.Error;
+  EXPECT_EQ(Recovered.snapshot(1).UriText, L.Store.snapshot(1).UriText);
+  ASSERT_TRUE(waitUntil(
+      [&] { return F.F->caughtUp() && F.F->lastSeq() == L.Log.currentSeq(); }));
+  EXPECT_TRUE(converged(L, *F.F, 1));
+  Clean(F.F->store());
 }

@@ -37,6 +37,7 @@
 
 #include <atomic>
 #include <limits>
+#include <set>
 #include <thread>
 
 using namespace truediff;
@@ -102,6 +103,46 @@ void expectMirrorMatchesSnapshot(const DatabaseMirror &Mirror,
     expectDbMatchesTree(Db, Sig, P.Root, *Root);
   });
   EXPECT_TRUE(Seen);
+}
+
+/// A complete binary tree of \p Depth levels of \p Op nodes over Num
+/// leaves numbered from \p First. Trees with different operators share
+/// no inner node, so a submit (or rollback) that changes the operator
+/// unloads all 2^(Depth-1) - 1 inner nodes of the stored tree and loads
+/// as many new ones: the garbage that arena compaction reclaims.
+std::string opTreeText(const std::string &Op, int Depth, int First) {
+  if (Depth <= 1)
+    return "(Num " + std::to_string(First) + ")";
+  int Half = 1 << (Depth - 2);
+  return "(" + Op + " " + opTreeText(Op, Depth - 1, First) + " " +
+         opTreeText(Op, Depth - 1, First + Half) + ")";
+}
+
+/// Every URI of \p Doc's stored tree.
+std::set<URI> storedUris(const DocumentStore &Store, DocId Doc) {
+  std::set<URI> Out;
+  Store.withDocument(
+      Doc, [&](const Tree *Root, uint64_t,
+               const std::vector<DocumentStore::HistoryEntry> &) {
+        std::vector<const Tree *> Stack{Root};
+        while (!Stack.empty()) {
+          const Tree *T = Stack.back();
+          Stack.pop_back();
+          Out.insert(T->uri());
+          for (size_t I = 0; I != T->arity(); ++I)
+            Stack.push_back(T->kid(I));
+        }
+      });
+  return Out;
+}
+
+/// The Load edits of \p Script.
+std::vector<const Edit *> loadsOf(const EditScript &Script) {
+  std::vector<const Edit *> Out;
+  for (const Edit &E : Script.edits())
+    if (E.Kind == EditKind::Load)
+      Out.push_back(&E);
+  return Out;
 }
 
 //===----------------------------------------------------------------------===//
@@ -336,16 +377,20 @@ TEST(StoreConfigTest, CompactionPreservesRollback) {
   DocumentStore Store(Sig, Cfg);
   ASSERT_TRUE(Store.open(1, makeSExprBuilder("(Num 0)")).Ok);
 
+  // Each version swaps the operator of a 63-node tree, so every submit
+  // and every rollback leaves 31 unloaded nodes in the arena: several
+  // compactions on the way up and on the way down.
+  const char *Ops[] = {"Add", "Sub", "Mul"};
   std::vector<DocumentSnapshot> Snaps;
   Snaps.push_back(Store.snapshot(1));
   for (int I = 1; I <= 24; ++I) {
-    std::string Text =
-        "(Add (Num " + std::to_string(I) + ") (Mul (Num " +
-        std::to_string(I * 2) + ") (Num " + std::to_string(I * 3) + ")))";
+    std::string Text = opTreeText(Ops[I % 3], 6, I);
     ASSERT_TRUE(Store.submit(1, makeSExprBuilder(Text)).Ok);
     Snaps.push_back(Store.snapshot(1));
     ASSERT_EQ(Store.checkDigests(1), std::nullopt) << "at version " << I;
   }
+  uint64_t CompactionsUp = Store.stats().Compactions;
+  EXPECT_GT(CompactionsUp, 0u);
   for (int I = 24; I >= 1; --I) {
     ASSERT_TRUE(Store.rollback(1).Ok) << "at version " << I;
     DocumentSnapshot S = Store.snapshot(1);
@@ -353,6 +398,7 @@ TEST(StoreConfigTest, CompactionPreservesRollback) {
     EXPECT_EQ(S.UriText, Snaps[static_cast<size_t>(I) - 1].UriText);
     ASSERT_EQ(Store.checkDigests(1), std::nullopt) << "back at " << I - 1;
   }
+  EXPECT_GT(Store.stats().Compactions, CompactionsUp);
 }
 
 TEST_F(StoreTest, EraseRemovesDocument) {
@@ -373,6 +419,119 @@ TEST_F(StoreTest, BuilderErrorsAreReported) {
   R = Store.submit(2, sexprBuilder("(Nope ("));
   EXPECT_FALSE(R.Ok);
   EXPECT_EQ(Store.snapshot(2).Version, 0u); // unchanged
+}
+
+//===----------------------------------------------------------------------===//
+// Document arenas
+//===----------------------------------------------------------------------===//
+
+TEST(StoreArenaTest, RefusedSubmitsLeaveTheArenaAndTheBudgetUntouched) {
+  // A submit builds its target in an arena of its own, so a refused
+  // build's partial tree -- a syntax error, the node or depth cap, the
+  // memory budget -- dies with the request instead of staying in the
+  // document's arena, charged to the budget until compaction.
+  SignatureTable Sig = makeExpSignature();
+  MemoryBudget Budget(256 << 10);
+  DocumentStore::Config Cfg;
+  Cfg.MemBudget = &Budget;
+  DocumentStore Store(Sig, Cfg);
+  ASSERT_TRUE(Store.open(1, makeSExprBuilder(opTreeText("Add", 5, 0))).Ok);
+  const uint64_t Arena = Store.stats().ArenaNodes;
+  const size_t Charged = Budget.used();
+  ASSERT_GT(Charged, 0u);
+
+  std::string Big = opTreeText("Mul", 8, 0); // 255 nodes
+  ParseLimits NodeCap;
+  NodeCap.MaxNodes = 100;
+  ParseLimits DepthCap;
+  DepthCap.MaxDepth = 4;
+  struct Refusal {
+    TreeBuilder Build;
+    ErrCode Code;
+  };
+  const std::vector<Refusal> Refusals = {
+      // Every node but the root is built before the missing paren shows.
+      {makeSExprBuilder(Big.substr(0, Big.size() - 1)), ErrCode::BuildFailed},
+      {makeSExprBuilder(Big, NodeCap), ErrCode::TreeTooLarge},
+      {makeSExprBuilder(Big, DepthCap), ErrCode::TreeTooDeep},
+      // 4,095 nodes do not fit in the budget.
+      {makeSExprBuilder(opTreeText("Mul", 12, 0)), ErrCode::MemoryBudget},
+  };
+  for (int Round = 0; Round != 8; ++Round)
+    for (const Refusal &F : Refusals) {
+      StoreResult R = Store.submit(1, F.Build);
+      ASSERT_FALSE(R.Ok);
+      EXPECT_EQ(R.Code, F.Code) << errCodeName(R.Code) << ": " << R.Error;
+      ASSERT_EQ(Store.stats().ArenaNodes, Arena) << "round " << Round;
+      ASSERT_EQ(Budget.used(), Charged) << "round " << Round;
+    }
+
+  // The document still serves, and an accepted submit's arena charge
+  // outlives it only for the nodes the diff loaded.
+  StoreResult R = Store.submit(1, makeSExprBuilder(Big));
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(Store.stats().ArenaNodes, Arena + loadsOf(R.Script).size());
+  EXPECT_EQ(Store.snapshot(1).Text, Big);
+  EXPECT_EQ(Store.checkDigests(1), std::nullopt);
+}
+
+TEST(StoreArenaTest, SubmitsAndRollbacksGrowTheArenaByExactlyTheirLoads) {
+  // Between compactions (disabled here), a document's arena grows only by
+  // the nodes an in-place edit loads: a submit's target tree is never
+  // kept, and a Load always introduces a URI the tree does not carry.
+  SignatureTable Sig = python::makePythonSignature();
+  DocumentStore::Config Cfg;
+  Cfg.CompactionFactor = 0;
+  Cfg.HistoryCapacity = 64;
+  DocumentStore Store(Sig, Cfg);
+  uint64_t Seed = tests::testSeed(0xa4e7a);
+  SEED_TRACE(Seed);
+  Rng R(Seed);
+  TreeContext Scratch(Sig);
+  corpus::PyGenOptions GenOpts;
+  GenOpts.NumFunctions = 3;
+  GenOpts.NumClasses = 1;
+  GenOpts.StmtsPerBody = 4;
+  const Tree *Module = corpus::generateModule(Scratch, R, GenOpts);
+  ASSERT_TRUE(Store.open(1, makeSExprBuilder(printSExpr(Sig, Module))).Ok);
+
+  uint64_t Undoable = 0, Loads = 0;
+  for (int Step = 0; Step != 120; ++Step) {
+    std::set<URI> Before = storedUris(Store, 1);
+    uint64_t ArenaBefore = Store.stats().ArenaNodes;
+    StoreResult Res;
+    if (Undoable != 0 && R.chance(30)) {
+      --Undoable;
+      Res = Store.rollback(1);
+    } else {
+      ++Undoable;
+      Module = corpus::mutateModule(Scratch, R, Module, {});
+      Res = Store.submit(1, makeSExprBuilder(printSExpr(Sig, Module)));
+    }
+    ASSERT_TRUE(Res.Ok) << Res.Error;
+    std::vector<const Edit *> Loaded = loadsOf(Res.Script);
+    Loads += Loaded.size();
+    ASSERT_EQ(Store.stats().ArenaNodes - ArenaBefore, Loaded.size())
+        << "step " << Step;
+    for (const Edit *E : Loaded)
+      ASSERT_EQ(Before.count(E->Node.Uri), 0u)
+          << "step " << Step << " loads live URI " << E->Node.Uri;
+    ASSERT_EQ(Store.stats().LiveNodes, Res.TreeSize);
+  }
+  EXPECT_GT(Loads, 0u);
+  EXPECT_EQ(Store.checkDigests(1), std::nullopt);
+
+  // The replace-root fallback keeps the target itself: the request arena
+  // becomes the document's, holding exactly the stored tree.
+  SubmitOptions Fallback;
+  Fallback.UseFallback = [] { return true; };
+  Module = corpus::mutateModule(Scratch, R, Module, {});
+  StoreResult Res =
+      Store.submit(1, makeSExprBuilder(printSExpr(Sig, Module)), Fallback);
+  ASSERT_TRUE(Res.Ok) << Res.Error;
+  ASSERT_TRUE(Res.UsedFallback);
+  EXPECT_EQ(Store.stats().ArenaNodes, Res.TreeSize);
+  EXPECT_EQ(Store.checkDigests(1), std::nullopt);
 }
 
 //===----------------------------------------------------------------------===//
@@ -472,13 +631,17 @@ TEST(DigestCacheTest, CacheSurvivesRollbackAndCompaction) {
       --Undoable;
       Step([](DocumentStore &S) { return S.rollback(1); });
     } else {
+      // The operator changes every round, so most steps unload and load
+      // the 63 inner nodes of a 127-node tree and the arenas compact.
       ++Undoable;
-      std::string Text = "(Add (Num " + std::to_string(R.range(0, 9)) +
-                         ") (Mul (Num " + std::to_string(R.range(0, 9)) +
-                         ") (Num " + std::to_string(R.range(0, 9)) + ")))";
+      const char *Ops[] = {"Add", "Sub", "Mul"};
+      std::string Text = opTreeText(Ops[Round % 3], 7,
+                                    static_cast<int>(R.range(0, 9)));
       Step([&](DocumentStore &S) { return S.submit(1, makeSExprBuilder(Text)); });
     }
   }
+  EXPECT_GT(Warm.stats().Compactions, 0u);
+  EXPECT_GT(Cold.stats().Compactions, 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -519,6 +682,21 @@ TEST(DiffServiceTest, SubmitReturnsSerializedScript) {
 
   Service.shutdown();
   EXPECT_FALSE(Service.submit(1, makeSExprBuilder("(a)")).Ok);
+}
+
+TEST(DiffServiceTest, StatsCarryArenaNodesAndCompactions) {
+  SignatureTable Sig = makeExpSignature();
+  DocumentStore Store(Sig);
+  DiffService Service(Store, ServiceConfig());
+  ASSERT_TRUE(Service.open(1, makeSExprBuilder(opTreeText("Add", 4, 0))).Ok);
+  ASSERT_TRUE(Service.submit(1, makeSExprBuilder(opTreeText("Mul", 4, 0))).Ok);
+  StoreStats S = Store.stats();
+  EXPECT_EQ(S.LiveNodes, 15u);
+  EXPECT_EQ(S.ArenaNodes, 15u + 7u); // the open plus 7 loaded inner nodes
+  std::string J = Service.statsJson();
+  EXPECT_NE(J.find("\"live_nodes\":15,\"arena_nodes\":22,\"compactions\":0"),
+            std::string::npos)
+      << J;
 }
 
 TEST(DeepDocumentTest, HundredThousandStatementSubmitDiffsOnAWorker) {
