@@ -621,6 +621,7 @@ std::string DiffService::statsJson() const {
       Buf, sizeof(Buf),
       ",\"store\":{\"documents\":%llu,\"versions_retained\":%llu,"
       "\"live_nodes\":%llu,\"arena_nodes\":%llu,\"compactions\":%llu,"
+      "\"text_renders\":%llu,"
       "\"nodes_rehashed\":%llu,\"digest_cache_saved_nodes\":%llu,"
       "\"quarantined\":%llu}}",
       static_cast<unsigned long long>(S.NumDocuments),
@@ -628,6 +629,7 @@ std::string DiffService::statsJson() const {
       static_cast<unsigned long long>(S.LiveNodes),
       static_cast<unsigned long long>(S.ArenaNodes),
       static_cast<unsigned long long>(S.Compactions),
+      static_cast<unsigned long long>(S.TextRenders),
       static_cast<unsigned long long>(S.NodesRehashed),
       static_cast<unsigned long long>(S.NodesDigestCacheSaved),
       static_cast<unsigned long long>(S.Quarantined));

@@ -204,6 +204,7 @@ StoreResult DocumentStore::submit(DocId Doc, const TreeBuilder &Build,
     D->Current = B.Root;
     D->Ctx = std::move(ReqCtx);
     D->Applier.reset();
+    dropText(*D);
     ++D->Version;
 
     commitSubmit(Doc, *D, std::move(Forward), Opts.Author);
@@ -236,6 +237,7 @@ StoreResult DocumentStore::submit(DocId Doc, const TreeBuilder &Build,
   DiffResult Diff = Differ.compareTo(D->Current, B.Root);
   D->Current = Diff.Patched;
   D->Applier.reset();
+  dropText(*D);
   ++D->Version;
 
   uint64_t PatchedSize = D->Current->size();
@@ -302,6 +304,7 @@ StoreResult DocumentStore::rollback(DocId Doc) {
   // exactly as it was.
   EditScript Inverse = invertScript(D->History.back().Script);
   D->Applier.reset();
+  dropText(*D);
   ApplyResult Applied = applyChecked(*D->Ctx, D->Current, Inverse);
   if (!Applied.Ok) {
     // Cannot happen for scripts we recorded ourselves; fail loudly.
@@ -390,6 +393,7 @@ StoreResult DocumentStore::applyRecord(DocId Doc, StoreOp Op, uint64_t Version,
   }
   if (!D->Applier)
     D->Applier = std::make_unique<ScriptApplier>(*D->Ctx, D->Current);
+  dropText(*D);
   ApplyResult Applied = D->Applier->apply(Script);
   if (!Applied.Ok) {
     R.Error = "record rejected: " + Applied.Error;
@@ -430,7 +434,14 @@ DocumentSnapshot DocumentStore::read(DocId Doc, bool WithUris) const {
   S.Ok = true;
   S.Version = D->Version;
   S.TreeSize = D->Current->size();
-  S.Text = printSExpr(Sig, D->Current);
+  if (D->Text.empty()) {
+    S.Text = printSExpr(Sig, D->Current);
+    // A copy is allocated at its exact size, not the printer's capacity.
+    D->Text = S.Text;
+    TextRenders.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    S.Text = D->Text;
+  }
   if (WithUris)
     S.UriText = printSExprWithUris(Sig, D->Current);
   S.Quarantined = D->Quarantined;
@@ -512,6 +523,7 @@ bool DocumentStore::mutateForTest(
   if (!D)
     return false;
   std::lock_guard<std::mutex> Lock(D->Mu);
+  dropText(*D);
   Fn(D->Current, D->Version);
   return true;
 }
@@ -575,6 +587,7 @@ StoreResult DocumentStore::repair(DocId Doc, uint64_t Version,
 
   std::lock_guard<std::mutex> Lock(D->Mu);
   D->Applier.reset();
+  dropText(*D);
   D->Ctx = std::move(FreshCtx);
   D->Current = B.Root;
   D->Version = Version;
@@ -674,6 +687,7 @@ StoreStats DocumentStore::stats() const {
     }
   }
   Out.Compactions = Compactions.load(std::memory_order_relaxed);
+  Out.TextRenders = TextRenders.load(std::memory_order_relaxed);
   return Out;
 }
 
@@ -683,11 +697,20 @@ void DocumentStore::maybeCompact(Document &D) const {
   if (D.Ctx->numNodes() <= Cfg.CompactionFactor * D.Current->size() + 256)
     return;
   // The copy re-derives every digest: compaction drops the digest cache
-  // and recomputes it from scratch.
+  // and recomputes it from scratch. It keeps URIs and so the cached text.
+  // The fresh arena continues the old counter rather than restarting
+  // above the live tree's URIs: the history ring's scripts name unloaded
+  // nodes by URIs that must never be issued again.
   auto FreshCtx = std::make_unique<TreeContext>(Sig, Cfg.Digest);
   FreshCtx->attachBudget(Cfg.MemBudget);
   D.Applier.reset();
   D.Current = FreshCtx->deepCopy(D.Current, TreeContext::CopyUris::Preserve);
+  FreshCtx->continueUrisFrom(*D.Ctx);
   D.Ctx = std::move(FreshCtx);
   Compactions.fetch_add(1, std::memory_order_relaxed);
+}
+
+void DocumentStore::dropText(Document &D) {
+  // Swapped out rather than cleared, so the old version's buffer is freed.
+  std::string().swap(D.Text);
 }

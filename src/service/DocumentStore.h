@@ -58,6 +58,13 @@
 /// stored tree's digests from scratch on every diff (the cold path); cold
 /// and warm diffs produce byte-identical edit scripts.
 ///
+/// Text cache: a get answers with the plain s-expression of the current
+/// version. The version's first read renders it and keeps it with the
+/// document; later reads of the same version copy it instead of printing
+/// the tree again. Every path that changes the tree drops the text
+/// (dropText); compaction keeps it, as its copy preserves the tree's text
+/// and URIs. The URI form snapshot() adds is rendered on every call.
+///
 /// Replica mode: a follower replica holds its documents in a store too,
 /// fed by applyRecord() with the scripts its leader's store committed.
 /// Each such document keeps one ScriptApplier across records, so its URI
@@ -241,6 +248,10 @@ struct StoreStats {
   uint64_t Quarantined = 0;
   /// Arena compactions since the store was created.
   uint64_t Compactions = 0;
+  /// Plain-text renders of a document version since the store was
+  /// created. Reads of a version after its first copy the cached text, so
+  /// reads minus renders is the cache's hit count.
+  uint64_t TextRenders = 0;
 };
 
 class DocumentStore {
@@ -273,10 +284,10 @@ public:
     MemoryBudget *MemBudget = nullptr;
     /// Digest policy for every document context (see TreeHash.h).
     /// SHA-256 is the default; Fast128 speeds up Step-1 hashing
-    /// substantially but its seeded digests are meaningless outside this
-    /// process, so keep SHA-256 wherever digests are compared across
-    /// processes (replication verification). Scripts are byte-identical
-    /// under either policy.
+    /// substantially but is not collision resistant, and digest equality
+    /// is taken as subtree equivalence (Section 4.1), so a leader keeps
+    /// SHA-256 for the untrusted trees clients submit. Scripts are
+    /// byte-identical under either policy.
     DigestPolicy Digest = DigestPolicy::Sha256;
   };
 
@@ -379,7 +390,8 @@ public:
   DocumentSnapshot snapshot(DocId Doc) const;
 
   /// What a get answers: snapshot() without the URI form (UriText stays
-  /// empty), so the document lock is held for one print, not two.
+  /// empty), so the document lock is held for a copy of the version's
+  /// cached text (a print on the version's first read), nothing more.
   DocumentSnapshot snapshotText(DocId Doc) const;
 
   /// One retained history-ring entry, exposed to withDocument visitors.
@@ -511,6 +523,11 @@ private:
     /// across records. Null until the first record; reset whenever Ctx or
     /// the tree changes any other way.
     std::unique_ptr<ScriptApplier> Applier;
+    /// Plain s-expression of the current tree, rendered by the version's
+    /// first read and copied by later ones; empty until then. Not keyed
+    /// by Version, which a rollback and a submit can give to two
+    /// different trees: every path that changes the tree calls dropText.
+    std::string Text;
   };
 
   struct Shard {
@@ -544,10 +561,16 @@ private:
   /// arena has outgrown the live tree. Requires D.Mu held.
   void maybeCompact(Document &D) const;
 
+  /// Discards \p D's cached text. Called before anything changes the
+  /// tree (submit, rollback, applyRecord, repair, mutateForTest).
+  /// Requires D.Mu held.
+  static void dropText(Document &D);
+
   const SignatureTable &Sig;
   const Config Cfg;
   std::vector<Shard> Shards;
   mutable std::atomic<uint64_t> Compactions{0};
+  mutable std::atomic<uint64_t> TextRenders{0};
 
   mutable std::mutex ListenersMu;
   std::vector<ScriptListener> Listeners;

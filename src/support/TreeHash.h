@@ -7,11 +7,13 @@
 /// \file
 /// The digest policy seam for Step-1 subtree hashing. truediff decides
 /// subtree equivalence purely through digest equality (paper Section 4.1),
-/// so the default policy stays SHA-256: replication followers recompute and
-/// compare digests across process boundaries, where collision resistance
-/// against adversarial inputs matters. For diff throughput, a context can
-/// instead opt into Fast128, a seeded non-cryptographic 128-bit hash in the
-/// wyhash/rapidhash family that is an order of magnitude cheaper per node.
+/// so the default policy stays SHA-256: a leader hashes trees its clients
+/// send, and a client that could craft a collision could make two
+/// different subtrees count as one. No node digest leaves its process
+/// (followers, recovery and anti-entropy all rehash or hash the URI text
+/// instead). For diff throughput, a context can instead opt into Fast128,
+/// a seeded non-cryptographic 128-bit hash in the wyhash/rapidhash family
+/// that is an order of magnitude cheaper per node.
 ///
 /// Fast128 digests are seeded per process (see processDigestSeed), so they
 /// are meaningless outside the producing process and must never be
@@ -41,8 +43,8 @@ namespace truediff {
 /// Which hash computes the per-node structure and literal digests.
 enum class DigestPolicy : uint8_t {
   /// Truncated SHA-256 (the seed's behaviour): collision resistant against
-  /// adversarial inputs; required whenever digests are compared across
-  /// processes (replication verification).
+  /// adversarial inputs, so digest equality is safe to take as subtree
+  /// equivalence (Section 4.1) on untrusted client trees.
   Sha256,
   /// Seeded 128-bit mum-mix hash: not collision resistant against an
   /// adversary who knows the seed, but ~10x cheaper per node. Digests live

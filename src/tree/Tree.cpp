@@ -258,16 +258,6 @@ uint64_t Tree::rehashDirtyPaths(const SignatureTable &Sig,
   return Rehashed;
 }
 
-void Tree::clearDiffState() {
-  foreachTree([](Tree *T) {
-    T->Share = nullptr;
-    T->Assigned = nullptr;
-    T->Covered = false;
-    T->ShareAvailable = false;
-    T->Mark = 0;
-  });
-}
-
 static void assertMatchesSignature(const SignatureTable &Sig, TagId Tag,
                                    Tree *const *Kids, size_t Arity,
                                    const std::vector<Literal> &Lits) {

@@ -222,8 +222,17 @@ public:
   /// owning context.
   void refreshDerived(const SignatureTable &Sig, DigestPolicy Policy);
 
-  /// Clears share and assignment pointers in the whole tree.
-  void clearDiffState();
+  /// Clears this node's share, assignment, covered flag, availability
+  /// flag and mark: everything one diff session stamps. TrueDiff calls it
+  /// on exactly the nodes its session stamped, so a share pointer never
+  /// outlives the session that allocated it.
+  void resetDiffState() {
+    Share = nullptr;
+    Assigned = nullptr;
+    Covered = false;
+    ShareAvailable = false;
+    Mark = 0;
+  }
 
 private:
   friend class TreeContext;
@@ -276,8 +285,8 @@ class TreeContext {
 public:
   /// \p Policy selects the hash computing node digests (TreeHash.h).
   /// SHA-256 is the default; Fast128 trades adversarial collision
-  /// resistance for diff throughput and must not be used where digests
-  /// are compared across processes (replication verification).
+  /// resistance for diff throughput. Digest equality is taken as subtree
+  /// equivalence (Section 4.1), so keep SHA-256 for untrusted trees.
   explicit TreeContext(const SignatureTable &Sig,
                        DigestPolicy Policy = DigestPolicy::Sha256)
       : Sig(Sig), Policy(Policy) {}

@@ -52,6 +52,7 @@ SubtreeShare *SubtreeRegistry::assignShare(Tree *T) {
     Slot = &Arena.back();
   }
   T->setShare(Slot);
+  Shared.push_back(T);
   return Slot;
 }
 

@@ -80,10 +80,14 @@ private:
 /// allocation instead of a heap round trip per equivalence class.
 class SubtreeRegistry {
 public:
-  /// Pre-sizes the intern table for about \p NumTrees registered nodes,
-  /// so Step 2 never rehashes the table mid-flight. An upper bound is
-  /// fine; compareTo passes the combined source+target node count.
-  void reserve(size_t NumTrees) { Shares.reserve(NumTrees); }
+  /// Pre-sizes the intern table and the shared-node list for about
+  /// \p NumTrees registered nodes, so Step 2 never rehashes or regrows
+  /// them mid-flight. An upper bound is fine; compareTo passes the
+  /// combined source+target node count.
+  void reserve(size_t NumTrees) {
+    Shares.reserve(NumTrees);
+    Shared.reserve(NumTrees);
+  }
 
   /// Returns the share for \p T's structure hash, creating it on first
   /// use, and stores it in the node. Idempotent.
@@ -95,8 +99,14 @@ public:
 
   size_t numShares() const { return Shares.size(); }
 
+  /// Every node this registry gave a share, once each. Availability and
+  /// assignments are only ever stamped on such nodes, so resetting these
+  /// (and takeTree's marked nodes) clears all the session's state.
+  const std::vector<Tree *> &sharedTrees() const { return Shared; }
+
 private:
   std::unordered_map<Digest, SubtreeShare *, DigestHash> Shares;
+  std::vector<Tree *> Shared;
   std::deque<SubtreeShare> Arena;
 };
 

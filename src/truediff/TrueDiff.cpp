@@ -77,8 +77,16 @@ void TrueDiff::takeTree(Tree *Source, Tree *That) {
   // deregister their nodes).
   uint32_t SourceMark = ++MarkCounter;
   uint32_t ThatMark = ++MarkCounter;
-  Source->foreachTree([&](Tree *T) { T->setMark(SourceMark); });
-  That->foreachTree([&](Tree *T) { T->setMark(ThatMark); });
+  // A node's first mark of the session records it for the session clear
+  // (marks are zero outside a session). Covered flags, set below, land
+  // only on That's nodes, which this marks.
+  auto Stamp = [&](Tree *T, uint32_t M) {
+    if (T->mark() == 0)
+      Marked.push_back(T);
+    T->setMark(M);
+  };
+  Source->foreachTree([&](Tree *T) { Stamp(T, SourceMark); });
+  That->foreachTree([&](Tree *T) { Stamp(T, ThatMark); });
   auto InSourceCount = [&](const Tree *T) { return T->mark() == SourceMark; };
   auto InThatCount = [&](const Tree *T) { return T->mark() == ThatMark; };
 
@@ -441,7 +449,13 @@ DiffResult TrueDiff::compareTo(Tree *Source, Tree *Target) {
     Patched->refreshDerived(Sig, Ctx.digestPolicy());
     Result.NodesRehashed = Patched->size();
   }
-  Patched->clearDiffState();
-  Target->clearDiffState();
+  // Reset exactly the nodes this session stamped, not the whole source
+  // and target trees: unloaded source nodes included, since no share
+  // pointer may outlive the registry the next session replaces.
+  for (Tree *T : Registry.sharedTrees())
+    T->resetDiffState();
+  for (Tree *T : Marked)
+    T->resetDiffState();
+  Marked.clear();
   return Result;
 }

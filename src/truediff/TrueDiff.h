@@ -84,7 +84,8 @@ public:
 
   /// Computes the difference between \p Source and \p Target.
   /// \p Source is consumed (its nodes move into the result); \p Target is
-  /// left intact. Both trees' diffing state is cleared afterwards.
+  /// left intact. Afterwards no node of either tree, or of the result,
+  /// carries diffing state: the session resets every node it stamped.
   ///
   /// \p Source must carry valid derived data (it does after construction,
   /// refreshDerived, or a previous compareTo round -- trees are
@@ -161,6 +162,10 @@ private:
 
   /// Session-unique stamp source for takeTree's containment marks.
   uint32_t MarkCounter = 0;
+
+  /// Nodes takeTree marked this session, once each; compareTo resets them
+  /// with the registry's shared nodes when it ends.
+  std::vector<Tree *> Marked;
 
   /// Step 4: loaded (or reused) trees whose parent is not built yet.
   std::vector<Tree *> Loaded;

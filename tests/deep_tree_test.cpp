@@ -7,7 +7,7 @@
 /// \file
 /// Regression test for the recursive-traversal stack overflow: a
 /// pathologically deep (but admission-legal) unary chain used to crash
-/// foreachTree/refreshDerived/clearDiffState/deepCopy, the whole-tree
+/// foreachTree/refreshDerived/deepCopy, the whole-tree
 /// checks validate/treeEqualsModuloUris/compareDerived (the scrubber's
 /// digest check) -- and MTree's fromTree/render/isClosedWellFormed/
 /// toTree/equalsTree/toString -- once it exceeded the thread stack, and so
@@ -69,8 +69,6 @@ TEST(DeepTreeTest, TraversalsSurviveDeepChains) {
   T->foreachTree([](Tree *N) { N->markDerivedDirty(); });
   EXPECT_EQ(T->rehashDirtyPaths(Sig, Ctx.digestPolicy()), ChainDepth + 1);
   T->foreachTree([&](Tree *N) { EXPECT_FALSE(N->derivedDirty()); });
-
-  T->clearDiffState();
 }
 
 TEST(DeepTreeTest, DeepCopySurvivesDeepChains) {

@@ -41,6 +41,7 @@
 #include "service/Wire.h"
 #include "support/Rng.h"
 #include "support/Sha256.h"
+#include "tree/SExpr.h"
 
 #include "DeepModule.h"
 #include "TestNet.h"
@@ -720,6 +721,51 @@ TEST(ReplicaStore, RecordsApplyAfterTheFollowerCompactsADocument) {
   EXPECT_TRUE(converged(L, *F.F, 1));
   EXPECT_TRUE(digestsClean(*F.F, 1));
   EXPECT_EQ(F.F->stats().ResyncsRequested, 0u);
+}
+
+TEST(ReplicaStore, GetIsByteIdenticalOnLeaderAndFollowerAtEveryVersion) {
+  // Both sides serve get from text cached per version. Each version is
+  // read twice on each side (a render, then a copy) through submits,
+  // rollbacks, erases and re-opens; then the follower's tree is
+  // corrupted in place, and its next get must show it.
+  uint64_t Seed = tests::testSeed(0x5eed000b);
+  SEED_TRACE(Seed);
+
+  SignatureTable Sig = json::makeJsonSignature();
+  LeaderNode L(Sig);
+  ASSERT_TRUE(L.Started);
+  FollowerNode F(Sig);
+  ASSERT_TRUE(F.connect(L));
+
+  WorkloadDriver Driver(L, Seed, /*NumDocs=*/1);
+  for (int Step = 0; Step != 80; ++Step) {
+    Driver.step();
+    if (::testing::Test::HasFatalFailure())
+      return;
+    ASSERT_TRUE(waitUntil([&] { return caughtUpWith(L, *F.F); }));
+    for (int Read = 0; Read != 2; ++Read) {
+      service::DocumentSnapshot Want = L.Store.snapshotText(1);
+      replica::Follower::ReadResult Got = F.F->readText(1);
+      ASSERT_EQ(Got.Ok, Want.Ok) << "step " << Step;
+      if (!Want.Ok)
+        break;
+      ASSERT_EQ(Got.Version, Want.Version) << "step " << Step;
+      ASSERT_TRUE(Got.Text == Want.Text) << "step " << Step;
+    }
+  }
+
+  if (!Driver.live(1))
+    Driver.openDoc(1);
+  ASSERT_TRUE(waitUntil([&] { return caughtUpWith(L, *F.F); }));
+  std::string Before = F.F->readText(1).Text;
+  ASSERT_TRUE(F.F->corruptDocForTest(1));
+  std::string After = F.F->readText(1).Text;
+  EXPECT_NE(After, Before);
+  F.F->store().withDocument(
+      1, [&](const Tree *Root, uint64_t,
+             const std::vector<service::DocumentStore::HistoryEntry> &) {
+        EXPECT_TRUE(printSExpr(Sig, Root) == After);
+      });
 }
 
 TEST(ReplicaStore, ThirtyThousandLevelDocumentReplicatesAndServesGet) {

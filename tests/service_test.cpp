@@ -36,6 +36,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <limits>
 #include <set>
 #include <thread>
@@ -537,6 +538,161 @@ TEST(StoreArenaTest, SubmitsAndRollbacksGrowTheArenaByExactlyTheirLoads) {
 //===----------------------------------------------------------------------===//
 // Warm-path digest cache
 //===----------------------------------------------------------------------===//
+
+TEST(StoreArenaTest, LoadsAfterACompactionTakeUrisNeverIssuedBefore) {
+  // A rollback unloads the nodes its submit loaded, the highest URIs the
+  // document has issued. A compaction right after it must not restart
+  // the counter above the live tree: the next submit's loads would take
+  // URIs that earlier scripts already gave to other nodes.
+  SignatureTable Sig = makeExpSignature();
+  DocumentStore::Config Cfg;
+  Cfg.CompactionFactor = 1;
+  Cfg.HistoryCapacity = 64;
+  DocumentStore Store(Sig, Cfg);
+  std::vector<URI> Loaded; // the newest script's loads
+  URI MaxIssued = NullURI;
+  Store.addScriptListener([&](DocId, uint64_t, DocumentStore::StoreOp,
+                              const EditScript &S,
+                              const DocumentStore::ScriptInfo &) {
+    Loaded.clear();
+    for (const Edit *E : loadsOf(S)) {
+      Loaded.push_back(E->Node.Uri);
+      MaxIssued = std::max(MaxIssued, E->Node.Uri);
+    }
+  });
+  ASSERT_TRUE(Store.open(1, makeSExprBuilder(opTreeText("Add", 6, 0))).Ok);
+  const char *Ops[] = {"Add", "Sub", "Mul"};
+  for (int I = 1; I <= 16; ++I)
+    ASSERT_TRUE(
+        Store.submit(1, makeSExprBuilder(opTreeText(Ops[I % 3], 6, I))).Ok);
+  bool Compacted = false;
+  for (int I = 0; I != 16 && !Compacted; ++I) {
+    uint64_t Before = Store.stats().Compactions;
+    ASSERT_TRUE(Store.rollback(1).Ok);
+    Compacted = Store.stats().Compactions > Before;
+  }
+  ASSERT_TRUE(Compacted) << "no rollback compacted the arena";
+
+  URI IssuedBefore = MaxIssued;
+  ASSERT_TRUE(Store.submit(1, makeSExprBuilder(opTreeText("Add", 7, 0))).Ok);
+  ASSERT_FALSE(Loaded.empty());
+  for (URI U : Loaded)
+    EXPECT_GT(U, IssuedBefore) << "a load reissued URI " << U;
+  EXPECT_EQ(Store.checkDigests(1), std::nullopt);
+}
+
+//===----------------------------------------------------------------------===//
+// Text cache: a get renders each version once
+//===----------------------------------------------------------------------===//
+
+/// \p Doc's stored tree, printed afresh.
+std::string printedTree(const DocumentStore &Store, DocId Doc) {
+  std::string Out;
+  Store.withDocument(Doc, [&](const Tree *Root, uint64_t,
+                              const std::vector<DocumentStore::HistoryEntry> &) {
+    Out = printSExpr(Store.signatures(), Root);
+  });
+  return Out;
+}
+
+/// Reads \p Doc once, so its text is cached, runs \p Change, and expects
+/// the next read to answer the changed tree.
+void expectGetFollows(DocumentStore &Store, DocId Doc, const char *Path,
+                      const std::function<void()> &Change) {
+  std::string Before = Store.snapshotText(Doc).Text;
+  Change();
+  std::string After = Store.snapshotText(Doc).Text;
+  EXPECT_EQ(After, printedTree(Store, Doc)) << Path;
+  EXPECT_NE(After, Before) << Path << " did not change the tree";
+}
+
+TEST(TextCacheTest, GetAnswersTheCurrentTreeAfterEveryChange) {
+  SignatureTable Sig = makeExpSignature();
+  DocumentStore Store(Sig);
+  struct Rec {
+    DocumentStore::StoreOp Op;
+    uint64_t Version;
+    EditScript Script;
+  };
+  std::vector<Rec> Stream;
+  Store.addScriptListener([&](DocId, uint64_t Version,
+                              DocumentStore::StoreOp Op, const EditScript &S,
+                              const DocumentStore::ScriptInfo &) {
+    Stream.push_back({Op, Version, S});
+  });
+  ASSERT_TRUE(Store.open(1, sexprBuilder("(Add (Num 1) (Num 2))")).Ok);
+  expectGetFollows(Store, 1, "submit", [&] {
+    ASSERT_TRUE(Store.submit(1, sexprBuilder("(Mul (Num 2) (Num 3))")).Ok);
+  });
+  expectGetFollows(Store, 1, "fallback submit", [&] {
+    SubmitOptions Opts;
+    Opts.UseFallback = [] { return true; };
+    StoreResult R = Store.submit(1, sexprBuilder("(Sub (Num 4) (a))"), Opts);
+    ASSERT_TRUE(R.Ok && R.UsedFallback);
+  });
+  expectGetFollows(Store, 1, "rollback",
+                   [&] { ASSERT_TRUE(Store.rollback(1).Ok); });
+
+  // A replica fed the same records: its submit and rollback records.
+  DocumentStore Replica(Sig);
+  ASSERT_EQ(Stream.size(), 4u);
+  ASSERT_TRUE(Replica.applyRecord(1, Stream[0].Op, 0, Stream[0].Script, "").Ok);
+  for (size_t I = 1; I != Stream.size(); ++I)
+    expectGetFollows(Replica, 1, "record", [&] {
+      StoreResult R = Replica.applyRecord(1, Stream[I].Op, Stream[I].Version,
+                                          Stream[I].Script, "");
+      ASSERT_TRUE(R.Ok) << R.Error;
+    });
+  EXPECT_EQ(Replica.snapshotText(1).Text, Store.snapshotText(1).Text);
+
+  expectGetFollows(Store, 1, "repair", [&] {
+    ASSERT_TRUE(Store.repair(1, 1, sexprBuilder("(Num 9)"), {}).Ok);
+  });
+  expectGetFollows(Store, 1, "mutateForTest", [&] {
+    ASSERT_TRUE(Store.mutateForTest(1, [](Tree *Root, uint64_t &) {
+      Root->setLits({Literal(int64_t(10))});
+    }));
+  });
+}
+
+TEST(TextCacheTest, RollbackThenSubmitReusesTheVersionNumberForANewTree) {
+  SignatureTable Sig = makeExpSignature();
+  DocumentStore Store(Sig);
+  ASSERT_TRUE(Store.open(1, sexprBuilder("(Num 0)")).Ok);
+  ASSERT_TRUE(Store.submit(1, sexprBuilder("(Add (Num 1) (a))")).Ok);
+  EXPECT_EQ(Store.snapshotText(1).Text, "(Add (Num 1) (a))");
+  ASSERT_TRUE(Store.rollback(1).Ok);
+  EXPECT_EQ(Store.snapshotText(1).Text, "(Num 0)");
+  ASSERT_TRUE(Store.submit(1, sexprBuilder("(Mul (b) (Num 2))")).Ok);
+  DocumentSnapshot S = Store.snapshotText(1);
+  EXPECT_EQ(S.Version, 1u);
+  EXPECT_EQ(S.Text, "(Mul (b) (Num 2))");
+}
+
+TEST(TextCacheTest, ReadsOfOneVersionRenderOnce) {
+  SignatureTable Sig = makeExpSignature();
+  DocumentStore Store(Sig);
+  DiffService Service(Store, ServiceConfig());
+  ASSERT_TRUE(Service.open(1, makeSExprBuilder(opTreeText("Add", 4, 0))).Ok);
+  EXPECT_EQ(Store.stats().TextRenders, 0u); // filled by reads, not writes
+
+  Response First = Service.getVersion(1);
+  Response Second = Service.getVersion(1);
+  ASSERT_TRUE(First.Ok && Second.Ok);
+  EXPECT_EQ(Second.Payload, First.Payload);
+  EXPECT_EQ(Store.stats().TextRenders, 1u);
+  // snapshot() reuses the text and prints only its URI form.
+  EXPECT_EQ(Store.snapshot(1).Text, First.Payload);
+  EXPECT_EQ(Store.stats().TextRenders, 1u);
+  EXPECT_NE(Service.statsJson().find("\"text_renders\":1,"), std::string::npos)
+      << Service.statsJson();
+
+  ASSERT_TRUE(Service.submit(1, makeSExprBuilder(opTreeText("Mul", 4, 0))).Ok);
+  EXPECT_EQ(Store.stats().TextRenders, 1u);
+  EXPECT_EQ(Service.getVersion(1).Payload, opTreeText("Mul", 4, 0));
+  EXPECT_EQ(Service.getVersion(1).Payload, opTreeText("Mul", 4, 0));
+  EXPECT_EQ(Store.stats().TextRenders, 2u);
+}
 
 /// Replays identical chains of document versions into a warm store (Step-1
 /// digests persisted across requests, the default) and a cold store (every
@@ -1170,6 +1326,79 @@ INSTANTIATE_TEST_SUITE_P(Modes, MirrorTest,
 //===----------------------------------------------------------------------===//
 // Concurrent hammer (run under TSan in CI)
 //===----------------------------------------------------------------------===//
+
+TEST(ConcurrentServiceTest, ReadersShareCachedTextWithARecordApplier) {
+  // Two reader threads and one record-applying thread on one replica
+  // document: readers fill the text cache under the document lock while
+  // records drop it. Every read must answer the text of a version that
+  // was current at some point during that read.
+  SignatureTable Sig = makeExpSignature();
+  DocumentStore Leader(Sig);
+  struct Rec {
+    DocumentStore::StoreOp Op;
+    uint64_t Version;
+    EditScript Script;
+    std::string Text; // the leader's tree after the record
+  };
+  std::vector<Rec> Stream;
+  Leader.addScriptListener([&](DocId, uint64_t Version,
+                               DocumentStore::StoreOp Op, const EditScript &S,
+                               const DocumentStore::ScriptInfo &) {
+    Stream.push_back({Op, Version, S, ""});
+  });
+  ASSERT_TRUE(Leader.open(1, makeSExprBuilder(opTreeText("Add", 5, 0))).Ok);
+  Stream.back().Text = printedTree(Leader, 1);
+  const char *Ops[] = {"Add", "Sub", "Mul"};
+  for (int I = 1; I <= 120; ++I) {
+    if (I % 4 == 0)
+      ASSERT_TRUE(Leader.rollback(1).Ok);
+    else
+      ASSERT_TRUE(
+          Leader.submit(1, makeSExprBuilder(opTreeText(Ops[I % 3], 5, I))).Ok);
+    Stream.back().Text = printedTree(Leader, 1);
+  }
+
+  DocumentStore Replica(Sig);
+  ASSERT_TRUE(
+      Replica.applyRecord(1, Stream[0].Op, 0, Stream[0].Script, "").Ok);
+  std::atomic<size_t> Applied{1};
+  std::atomic<bool> Done{false};
+  std::atomic<uint64_t> Reads{0}, Mismatches{0};
+  auto Reader = [&] {
+    while (!Done.load()) {
+      // Applied counts published records; the record being applied may
+      // already be visible to the read, so the read may see one more.
+      size_t Lo = Applied.load();
+      DocumentSnapshot S = Replica.snapshotText(1);
+      size_t Hi = std::min(Applied.load() + 1, Stream.size());
+      bool Match = false;
+      for (size_t I = Lo; I <= Hi && !Match; ++I)
+        Match = S.Version == Stream[I - 1].Version &&
+                S.Text == Stream[I - 1].Text;
+      Reads.fetch_add(1);
+      if (!Match)
+        Mismatches.fetch_add(1);
+    }
+  };
+  std::thread R1(Reader), R2(Reader);
+  std::thread Applier([&] {
+    for (size_t I = 1; I != Stream.size(); ++I) {
+      StoreResult R = Replica.applyRecord(1, Stream[I].Op, Stream[I].Version,
+                                          Stream[I].Script, "");
+      if (!R.Ok)
+        Mismatches.fetch_add(1);
+      Applied.store(I + 1);
+      std::this_thread::yield();
+    }
+    Done.store(true);
+  });
+  Applier.join();
+  R1.join();
+  R2.join();
+  EXPECT_EQ(Mismatches.load(), 0u) << "of " << Reads.load() << " reads";
+  EXPECT_GT(Reads.load(), 0u);
+  EXPECT_EQ(Replica.snapshotText(1).Text, Stream.back().Text);
+}
 
 TEST(ConcurrentServiceTest, HammerManyClientsManyDocuments) {
   constexpr unsigned NumClients = 8;

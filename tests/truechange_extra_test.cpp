@@ -37,6 +37,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <initializer_list>
 
 using namespace truediff;
 using namespace truediff::testlang;
@@ -369,6 +370,26 @@ INSTANTIATE_TEST_SUITE_P(Seeds, InitScriptPropertyTest,
 // Theorem 3.6 under adversarial corruption
 //===----------------------------------------------------------------------===//
 
+/// Every node of the trees rooted at \p Roots.
+std::vector<Tree *> nodesOf(std::initializer_list<Tree *> Roots) {
+  std::vector<Tree *> Nodes;
+  for (Tree *Root : Roots)
+    Root->foreachTree([&](Tree *T) { Nodes.push_back(T); });
+  return Nodes;
+}
+
+/// A diff session must leave no share, assignment, covered flag,
+/// availability flag or mark behind on any node it saw: the next session
+/// would read a share pointer into a freed registry.
+void expectNoDiffState(const std::vector<Tree *> &Nodes) {
+  size_t Stamped = 0;
+  for (const Tree *T : Nodes)
+    if (T->share() != nullptr || T->assigned() != nullptr || T->covered() ||
+        T->shareAvailable() || T->mark() != 0)
+      ++Stamped;
+  EXPECT_EQ(Stamped, 0u) << "of " << Nodes.size() << " nodes";
+}
+
 class Theorem36FuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(Theorem36FuzzTest, AcceptedScriptsYieldWellFormedTrees) {
@@ -383,8 +404,12 @@ TEST_P(Theorem36FuzzTest, AcceptedScriptsYieldWellFormedTrees) {
   // corrupted script applies until the corruption bites instead of
   // failing on its first edit.
   EditScript Init = buildInitializingScript(Sig, Base);
+  std::vector<Tree *> Seen = nodesOf({Base, Mutated});
   TrueDiff Differ(Ctx);
   DiffResult Result = Differ.compareTo(Base, Mutated);
+  for (Tree *T : nodesOf({Result.Patched}))
+    Seen.push_back(T);
+  expectNoDiffState(Seen);
 
   size_t Accepted = 0, TypeRejected = 0, PatchRejected = 0, Midway = 0;
   for (int Round = 0; Round != 40; ++Round) {
@@ -422,6 +447,36 @@ TEST_P(Theorem36FuzzTest, AcceptedScriptsYieldWellFormedTrees) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Theorem36FuzzTest,
                          ::testing::Range<uint64_t>(0, 25));
+
+TEST(DiffSessionStateTest, NoNodeKeepsDiffStateOnCorpusPairs) {
+  // One differ diffs each file's commits in a chain, each patched tree
+  // the next source, so state a session left behind would reach the next.
+  SignatureTable Sig = python::makePythonSignature();
+  corpus::CorpusOptions Opts;
+  Opts.NumPairs = 40;
+  Opts.Seed = 36;
+  std::vector<corpus::CommitPair> Pairs = corpus::buildCommitCorpus(Opts);
+  TreeContext Ctx(Sig);
+  TrueDiff Differ(Ctx);
+  Tree *Current = nullptr;
+  const std::string *CurrentSrc = nullptr;
+  for (const corpus::CommitPair &Pair : Pairs) {
+    if (CurrentSrc == nullptr || Pair.Before != *CurrentSrc) {
+      auto Before = python::parsePython(Ctx, Pair.Before);
+      ASSERT_TRUE(Before.ok());
+      Current = Before.Module;
+    }
+    auto After = python::parsePython(Ctx, Pair.After);
+    ASSERT_TRUE(After.ok());
+    std::vector<Tree *> Seen = nodesOf({Current, After.Module});
+    DiffResult R = Differ.compareTo(Current, After.Module);
+    for (Tree *T : nodesOf({R.Patched}))
+      Seen.push_back(T);
+    expectNoDiffState(Seen);
+    Current = R.Patched;
+    CurrentSrc = &Pair.After;
+  }
+}
 
 //===----------------------------------------------------------------------===//
 // The checked renderer against its oracles

@@ -7,13 +7,14 @@
 /// \file
 /// White-box tests for truediff's Step 2/3 machinery: subtree shares
 /// (availability, preferred selection, lazy deregistration), the share
-/// registry (interning by structure hash), and the edit buffer's
-/// negative-before-positive ordering.
+/// registry (interning by structure hash), the session's diff-state
+/// reset, and the edit buffer's negative-before-positive ordering.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "truediff/EditBuffer.h"
 #include "truediff/SubtreeShare.h"
+#include "truediff/TrueDiff.h"
 
 #include "TestLang.h"
 
@@ -132,15 +133,32 @@ TEST_F(InternalsTest, AssignTreeIsSymmetric) {
 }
 
 TEST_F(InternalsTest, ClearDiffStateResetsEverything) {
-  Tree *A = add(Ctx, num(Ctx, 1), num(Ctx, 2));
-  SubtreeRegistry Registry;
-  Registry.assignShare(A);
-  A->kid(0)->setCovered(true);
-  A->kid(1)->setMark(42);
-  A->clearDiffState();
-  EXPECT_EQ(A->share(), nullptr);
-  EXPECT_FALSE(A->kid(0)->covered());
-  EXPECT_EQ(A->kid(1)->mark(), 0u);
+  // Step 2 descends through the Muls and preemptively pairs the first
+  // Sub(a, b)s, so the source's a and b get no share; Step 3 then takes
+  // the source Mul for the target's second Mul, which marks them and
+  // covers the target Mul's kids. Num 7 is unloaded.
+  auto Mul = [&](Tree *Right) {
+    return mul(Ctx, sub(Ctx, var(Ctx, "a"), var(Ctx, "b")), Right);
+  };
+  Tree *Source = add(Ctx, Mul(num(Ctx, 4)), num(Ctx, 7));
+  Tree *Target = add(Ctx, Mul(var(Ctx, "x")), Mul(num(Ctx, 4)));
+  std::vector<Tree *> Nodes;
+  Source->foreachTree([&](Tree *T) { Nodes.push_back(T); });
+  Tree *SourceA = Source->kid(0)->kid(0)->kid(0);
+  Target->foreachTree([&](Tree *T) { Nodes.push_back(T); });
+
+  TrueDiff Differ(Ctx);
+  DiffResult R = Differ.compareTo(Source, Target);
+  EXPECT_EQ(R.Patched->kid(1)->kid(0)->kid(0), SourceA)
+      << "the source Mul was not moved as a whole";
+  R.Patched->foreachTree([&](Tree *T) { Nodes.push_back(T); });
+  for (const Tree *T : Nodes) {
+    EXPECT_EQ(T->share(), nullptr) << "uri " << T->uri();
+    EXPECT_EQ(T->assigned(), nullptr) << "uri " << T->uri();
+    EXPECT_FALSE(T->covered()) << "uri " << T->uri();
+    EXPECT_FALSE(T->shareAvailable()) << "uri " << T->uri();
+    EXPECT_EQ(T->mark(), 0u) << "uri " << T->uri();
+  }
 }
 
 //===----------------------------------------------------------------------===//
