@@ -15,12 +15,16 @@
 #define TRUEDIFF_BENCH_BENCHUTIL_H
 
 #include "corpus/Corpus.h"
+#include "support/Sha256.h"
 #include "support/Stats.h"
+#include "support/TreeHash.h"
+#include "tree/Tree.h"
 
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <string>
 #include <vector>
@@ -84,6 +88,76 @@ inline void printHeader(const char *Title) {
 inline void printRow(const std::string &Label,
                      const std::vector<double> &Values) {
   std::printf("%s\n", formatBoxRow(Label, BoxStats::of(Values)).c_str());
+}
+
+//===----------------------------------------------------------------------===//
+// Node-digest gates: the keyed digest must not depend on its key, and must
+// beat streaming SHA-256 over the same preimages.
+//===----------------------------------------------------------------------===//
+
+/// A fixed key other than any process key a run is likely to draw.
+inline constexpr DigestKey SecondDigestKey{0x0706050403020100ULL,
+                                           0x0f0e0d0c0b0a0908ULL};
+
+/// Runs \p Fn with node digests keyed by \p Key, then restores the
+/// process key. Trees built inside must not be diffed outside.
+inline void withDigestKey(const DigestKey &Key,
+                          const std::function<void()> &Fn) {
+  DigestKey Saved = processDigestKey();
+  setProcessDigestKeyForTest(Key);
+  Fn();
+  setProcessDigestKeyForTest(Saved);
+}
+
+/// Appends the two digest preimages of every node of \p Root to \p Out,
+/// laid out as tree/Tree.cpp hashes them: u32 tag, u32 arity and each
+/// kid's structure digest; u32 literal count, each literal's
+/// hashEncoding and each kid's literal digest.
+inline void appendNodePreimages(Tree *Root, std::vector<std::string> &Out) {
+  Root->foreachTree([&](Tree *T) {
+    auto PutU32 = [](std::string &S, uint32_t V) {
+      S.append(reinterpret_cast<const char *>(&V), sizeof(V));
+    };
+    std::string Struct, Lit;
+    PutU32(Struct, T->tag());
+    PutU32(Struct, static_cast<uint32_t>(T->arity()));
+    PutU32(Lit, static_cast<uint32_t>(T->numLits()));
+    for (const Literal &L : T->lits()) {
+      size_t At = Lit.size();
+      Lit.resize(At + L.hashEncodingSize());
+      L.hashEncoding(reinterpret_cast<uint8_t *>(Lit.data() + At));
+    }
+    for (size_t I = 0; I != T->arity(); ++I) {
+      Struct.append(reinterpret_cast<const char *>(
+                        T->kid(I)->structureHash().bytes().data()),
+                    Digest::NumBytes);
+      Lit.append(reinterpret_cast<const char *>(
+                     T->kid(I)->literalHash().bytes().data()),
+                 Digest::NumBytes);
+    }
+    Out.push_back(std::move(Struct));
+    Out.push_back(std::move(Lit));
+  });
+}
+
+/// Streaming SHA-256 time over the keyed node-digest time for hashing
+/// every message of \p Preimages, each side the fastest of five passes.
+inline double nodeDigestSpeedupOverSha256(
+    const std::vector<std::string> &Preimages) {
+  uint64_t Sink = 0;
+  const DigestKey &Key = processDigestKey();
+  double SipMs = fastestMs(5, [&] {
+    for (const std::string &P : Preimages)
+      Sink ^= sipHash128(Key, P.data(), P.size()).word(0);
+  });
+  double ShaMs = fastestMs(5, [&] {
+    for (const std::string &P : Preimages)
+      Sink ^= Sha256::hash(P).Bytes[0];
+  });
+  // Keeps both loops observable.
+  if (Sink == 0x5eed)
+    std::printf(" ");
+  return SipMs > 0 ? ShaMs / SipMs : 0;
 }
 
 //===----------------------------------------------------------------------===//

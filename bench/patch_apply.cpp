@@ -59,7 +59,7 @@ Fixture &fixture() {
 void BM_Sha256Throughput(benchmark::State &State) {
   std::string Data(static_cast<size_t>(State.range(0)), 'x');
   for (auto _ : State) {
-    Digest D = Sha256::hash(Data);
+    Sha256Digest D = Sha256::hash(Data);
     benchmark::DoNotOptimize(D);
   }
   State.SetBytesProcessed(static_cast<int64_t>(State.iterations()) *

@@ -53,14 +53,6 @@
 /// All default to 0 (unlimited/disabled). Rejections carry typed errors
 /// and, where a retry can help, a per-document retry_after_ms hint.
 ///
-/// Digest policy flags:
-///   --digest=sha256|fast  Step-1 subtree hashing policy. The default
-///                         sha256 is collision resistant; fast (Fast128,
-///                         seeded per process via TRUEDIFF_DIGEST_SEED)
-///                         trades that for ~an order of magnitude less
-///                         hashing cost. Edit scripts are identical
-///                         either way.
-///
 /// Network modes (the stdin REPL is the default front end):
 ///   --listen=<port>       serve the protocol over TCP instead of stdin:
 ///                         a non-blocking epoll loop multiplexes textual
@@ -123,7 +115,6 @@
 #include "replica/Leader.h"
 #include "replica/ReplicationLog.h"
 #include "service/Wire.h"
-#include "support/TreeHash.h"
 
 #include <unistd.h>
 
@@ -134,7 +125,6 @@
 #include <cstring>
 #include <iostream>
 #include <memory>
-#include <optional>
 #include <string>
 
 using namespace truediff;
@@ -208,7 +198,6 @@ int main(int Argc, char **Argv) {
   uint64_t FollowPort = 0;
   uint64_t Epoch = 1;
   uint64_t IdleTimeoutMs = 60000;
-  DigestPolicy Digest = DigestPolicy::Sha256;
   uint64_t ScrubIntervalMs = 0;
   uint64_t ScrubRate = 0;
   // Parses the numeric tail of --flag=<n>. Garbage, trailing junk, and
@@ -261,14 +250,7 @@ int main(int Argc, char **Argv) {
       Epoch = NumArg(Arg, "--epoch=");
     else if (Arg.rfind("--idle-timeout-ms=", 0) == 0)
       IdleTimeoutMs = NumArg(Arg, "--idle-timeout-ms=");
-    else if (Arg.rfind("--digest=", 0) == 0) {
-      std::optional<DigestPolicy> P =
-          parseDigestPolicy(Arg.substr(strlen("--digest=")));
-      if (P)
-        Digest = *P;
-      else
-        BadArgs = true;
-    } else if (Arg.rfind("--scrub-interval-ms=", 0) == 0)
+    else if (Arg.rfind("--scrub-interval-ms=", 0) == 0)
       ScrubIntervalMs = NumArg(Arg, "--scrub-interval-ms=");
     else if (Arg.rfind("--scrub-rate=", 0) == 0)
       ScrubRate = NumArg(Arg, "--scrub-rate=");
@@ -295,7 +277,6 @@ int main(int Argc, char **Argv) {
                  "[--shed-target-ms=<n>] [--degraded-ok] [--listen=<port>] "
                  "[--repl-listen=<port>] [--follow=<host:port>] "
                  "[--epoch=<n>] [--idle-timeout-ms=<n>] "
-                 "[--digest=sha256|fast] "
                  "[--scrub-interval-ms=<n>] [--scrub-rate=<n>]\n",
                  Argv[0]);
     return 2;
@@ -456,7 +437,6 @@ int main(int Argc, char **Argv) {
   DocumentStore::Config StoreCfg;
   if (MemBudgetMb != 0)
     StoreCfg.MemBudget = &Budget;
-  StoreCfg.Digest = Digest;
   DocumentStore Store(Sig, StoreCfg);
 
   // Per-node attribution, folded incrementally from the script stream.
@@ -663,14 +643,12 @@ int main(int Argc, char **Argv) {
 
   std::string DeadlineNote =
       DeadlineMs != 0 ? ", deadline " + std::to_string(DeadlineMs) + "ms" : "";
-  std::string DigestNote = std::string(", ") + digestPolicyName(Digest) +
-                           " digests";
   std::fprintf(stderr,
-               "diff_server: %s signature, %u workers%s%s%s; commands: open, "
+               "diff_server: %s signature, %u workers%s%s; commands: open, "
                "submit, rollback, get, blame, history, save, scrub, recover, "
                "stats, health, promote, demote, quit\n",
                Lang.c_str(), Service.workers(), Persist ? ", durable" : "",
-               DigestNote.c_str(), DeadlineNote.c_str());
+               DeadlineNote.c_str());
   if (Srv)
     std::fprintf(stderr, "diff_server: serving TCP on port %u\n", Srv->port());
   if (Lead)

@@ -46,7 +46,7 @@ static void computeDerived(RNode *N) {
     N->Height = std::max(N->Height, Kid->Height + 1);
     N->Size += Kid->Size;
   }
-  N->Hash = Hasher.finish();
+  N->Hash = Hasher.finish().truncated();
 }
 
 RNode *RoseForest::make(Symbol Type, std::string Label,

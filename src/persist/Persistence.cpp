@@ -409,6 +409,7 @@ bool Persistence::snapshotDocument(DocId Doc, uint64_t *CapturedSeq) {
           });
   if (!Found)
     return false;
+  Snap.NextUri = Store->nextUri(Doc);
 
   try {
     writeSnapshotFile(Cfg.Dir, Snap, &Io);
@@ -652,12 +653,10 @@ namespace {
 
 /// A replayed document tree, URIs preserved, in its own arena, with the
 /// applier that keeps its URI index across records. Its derived data is
-/// not maintained (decoded snapshots hash with the cheap policy):
-/// installing copies the tree into the store's context, which re-derives
-/// every digest with the store's policy.
+/// not maintained: installing copies the tree into the store's context,
+/// which re-derives every digest.
 struct ReplayTree {
-  explicit ReplayTree(const SignatureTable &Sig)
-      : Ctx(Sig, DigestPolicy::Fast128) {}
+  explicit ReplayTree(const SignatureTable &Sig) : Ctx(Sig) {}
   TreeContext Ctx;
   Tree *Root = nullptr;
   ScriptApplier Applier{Ctx, Root, ScriptApplier::Derived::Skip};
@@ -724,6 +723,7 @@ RecoveryResult Persistence::recover(const SignatureTable &Sig,
       continue;
     }
     T->Root = TreeRes.Root;
+    T->Ctx.continueUrisFrom(Snap.NextUri);
     D.T = std::move(T);
     D.Version = Snap.Version;
     D.Live = true;
@@ -876,6 +876,9 @@ RecoveryResult Persistence::recover(const SignatureTable &Sig,
         [&](TreeContext &Ctx) {
           service::BuildResult B;
           B.Root = Ctx.deepCopy(D.T->Root, TreeContext::CopyUris::Preserve);
+          // The replay arena's counter covers the snapshot's and every
+          // replayed load, rolled-back ones included.
+          Ctx.continueUrisFrom(D.T->Ctx);
           return B;
         },
         std::move(D.History), D.OpenAuthor);

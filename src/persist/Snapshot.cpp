@@ -87,6 +87,7 @@ std::string persist::writeSnapshotFile(const std::string &Dir,
     putVarint(Payload, Author.size());
     Payload += Author;
   }
+  putVarint(Payload, Snap.NextUri);
 
   std::string File(FileMagic, sizeof(FileMagic));
   putU32(File, static_cast<uint32_t>(Payload.size()));
@@ -218,6 +219,15 @@ ReadSnapshotResult persist::readSnapshotFile(const std::string &Path,
       Result.Snap.HistoryAuthors.emplace_back(
           Payload.substr(Pos, *AuthorLen));
       Pos += *AuthorLen;
+    }
+    // Optional next URI (older snapshots end here).
+    if (Pos != Payload.size()) {
+      auto NextUri = getVarint(Payload, Pos);
+      if (!NextUri) {
+        Result.Error = "truncated snapshot next uri";
+        return Result;
+      }
+      Result.Snap.NextUri = *NextUri;
     }
     if (Pos != Payload.size()) {
       Result.Error = "trailing bytes in snapshot";

@@ -20,7 +20,7 @@
 ///               varint(|tree blob|) tree-blob
 ///               varint(history count)
 ///               { varint(version) varint(|script blob|) script-blob }*
-///               [ blame-ext ]
+///               [ blame-ext [ varint(next uri) ] ]
 ///   blame-ext ::= varint(|prov blob|) prov-blob
 ///                 varint(|open author|) open-author
 ///                 { varint(|author|) author }*   (one per history entry)
@@ -32,6 +32,8 @@
 /// empty provenance index) and always written. The prov blob is the
 /// ProvenanceIndex's canonical per-document serialization, captured
 /// under the same document lock as the tree, so the two always agree.
+/// The next URI is optional on read too (older snapshots end after the
+/// blame extension and read as 0, "not recorded") and always written.
 ///
 /// File names are `snap-<doc>-<seq>.snap`; the header is authoritative,
 /// the name only drives cleanup ordering. Higher Seq supersedes lower.
@@ -79,6 +81,10 @@ struct SnapshotData {
   /// Canonical ProvenanceIndex blob for the document; empty when the
   /// snapshot predates the blame subsystem.
   std::string ProvBlob;
+  /// The document arena's next fresh URI (DocumentStore::nextUri), above
+  /// every URI the document issued, rolled-back loads included; recovery
+  /// continues from it. 0 = not recorded.
+  uint64_t NextUri = 0;
 };
 
 /// Writes \p Snap atomically into \p Dir; returns the final path.

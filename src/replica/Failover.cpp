@@ -31,9 +31,9 @@ PromotionResult replica::promoteFollower(Follower &F, DocumentStore &Store,
     // URIs preserved: the promoted store must be byte-identical (URI
     // level) to the follower's applied state, or the convergence digests
     // would diverge on re-replication.
-    service::StoreResult R =
-        Store.restore(D.Doc, D.Version, restoreBuilder(D.TreeBlob),
-                      std::move(D.History), std::move(D.OpenAuthor));
+    service::StoreResult R = Store.restore(
+        D.Doc, D.Version, restoreBuilder(D.TreeBlob, D.NextUri),
+        std::move(D.History), std::move(D.OpenAuthor));
     if (!R.Ok) {
       Out.Error = "restore of document " + std::to_string(D.Doc) +
                   " failed: " + R.Error;

@@ -21,8 +21,9 @@ using namespace truediff::net;
 using namespace truediff::replica;
 using service::DocumentStore;
 
-service::TreeBuilder replica::restoreBuilder(const std::string &Blob) {
-  return [&Blob](TreeContext &Ctx) -> service::BuildResult {
+service::TreeBuilder replica::restoreBuilder(const std::string &Blob,
+                                             URI NextUri) {
+  return [&Blob, NextUri](TreeContext &Ctx) -> service::BuildResult {
     service::BuildResult Out;
     persist::DecodeTreeResult R =
         persist::decodeTree(Ctx.signatures(), Ctx, Blob);
@@ -31,27 +32,14 @@ service::TreeBuilder replica::restoreBuilder(const std::string &Blob) {
       return Out;
     }
     Out.Root = R.Root;
+    Ctx.continueUrisFrom(NextUri);
     return Out;
   };
 }
 
-namespace {
-
-/// The follower's node digests never leave this process: convergence is
-/// checked on the SHA-256 of the URI rendering, snapshots and promotion
-/// carry structure, and every consumer rehashes. So they use the cheap
-/// seeded policy: all they cost is their upkeep on every record.
-service::DocumentStore::Config followerStoreConfig() {
-  service::DocumentStore::Config C;
-  C.Digest = DigestPolicy::Fast128;
-  return C;
-}
-
-} // namespace
-
 Follower::Follower(EventLoop &Loop, const SignatureTable &Sig, Config C)
     : Loop(Loop), Sig(Sig), Cfg(C), MaxEpochSeen(C.MaxEpochSeen),
-      Store(Sig, followerStoreConfig()) {
+      Store(Sig) {
   Prov.attach(Store);
 }
 
@@ -390,7 +378,7 @@ void Follower::onSnapshot(const DocSnapshotMsg &S) {
   // history before it is gone (and degrades explicitly on queries), and
   // the provenance index comes from the snapshot's canonical blob. A
   // corrupt snapshot keeps the old state; a gap will re-sync.
-  service::TreeBuilder Build = restoreBuilder(S.Blob);
+  service::TreeBuilder Build = restoreBuilder(S.Blob, S.NextUri);
   service::StoreResult Installed =
       It != Docs.end() ? Store.repair(S.Doc, S.Version, Build, {})
                        : Store.restore(S.Doc, S.Version, Build, {});
@@ -527,7 +515,7 @@ std::string Follower::statsJson() const {
       "\"resyncs_requested\":%llu,\"gap_rehellos\":%llu,"
       "\"stale_leader_rejects\":%llu,\"orphan_records\":%llu,"
       "\"dup_records\":%llu,\"summaries_received\":%llu,"
-      "\"summary_mismatches\":%llu}",
+      "\"summary_mismatches\":%llu,",
       static_cast<unsigned long long>(S.LastSeq),
       static_cast<unsigned long long>(S.Epoch),
       static_cast<unsigned long long>(S.MaxEpochSeen),
@@ -541,7 +529,7 @@ std::string Follower::statsJson() const {
       static_cast<unsigned long long>(S.DupRecords),
       static_cast<unsigned long long>(S.SummariesReceived),
       static_cast<unsigned long long>(S.SummaryMismatches));
-  return Buf;
+  return Buf + service::storeStatsJson(Store.stats()) + "}";
 }
 
 void Follower::injectGapForTest(uint64_t Doc) {
@@ -623,6 +611,7 @@ Follower::Export Follower::exportForPromotion() const {
             E.History.push_back(std::move(R));
           }
         });
+    E.NextUri = Store.nextUri(Doc);
     Out.Docs.push_back(std::move(E));
   }
   return Out;

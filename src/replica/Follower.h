@@ -168,6 +168,8 @@ public:
     std::string OpenAuthor;
     /// encodeTree blob, URIs preserved: the state the store restores.
     std::string TreeBlob;
+    /// The document's next fresh URI (DocumentStore::nextUri).
+    URI NextUri = 0;
     /// Canonical provenance blob (ProvenanceIndex::snapshotDoc).
     std::string ProvBlob;
     /// Retained submit history (oldest first), so the promoted leader
@@ -245,10 +247,11 @@ private:
   blame::ProvenanceIndex Prov;
 };
 
-/// A TreeBuilder that decodes an encodeTree blob with its URIs preserved:
-/// how a transferred document is installed into a store. \p Blob must
-/// outlive the builder.
-service::TreeBuilder restoreBuilder(const std::string &Blob);
+/// A TreeBuilder that decodes an encodeTree blob with its URIs preserved
+/// and continues the document's URI counter from \p NextUri (0 = not
+/// recorded): how a transferred document is installed into a store.
+/// \p Blob must outlive the builder.
+service::TreeBuilder restoreBuilder(const std::string &Blob, URI NextUri);
 
 /// Serves the follower's state through a NetServer: get/stats/health
 /// work, every write answers ErrCode::NotLeader -- carrying the leader's

@@ -65,6 +65,7 @@ std::string replica::encodeDocSnapshot(const DocSnapshotMsg &M) {
   P += M.Blob;
   putVarint(P, M.ProvBlob.size());
   P += M.ProvBlob;
+  putVarint(P, M.NextUri);
   return frame(ReplFrame::DocSnapshot, P);
 }
 
@@ -177,13 +178,22 @@ bool replica::decodeDocSnapshot(std::string_view Payload,
   Out.Tombstone = (Flags & 1) != 0;
   Out.Blob = std::string(Payload.substr(Pos, *BlobLen));
   Pos += *BlobLen;
-  // Optional trailing provenance blob (pre-blame peers omit it).
+  // Optional trailing provenance blob (pre-blame peers omit it), then
+  // the optional next URI (older peers omit it).
   Out.ProvBlob.clear();
+  Out.NextUri = 0;
   if (Pos != Payload.size()) {
     auto ProvLen = getVarint(Payload, Pos);
-    if (!ProvLen || *ProvLen != Payload.size() - Pos)
+    if (!ProvLen || *ProvLen > Payload.size() - Pos)
       return false;
-    Out.ProvBlob = std::string(Payload.substr(Pos));
+    Out.ProvBlob = std::string(Payload.substr(Pos, *ProvLen));
+    Pos += *ProvLen;
+  }
+  if (Pos != Payload.size()) {
+    auto NextUri = getVarint(Payload, Pos);
+    if (!NextUri || Pos != Payload.size())
+      return false;
+    Out.NextUri = *NextUri;
   }
   return true;
 }

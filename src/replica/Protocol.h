@@ -102,6 +102,10 @@ struct DocSnapshotMsg {
   /// ProvenanceIndex::snapshotDoc; empty for tombstones or pre-blame
   /// leaders), installed into the follower's index with the tree.
   std::string ProvBlob;
+  /// The document's next fresh URI on the leader (DocumentStore::
+  /// nextUri), which the installed document continues from so it never
+  /// reissues a URI after a promotion. 0 = not sent (older leaders).
+  uint64_t NextUri = 0;
 };
 
 struct CatchupDoneMsg {
@@ -127,8 +131,8 @@ struct AckMsg {
 /// broadcast periodically by the integrity scrubber. Each entry names a
 /// document, its version, and the SHA-256 hex digest of its URI
 /// rendering -- the cross-process-stable content identity (never the
-/// seeded Fast128 node digests, which are meaningless outside one
-/// process). A follower compares each entry against its own state up to
+/// node digests, which are keyed per process and meaningless outside
+/// it). A follower compares each entry against its own state up to
 /// AsOfSeq and requests a resync for any mismatch, catching silent
 /// divergence that gap detection cannot (the follower applied
 /// *something* for every seq; it was just wrong).

@@ -143,7 +143,9 @@ DocSnapshotMsg ReplicationLog::snapshotDoc(uint64_t Doc) const {
           Snap.Seq = It->second.LastSeq;
         }
       });
-  if (!Found) {
+  if (Found) {
+    Snap.NextUri = Store.nextUri(Doc);
+  } else {
     std::lock_guard<std::mutex> Lock(Mu);
     Snap.Tombstone = true;
     auto It = Docs.find(Doc);

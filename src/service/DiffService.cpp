@@ -615,29 +615,11 @@ std::string DiffService::statsJson() const {
     Metrics.MemBudgetBytes.store(Cfg.MemBudget->limit(),
                                  std::memory_order_relaxed);
   }
-  StoreStats S = Store.stats();
-  char Buf[512];
-  std::snprintf(
-      Buf, sizeof(Buf),
-      ",\"store\":{\"documents\":%llu,\"versions_retained\":%llu,"
-      "\"live_nodes\":%llu,\"arena_nodes\":%llu,\"compactions\":%llu,"
-      "\"text_renders\":%llu,"
-      "\"nodes_rehashed\":%llu,\"digest_cache_saved_nodes\":%llu,"
-      "\"quarantined\":%llu}}",
-      static_cast<unsigned long long>(S.NumDocuments),
-      static_cast<unsigned long long>(S.VersionsRetained),
-      static_cast<unsigned long long>(S.LiveNodes),
-      static_cast<unsigned long long>(S.ArenaNodes),
-      static_cast<unsigned long long>(S.Compactions),
-      static_cast<unsigned long long>(S.TextRenders),
-      static_cast<unsigned long long>(S.NodesRehashed),
-      static_cast<unsigned long long>(S.NodesDigestCacheSaved),
-      static_cast<unsigned long long>(S.Quarantined));
   std::string Json = Metrics.toJson(Queue.depth(), Queue.capacity(),
                                     NumWorkers, Queue.activeKeys());
   // Splice the store object into the metrics object.
   Json.pop_back(); // trailing '}'
-  Json += Buf;
+  Json += "," + storeStatsJson(Store.stats()) + "}";
   if (StatsAugmenter) {
     std::string Extra = StatsAugmenter();
     if (!Extra.empty()) {

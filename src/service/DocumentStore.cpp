@@ -11,6 +11,8 @@
 #include "truechange/Inverse.h"
 #include "truediff/TrueDiff.h"
 
+#include <cstdio>
+
 using namespace truediff;
 using namespace truediff::service;
 
@@ -93,7 +95,7 @@ StoreResult DocumentStore::open(DocId Doc, const TreeBuilder &Build,
                                 std::string Author) {
   StoreResult R;
   auto D = std::make_shared<Document>();
-  D->Ctx = std::make_unique<TreeContext>(Sig, Cfg.Digest);
+  D->Ctx = std::make_unique<TreeContext>(Sig);
   D->Ctx->attachBudget(Cfg.MemBudget);
   BuildResult B = Build(*D->Ctx);
   if (B.Root == nullptr) {
@@ -168,7 +170,7 @@ StoreResult DocumentStore::submit(DocId Doc, const TreeBuilder &Build,
   // tree -- is released when the submit returns. Its URIs continue the
   // document's counter, which then moves past them: every URI alive
   // during the diff is unique.
-  auto ReqCtx = std::make_unique<TreeContext>(Sig, Cfg.Digest);
+  auto ReqCtx = std::make_unique<TreeContext>(Sig);
   ReqCtx->attachBudget(Cfg.MemBudget);
   ReqCtx->continueUrisFrom(*D->Ctx);
   BuildResult B = Build(*ReqCtx);
@@ -229,7 +231,7 @@ StoreResult DocumentStore::submit(DocId Doc, const TreeBuilder &Build,
   DiffOpts.IncrementalRehash = Cfg.PersistDigests;
   uint64_t ColdRehash = 0;
   if (!Cfg.PersistDigests) {
-    D->Current->refreshDerived(Sig, Cfg.Digest);
+    D->Current->refreshDerived(Sig);
     ColdRehash = SourceSize;
   }
 
@@ -339,7 +341,7 @@ StoreResult DocumentStore::openRecord(DocId Doc, const EditScript &Script,
                                       std::string Author) {
   StoreResult R;
   auto D = std::make_shared<Document>();
-  D->Ctx = std::make_unique<TreeContext>(Sig, Cfg.Digest);
+  D->Ctx = std::make_unique<TreeContext>(Sig);
   D->Ctx->attachBudget(Cfg.MemBudget);
   D->Applier = std::make_unique<ScriptApplier>(*D->Ctx, D->Current);
   ApplyResult Applied = D->Applier->apply(Script);
@@ -462,10 +464,9 @@ std::optional<std::string> DocumentStore::checkDigests(DocId Doc) const {
   if (!D)
     return "no such document";
   std::lock_guard<std::mutex> Lock(D->Mu);
-  // deepCopy re-derives every digest bottom-up in a scratch arena (with
-  // the store's digest policy); the stored tree must agree with it node
-  // for node.
-  TreeContext Scratch(Sig, Cfg.Digest);
+  // deepCopy re-derives every digest bottom-up in a scratch arena; the
+  // stored tree must agree with it node for node.
+  TreeContext Scratch(Sig);
   const Tree *Fresh = Scratch.deepCopy(D->Current);
   return compareDerived(D->Current, Fresh);
 }
@@ -575,7 +576,7 @@ StoreResult DocumentStore::repair(DocId Doc, uint64_t Version,
   // repair leaves the document exactly as it was (still quarantined).
   // The state was accepted once, so the budget counts it but may not
   // refuse it: attach only after the build.
-  auto FreshCtx = std::make_unique<TreeContext>(Sig, Cfg.Digest);
+  auto FreshCtx = std::make_unique<TreeContext>(Sig);
   BuildResult B = Build(*FreshCtx);
   if (B.Root == nullptr) {
     R.Error = B.Error.empty() ? "builder produced no tree" : B.Error;
@@ -586,6 +587,9 @@ StoreResult DocumentStore::repair(DocId Doc, uint64_t Version,
   std::deque<VersionRecord> Ring = ringFrom(std::move(History));
 
   std::lock_guard<std::mutex> Lock(D->Mu);
+  // The repaired tree must not reissue URIs the corrupt arena handed
+  // out, rolled-back loads included.
+  FreshCtx->continueUrisFrom(*D->Ctx);
   D->Applier.reset();
   dropText(*D);
   D->Ctx = std::move(FreshCtx);
@@ -626,6 +630,14 @@ std::string DocumentStore::openAuthor(DocId Doc) const {
   return D->OpenAuthor;
 }
 
+URI DocumentStore::nextUri(DocId Doc) const {
+  std::shared_ptr<Document> D = find(Doc);
+  if (!D)
+    return 0;
+  std::lock_guard<std::mutex> Lock(D->Mu);
+  return D->Ctx->peekNextUri();
+}
+
 StoreResult DocumentStore::restore(DocId Doc, uint64_t Version,
                                    const TreeBuilder &Build,
                                    std::vector<RestoreEntry> History,
@@ -634,7 +646,7 @@ StoreResult DocumentStore::restore(DocId Doc, uint64_t Version,
   auto D = std::make_shared<Document>();
   // Installs accepted state, as repair() does: the budget counts the
   // tree once it is built but cannot refuse it.
-  D->Ctx = std::make_unique<TreeContext>(Sig, Cfg.Digest);
+  D->Ctx = std::make_unique<TreeContext>(Sig);
   BuildResult B = Build(*D->Ctx);
   if (B.Root == nullptr) {
     R.Error = B.Error.empty() ? "builder produced no tree" : B.Error;
@@ -660,6 +672,27 @@ StoreResult DocumentStore::restore(DocId Doc, uint64_t Version,
   R.Version = Version;
   R.TreeSize = D->Current->size();
   return R;
+}
+
+std::string service::storeStatsJson(const StoreStats &S) {
+  char Buf[512];
+  std::snprintf(
+      Buf, sizeof(Buf),
+      "\"store\":{\"documents\":%llu,\"versions_retained\":%llu,"
+      "\"live_nodes\":%llu,\"arena_nodes\":%llu,\"compactions\":%llu,"
+      "\"text_renders\":%llu,"
+      "\"nodes_rehashed\":%llu,\"digest_cache_saved_nodes\":%llu,"
+      "\"quarantined\":%llu}",
+      static_cast<unsigned long long>(S.NumDocuments),
+      static_cast<unsigned long long>(S.VersionsRetained),
+      static_cast<unsigned long long>(S.LiveNodes),
+      static_cast<unsigned long long>(S.ArenaNodes),
+      static_cast<unsigned long long>(S.Compactions),
+      static_cast<unsigned long long>(S.TextRenders),
+      static_cast<unsigned long long>(S.NodesRehashed),
+      static_cast<unsigned long long>(S.NodesDigestCacheSaved),
+      static_cast<unsigned long long>(S.Quarantined));
+  return Buf;
 }
 
 StoreStats DocumentStore::stats() const {
@@ -701,7 +734,7 @@ void DocumentStore::maybeCompact(Document &D) const {
   // The fresh arena continues the old counter rather than restarting
   // above the live tree's URIs: the history ring's scripts name unloaded
   // nodes by URIs that must never be issued again.
-  auto FreshCtx = std::make_unique<TreeContext>(Sig, Cfg.Digest);
+  auto FreshCtx = std::make_unique<TreeContext>(Sig);
   FreshCtx->attachBudget(Cfg.MemBudget);
   D.Applier.reset();
   D.Current = FreshCtx->deepCopy(D.Current, TreeContext::CopyUris::Preserve);

@@ -45,7 +45,7 @@
 /// URI-preserving typed copy into a fresh context.
 ///
 /// Digest cache (truediff Step 1, paper Section 4.2): every stored tree
-/// carries its structural/literal SHA-256 digests, heights, and sizes in
+/// carries its keyed structural/literal digests, heights, and sizes in
 /// its nodes, so they persist across requests. The lifecycle is
 ///   populate     at open (tree construction hashes),
 ///   invalidate   on submit and rollback along the root-to-edit paths the
@@ -254,6 +254,10 @@ struct StoreStats {
   uint64_t TextRenders = 0;
 };
 
+/// \p S as the `"store":{...}` member of a stats reply: the one rendering
+/// of store gauges, shared by the leader's and the follower's `stats`.
+std::string storeStatsJson(const StoreStats &S);
+
 class DocumentStore {
 public:
   struct Config {
@@ -282,13 +286,6 @@ public:
     /// arena's charge is released when its submit returns. Null =
     /// unlimited. Must outlive the store.
     MemoryBudget *MemBudget = nullptr;
-    /// Digest policy for every document context (see TreeHash.h).
-    /// SHA-256 is the default; Fast128 speeds up Step-1 hashing
-    /// substantially but is not collision resistant, and digest equality
-    /// is taken as subtree equivalence (Section 4.1), so a leader keeps
-    /// SHA-256 for the untrusted trees clients submit. Scripts are
-    /// byte-identical under either policy.
-    DigestPolicy Digest = DigestPolicy::Sha256;
   };
 
   /// Which store operation a script listener is observing.
@@ -418,6 +415,14 @@ public:
   /// the document is absent or version 0 was unattributed.
   std::string openAuthor(DocId Doc) const;
 
+  /// The next fresh URI of \p Doc's arena, above every URI the document
+  /// has issued (rolled-back loads included); 0 if absent. The counter
+  /// never moves back, so a read taken after a withDocument capture
+  /// bounds every URI the captured state issued. Snapshots record it so
+  /// a rebuilt document never reissues a URI (TreeContext::
+  /// continueUrisFrom).
+  URI nextUri(DocId Doc) const;
+
   /// One history-ring entry handed to restore(), oldest first.
   struct RestoreEntry {
     uint64_t Version = 0;
@@ -433,8 +438,10 @@ public:
   /// nothing to listeners -- recovery runs before traffic -- and leaves
   /// the document at \p Version with version 0 attributed to
   /// \p OpenAuthor. \p Build runs before the memory budget is attached,
-  /// so an exhausted budget cannot refuse it. Fails if the document
-  /// already exists.
+  /// so an exhausted budget cannot refuse it. \p Build should also move
+  /// the context's URI counter to the document's recorded next URI
+  /// (TreeContext::continueUrisFrom), or later submits may reissue URIs
+  /// of rolled-back loads. Fails if the document already exists.
   StoreResult restore(DocId Doc, uint64_t Version, const TreeBuilder &Build,
                       std::vector<RestoreEntry> History,
                       std::string OpenAuthor = std::string());

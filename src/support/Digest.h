@@ -1,11 +1,11 @@
-//===- support/Digest.h - 256-bit digest value type -------------*- C++-*-===//
+//===- support/Digest.h - 128-bit digest value type -------------*- C++-*-===//
 //
 // Part of truediff-cpp. MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A 32-byte digest value with cheap equality and hashing. truediff stores
+/// A 16-byte digest value with cheap equality and hashing. truediff stores
 /// two digests per tree node (structure hash and literal hash, paper
 /// Section 4.1) and uses them as hash-table keys in the SubtreeRegistry.
 ///
@@ -21,11 +21,11 @@
 
 namespace truediff {
 
-/// A 256-bit digest. Equality of digests is treated as equality of the
+/// A 128-bit digest. Equality of digests is treated as equality of the
 /// hashed trees, exactly as in the paper.
 class Digest {
 public:
-  static constexpr size_t NumBytes = 32;
+  static constexpr size_t NumBytes = 16;
 
   Digest() { Bytes.fill(0); }
 
@@ -36,7 +36,7 @@ public:
   /// The first eight bytes interpreted as a machine word.
   uint64_t prefixWord() const { return word(0); }
 
-  /// Eight-byte word \p I (0..3) of the digest, little-endian.
+  /// Eight-byte word \p I (0 or 1) of the digest, little-endian.
   uint64_t word(size_t I) const {
     uint64_t W;
     std::memcpy(&W, Bytes.data() + I * sizeof(W), sizeof(W));
@@ -56,11 +56,14 @@ private:
   std::array<uint8_t, NumBytes> Bytes;
 };
 
+/// Lowercase hex of the \p Size bytes at \p Bytes.
+std::string hexString(const uint8_t *Bytes, size_t Size);
+
 /// The per-process random seed DigestHash folds into every table hash.
-/// With a non-cryptographic digest policy the digest bytes themselves are
-/// attacker-influenceable, so exposing them directly as the bucket key
-/// would allow flooding one hash bucket; the seed (plus a strong finisher)
-/// makes bucket placement unpredictable. Defined in Digest.cpp; see also
+/// Not every Digest is keyed (GumTree's come from unkeyed SHA-256), so
+/// exposing digest bytes directly as the bucket key would let crafted
+/// inputs flood one hash bucket; the seed (plus a strong finisher) makes
+/// bucket placement unpredictable. Defined in Digest.cpp; see also
 /// processDigestSeed() in TreeHash.h, which this reuses.
 uint64_t digestTableSeed();
 

@@ -39,28 +39,15 @@ constexpr uint32_t IV[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
 uint32_t rotr(uint32_t X, unsigned N) { return (X >> N) | (X << (32 - N)); }
 
 /// The big-endian serialization of a final state.
-Digest digestOf(const uint32_t State[8]) {
-  std::array<uint8_t, Digest::NumBytes> Out;
+Sha256Digest digestOf(const uint32_t State[8]) {
+  Sha256Digest Out;
   for (unsigned I = 0; I != 8; ++I) {
-    Out[I * 4] = uint8_t(State[I] >> 24);
-    Out[I * 4 + 1] = uint8_t(State[I] >> 16);
-    Out[I * 4 + 2] = uint8_t(State[I] >> 8);
-    Out[I * 4 + 3] = uint8_t(State[I]);
+    Out.Bytes[I * 4] = uint8_t(State[I] >> 24);
+    Out.Bytes[I * 4 + 1] = uint8_t(State[I] >> 16);
+    Out.Bytes[I * 4 + 2] = uint8_t(State[I] >> 8);
+    Out.Bytes[I * 4 + 3] = uint8_t(State[I]);
   }
-  return Digest(Out);
-}
-
-/// Appends the 0x80 terminator, zero padding, and the 64-bit big-endian
-/// bit length to the \p Len-byte message at \p Buf; returns the number of
-/// 64-byte blocks the padded message spans.
-size_t padInPlace(uint8_t *Buf, size_t Len) {
-  size_t End = (Len + 9 + 63) / 64 * 64;
-  Buf[Len] = 0x80;
-  std::memset(Buf + Len + 1, 0, End - 8 - (Len + 1));
-  uint64_t BitLen = uint64_t(Len) * 8;
-  for (unsigned I = 0; I != 8; ++I)
-    Buf[End - 8 + I] = uint8_t(BitLen >> ((7 - I) * 8));
-  return End / 64;
+  return Out;
 }
 
 } // namespace
@@ -114,8 +101,7 @@ void Sha256::reset() {
 
 void Sha256::compressBlock(const uint8_t *Block) {
   if (detail::haveShaNi()) {
-    uint32_t *Lane = State;
-    detail::compressLanesShaNi<1>(&Lane, &Block);
+    detail::compressShaNi(State, Block);
     return;
   }
   detail::compressPortable(State, Block);
@@ -165,7 +151,7 @@ void Sha256::updateU32(uint32_t Value) {
   update(Bytes, sizeof(Bytes));
 }
 
-Digest Sha256::finish() {
+Sha256Digest Sha256::finish() {
   uint64_t BitLen = TotalBytes * 8;
 
   // Append the 0x80 terminator, zero padding, and the 64-bit big-endian
@@ -185,43 +171,14 @@ Digest Sha256::finish() {
   return digestOf(State);
 }
 
-Digest Sha256::hash(const void *Data, size_t Size) {
+Sha256Digest Sha256::hash(const void *Data, size_t Size) {
   Sha256 Hasher;
   Hasher.update(Data, Size);
   return Hasher.finish();
 }
 
-void Sha256::hashPair(uint8_t (&A)[PairBufferBytes], size_t LenA,
-                      uint8_t (&B)[PairBufferBytes], size_t LenB,
-                      Digest &OutA, Digest &OutB) {
-  assert(LenA <= PairMaxBytes && LenB <= PairMaxBytes &&
-         "hashPair messages must fit their buffers once padded");
-  size_t BlocksA = padInPlace(A, LenA);
-  size_t BlocksB = padInPlace(B, LenB);
-  uint32_t StateA[8], StateB[8];
-  std::memcpy(StateA, IV, sizeof(IV));
-  std::memcpy(StateB, IV, sizeof(IV));
-  if (detail::haveShaNi()) {
-    // Both lanes side by side while both have blocks left, then the
-    // longer message's tail alone.
-    uint32_t *States[2] = {StateA, StateB};
-    size_t Both = std::min(BlocksA, BlocksB);
-    for (size_t I = 0; I != Both; ++I) {
-      const uint8_t *Blocks[2] = {A + I * 64, B + I * 64};
-      detail::compressLanesShaNi<2>(States, Blocks);
-    }
-    uint32_t *TailState = BlocksA > BlocksB ? StateA : StateB;
-    const uint8_t *TailMsg = BlocksA > BlocksB ? A : B;
-    for (size_t I = Both, E = std::max(BlocksA, BlocksB); I != E; ++I) {
-      const uint8_t *Block = TailMsg + I * 64;
-      detail::compressLanesShaNi<1>(&TailState, &Block);
-    }
-  } else {
-    for (size_t I = 0; I != BlocksA; ++I)
-      detail::compressPortable(StateA, A + I * 64);
-    for (size_t I = 0; I != BlocksB; ++I)
-      detail::compressPortable(StateB, B + I * 64);
-  }
-  OutA = digestOf(StateA);
-  OutB = digestOf(StateB);
+Digest Sha256Digest::truncated() const {
+  std::array<uint8_t, Digest::NumBytes> Prefix;
+  std::memcpy(Prefix.data(), Bytes.data(), Digest::NumBytes);
+  return Digest(Prefix);
 }

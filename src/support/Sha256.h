@@ -7,8 +7,10 @@
 ///
 /// \file
 /// A from-scratch implementation of the SHA-256 cryptographic hash
-/// (FIPS 180-4). truediff decides subtree equivalence purely through digest
-/// equality (paper Section 4.1), so the hash must be collision resistant.
+/// (FIPS 180-4), for digests compared across processes: anti-entropy and
+/// scrub hash the URI rendering of a document with it, and GumTree its
+/// rose-tree nodes. Step-1 node digests use the keyed SipHash of
+/// TreeHash.h instead.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,11 +19,30 @@
 
 #include "support/Digest.h"
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <string_view>
 
 namespace truediff {
+
+/// A SHA-256 result: the 32-byte big-endian serialization of the final
+/// state.
+struct Sha256Digest {
+  static constexpr size_t NumBytes = 32;
+
+  std::array<uint8_t, NumBytes> Bytes{};
+
+  bool operator==(const Sha256Digest &O) const { return Bytes == O.Bytes; }
+  bool operator!=(const Sha256Digest &O) const { return Bytes != O.Bytes; }
+
+  /// The first 16 bytes as a Digest, for tables keyed by Digest.
+  Digest truncated() const;
+
+  /// Renders the digest as lowercase hex.
+  std::string toHex() const { return hexString(Bytes.data(), NumBytes); }
+};
 
 /// Incremental SHA-256 hasher.
 ///
@@ -51,39 +72,15 @@ public:
   void update(const Digest &D) { update(D.bytes().data(), Digest::NumBytes); }
 
   /// Pads, finalizes, and returns the 32-byte digest.
-  Digest finish();
+  Sha256Digest finish();
 
   /// Convenience helper: hash of one contiguous byte range.
-  static Digest hash(const void *Data, size_t Size);
+  static Sha256Digest hash(const void *Data, size_t Size);
 
   /// Convenience helper: hash of a string.
-  static Digest hash(std::string_view Str) {
+  static Sha256Digest hash(std::string_view Str) {
     return hash(Str.data(), Str.size());
   }
-
-  /// \name One-shot paired digests of short messages
-  ///
-  /// Step 1 hashes two short messages per tree node (structure and
-  /// literal preimages, usually a few dozen bytes each). hashPair pads both
-  /// in place and compresses them side by side, so one chain's round
-  /// latency hides behind the other's and no streaming buffer is copied.
-  /// @{
-
-  /// Capacity of a hashPair message buffer: four blocks.
-  static constexpr size_t PairBufferBytes = 256;
-
-  /// Longest message hashPair accepts: the buffer less the 0x80
-  /// terminator and the 8-byte length field. Callers stream longer ones.
-  static constexpr size_t PairMaxBytes = PairBufferBytes - 9;
-
-  /// Digests of the first \p LenA bytes of \p A and the first \p LenB
-  /// bytes of \p B (each at most PairMaxBytes), equal to hash() of each.
-  /// The buffers are padded in place, so bytes past each message are
-  /// scratch.
-  static void hashPair(uint8_t (&A)[PairBufferBytes], size_t LenA,
-                       uint8_t (&B)[PairBufferBytes], size_t LenB,
-                       Digest &OutA, Digest &OutB);
-  /// @}
 
 private:
   void compressBlock(const uint8_t *Block);
@@ -106,11 +103,9 @@ bool haveShaNi();
 /// The portable FIPS 180-4 compression of one 64-byte block.
 void compressPortable(uint32_t State[8], const uint8_t *Block);
 
-/// SHA-NI compression of \p N independent (state, block) lanes, their
-/// rounds interleaved. Only call when haveShaNi(); instantiated for N = 1
-/// and 2.
-template <unsigned N>
-void compressLanesShaNi(uint32_t *const State[N], const uint8_t *const Block[N]);
+/// The SHA-NI compression of one 64-byte block. Only call when
+/// haveShaNi().
+void compressShaNi(uint32_t State[8], const uint8_t *Block);
 
 } // namespace detail
 

@@ -6,7 +6,6 @@
 
 #include "tree/Tree.h"
 
-#include "support/Sha256.h"
 #include "support/TreeHash.h"
 
 #include <algorithm>
@@ -14,15 +13,6 @@
 #include <cstring>
 
 using namespace truediff;
-
-/// Kid digests contribute their first 16 bytes only. This keeps the
-/// common binary-node input within one SHA-256 block (a 2x speedup on
-/// Step 1) while retaining cryptographic collision resistance: a
-/// collision would still require a 2^64 birthday attack on truncated
-/// SHA-256, which the paper's "hash equality is tree equality" reading
-/// already accepts. The Fast128 policy emits 16-byte digests natively, so
-/// both policies feed exactly KidDigestBytes per kid.
-static constexpr size_t KidDigestBytes = 16;
 
 namespace {
 
@@ -33,12 +23,11 @@ uint8_t *putLE(uint8_t *P, uint64_t V, unsigned Bytes) {
   return P + Bytes;
 }
 
-/// Writes a node's two SHA-256 preimages (Section 4.1) at \p StructOut and
+/// Writes a node's two digest preimages (Section 4.1) at \p StructOut and
 /// \p LitOut:
-///   structure: u32 tag, u32 arity, 16 bytes of each kid's structure hash;
+///   structure: u32 tag, u32 arity, each kid's structure hash;
 ///   literal:   u32 literal count, each literal's Literal::hashEncoding,
-///              16 bytes of each kid's literal hash (the tag is NOT
-///              included).
+///              each kid's literal hash (the tag is NOT included).
 /// Integers are little-endian.
 void writePreimages(TagId Tag, Tree *const *Kids, size_t Arity,
                     const std::vector<Literal> &Lits, uint8_t *StructOut,
@@ -50,150 +39,48 @@ void writePreimages(TagId Tag, Tree *const *Kids, size_t Arity,
     LitOut = L.hashEncoding(LitOut);
   for (size_t I = 0; I != Arity; ++I) {
     std::memcpy(StructOut, Kids[I]->structureHash().bytes().data(),
-                KidDigestBytes);
+                Digest::NumBytes);
     std::memcpy(LitOut, Kids[I]->literalHash().bytes().data(),
-                KidDigestBytes);
-    StructOut += KidDigestBytes;
-    LitOut += KidDigestBytes;
+                Digest::NumBytes);
+    StructOut += Digest::NumBytes;
+    LitOut += Digest::NumBytes;
   }
 }
 
-/// The SHA-256 node digests. Both preimages usually fit the stack buffers
-/// of one Sha256::hashPair call; longer ones (long string literals, very
-/// wide nodes) are hashed from the heap, one message at a time.
-void hashNodeSha256(TagId Tag, Tree *const *Kids, size_t Arity,
-                    const std::vector<Literal> &Lits, Digest &StructOut,
-                    Digest &LitOut) {
-  size_t StructLen = 8 + Arity * KidDigestBytes;
-  size_t LitLen = 4 + Arity * KidDigestBytes;
+/// Preimages up to this many bytes are written to the stack; longer ones
+/// (long string literals, very wide nodes) go to the heap. The bytes
+/// hashed, and so the digests, are the same either way.
+constexpr size_t StackPreimageBytes = 256;
+
+/// The node's keyed structure and literal digests (TreeHash.h).
+void hashNode(TagId Tag, Tree *const *Kids, size_t Arity,
+              const std::vector<Literal> &Lits, Digest &StructOut,
+              Digest &LitOut) {
+  const DigestKey &Key = processDigestKey();
+  size_t StructLen = 8 + Arity * Digest::NumBytes;
+  size_t LitLen = 4 + Arity * Digest::NumBytes;
   for (const Literal &L : Lits)
     LitLen += L.hashEncodingSize();
-  if (StructLen <= Sha256::PairMaxBytes && LitLen <= Sha256::PairMaxBytes) {
-    alignas(16) uint8_t StructMsg[Sha256::PairBufferBytes];
-    alignas(16) uint8_t LitMsg[Sha256::PairBufferBytes];
+  if (StructLen <= StackPreimageBytes && LitLen <= StackPreimageBytes) {
+    uint8_t StructMsg[StackPreimageBytes];
+    uint8_t LitMsg[StackPreimageBytes];
     writePreimages(Tag, Kids, Arity, Lits, StructMsg, LitMsg);
-    Sha256::hashPair(StructMsg, StructLen, LitMsg, LitLen, StructOut, LitOut);
+    StructOut = sipHash128(Key, StructMsg, StructLen);
+    LitOut = sipHash128(Key, LitMsg, LitLen);
     return;
   }
   std::vector<uint8_t> StructMsg(StructLen), LitMsg(LitLen);
   writePreimages(Tag, Kids, Arity, Lits, StructMsg.data(), LitMsg.data());
-  StructOut = Sha256::hash(StructMsg.data(), StructLen);
-  LitOut = Sha256::hash(LitMsg.data(), LitLen);
-}
-
-//===----------------------------------------------------------------------===//
-// Fast-policy node digests
-//===----------------------------------------------------------------------===//
-
-/// Two-lane mum-chain accumulator for the fast digest policy. The generic
-/// hashNode<Fast128> path pays a buffer memcpy per update call and a block
-/// compress per finish, which dominates Step 1 on typical nodes whose whole
-/// input is a few dozen bytes; this folds the same fields directly into the
-/// chain. Values differ from streaming Fast128 output, which is fine: fast
-/// digests are per-process and never persisted or shipped (TreeHash.h), and
-/// every rehash in a process funnels through computeDerived, so digest
-/// equality still means subtree equality.
-struct FastAcc {
-  uint64_t A, B;
-  uint64_t N = 0;
-
-  FastAcc(uint64_t SeedA, uint64_t SeedB) : A(SeedA), B(SeedB) {}
-
-  /// Chains one 16-byte unit; order-sensitive (A feeds B, N rotates the
-  /// secret schedule and armours the unit count).
-  void fold(uint64_t W0, uint64_t W1) {
-    using namespace fast128_detail;
-    A = mum(A ^ W0, Secret[N & 3] ^ W1);
-    B = mum(B ^ W1, A ^ Secret[(N + 1) & 3]);
-    ++N;
-  }
-
-  /// Folds an arbitrary byte range in 16-byte units, zero-padding the tail
-  /// (callers fold the length separately, so padded tails stay distinct).
-  void foldBytes(const void *Data, size_t Size) {
-    using fast128_detail::read64;
-    const uint8_t *P = static_cast<const uint8_t *>(Data);
-    while (Size >= 16) {
-      fold(read64(P), read64(P + 8));
-      P += 16;
-      Size -= 16;
-    }
-    if (Size != 0) {
-      uint8_t Tail[16] = {};
-      std::memcpy(Tail, P, Size);
-      fold(read64(Tail), read64(Tail + 8));
-    }
-  }
-
-  Digest finish() const {
-    using namespace fast128_detail;
-    uint64_t H0 = mum(A ^ N, Secret[0] ^ B);
-    uint64_t H1 = splitmix64(H0 ^ B);
-    std::array<uint8_t, Digest::NumBytes> Bytes{};
-    std::memcpy(Bytes.data(), &H0, sizeof(H0));
-    std::memcpy(Bytes.data() + sizeof(H0), &H1, sizeof(H1));
-    return Digest(Bytes);
-  }
-};
-
-/// The Fast128-policy analogue of the SHA-256 node digests: same fields in
-/// the same roles (structure hash never sees literals), both digests built
-/// in a single pass over the kids so each kid's digest cache lines are
-/// touched once.
-void hashNodeFast(TagId Tag, Tree *const *Kids, size_t Arity,
-                  const std::vector<Literal> &Lits, Digest &StructOut,
-                  Digest &LitOut) {
-  const std::array<uint64_t, 4> &Seeds = fast128SeededLanes();
-  FastAcc S(Seeds[0], Seeds[1]);
-  FastAcc L(Seeds[2], Seeds[3]);
-  S.fold(Tag, Arity);
-  L.fold(Lits.size(), 0x4C495453ULL /* "LITS" */);
-  for (const Literal &Lit : Lits) {
-    switch (Lit.kind()) {
-    case LitKind::Int:
-      L.fold(static_cast<uint64_t>(LitKind::Int),
-             static_cast<uint64_t>(Lit.asInt()));
-      break;
-    case LitKind::Float: {
-      double V = Lit.asFloat();
-      uint64_t Bits;
-      std::memcpy(&Bits, &V, sizeof(Bits));
-      L.fold(static_cast<uint64_t>(LitKind::Float), Bits);
-      break;
-    }
-    case LitKind::Bool:
-      L.fold(static_cast<uint64_t>(LitKind::Bool), Lit.asBool() ? 1 : 0);
-      break;
-    case LitKind::String: {
-      const std::string &Str = Lit.asString();
-      L.fold(static_cast<uint64_t>(LitKind::String), Str.size());
-      L.foldBytes(Str.data(), Str.size());
-      break;
-    }
-    }
-  }
-  for (size_t I = 0; I != Arity; ++I) {
-    const Tree *Kid = Kids[I];
-    S.fold(Kid->structureHash().word(0), Kid->structureHash().word(1));
-    L.fold(Kid->literalHash().word(0), Kid->literalHash().word(1));
-  }
-  StructOut = S.finish();
-  LitOut = L.finish();
+  StructOut = sipHash128(Key, StructMsg.data(), StructLen);
+  LitOut = sipHash128(Key, LitMsg.data(), LitLen);
 }
 
 } // namespace
 
-void Tree::computeDerived(const SignatureTable &Sig, DigestPolicy Policy) {
+void Tree::computeDerived(const SignatureTable &Sig) {
   for (size_t I = 0; I != Arity; ++I)
     assert(Kids[I] != nullptr && "derived data requires complete trees");
-  switch (Policy) {
-  case DigestPolicy::Sha256:
-    hashNodeSha256(Tag, Kids, Arity, Lits, StructHash, LitHash);
-    break;
-  case DigestPolicy::Fast128:
-    hashNodeFast(Tag, Kids, Arity, Lits, StructHash, LitHash);
-    break;
-  }
+  hashNode(Tag, Kids, Arity, Lits, StructHash, LitHash);
 
   Height = 1;
   Size = 1;
@@ -214,7 +101,7 @@ struct PostorderFrame {
 
 } // namespace
 
-void Tree::refreshDerived(const SignatureTable &Sig, DigestPolicy Policy) {
+void Tree::refreshDerived(const SignatureTable &Sig) {
   // Iterative post-order: kids are fully recomputed before their parent.
   // Explicit stack so a depth-MaxDepth chain cannot overflow the call
   // stack.
@@ -227,14 +114,13 @@ void Tree::refreshDerived(const SignatureTable &Sig, DigestPolicy Policy) {
       Stack.push_back({Kid, 0});
       continue;
     }
-    Top.Node->computeDerived(Sig, Policy);
+    Top.Node->computeDerived(Sig);
     Top.Node->DerivedDirty = false;
     Stack.pop_back();
   }
 }
 
-uint64_t Tree::rehashDirtyPaths(const SignatureTable &Sig,
-                                DigestPolicy Policy) {
+uint64_t Tree::rehashDirtyPaths(const SignatureTable &Sig) {
   if (!DerivedDirty)
     return 0;
   uint64_t Rehashed = 0;
@@ -250,7 +136,7 @@ uint64_t Tree::rehashDirtyPaths(const SignatureTable &Sig,
         Stack.push_back({Kid, 0});
       continue;
     }
-    Top.Node->computeDerived(Sig, Policy);
+    Top.Node->computeDerived(Sig);
     Top.Node->DerivedDirty = false;
     ++Rehashed;
     Stack.pop_back();
@@ -387,7 +273,7 @@ Tree *TreeContext::build(TagId Tag, URI Uri, Tree *const *Kids, size_t Arity,
   }
   Node->Lits = std::move(Lits);
   if (When == Derive::Now)
-    Node->computeDerived(Sig, Policy);
+    Node->computeDerived(Sig);
   else
     Node->DerivedDirty = true;
   NextUri = std::max(NextUri, Uri + 1);

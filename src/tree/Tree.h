@@ -9,7 +9,8 @@
 /// mutable, typed tree whose nodes carry
 ///   - a URI and constructor tag,
 ///   - children and literals in signature order,
-///   - cached SHA-256 structure and literal hashes (Section 4.1),
+///   - cached structure and literal digests (Section 4.1; keyed
+///     SipHash-2-4-128, see support/TreeHash.h),
 ///   - cached height and size, and
 ///   - the diffing state (share and assignment) of Sections 4.2-4.3.
 ///
@@ -21,11 +22,10 @@
 /// array stay put for the context's lifetime, and building a node costs
 /// no per-node heap allocation beyond its literals.
 ///
-/// With the SHA-256 policy, a node's two digests come from one paired
-/// one-shot call (Sha256::hashPair): both preimages are written to stack
-/// buffers and compressed side by side. Preimages too long for those
-/// buffers (long string literals, very wide nodes) are streamed instead;
-/// the bytes hashed, and so the digests, are the same either way.
+/// A node's two digest preimages are written to stack buffers and hashed
+/// one-shot; preimages too long for those buffers (long string literals,
+/// very wide nodes) are written to the heap instead. The bytes hashed,
+/// and so the digests, are the same either way.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,7 +34,6 @@
 
 #include "support/Digest.h"
 #include "support/Literal.h"
-#include "support/TreeHash.h"
 #include "tree/Ids.h"
 #include "tree/Limits.h"
 #include "tree/Signature.h"
@@ -211,16 +210,14 @@ public:
   /// clean subtrees are not even visited. Returns the number of nodes
   /// rehashed. Requires the dirtiness invariant above (every node with a
   /// stale descendant is itself marked), which TrueDiff maintains.
-  /// \p Policy must be the digest policy of the owning context.
-  uint64_t rehashDirtyPaths(const SignatureTable &Sig, DigestPolicy Policy);
+  uint64_t rehashDirtyPaths(const SignatureTable &Sig);
   /// @}
 
   /// Recomputes hashes, height, and size of this node and every
   /// descendant (and clears derived-dirty flags). Called on the patched
   /// tree after diffing, because reused nodes may have received new
-  /// children or literals. \p Policy must be the digest policy of the
-  /// owning context.
-  void refreshDerived(const SignatureTable &Sig, DigestPolicy Policy);
+  /// children or literals.
+  void refreshDerived(const SignatureTable &Sig);
 
   /// Clears this node's share, assignment, covered flag, availability
   /// flag and mark: everything one diff session stamps. TrueDiff calls it
@@ -252,7 +249,7 @@ private:
   }
 
   /// Recomputes this node's caches from its (already consistent) kids.
-  void computeDerived(const SignatureTable &Sig, DigestPolicy Policy);
+  void computeDerived(const SignatureTable &Sig);
 
   TagId Tag = InvalidSymbol;
   /// Length of Kids, fixed by the tag's signature.
@@ -275,6 +272,13 @@ private:
   bool ShareAvailable = false;
 };
 
+/// A vestige with no behaviour: one TreeContext constructor accepts it and
+/// ignores it. Every context hashes with the one keyed node digest
+/// (support/TreeHash.h); the tag survives only because perfbench's
+/// serving workload still constructs its generation context with
+/// DigestPolicy::Fast128, and it goes with that call.
+enum class DigestPolicy : uint8_t { Fast128 };
+
 /// Arena that owns every node of a diffing session and hands out fresh
 /// URIs. Source and target trees of one diff must carry disjoint URIs
 /// (the paper's uniqueness-of-URIs requirement): build both in one
@@ -283,13 +287,9 @@ private:
 /// store's submit does.
 class TreeContext {
 public:
-  /// \p Policy selects the hash computing node digests (TreeHash.h).
-  /// SHA-256 is the default; Fast128 trades adversarial collision
-  /// resistance for diff throughput. Digest equality is taken as subtree
-  /// equivalence (Section 4.1), so keep SHA-256 for untrusted trees.
-  explicit TreeContext(const SignatureTable &Sig,
-                       DigestPolicy Policy = DigestPolicy::Sha256)
-      : Sig(Sig), Policy(Policy) {}
+  explicit TreeContext(const SignatureTable &Sig) : Sig(Sig) {}
+  /// Same; the DigestPolicy tag is ignored (see DigestPolicy).
+  TreeContext(const SignatureTable &Sig, DigestPolicy) : TreeContext(Sig) {}
   ~TreeContext();
 
   TreeContext(const TreeContext &) = delete;
@@ -318,11 +318,6 @@ public:
   /// @}
 
   const SignatureTable &signatures() const { return Sig; }
-
-  /// The digest policy every node of this arena is hashed with. Trees of
-  /// one diff live in one context, so source and target digests are
-  /// always comparable.
-  DigestPolicy digestPolicy() const { return Policy; }
 
   /// When a node's derived data (digests, height, size) is computed.
   enum class Derive : bool {
@@ -379,8 +374,8 @@ public:
     Preserve,
   };
 
-  /// Deep-copies \p T into this context, re-deriving every node's digests
-  /// with this context's policy. With fresh URIs it is how the benchmarks
+  /// Deep-copies \p T into this context, re-deriving every node's
+  /// digests. With fresh URIs it is how the benchmarks
   /// rebuild trees so hashing time is measured (Section 6).
   Tree *deepCopy(const Tree *T, CopyUris Uris = CopyUris::Fresh);
 
@@ -407,8 +402,12 @@ public:
   /// document arena then continues from the request arena, so nodes it
   /// loads later share none with the target either.
   void continueUrisFrom(const TreeContext &Other) {
-    NextUri = std::max(NextUri, Other.NextUri);
+    continueUrisFrom(Other.NextUri);
   }
+
+  /// Moves this context's next fresh URI up to \p Next, never back: how a
+  /// rebuilt document continues a counter recorded in a snapshot.
+  void continueUrisFrom(URI Next) { NextUri = std::max(NextUri, Next); }
 
   /// Number of nodes allocated so far.
   size_t numNodes() const { return NumNodes; }
@@ -433,7 +432,6 @@ private:
   Tree **allocKids(size_t N);
 
   const SignatureTable &Sig;
-  DigestPolicy Policy = DigestPolicy::Sha256;
   std::vector<std::unique_ptr<Tree[]>> NodeSlabs;
   size_t NumNodes = 0;
   std::vector<std::unique_ptr<Tree *[]>> KidSlabs;

@@ -331,7 +331,7 @@ uint64_t ScriptApplier::Impl::finish() {
   }
   if (Root == nullptr)
     return 0;
-  return Root->rehashDirtyPaths(Sig, Ctx.digestPolicy());
+  return Root->rehashDirtyPaths(Sig);
 }
 
 void ScriptApplier::Impl::buildIndex() {

@@ -444,9 +444,9 @@ DiffResult TrueDiff::compareTo(Tree *Source, Tree *Target) {
   // only the root-to-edit paths Step 4 marked dirty need rehashing; the
   // resulting digests are identical to a full refresh either way.
   if (Opts.IncrementalRehash)
-    Result.NodesRehashed = Patched->rehashDirtyPaths(Sig, Ctx.digestPolicy());
+    Result.NodesRehashed = Patched->rehashDirtyPaths(Sig);
   else {
-    Patched->refreshDerived(Sig, Ctx.digestPolicy());
+    Patched->refreshDerived(Sig);
     Result.NodesRehashed = Patched->size();
   }
   // Reset exactly the nodes this session stamped, not the whole source

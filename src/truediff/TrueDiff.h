@@ -96,11 +96,9 @@ public:
   /// \p Patched, clearing the marks; returns the number of nodes rehashed.
   /// Exposed so callers that apply edits to typed trees outside compareTo
   /// (and mark the touched nodes via Tree::markDerivedDirty) can restore
-  /// the digest-cache invariant without a full rehash. \p Policy must
-  /// match the digest policy of the context owning \p Patched.
-  static uint64_t rehashDirtyPaths(const SignatureTable &Sig, Tree *Patched,
-                                   DigestPolicy Policy = DigestPolicy::Sha256) {
-    return Patched->rehashDirtyPaths(Sig, Policy);
+  /// the digest-cache invariant without a full rehash.
+  static uint64_t rehashDirtyPaths(const SignatureTable &Sig, Tree *Patched) {
+    return Patched->rehashDirtyPaths(Sig);
   }
 
 private:

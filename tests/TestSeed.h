@@ -16,8 +16,8 @@
 ///
 /// Use SEED_TRACE(Seed) at the top of the test so any assertion failure
 /// prints the seed that produced it. SEED_TRACE also echoes the
-/// per-process digest seed (TRUEDIFF_DIGEST_SEED): with the Fast128
-/// digest policy, hash-table iteration order and digest bytes depend on
+/// per-process digest seed (TRUEDIFF_DIGEST_SEED): hash-table iteration
+/// order and, when the seed is pinned, the node-digest key derive from
 /// it, so replaying a failure faithfully needs both seeds exported.
 ///
 //===----------------------------------------------------------------------===//

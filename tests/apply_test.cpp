@@ -49,9 +49,8 @@ namespace {
 /// The first node whose cached derived data differs from a from-scratch
 /// rebuild of \p T, or nullopt if every digest, height and size is fresh.
 std::optional<std::string> staleDerived(const SignatureTable &Sig,
-                                        const TreeContext &Ctx,
                                         const Tree *T) {
-  TreeContext Scratch(Sig, Ctx.digestPolicy());
+  TreeContext Scratch(Sig);
   return compareDerived(T, Scratch.deepCopy(T));
 }
 
@@ -93,7 +92,7 @@ TEST_F(ApplyTest, InitializingScriptFillsAnEmptySlot) {
   ASSERT_NE(Root, nullptr);
   EXPECT_EQ(printSExprWithUris(Sig, Root), printSExprWithUris(Sig, T));
   EXPECT_EQ(R.NodesRehashed, T->size());
-  EXPECT_EQ(staleDerived(Sig, Doc, Root), std::nullopt);
+  EXPECT_EQ(staleDerived(Sig, Root), std::nullopt);
 }
 
 TEST_F(ApplyTest, ForwardThenInverseRestoresUrisAndDigests) {
@@ -116,13 +115,13 @@ TEST_F(ApplyTest, ForwardThenInverseRestoresUrisAndDigests) {
   ApplyResult R = applyChecked(Doc, Root, D.Script);
   ASSERT_TRUE(R.Ok) << R.Error;
   EXPECT_EQ(printSExprWithUris(Sig, Root), printSExprWithUris(Sig, D.Patched));
-  EXPECT_EQ(staleDerived(Sig, Doc, Root), std::nullopt);
+  EXPECT_EQ(staleDerived(Sig, Root), std::nullopt);
   EXPECT_LT(R.NodesRehashed, Root->size() / 4);
 
   ApplyResult Back = applyChecked(Doc, Root, invertScript(D.Script));
   ASSERT_TRUE(Back.Ok) << Back.Error;
   EXPECT_EQ(printSExprWithUris(Sig, Root), Before);
-  EXPECT_EQ(staleDerived(Sig, Doc, Root), std::nullopt);
+  EXPECT_EQ(staleDerived(Sig, Root), std::nullopt);
 }
 
 TEST_F(ApplyTest, FailedApplyLeavesTreeExactlyAsItWas) {
@@ -154,7 +153,7 @@ TEST_F(ApplyTest, FailedApplyLeavesTreeExactlyAsItWas) {
   EXPECT_EQ(R.Error, Want.Error);
   EXPECT_EQ(Root, Top);
   EXPECT_EQ(printSExprWithUris(Sig, Root), Before);
-  EXPECT_EQ(staleDerived(Sig, Ctx, Root), std::nullopt);
+  EXPECT_EQ(staleDerived(Sig, Root), std::nullopt);
   for (const Tree *T : {Root, A, B})
     EXPECT_FALSE(T->derivedDirty());
 }
@@ -202,7 +201,7 @@ TEST_F(ApplyTest, LoadMayNameADetachedSubtreeWithAnEmptySlot) {
             "(Add (Sub (Call (Num 7) \"f\") (Num 1)) (Num 2))");
   EXPECT_EQ(printSExprWithUris(Sig, Root),
             M.render(MTree::Forms::WithUris).UriText);
-  EXPECT_EQ(staleDerived(Sig, Ctx, Root), std::nullopt);
+  EXPECT_EQ(staleDerived(Sig, Root), std::nullopt);
 }
 
 TEST_F(ApplyTest, PreDefinedRootIsNeverUnloaded) {
@@ -275,7 +274,7 @@ TEST_P(ApplyDifferentialTest, CorruptedScriptsDecideLikeMTree) {
       EXPECT_EQ(printSExprWithUris(Sig, Root),
                 M.render(MTree::Forms::WithUris).UriText);
     }
-    EXPECT_EQ(staleDerived(Sig, Doc, Root), std::nullopt);
+    EXPECT_EQ(staleDerived(Sig, Root), std::nullopt);
   }
   EXPECT_GT(Rejected, 0u);
   (void)Accepted; // some corruptions (commuting swaps) stay valid
@@ -326,7 +325,7 @@ TEST_P(ApplyDifferentialTest, MutationChainsMatchMTreeForwardAndBack) {
     Texts.push_back(printSExprWithUris(Sig, Root));
     EXPECT_EQ(Texts.back(), printSExprWithUris(Sig, D.Patched));
     EXPECT_EQ(Texts.back(), M.render(MTree::Forms::WithUris).UriText);
-    ASSERT_EQ(staleDerived(Sig, Doc, Root), std::nullopt) << "step " << Step;
+    ASSERT_EQ(staleDerived(Sig, Root), std::nullopt) << "step " << Step;
     Rehashed += Got.NodesRehashed;
     Sizes += Root->size();
     Scripts.push_back(D.Script);
@@ -341,7 +340,7 @@ TEST_P(ApplyDifferentialTest, MutationChainsMatchMTreeForwardAndBack) {
     ASSERT_TRUE(Got.Ok) << Got.Error;
     EXPECT_EQ(printSExprWithUris(Sig, Root), Texts[Step - 1]);
     EXPECT_EQ(Texts[Step - 1], M.render(MTree::Forms::WithUris).UriText);
-    ASSERT_EQ(staleDerived(Sig, Doc, Root), std::nullopt) << "undo " << Step;
+    ASSERT_EQ(staleDerived(Sig, Root), std::nullopt) << "undo " << Step;
   }
 }
 

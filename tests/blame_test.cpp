@@ -228,19 +228,6 @@ TEST(BlameProperty, IncrementalEqualsReplayColdSha256) {
   checkIncrementalEqualsReplay(C, 500, 0xb1a3e002);
 }
 
-TEST(BlameProperty, IncrementalEqualsReplayWarmFast128) {
-  DocumentStore::Config C;
-  C.Digest = DigestPolicy::Fast128;
-  checkIncrementalEqualsReplay(C, 500, 0xb1a3e003);
-}
-
-TEST(BlameProperty, IncrementalEqualsReplayColdFast128) {
-  DocumentStore::Config C;
-  C.Digest = DigestPolicy::Fast128;
-  C.PersistDigests = false;
-  checkIncrementalEqualsReplay(C, 500, 0xb1a3e004);
-}
-
 //===----------------------------------------------------------------------===//
 // Attribution rules
 //===----------------------------------------------------------------------===//

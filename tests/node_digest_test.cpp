@@ -1,29 +1,29 @@
-//===- tests/digest_policy_test.cpp - Digest policy seam tests -------------===//
+//===- tests/node_digest_test.cpp - Keyed node digest tests ----------------===//
 //
 // Part of truediff-cpp. MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Tests for the pluggable Step-1 digest policy (support/TreeHash.h):
-///   - Fast128 is deterministic, streaming-consistent, and length-armoured;
+/// Tests for the Step-1 node digest (support/TreeHash.h):
+///   - SipHash-2-4-128 matches the reference implementation's vectors;
+///   - the process key and seed are fixed for the process;
 ///   - DigestHash spreads attacker-shaped digests that share a prefix
 ///     (the bucket-flooding regression: the old functor exposed the raw
 ///     digest prefix as the bucket key);
-///   - the central property: fast-hash and SHA-256 policies produce
-///     byte-identical edit scripts and identical touched-URI sets over
-///     hundreds of seeded mutation chains, cold and warm, with every
-///     script passing the linear type checker;
-///   - SHA-256 node digests from the paired one-shot kernel equal the
-///     streamed digests of the same preimages, node for node, including
-///     preimages around and past the kernel's buffer bound.
+///   - the central property: scripts do not depend on the key. Over
+///     hundreds of seeded mutation chains, cold and warm, two keys yield
+///     byte-identical edit scripts and identical touched-URI sets, and
+///     every script passes the linear type checker;
+///   - each node's digests equal the keyed hash of its preimages written
+///     field by field, including preimages around and past the stack
+///     buffer, which spill to the heap.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "corpus/Corpus.h"
 #include "python/Python.h"
 #include "support/Rng.h"
-#include "support/Sha256.h"
 #include "support/TreeHash.h"
 #include "truechange/Serialize.h"
 #include "truechange/TypeChecker.h"
@@ -44,54 +44,46 @@ using namespace truediff::testlang;
 namespace {
 
 //===----------------------------------------------------------------------===//
-// Fast128 hasher
+// SipHash-2-4-128 and the process key
 //===----------------------------------------------------------------------===//
 
-TEST(Fast128Test, DeterministicAndOneShotMatchesStreaming) {
-  std::vector<uint8_t> Data(1000);
-  for (size_t I = 0; I != Data.size(); ++I)
-    Data[I] = static_cast<uint8_t>(I * 31 + 7);
-
-  Digest OneShot = Fast128::hash(Data.data(), Data.size());
-  EXPECT_EQ(OneShot, Fast128::hash(Data.data(), Data.size()));
-
-  // Streaming in awkward chunk sizes (straddling the 64-byte block
-  // boundary) must agree with the one-shot hash.
-  Rng R(42);
-  for (int Trial = 0; Trial != 20; ++Trial) {
-    Fast128 H;
-    size_t Off = 0;
-    while (Off < Data.size()) {
-      size_t Chunk = std::min<size_t>(1 + R.below(130), Data.size() - Off);
-      H.update(Data.data() + Off, Chunk);
-      Off += Chunk;
-    }
-    EXPECT_EQ(H.finish(), OneShot) << "trial " << Trial;
-  }
+TEST(SipHashTest, ReferenceVectors) {
+  // Key 00 01 .. 0f, message 00 01 .. (len-1): the layout of the
+  // reference implementation's vectors_sip128.
+  const DigestKey Key{0x0706050403020100ULL, 0x0f0e0d0c0b0a0908ULL};
+  const std::pair<size_t, const char *> Vectors[] = {
+      {0, "a3817f04ba25a8e66df67214c7550293"},
+      {1, "da87c1d86b99af44347659119b22fc45"},
+      {7, "a1f1ebbed8dbc153c0b84aa61ff08239"},
+      {8, "3b62a9ba6258f5610f83e264f31497b4"},
+      {9, "264499060ad9baabc47f8b02bb6d71ed"},
+      {15, "5493e99933b0a8117e08ec0f97cfc3d9"},
+      {16, "6ee2a4ca67b054bbfd3315bf85230577"},
+      {17, "473d06e8738db89854c066c47ae47740"},
+      {31, "2939b0183223fafc1723de4f52c43d35"},
+      {32, "7c3956ca5eeafc3e363e9d556546eb68"},
+      {63, "5150d1772f50834a503e069a973fbd7c"},
+  };
+  uint8_t Msg[64];
+  for (size_t I = 0; I != sizeof(Msg); ++I)
+    Msg[I] = static_cast<uint8_t>(I);
+  for (const auto &[Len, Hex] : Vectors)
+    EXPECT_EQ(sipHash128(Key, Msg, Len).toHex(), Hex) << "length " << Len;
+  // Unaligned input reads the same bytes.
+  uint8_t Shifted[65];
+  std::memcpy(Shifted + 1, Msg, 63);
+  EXPECT_EQ(sipHash128(Key, Shifted + 1, 63).toHex(),
+            "5150d1772f50834a503e069a973fbd7c");
 }
 
-TEST(Fast128Test, DistinctInputsAndLengthArmouring) {
-  // Zero-padded tails must not collide with shorter all-zero inputs: the
-  // finalizer folds in the total length.
-  std::array<uint8_t, 128> Zeros{};
-  std::unordered_set<std::string> Seen;
-  for (size_t Len = 0; Len <= Zeros.size(); ++Len)
-    EXPECT_TRUE(Seen.insert(Fast128::hash(Zeros.data(), Len).toHex()).second)
-        << "collision among zero inputs at length " << Len;
-
-  EXPECT_NE(Fast128::hash("abc", 3), Fast128::hash("abd", 3));
-
-  // The 128-bit digest lives in bytes [0,16); the rest stays zero so kid
-  // digest truncation (Tree.cpp's KidDigestBytes) loses nothing.
-  Digest D = Fast128::hash("hello", 5);
-  for (size_t I = 16; I != Digest::NumBytes; ++I)
-    EXPECT_EQ(D.bytes()[I], 0u);
-  EXPECT_NE(D.word(0) | D.word(1), 0u);
-}
-
-TEST(Fast128Test, ProcessSeedIsStable) {
+TEST(DigestKeyTest, ProcessKeyAndSeedAreStable) {
   EXPECT_EQ(processDigestSeed(), processDigestSeed());
   EXPECT_EQ(digestTableSeed(), processDigestSeed());
+  const DigestKey &A = processDigestKey();
+  const DigestKey &B = processDigestKey();
+  EXPECT_EQ(A.K0, B.K0);
+  EXPECT_EQ(A.K1, B.K1);
+  EXPECT_NE(A.K0 | A.K1, 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -162,27 +154,31 @@ Tree *mutateExp(TreeContext &Ctx, Rng &R, const Tree *T, unsigned Percent) {
 }
 
 TEST(DigestPolicyProperty, ScriptsIdenticalAcrossPoliciesColdAndWarm) {
-  // The digest policy selects how subtree equivalence is *computed*, never
-  // what it *is*: over 500 seeded mutation chains, replayed under every
-  // (policy x rehash-mode) combination in a fresh context with an
-  // identical allocation sequence, the serialized scripts and touched-URI
-  // sets must agree byte for byte, and every script must type-check.
+  // The key changes how subtree equivalence is *computed*, never what it
+  // *is*: over 500 seeded mutation chains, replayed under every (key x
+  // rehash-mode) combination in a fresh context with an identical
+  // allocation sequence, the serialized scripts and touched-URI sets
+  // must agree byte for byte, and every script must type-check.
   SignatureTable Sig = makeExpSignature();
   LinearTypeChecker Checker(Sig);
   constexpr int NumChains = 500;
   constexpr int Rounds = 3;
-  const std::array<std::pair<DigestPolicy, bool>, 4> Combos = {{
-      {DigestPolicy::Sha256, /*IncrementalRehash=*/false}, // cold
-      {DigestPolicy::Sha256, /*IncrementalRehash=*/true},  // warm
-      {DigestPolicy::Fast128, /*IncrementalRehash=*/false},
-      {DigestPolicy::Fast128, /*IncrementalRehash=*/true},
+  const DigestKey Process = processDigestKey();
+  const DigestKey Second{~Process.K0, Process.K1 ^ 0x5bd1e9955bd1e995ULL};
+  const std::array<std::pair<DigestKey, bool>, 4> Combos = {{
+      {Process, /*IncrementalRehash=*/false}, // cold
+      {Process, /*IncrementalRehash=*/true},  // warm
+      {Second, /*IncrementalRehash=*/false},
+      {Second, /*IncrementalRehash=*/true},
   }};
 
   for (uint64_t Seed = 0; Seed != NumChains; ++Seed) {
     std::array<std::vector<std::string>, 4> Scripts;
     std::array<std::vector<std::vector<URI>>, 4> Touched;
     for (size_t C = 0; C != Combos.size(); ++C) {
-      TreeContext Ctx(Sig, Combos[C].first);
+      // Every tree of this combination is built and diffed under its key.
+      setProcessDigestKeyForTest(Combos[C].first);
+      TreeContext Ctx(Sig);
       Rng R(Seed * 1000003 + 1);
       Tree *Current = randomExp(Ctx, R, 5);
       TrueDiffOptions Opts;
@@ -199,6 +195,7 @@ TEST(DigestPolicyProperty, ScriptsIdenticalAcrossPoliciesColdAndWarm) {
         Current = Res.Patched;
       }
     }
+    setProcessDigestKeyForTest(Process);
     for (size_t C = 1; C != Combos.size(); ++C) {
       ASSERT_EQ(Scripts[C], Scripts[0]) << "seed " << Seed << " combo " << C;
       ASSERT_EQ(Touched[C], Touched[0]) << "seed " << Seed << " combo " << C;
@@ -207,50 +204,62 @@ TEST(DigestPolicyProperty, ScriptsIdenticalAcrossPoliciesColdAndWarm) {
 }
 
 //===----------------------------------------------------------------------===//
-// SHA-256 node digests: paired one-shot kernel vs. streaming reference
+// Node digests: stack and heap preimages vs. a field-by-field reference
 //===----------------------------------------------------------------------===//
 
-/// \p T's structure and literal hashes recomputed by streaming their
-/// preimages field by field through Sha256: u32 tag, u32 arity, and 16
-/// bytes of each kid structure hash; u32 literal count, each literal as a
-/// kind byte plus little-endian payload (strings length-prefixed), and 16
-/// bytes of each kid literal hash.
+void putU32(std::string &S, uint32_t V) {
+  for (int I = 0; I != 4; ++I)
+    S.push_back(static_cast<char>(V >> (8 * I)));
+}
+
+void putU64(std::string &S, uint64_t V) {
+  for (int I = 0; I != 8; ++I)
+    S.push_back(static_cast<char>(V >> (8 * I)));
+}
+
+/// \p T's structure and literal hashes recomputed from preimages written
+/// field by field: u32 tag, u32 arity, and each kid structure hash; u32
+/// literal count, each literal as a kind byte plus little-endian payload
+/// (strings length-prefixed), and each kid literal hash.
 std::pair<Digest, Digest> streamedNodeDigests(const Tree *T) {
-  Sha256 S;
-  S.updateU32(T->tag());
-  S.updateU32(static_cast<uint32_t>(T->arity()));
+  std::string S;
+  putU32(S, T->tag());
+  putU32(S, static_cast<uint32_t>(T->arity()));
   for (size_t I = 0; I != T->arity(); ++I)
-    S.update(T->kid(I)->structureHash().bytes().data(), 16);
-  Sha256 L;
-  L.updateU32(static_cast<uint32_t>(T->numLits()));
+    S.append(reinterpret_cast<const char *>(
+                 T->kid(I)->structureHash().bytes().data()),
+             Digest::NumBytes);
+  std::string L;
+  putU32(L, static_cast<uint32_t>(T->numLits()));
   for (const Literal &Lit : T->lits()) {
-    uint8_t Kind = static_cast<uint8_t>(Lit.kind());
-    L.update(&Kind, 1);
+    L.push_back(static_cast<char>(Lit.kind()));
     switch (Lit.kind()) {
     case LitKind::Int:
-      L.updateU64(static_cast<uint64_t>(Lit.asInt()));
+      putU64(L, static_cast<uint64_t>(Lit.asInt()));
       break;
     case LitKind::Float: {
       double V = Lit.asFloat();
       uint64_t Bits;
       std::memcpy(&Bits, &V, sizeof(Bits));
-      L.updateU64(Bits);
+      putU64(L, Bits);
       break;
     }
-    case LitKind::Bool: {
-      uint8_t B = Lit.asBool() ? 1 : 0;
-      L.update(&B, 1);
+    case LitKind::Bool:
+      L.push_back(Lit.asBool() ? 1 : 0);
       break;
-    }
     case LitKind::String:
-      L.updateU64(Lit.asString().size());
-      L.update(Lit.asString());
+      putU64(L, Lit.asString().size());
+      L += Lit.asString();
       break;
     }
   }
   for (size_t I = 0; I != T->arity(); ++I)
-    L.update(T->kid(I)->literalHash().bytes().data(), 16);
-  return {S.finish(), L.finish()};
+    L.append(reinterpret_cast<const char *>(
+                 T->kid(I)->literalHash().bytes().data()),
+             Digest::NumBytes);
+  const DigestKey &Key = processDigestKey();
+  return {sipHash128(Key, S.data(), S.size()),
+          sipHash128(Key, L.data(), L.size())};
 }
 
 /// Checks every node of \p Root against streamedNodeDigests; returns the
@@ -289,16 +298,16 @@ TEST(Sha256NodeDigestTest, SeededPythonCorpusMatchesStreaming) {
 
 TEST(Sha256NodeDigestTest, PreimagesAroundTheBufferBoundMatchStreaming) {
   // Call's literal preimage is 4 (count) + 1 (kind) + 8 (length) + the
-  // name + 16 (one kid): name lengths put it just under, at, and just
-  // over Sha256::PairMaxBytes, where the kernel hands off to streaming,
-  // and at the block-padding edges below.
+  // name + 16 (one kid): name lengths walk it across the 256-byte stack
+  // buffer, past which the preimage goes to the heap, and across
+  // SipHash's 8-byte word edges below.
   SignatureTable Sig = makeExpSignature();
   TreeContext Ctx(Sig);
   const size_t Overhead = 4 + 1 + 8 + 16;
-  const size_t Max = Sha256::PairMaxBytes;
-  for (size_t Preimage : {Overhead, size_t(55), size_t(56), size_t(63),
-                          size_t(64), size_t(119), size_t(120), Max - 1, Max,
-                          Max + 1}) {
+  std::vector<size_t> Preimages = {Overhead, 39, 40, 41, 47, 48};
+  for (size_t Len = 248; Len != 266; ++Len)
+    Preimages.push_back(Len);
+  for (size_t Preimage : Preimages) {
     std::string Name(Preimage - Overhead, 'f');
     Tree *T = call(Ctx, Name, add(Ctx, num(Ctx, 1), var(Ctx, Name)));
     expectStreamedDigests(T);
@@ -306,6 +315,7 @@ TEST(Sha256NodeDigestTest, PreimagesAroundTheBufferBoundMatchStreaming) {
 }
 
 TEST(Sha256NodeDigestTest, LongStringLiteralTakesTheStreamingPath) {
+  // A 5000-byte literal's and a wide node's preimages spill to the heap.
   SignatureTable Sig = makeExpSignature();
   TreeContext Ctx(Sig);
   std::string Long(5000, 'x');
@@ -320,6 +330,19 @@ TEST(Sha256NodeDigestTest, LongStringLiteralTakesTheStreamingPath) {
   std::string Changed = Long;
   Changed.back() = '!';
   EXPECT_NE(var(Ctx, Changed)->literalHash(), T->kid(0)->literalHash());
+
+  // A node with 20 kids has a 328-byte structure preimage.
+  SignatureTable WideSig = makeExpSignature();
+  std::vector<std::pair<std::string, std::string>> Slots;
+  for (int I = 0; I != 20; ++I)
+    Slots.push_back({"k" + std::to_string(I), "Exp"});
+  WideSig.defineTag("Wide", "Exp", Slots, {});
+  TreeContext WideCtx(WideSig);
+  std::vector<Tree *> Kids;
+  for (int I = 0; I != 20; ++I)
+    Kids.push_back(num(WideCtx, I));
+  Tree *Wide = WideCtx.make("Wide", Kids, {});
+  EXPECT_EQ(expectStreamedDigests(Wide), 21u);
 }
 
 } // namespace

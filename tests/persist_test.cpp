@@ -584,6 +584,7 @@ TEST(SnapshotTest, WriteReadRoundTrip) {
   Snap.TreeBlob = "tree bytes \x01\x02";
   Snap.History.emplace_back(2, "script two");
   Snap.History.emplace_back(3, std::string("script\0three", 12));
+  Snap.NextUri = 300;
 
   std::string Path = writeSnapshotFile(Dir.path(), Snap);
   ReadSnapshotResult Back = readSnapshotFile(Path);
@@ -591,6 +592,7 @@ TEST(SnapshotTest, WriteReadRoundTrip) {
   EXPECT_EQ(Back.Snap.Doc, 7u);
   EXPECT_EQ(Back.Snap.Seq, 42u);
   EXPECT_EQ(Back.Snap.Version, 3u);
+  EXPECT_EQ(Back.Snap.NextUri, 300u);
   EXPECT_FALSE(Back.Snap.Tombstone);
   EXPECT_EQ(Back.Snap.TreeBlob, Snap.TreeBlob);
   ASSERT_EQ(Back.Snap.History.size(), 2u);
@@ -600,6 +602,31 @@ TEST(SnapshotTest, WriteReadRoundTrip) {
   ASSERT_EQ(Files.size(), 1u);
   EXPECT_EQ(Files[0].Doc, 7u);
   EXPECT_EQ(Files[0].Seq, 42u);
+}
+
+TEST(SnapshotTest, FilesWithoutANextUriReadAsNotRecorded) {
+  // A snapshot written before the next URI was recorded ends after the
+  // blame extension: strip the trailing one-byte varint, re-seal the
+  // header, and the file must still read, with NextUri 0.
+  TempDir Dir;
+  SnapshotData Snap;
+  Snap.Doc = 4;
+  Snap.Seq = 8;
+  Snap.TreeBlob = "tree";
+  Snap.NextUri = 5;
+  std::string Path = writeSnapshotFile(Dir.path(), Snap);
+  std::string Full = readFile(Path);
+  const size_t Header = 8 + 4 + 4;
+  std::string Payload = Full.substr(Header, Full.size() - Header - 1);
+  std::string Old = Full.substr(0, 8);
+  for (uint32_t V : {static_cast<uint32_t>(Payload.size()), crc32c(Payload)})
+    for (int I = 0; I != 4; ++I)
+      Old.push_back(static_cast<char>(V >> (8 * I)));
+  writeFile(Path, Old + Payload);
+  ReadSnapshotResult Back = readSnapshotFile(Path);
+  ASSERT_TRUE(Back.Ok) << Back.Error;
+  EXPECT_EQ(Back.Snap.TreeBlob, "tree");
+  EXPECT_EQ(Back.Snap.NextUri, 0u);
 }
 
 TEST(SnapshotTest, TombstoneRoundTrip) {
@@ -676,6 +703,58 @@ TEST_F(RecoveryTest, RecoversDocumentsVersionsAndHistory) {
   StoreResult RB = Fresh.rollback(1);
   ASSERT_TRUE(RB.Ok) << RB.Error;
   EXPECT_EQ(Fresh.snapshot(1).UriText, PreRollbackUriText);
+}
+
+/// URIs the Load edits of \p Script give nodes.
+std::vector<URI> loadedUris(const EditScript &Script) {
+  std::vector<URI> Out;
+  for (const Edit &E : Script.edits())
+    if (E.Kind == EditKind::Load)
+      Out.push_back(E.Node.Uri);
+  return Out;
+}
+
+TEST_F(RecoveryTest, RecoveredDocumentNeverReissuesARolledBackUri) {
+  // A rolled-back submit leaves its loads' URIs above the live tree.
+  // Recovery rebuilds the document in a fresh arena, from a snapshot or
+  // from the log alone; either way the next submit must load URIs above
+  // every URI the document ever issued.
+  for (bool Snapshot : {true, false}) {
+    SCOPED_TRACE(Snapshot ? "snapshot" : "log only");
+    TempDir Dir;
+    URI MaxIssued = 0;
+    auto Note = [&](const StoreResult &R) {
+      for (URI U : loadedUris(R.Script))
+        MaxIssued = std::max(MaxIssued, U);
+    };
+    {
+      DocumentStore Store(Sig);
+      Persistence P(Sig, plainConfig(Dir.path()));
+      P.attach(Store);
+      StoreResult Open = Store.open(1, makeSExprBuilder("(Num 1)"));
+      ASSERT_TRUE(Open.Ok) << Open.Error;
+      Note(Open);
+      StoreResult Sub = Store.submit(
+          1, makeSExprBuilder("(Add (Mul (a) (b)) (Sub (c) (d)))"));
+      ASSERT_TRUE(Sub.Ok) << Sub.Error;
+      Note(Sub);
+      ASSERT_TRUE(Store.rollback(1).Ok);
+      if (Snapshot) {
+        ASSERT_TRUE(P.snapshotDocument(1));
+      }
+      P.flush();
+    }
+    DocumentStore Fresh(Sig);
+    RecoveryResult R = Persistence::recover(Sig, Dir.path(), Fresh);
+    ASSERT_EQ(R.DocsRecovered, 1u);
+    StoreResult Next =
+        Fresh.submit(1, makeSExprBuilder("(Mul (Var \"x\") (Var \"y\"))"));
+    ASSERT_TRUE(Next.Ok) << Next.Error;
+    std::vector<URI> Loaded = loadedUris(Next.Script);
+    ASSERT_FALSE(Loaded.empty());
+    for (URI U : Loaded)
+      EXPECT_GT(U, MaxIssued) << "reissued URI " << U;
+  }
 }
 
 TEST(DeepDocumentRecoveryTest, SnapshotCompactRecoverKeepsADeepModule) {

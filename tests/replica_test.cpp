@@ -23,6 +23,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "replica/Failover.h"
 #include "replica/Follower.h"
 #include "replica/Leader.h"
 #include "replica/ReplicationLog.h"
@@ -766,6 +767,84 @@ TEST(ReplicaStore, GetIsByteIdenticalOnLeaderAndFollowerAtEveryVersion) {
              const std::vector<service::DocumentStore::HistoryEntry> &) {
         EXPECT_TRUE(printSExpr(Sig, Root) == After);
       });
+}
+
+TEST(ReplicaStore, FollowerStatsCarryTheStoreGauges) {
+  uint64_t Seed = tests::testSeed(0x5eed000e);
+  SEED_TRACE(Seed);
+
+  SignatureTable Sig = json::makeJsonSignature();
+  LeaderNode L(Sig);
+  ASSERT_TRUE(L.Started);
+  FollowerNode F(Sig);
+  ASSERT_TRUE(F.connect(L));
+  WorkloadDriver Driver(L, Seed, /*NumDocs=*/2);
+  Driver.openDoc(1);
+  Driver.openDoc(2);
+  Driver.submitDoc(1);
+  ASSERT_TRUE(waitUntil([&] { return caughtUpWith(L, *F.F); }));
+  for (uint64_t Doc : {1, 2, 1})
+    ASSERT_TRUE(F.F->readText(Doc).Ok);
+
+  service::StoreStats S = F.F->store().stats();
+  std::string J = F.F->statsJson();
+  EXPECT_EQ(S.TextRenders, 2u);
+  EXPECT_NE(J.find("\"text_renders\":" + std::to_string(S.TextRenders) + ","),
+            std::string::npos)
+      << J;
+  EXPECT_NE(J.find("\"live_nodes\":" + std::to_string(S.LiveNodes) + ","),
+            std::string::npos)
+      << J;
+}
+
+TEST(Replication, PromotedSnapshotInstallNeverReissuesARolledBackUri) {
+  // The leader rolls a submit back, so its loads' URIs lie above the
+  // live tree; the follower receives the document by snapshot and is
+  // promoted. The promoted store's next submit must load URIs above
+  // every URI the document ever issued.
+  SignatureTable Sig = python::makePythonSignature();
+  LeaderNode L(Sig, /*Epoch=*/1, /*TailCapacity=*/2);
+  ASSERT_TRUE(L.Started);
+  URI MaxIssued = 0;
+  auto Note = [&](const service::StoreResult &R) {
+    for (const Edit &E : R.Script.edits())
+      if (E.Kind == EditKind::Load)
+        MaxIssued = std::max(MaxIssued, E.Node.Uri);
+  };
+  service::StoreResult Open =
+      L.Store.open(1, service::makeSExprBuilder("(Module (StmtNil))"));
+  ASSERT_TRUE(Open.Ok) << Open.Error;
+  Note(Open);
+  service::StoreResult Sub =
+      L.Store.submit(1, service::makeSExprBuilder(tests::deepModuleText(20)));
+  ASSERT_TRUE(Sub.Ok) << Sub.Error;
+  Note(Sub);
+  ASSERT_TRUE(L.Store.rollback(1).Ok);
+  for (uint64_t Doc = 2; Doc != 6; ++Doc)
+    ASSERT_TRUE(
+        L.Store.open(Doc, service::makeSExprBuilder("(Module (StmtNil))")).Ok);
+  ASSERT_GT(L.Log.firstTailSeq(), 3u) << "doc 1's records must fall off";
+
+  FollowerNode F(Sig);
+  ASSERT_TRUE(F.connect(L));
+  ASSERT_TRUE(waitUntil([&] { return caughtUpWith(L, *F.F); }));
+  ASSERT_GT(F.F->stats().SnapshotsInstalled, 0u);
+
+  service::DocumentStore Promoted(Sig);
+  replica::ReplicationLog Log(Promoted, replica::ReplicationLog::Config{1024});
+  replica::PromotionResult PR =
+      replica::promoteFollower(*F.F, Promoted, nullptr, Log, 2);
+  ASSERT_TRUE(PR.Ok) << PR.Error;
+  service::StoreResult Next = Promoted.submit(
+      1, service::makeSExprBuilder(tests::deepModuleText(3, "Break")));
+  ASSERT_TRUE(Next.Ok) << Next.Error;
+  size_t Loads = 0;
+  for (const Edit &E : Next.Script.edits())
+    if (E.Kind == EditKind::Load) {
+      ++Loads;
+      EXPECT_GT(E.Node.Uri, MaxIssued) << "reissued URI " << E.Node.Uri;
+    }
+  EXPECT_GT(Loads, 0u);
 }
 
 TEST(ReplicaStore, ThirtyThousandLevelDocumentReplicatesAndServesGet) {

@@ -53,7 +53,7 @@ TEST(Sha256Test, ExactBlockBoundary) {
   // 55, 56, 63, 64, 65 bytes exercise all padding cases.
   for (size_t Len : {55u, 56u, 63u, 64u, 65u, 119u, 120u}) {
     std::string Msg(Len, 'x');
-    Digest Whole = Sha256::hash(Msg);
+    Sha256Digest Whole = Sha256::hash(Msg);
     Sha256 Chunked;
     for (char C : Msg)
       Chunked.update(&C, 1);
@@ -94,119 +94,29 @@ TEST(Sha256Test, U64AndU32Helpers) {
   EXPECT_EQ(C.finish(), D.finish());
 }
 
-//===----------------------------------------------------------------------===//
-// SHA-256 paired one-shot kernel (Sha256::hashPair)
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// A deterministic, position-dependent message of \p Len bytes.
-std::string patternMessage(size_t Len, uint8_t Salt) {
-  std::string Msg(Len, '\0');
-  for (size_t I = 0; I != Len; ++I)
-    Msg[I] = static_cast<char>(I * 131 + Salt);
-  return Msg;
-}
-
-/// hashPair of \p A and \p B, copied into fresh pair buffers.
-std::pair<Digest, Digest> pairOf(const std::string &A, const std::string &B) {
-  uint8_t BufA[Sha256::PairBufferBytes], BufB[Sha256::PairBufferBytes];
-  std::memcpy(BufA, A.data(), A.size());
-  std::memcpy(BufB, B.data(), B.size());
-  Digest DA, DB;
-  Sha256::hashPair(BufA, A.size(), BufB, B.size(), DA, DB);
-  return {DA, DB};
-}
-
-} // namespace
-
-TEST(Sha256PairTest, FipsVectorsThroughThePairApi) {
-  const std::string Two =
-      "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq";
-  auto [Empty, Abc] = pairOf("", "abc");
-  EXPECT_EQ(Empty.toHex(),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
-  EXPECT_EQ(Abc.toHex(),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
-  auto [TwoA, AbcB] = pairOf(Two, "abc");
-  EXPECT_EQ(TwoA.toHex(),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
-  EXPECT_EQ(AbcB, Abc);
-}
-
-TEST(Sha256PairTest, PaddingBoundariesMatchStreaming) {
-  // 55/56 and 119/120 straddle the one- and two-block padding limits,
-  // 63/64 the block edge; PairMaxBytes is the largest message the pair
-  // buffers take (the tree layer streams anything longer).
-  const size_t Lens[] = {0,  1,   55,  56,  63,
-                         64, 119, 120, Sha256::PairMaxBytes - 1,
-                         Sha256::PairMaxBytes};
-  for (size_t LenA : Lens)
-    for (size_t LenB : Lens) {
-      std::string A = patternMessage(LenA, 1), B = patternMessage(LenB, 2);
-      auto [DA, DB] = pairOf(A, B);
-      EXPECT_EQ(DA, Sha256::hash(A)) << LenA << "/" << LenB;
-      EXPECT_EQ(DB, Sha256::hash(B)) << LenA << "/" << LenB;
-    }
-}
-
-TEST(Sha256PairTest, LanesWithDifferentBlockCounts) {
-  // One lane finishes after one block while the other runs on alone.
-  for (auto [LenA, LenB] : {std::pair<size_t, size_t>{10, 200},
-                            {200, 10},
-                            {60, 130},
-                            {Sha256::PairMaxBytes, 0}}) {
-    std::string A = patternMessage(LenA, 3), B = patternMessage(LenB, 4);
-    auto [DA, DB] = pairOf(A, B);
-    EXPECT_EQ(DA, Sha256::hash(A)) << LenA << "/" << LenB;
-    EXPECT_EQ(DB, Sha256::hash(B)) << LenA << "/" << LenB;
-  }
-}
-
-TEST(Sha256PairTest, EveryLengthPairMatchesStreaming) {
-  for (size_t LenA = 0; LenA <= Sha256::PairMaxBytes; ++LenA) {
-    size_t LenB = (LenA * 37) % (Sha256::PairMaxBytes + 1);
-    std::string A = patternMessage(LenA, 5), B = patternMessage(LenB, 6);
-    auto [DA, DB] = pairOf(A, B);
-    ASSERT_EQ(DA, Sha256::hash(A)) << LenA;
-    ASSERT_EQ(DB, Sha256::hash(B)) << LenB;
-  }
-}
-
 TEST(Sha256PairTest, ShaNiAndPortableCompressAgree) {
   if (!detail::haveShaNi())
     GTEST_SKIP() << "CPU lacks the SHA extensions";
   Rng R(2024);
   for (int Trial = 0; Trial != 64; ++Trial) {
-    uint8_t Blocks[2][64];
-    uint32_t Portable[2][8], One[2][8], Two[2][8];
-    for (auto &Block : Blocks)
-      for (uint8_t &Byte : Block)
-        Byte = static_cast<uint8_t>(R.next());
-    for (auto &State : Portable)
-      for (uint32_t &Word : State)
-        Word = static_cast<uint32_t>(R.next());
-    std::memcpy(One, Portable, sizeof(One));
-    std::memcpy(Two, Portable, sizeof(Two));
+    uint8_t Block[64];
+    uint32_t Portable[8], Ni[8];
+    for (uint8_t &Byte : Block)
+      Byte = static_cast<uint8_t>(R.next());
+    for (uint32_t &Word : Portable)
+      Word = static_cast<uint32_t>(R.next());
+    std::memcpy(Ni, Portable, sizeof(Ni));
 
-    for (int L = 0; L != 2; ++L) {
-      detail::compressPortable(Portable[L], Blocks[L]);
-      uint32_t *State = One[L];
-      const uint8_t *Block = Blocks[L];
-      detail::compressLanesShaNi<1>(&State, &Block);
-    }
-    uint32_t *States[2] = {Two[0], Two[1]};
-    const uint8_t *Lanes[2] = {Blocks[0], Blocks[1]};
-    detail::compressLanesShaNi<2>(States, Lanes);
+    detail::compressPortable(Portable, Block);
+    detail::compressShaNi(Ni, Block);
 
-    EXPECT_EQ(std::memcmp(Portable, One, sizeof(One)), 0) << Trial;
-    EXPECT_EQ(std::memcmp(Portable, Two, sizeof(Two)), 0) << Trial;
+    EXPECT_EQ(std::memcmp(Portable, Ni, sizeof(Ni)), 0) << Trial;
   }
 }
 
 TEST(DigestTest, PrefixWordAndOrdering) {
-  Digest A = Sha256::hash("a");
-  Digest B = Sha256::hash("b");
+  Digest A = Sha256::hash("a").truncated();
+  Digest B = Sha256::hash("b").truncated();
   EXPECT_NE(A, B);
   EXPECT_NE(A.prefixWord(), B.prefixWord());
   EXPECT_TRUE((A < B) || (B < A));

@@ -130,7 +130,7 @@ TEST_F(TreeTest, RefreshDerivedAfterMutation) {
   ASSERT_EQ(A->structureHash(), B->structureHash());
   // Mutate A's kid and refresh: hashes must diverge (different shape).
   A->setKid(1, sub(Ctx, num(Ctx, 3), num(Ctx, 4)));
-  A->refreshDerived(Sig, Ctx.digestPolicy());
+  A->refreshDerived(Sig);
   EXPECT_NE(A->structureHash(), B->structureHash());
   EXPECT_EQ(A->size(), 5u);
   EXPECT_EQ(A->height(), 3u);
@@ -231,7 +231,7 @@ TEST_F(TreeTest, ArenaKeepsNodesAndKidArraysStableAcrossSlabs) {
   EXPECT_EQ(Log[99].Node->kid(1), Log[99].Kids[1]);
   EXPECT_EQ(Log[101].Node->kid(0), Log[101].Kids[0]);
   EXPECT_EQ(Log[101].Node->kid(1), Log[101].Kids[1]);
-  Acc->refreshDerived(Sig, Ctx.digestPolicy());
+  Acc->refreshDerived(Sig);
 
   // A deep copy spans fresh slabs and agrees node for node.
   size_t Before = Ctx.numNodes();
