@@ -293,7 +293,6 @@ struct BenchFollower {
 /// role-routed client port (follower reads before promotion, the full
 /// leader protocol after), and the leader stack built by promote().
 struct PromotableReplica {
-  const SignatureTable &Sig;
   net::EventLoop Loop;
   net::RoleState Role;
 
@@ -303,13 +302,13 @@ struct PromotableReplica {
   std::unique_ptr<net::NetServer> ClientSrv;
   bool Started = false;
 
-  std::unique_ptr<DocumentStore> Store;
+  DocumentStore *Store = nullptr; ///< the follower's store, once promoted
   std::unique_ptr<replica::ReplicationLog> Log;
   std::unique_ptr<replica::Leader> Lead;
   std::unique_ptr<DiffService> Svc;
   std::unique_ptr<net::ServiceHandler> Writer;
 
-  explicit PromotableReplica(const SignatureTable &Sig) : Sig(Sig) {
+  explicit PromotableReplica(const SignatureTable &Sig) {
     F = std::make_unique<replica::Follower>(Loop, Sig);
     replica::ReplicaReadHandler::Config RC;
     RC.Role = &Role;
@@ -328,16 +327,13 @@ struct PromotableReplica {
   }
 
   bool promote(uint64_t NewEpoch) {
-    auto NewStore = std::make_unique<DocumentStore>(Sig);
-    auto NewLog = std::make_unique<replica::ReplicationLog>(*NewStore);
-    replica::PromotionResult PR = replica::promoteFollower(
-        *F, *NewStore, /*Prov=*/nullptr, *NewLog, NewEpoch);
+    replica::PromotionResult PR = replica::promoteFollower(*F, NewEpoch);
     if (!PR.Ok) {
       std::printf("# promotion failed: %s\n", PR.Error.c_str());
       return false;
     }
-    Store = std::move(NewStore);
-    Log = std::move(NewLog);
+    Store = &F->store();
+    Log = std::move(PR.Log);
     replica::Leader::Config LC;
     LC.Epoch = NewEpoch;
     LC.OnFenced = [this](uint64_t) { Role.demote(std::string()); };

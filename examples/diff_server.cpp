@@ -287,10 +287,10 @@ int main(int Argc, char **Argv) {
   // Follower mode: replicate from the leader, serve read-only traffic,
   // and stand by for promotion. The `promote <epoch>` admin verb runs
   // the failover state machine (replica/Failover.h): fence the old
-  // leader's stream, install the applied committed prefix into a fresh
-  // writable store, start serving the leader wire protocol on the same
-  // client port, and open a replication endpoint for the other replicas
-  // (--repl-listen picks its port; default ephemeral).
+  // leader's stream, seed a replication log over the follower's own
+  // store, start serving the leader wire protocol from that store on the
+  // same client port, and open a replication endpoint for the other
+  // replicas (--repl-listen picks its port; default ephemeral).
   if (!FollowHost.empty()) {
     net::EventLoop Loop;
     Loop.start();
@@ -305,8 +305,6 @@ int main(int Argc, char **Argv) {
     }
 
     net::RoleState Role; // follower: writes answer code=not_leader
-    blame::ProvenanceIndex Prov;
-    std::unique_ptr<DocumentStore> PStore;
     std::unique_ptr<replica::ReplicationLog> PLog;
     std::unique_ptr<replica::Leader> PLead;
     std::unique_ptr<DiffService> PSvc;
@@ -326,18 +324,12 @@ int main(int Argc, char **Argv) {
         R.Error = "demoted ex-leader: restart as a fresh follower to rejoin";
         return R;
       }
-      auto NewStore = std::make_unique<DocumentStore>(Sig);
-      auto NewLog = std::make_unique<replica::ReplicationLog>(*NewStore);
-      NewLog->setProvenanceSource(
-          [&Prov](DocId Doc) { return Prov.snapshotDoc(Doc); });
-      replica::PromotionResult PR =
-          replica::promoteFollower(F, *NewStore, &Prov, *NewLog, NewEpoch);
+      replica::PromotionResult PR = replica::promoteFollower(F, NewEpoch);
       if (!PR.Ok) {
         R.Error = PR.Error;
         return R;
       }
-      PStore = std::move(NewStore);
-      PLog = std::move(NewLog);
+      PLog = std::move(PR.Log);
       replica::Leader::Config LC;
       LC.Port = static_cast<uint16_t>(ReplPort);
       LC.Epoch = NewEpoch;
@@ -352,10 +344,8 @@ int main(int Argc, char **Argv) {
       ServiceConfig SvcCfg;
       SvcCfg.Workers = Workers;
       SvcCfg.DefaultDeadlineMs = static_cast<unsigned>(DeadlineMs);
-      PSvc = std::make_unique<DiffService>(*PStore, SvcCfg);
-      Prov.attach(*PStore); // promotion restores emit nothing; live
-                            // submits fold from here on
-      blame::wireBlameHandlers(*PSvc, *PStore, Prov);
+      PSvc = std::make_unique<DiffService>(F.store(), SvcCfg);
+      blame::wireBlameHandlers(*PSvc, F.store(), F.provenance());
       replica::Leader *LeadPtr = PLead.get();
       PSvc->setStatsAugmenter(
           [LeadPtr] { return "\"replica\":" + LeadPtr->replicaJson(); });

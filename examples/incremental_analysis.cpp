@@ -6,10 +6,11 @@
 ///
 /// \file
 /// Demonstrates the paper's incremental-computing pipeline (Section 6):
-/// a call-graph analysis maintained across code edits by reparsing,
-/// diffing with truediff, and processing the edit script -- instead of
-/// reanalyzing the whole file. Prints, for each edit, the edit script
-/// size, how few functions were reanalyzed, and the updated call graph.
+/// a call-graph and a def-use analysis maintained across code edits by
+/// reparsing, diffing with truediff, and processing the edit script --
+/// instead of reanalyzing the whole file. Prints, for each edit, the edit
+/// script size, how few functions were reanalyzed, and the updated call
+/// graph with each function's free variables.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -74,10 +75,11 @@ def pipeline(data):
     return clean
 )py";
 
-void printCallGraph(const IncrementalPipeline &Pipeline) {
+void printAnalyses(const IncrementalPipeline &Pipeline) {
   const Tree *Module = Pipeline.currentTree();
   const SignatureTable &Sig = Pipeline.database().signatures();
-  // Walk the module body and print FuncDef callee sets.
+  // Walk the module body and print each FuncDef's callees and free
+  // variables.
   const Tree *List = Module->kid(0);
   while (Sig.name(List->tag()) == "StmtCons") {
     const Tree *Stmt = List->kid(0);
@@ -86,6 +88,13 @@ void printCallGraph(const IncrementalPipeline &Pipeline) {
       if (const auto *Callees = Pipeline.callGraph().calleesOf(Stmt->uri())) {
         for (const std::string &Callee : *Callees)
           std::printf(" %s", Callee.c_str());
+      }
+      // The def-use analysis: names the function reads but never defines.
+      if (const auto *Info = Pipeline.defUse().infoOf(Stmt->uri())) {
+        std::printf("   (free:");
+        for (const std::string &Name : Info->freeVariables())
+          std::printf(" %s", Name.c_str());
+        std::printf(")");
       }
       std::printf("\n");
     }
@@ -101,8 +110,8 @@ int main() {
     std::printf("parse error in version 1\n");
     return 1;
   }
-  std::printf("initial call graph:\n");
-  printCallGraph(Pipeline);
+  std::printf("initial call graph and free variables:\n");
+  printAnalyses(Pipeline);
 
   int Commit = 1;
   for (const char *Version : {Version2, Version3}) {
@@ -118,7 +127,7 @@ int main() {
                 Stats->DirtyFunctions, Stats->TotalFunctions,
                 Stats->DbMs + Stats->AnalysisMs, Stats->ParseMs,
                 Stats->DiffMs);
-    printCallGraph(Pipeline);
+    printAnalyses(Pipeline);
     ++Commit;
   }
 

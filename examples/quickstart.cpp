@@ -76,6 +76,10 @@ int main() {
   std::printf("patched tree: %s\n", Standard.toString().c_str());
   std::printf("equals target: %s\n",
               Standard.equalsTree(Target.Root) ? "yes" : "NO");
+  // Theorem 3.6: a well-typed, compliant script leaves a closed,
+  // well-formed tree -- no empty slot, no leaked detached subtree.
+  std::printf("closed and well-formed: %s\n",
+              Standard.isClosedWellFormed() ? "yes" : "NO");
 
   // The returned patched tree reuses source nodes (same URIs) and is
   // ready for the next diffing round.

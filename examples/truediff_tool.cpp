@@ -137,9 +137,10 @@ int main(int Argc, char **Argv) {
   }
 
   if (PrintPatched) {
-    std::string Patched = Lang == "py"
-                              ? python::unparsePython(Sig, Result.Patched)
-                              : json::unparseJsonPretty(Sig, Result.Patched);
+    std::string Patched =
+        Lang == "py"
+            ? python::unparsePython(Sig, Result.Patched)
+            : json::unparseJson(Sig, Result.Patched, /*Pretty=*/true);
     std::printf("\npatched document:\n%s\n", Patched.c_str());
   }
 

@@ -255,15 +255,6 @@ bool ProvenanceIndex::blameNode(DocId Doc, URI Uri,
   return true;
 }
 
-bool ProvenanceIndex::docVersion(DocId Doc, uint64_t *Out) const {
-  std::shared_ptr<DocIndex> D = find(Doc);
-  if (!D)
-    return false;
-  std::lock_guard<std::mutex> Lock(D->Mu);
-  *Out = D->Version;
-  return true;
-}
-
 bool ProvenanceIndex::DocView::lookup(URI Uri, NodeProvenance &Out) const {
   const auto *Doc = static_cast<const DocIndex *>(D);
   auto It = Doc->Nodes.find(Uri);
@@ -280,10 +271,6 @@ bool ProvenanceIndex::DocView::lookup(URI Uri, NodeProvenance &Out) const {
 
 uint64_t ProvenanceIndex::DocView::version() const {
   return static_cast<const DocIndex *>(D)->Version;
-}
-
-size_t ProvenanceIndex::DocView::nodes() const {
-  return static_cast<const DocIndex *>(D)->Nodes.size();
 }
 
 bool ProvenanceIndex::withDocIndex(

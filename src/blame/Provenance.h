@@ -133,10 +133,6 @@ public:
   /// the document or the URI is unknown.
   bool blameNode(service::DocId Doc, URI Uri, NodeProvenance &Out) const;
 
-  /// Version of the last revision folded into \p Doc's index; false when
-  /// the document is unknown.
-  bool docVersion(service::DocId Doc, uint64_t *Out) const;
-
   /// Read-only view of one document's index, for bulk rendering without
   /// a lock/resolve round trip per node. Valid only inside withDocIndex.
   class DocView {
@@ -144,7 +140,6 @@ public:
     /// Resolved attribution of \p Uri; false if not live.
     bool lookup(URI Uri, NodeProvenance &Out) const;
     uint64_t version() const;
-    size_t nodes() const;
 
   private:
     friend class ProvenanceIndex;

@@ -387,18 +387,6 @@ ResilientClient::Result ResilientClient::get(uint64_t Doc) {
   return R;
 }
 
-ResilientClient::Result ResilientClient::rollback(uint64_t Doc) {
-  Result R =
-      request("rollback " + std::to_string(Doc), /*IsWrite=*/true);
-  if (R.Ok)
-    KnownVersion[Doc] = R.Version;
-  return R;
-}
-
 ResilientClient::Result ResilientClient::stats() {
   return request("stats", /*IsWrite=*/false);
-}
-
-ResilientClient::Result ResilientClient::health() {
-  return request("health", /*IsWrite=*/false);
 }

@@ -105,9 +105,7 @@ public:
                 const std::string &Author = std::string());
 
   Result get(uint64_t Doc);
-  Result rollback(uint64_t Doc);
   Result stats();
-  Result health();
 
   /// One framed request/response exchange with retry/redirect/backoff.
   /// \p IsWrite gates not_leader handling (reads on a follower succeed

@@ -35,13 +35,6 @@ void TreeSketch::foreach(const std::function<void(TreeSketch &)> &Fn) {
     Kid.foreach(Fn);
 }
 
-size_t TreeSketch::size() const {
-  size_t N = 1;
-  for (const TreeSketch &Kid : Kids)
-    N += Kid.size();
-  return N;
-}
-
 std::vector<TreeSketch>
 truediff::corpus::listToVector(const SignatureTable &Sig,
                                const TreeSketch &List) {

@@ -38,9 +38,6 @@ struct TreeSketch {
 
   /// Applies \p Fn to this sketch and all descendants, pre-order.
   void foreach(const std::function<void(TreeSketch &)> &Fn);
-
-  /// Number of nodes.
-  size_t size() const;
 };
 
 /// Flattens a cons list (XCons/XNil encoding) into element sketches.

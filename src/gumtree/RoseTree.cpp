@@ -104,14 +104,6 @@ RNode *RoseForest::fromTree(const SignatureTable &Sig, const Tree *T,
   return make(T->tag(), std::move(Label), std::move(Kids));
 }
 
-RNode *RoseForest::deepCopy(const RNode *T) {
-  std::vector<RNode *> Kids;
-  Kids.reserve(T->Kids.size());
-  for (const RNode *Kid : T->Kids)
-    Kids.push_back(deepCopy(Kid));
-  return make(T->Type, T->Label, std::move(Kids));
-}
-
 void RoseForest::index(RNode *Root) {
   int Next = 0;
   Root->foreachPostOrder([&](RNode *N) {
@@ -120,20 +112,6 @@ void RoseForest::index(RNode *Root) {
       Kid->Parent = N;
   });
   Root->Parent = nullptr;
-}
-
-void RoseForest::refresh(RNode *Root) {
-  Root->foreachPostOrder([](RNode *N) { computeDerived(N); });
-}
-
-bool RoseForest::equals(const RNode *A, const RNode *B) {
-  if (A->Type != B->Type || A->Label != B->Label ||
-      A->Kids.size() != B->Kids.size())
-    return false;
-  for (size_t I = 0, E = A->Kids.size(); I != E; ++I)
-    if (!equals(A->Kids[I], B->Kids[I]))
-      return false;
-  return true;
 }
 
 std::string RoseForest::toString(const SignatureTable &Sig, const RNode *T) {

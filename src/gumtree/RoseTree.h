@@ -83,18 +83,8 @@ public:
   RNode *fromTree(const SignatureTable &Sig, const Tree *T,
                   bool FlattenLists = true);
 
-  /// Deep copy (used by the action generator's working tree).
-  RNode *deepCopy(const RNode *T);
-
   /// Assigns post-order ids and parent pointers below \p Root.
   static void index(RNode *Root);
-
-  /// Recomputes hash/height/size bottom-up (after mutation in tests).
-  static void refresh(RNode *Root);
-
-  /// Structural equality of two rose trees (type, label, kids), without
-  /// relying on cached hashes.
-  static bool equals(const RNode *A, const RNode *B);
 
   /// Renders e.g. "Add(Num{1},Num{2})" for debugging.
   static std::string toString(const SignatureTable &Sig, const RNode *T);

@@ -65,13 +65,6 @@ size_t HDiffPatch::numConstructors() const {
   return countCtors(Deletion) + countCtors(Insertion);
 }
 
-size_t HDiffPatch::numMetaVars() const {
-  std::unordered_set<int> Vars;
-  collectVars(Deletion, Vars);
-  collectVars(Insertion, Vars);
-  return Vars.size();
-}
-
 std::string HDiffPatch::toString(const SignatureTable &Sig) const {
   return nodeToString(Sig, Deletion) + " ~> " + nodeToString(Sig, Insertion);
 }

@@ -67,9 +67,6 @@ struct HDiffPatch {
   /// mentioned in the tree rewriting (metavariables are free).
   size_t numConstructors() const;
 
-  /// Number of distinct metavariables.
-  size_t numMetaVars() const;
-
   /// Renders "(Add (#0) (Mul (#1) (#2))) ~> (Add (#2) ...)".
   std::string toString(const SignatureTable &Sig) const;
 };

@@ -109,15 +109,6 @@ std::optional<URI> TreeDatabase::childOf(URI Parent, LinkId Link) const {
   return *Kids->begin();
 }
 
-std::optional<URI> TreeDatabase::parentOf(URI Child, LinkId Link) const {
-  if (Mode == IndexMode::OneToOne) {
-    auto It = One.find(Link);
-    return It == One.end() ? std::nullopt : It->second.getReverse(Child);
-  }
-  auto It = Many.find(Link);
-  return It == Many.end() ? std::nullopt : It->second.get(Child);
-}
-
 std::optional<URI> TreeDatabase::parentOf(URI Child) const {
   if (Mode == IndexMode::OneToOne) {
     for (const auto &[Link, Index] : One)

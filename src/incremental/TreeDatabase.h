@@ -47,9 +47,7 @@ public:
 
   /// Inserts the row for the pre-defined virtual root, i.e. the state of
   /// the empty tree. A database initialised this way can be built up
-  /// purely from an initializing edit script (truechange/InitScript),
-  /// which is how the service layer's DatabaseMirror subscribes a
-  /// database to a DocumentStore's script stream.
+  /// purely from an initializing edit script (truechange/InitScript).
   void initEmpty();
 
   /// Loads every node of \p T (including a row for the virtual root).
@@ -67,9 +65,6 @@ public:
 
   /// The child of \p Parent via \p Link, if any.
   std::optional<URI> childOf(URI Parent, LinkId Link) const;
-
-  /// The parent of \p Child via \p Link, if any.
-  std::optional<URI> parentOf(URI Child, LinkId Link) const;
 
   /// The parent of \p Child via any link (searches the link indices).
   std::optional<URI> parentOf(URI Child) const;

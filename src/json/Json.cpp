@@ -399,15 +399,8 @@ JsonParseResult truediff::json::parseJson(TreeContext &Ctx,
 }
 
 std::string truediff::json::unparseJson(const SignatureTable &Sig,
-                                        const Tree *Value) {
+                                        const Tree *Value, bool Pretty) {
   std::string Out;
-  printRec(Sig, Value, Out, -1);
-  return Out;
-}
-
-std::string truediff::json::unparseJsonPretty(const SignatureTable &Sig,
-                                              const Tree *Value) {
-  std::string Out;
-  printRec(Sig, Value, Out, 0);
+  printRec(Sig, Value, Out, Pretty ? 0 : -1);
   return Out;
 }

@@ -49,11 +49,10 @@ struct JsonParseResult {
 JsonParseResult parseJson(TreeContext &Ctx, std::string_view Text,
                           const ParseLimits &Limits = {});
 
-/// Renders the tree as compact JSON (round-trips through parseJson).
-std::string unparseJson(const SignatureTable &Sig, const Tree *Value);
-
-/// Renders the tree as indented JSON for humans.
-std::string unparseJsonPretty(const SignatureTable &Sig, const Tree *Value);
+/// Renders the tree as JSON: compact, or indented for humans when
+/// \p Pretty. Either form round-trips through parseJson.
+std::string unparseJson(const SignatureTable &Sig, const Tree *Value,
+                        bool Pretty = false);
 
 } // namespace json
 } // namespace truediff

@@ -651,15 +651,17 @@ RecoveryResult Persistence::recoverAndAttach(DocumentStore &S,
 
 namespace {
 
-/// A replayed document tree, URIs preserved, in its own arena, with the
-/// applier that keeps its URI index across records. Its derived data is
-/// not maintained: installing copies the tree into the store's context,
-/// which re-derives every digest.
+/// A replayed document tree, URIs preserved and digests current, in its
+/// own arena, with the applier that keeps its URI index across records.
+/// Installing hands the arena to the store as it is, so every node is
+/// hashed once, when it is decoded or loaded, and edits rehash only the
+/// paths they touch.
 struct ReplayTree {
-  explicit ReplayTree(const SignatureTable &Sig) : Ctx(Sig) {}
-  TreeContext Ctx;
+  explicit ReplayTree(const SignatureTable &Sig)
+      : Ctx(std::make_unique<TreeContext>(Sig)) {}
+  std::unique_ptr<TreeContext> Ctx;
   Tree *Root = nullptr;
-  ScriptApplier Applier{Ctx, Root, ScriptApplier::Derived::Skip};
+  ScriptApplier Applier{*Ctx, Root};
 };
 
 /// Replay-time state of one document.
@@ -713,7 +715,7 @@ RecoveryResult Persistence::recover(const SignatureTable &Sig,
     if (Snap.Tombstone)
       continue; // D.Live stays false: erased as of Snap.Seq
     auto T = std::make_unique<ReplayTree>(Sig);
-    DecodeTreeResult TreeRes = decodeTree(Sig, T->Ctx, Snap.TreeBlob);
+    DecodeTreeResult TreeRes = decodeTree(Sig, *T->Ctx, Snap.TreeBlob);
     if (!TreeRes.ok()) {
       // CRC passed but the blob is undecodable: without the base state
       // the log suffix is useless for this document.
@@ -723,7 +725,7 @@ RecoveryResult Persistence::recover(const SignatureTable &Sig,
       continue;
     }
     T->Root = TreeRes.Root;
-    T->Ctx.continueUrisFrom(Snap.NextUri);
+    T->Ctx->continueUrisFrom(Snap.NextUri);
     D.T = std::move(T);
     D.Version = Snap.Version;
     D.Live = true;
@@ -871,18 +873,12 @@ RecoveryResult Persistence::recover(const SignatureTable &Sig,
   for (auto &[Doc, D] : Docs) {
     if (!D.Live || !D.T)
       continue;
-    service::StoreResult Res = Store.restore(
-        Doc, D.Version,
-        [&](TreeContext &Ctx) {
-          service::BuildResult B;
-          B.Root = Ctx.deepCopy(D.T->Root, TreeContext::CopyUris::Preserve);
-          // The replay arena's counter covers the snapshot's and every
-          // replayed load, rolled-back ones included.
-          Ctx.continueUrisFrom(D.T->Ctx);
-          return B;
-        },
-        std::move(D.History), D.OpenAuthor);
-    D.T.reset(); // the replay arena is no longer needed
+    // The replay arena's counter covers the snapshot's and every
+    // replayed load, rolled-back ones included.
+    service::StoreResult Res =
+        Store.restore(Doc, D.Version, std::move(D.T->Ctx), D.T->Root,
+                      std::move(D.History), D.OpenAuthor);
+    D.T.reset(); // the applier; the arena is the store's now
     if (!Res.Ok) {
       if (Prov != nullptr)
         Prov->eraseDoc(Doc);

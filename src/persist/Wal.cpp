@@ -123,20 +123,6 @@ bool decodeRecordPayload(std::string_view Payload, WalRecord &Out) {
 
 } // namespace
 
-const char *persist::walKindName(WalKind Kind) {
-  switch (Kind) {
-  case WalKind::Open:
-    return "open";
-  case WalKind::Submit:
-    return "submit";
-  case WalKind::Rollback:
-    return "rollback";
-  case WalKind::Erase:
-    return "erase";
-  }
-  return "<unknown>";
-}
-
 WalWriter::WalWriter(std::string Dir, Config C, IoEnv *E)
     : Dir(std::move(Dir)), Cfg(C), Env(E != nullptr ? *E : realIoEnv()) {
   if (Env.makeDir(this->Dir.c_str(), 0777) != 0 && errno != EEXIST)

@@ -68,8 +68,6 @@ enum class WalKind : uint8_t {
   Erase,
 };
 
-const char *walKindName(WalKind Kind);
-
 /// One logged operation. Seq is a per-document sequence number assigned
 /// by the persistence layer; it is strictly increasing per document and
 /// is what snapshots cut the log against (versions are not monotone --

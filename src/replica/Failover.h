@@ -5,28 +5,33 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Promotes a follower replica to leader. The promotion is a state
-/// machine over three existing subsystems, with the paper's typed edit
-/// scripts as the correctness backbone:
+/// Promotes a follower replica to leader. Promotion is a role flip, not
+/// a copy: the follower's own DocumentStore -- the typed trees its
+/// record stream built, history rings and provenance index included --
+/// becomes the leader's store. The paper's typed edit scripts stay the
+/// correctness backbone: the follower only ever applied type-checked,
+/// gap-free script sequences, so every document it holds is the product
+/// of a committed record prefix. Three steps:
 ///
-///   1. fence    -- prepareForPromotion(NewEpoch): the follower drops
-///                  its leader link and raises its epoch fencing floor,
-///                  so the old leader can never be accepted again;
-///   2. export   -- one consistent cut of the applied state (every
-///                  document the product of a committed record prefix,
-///                  because followers only ever apply type-checked,
-///                  gap-free script sequences);
-///   3. install  -- DocumentStore::restore per document (URIs
-///                  preserved), provenance snapshots into the node's
-///                  blame index, and ReplicationLog::seed so the new
-///                  leader's record stream continues each per-document
-///                  chain seamlessly.
+///   1. fence -- Follower::prepareForPromotion(NewEpoch): the follower
+///               drops its leader link, raises its epoch fencing floor
+///               (so the old leader can never be accepted again) and
+///               applies nothing more, so its state is final;
+///   2. seed  -- a ReplicationLog over the follower's store continues
+///               from the follower's position: its last global seq and
+///               each document's incarnation, version and seq, so
+///               re-pointed followers accept the new records as a
+///               seamless continuation of each per-document chain;
+///   3. flip  -- the log attaches to the store, and the caller builds
+///               the leader stack (Leader endpoint at the new epoch,
+///               DiffService, blame handlers over Follower::provenance())
+///               on that same store, then flips the node's RoleState to
+///               Leader.
 ///
-/// After promoteFollower the caller flips the node's RoleState to
-/// Leader, starts a Leader endpoint with the new epoch, and serves
-/// writes from the restored store. Peers re-point at it: followers at or
-/// behind the promoted seq catch up normally; the demoted leader's
-/// divergent, never-acked suffix is not replayable and such a node
+/// Follower reads keep working through the flip and see every write the
+/// promoted leader commits. Peers re-point at the new leader: followers
+/// at or behind the promoted seq catch up normally; the demoted leader's
+/// divergent, never-acked suffix is not replayable, and such a node
 /// rejoins by state transfer into fresh follower state (see DESIGN.md
 /// §15).
 ///
@@ -45,43 +50,39 @@
 #include "replica/ReplicationLog.h"
 
 #include <atomic>
+#include <memory>
 
 namespace truediff {
-namespace blame {
-class ProvenanceIndex;
-}
 namespace replica {
 
 struct PromotionResult {
   bool Ok = false;
   std::string Error;
-  /// Documents installed into the store.
+  /// Documents the promoted store holds.
   uint64_t Docs = 0;
   /// The committed-prefix seq the promoted state reproduces; the seeded
   /// log continues from here.
   uint64_t LastSeq = 0;
   uint64_t Epoch = 0;
+  /// The seeded log, attached to F.store() and to F.provenance() as its
+  /// snapshots' provenance source: what a Leader endpoint at Epoch
+  /// serves. F must outlive it, and it must outlive every commit on
+  /// F.store().
+  std::unique_ptr<ReplicationLog> Log;
 };
 
-/// Runs the fence/export/install sequence: \p F stops following and its
-/// applied state becomes \p Store's content (URIs preserved, history
-/// rings intact), \p Prov (may be null) receives each document's
-/// provenance snapshot, and \p Log -- which must be fresh: never
-/// committed, not yet attached -- is seeded and then attached to the
-/// store. On return the store serves exactly the committed prefix the
-/// follower had applied, ready for a Leader endpoint at \p NewEpoch.
-///
-/// \p Store must not already contain any exported document (promotion
-/// installs into a fresh store). Fails atomically per document: the
-/// first restore failure aborts with its error.
-PromotionResult promoteFollower(Follower &F, service::DocumentStore &Store,
-                                blame::ProvenanceIndex *Prov,
-                                ReplicationLog &Log, uint64_t NewEpoch);
+/// Runs the fence/seed/flip sequence on \p F (see above). On return
+/// F.store() is the leader's store: it serves exactly the committed
+/// prefix the follower had applied, and every commit on it is recorded
+/// in the returned log. Fails if \p F was promoted before: a node
+/// promotes once, and a demoted ex-leader that follows again keeps the
+/// log of its first promotion attached.
+PromotionResult promoteFollower(Follower &F, uint64_t NewEpoch);
 
 /// Routes requests by the node's current role: Leader serves the full
 /// service protocol (writes included), anything else serves the
 /// follower's read protocol. The writer handler may be installed later
-/// -- promotion constructs it once the store exists -- via setWriter(),
+/// -- promotion constructs it once the log exists -- via setWriter(),
 /// which is safe against concurrent handle() calls.
 class FailoverHandler : public net::RequestHandler {
 public:

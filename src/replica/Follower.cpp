@@ -80,6 +80,15 @@ bool Follower::connectTo(const std::string &Host, uint16_t Port,
   std::string Hello;
   {
     std::unique_lock<std::mutex> Lock(Mu);
+    if (Fenced) {
+      // A demoted leader: its store may hold writes the new leader never
+      // saw, which no record stream can reconcile. It rejoins from empty
+      // state, by state transfer.
+      for (uint64_t Doc : Store.listDocuments())
+        dropDoc(Doc);
+      LastSeq = 0;
+      Fenced = false;
+    }
     HsState = Handshake::Pending;
     CatchupSeen = false;
     LastAckSent = 0;
@@ -263,6 +272,8 @@ void Follower::onLeaderHello(Conn &C, const LeaderHello &LH) {
 
 void Follower::onRecord(Conn &C, const RecordMsg &R) {
   std::lock_guard<std::mutex> Lock(Mu);
+  if (Fenced)
+    return;
   if (R.Seq <= LastSeq) {
     ++Counters.DupRecords;
     return;
@@ -357,6 +368,8 @@ void Follower::dropDoc(uint64_t Doc) {
 
 void Follower::onSnapshot(const DocSnapshotMsg &S) {
   std::lock_guard<std::mutex> Lock(Mu);
+  if (Fenced)
+    return;
   auto It = Docs.find(S.Doc);
 
   if (S.Tombstone) {
@@ -396,6 +409,8 @@ void Follower::onSnapshot(const DocSnapshotMsg &S) {
 
 void Follower::onCatchupDone(const CatchupDoneMsg &D) {
   std::lock_guard<std::mutex> Lock(Mu);
+  if (Fenced)
+    return;
   if (D.Seq > LastSeq)
     LastSeq = D.Seq;
   if (D.SnapshotMode) {
@@ -414,6 +429,8 @@ void Follower::onCatchupDone(const CatchupDoneMsg &D) {
 void Follower::onShardSummary(Conn &C, const ShardSummaryMsg &M) {
   std::lock_guard<std::mutex> Lock(Mu);
   ++Counters.SummariesReceived;
+  if (Fenced)
+    return;
   // Comparing states at different points in time would manufacture false
   // mismatches, so the summary only applies once this follower has
   // applied everything the summary reflects.
@@ -575,45 +592,34 @@ bool Follower::corruptDocForTest(uint64_t Doc) {
   return Mutated;
 }
 
-void Follower::prepareForPromotion(uint64_t NewEpoch) {
+std::optional<Follower::Position>
+Follower::prepareForPromotion(uint64_t NewEpoch) {
+  std::optional<Position> Out;
   {
     std::lock_guard<std::mutex> Lock(Mu);
+    if (Promoted)
+      return Out;
+    Promoted = true;
+    Fenced = true;
     if (NewEpoch > MaxEpochSeen)
       MaxEpochSeen = NewEpoch;
+    Out.emplace();
+    Out->LastSeq = LastSeq;
+    Out->Docs.reserve(Docs.size());
+    for (const auto &[Doc, RD] : Docs) {
+      ReplicationLog::SeedDoc S;
+      S.Doc = Doc;
+      S.Incarnation = RD.Incarnation;
+      S.LastSeq = RD.DocSeq;
+      Store.withDocument(
+          Doc, [&](const Tree *, uint64_t Version,
+                   const std::vector<DocumentStore::HistoryEntry> &) {
+            S.Version = Version;
+          });
+      Out->Docs.push_back(S);
+    }
   }
   disconnect();
-}
-
-Follower::Export Follower::exportForPromotion() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  Export Out;
-  Out.LastSeq = LastSeq;
-  Out.MaxEpochSeen = MaxEpochSeen;
-  Out.Docs.reserve(Docs.size());
-  for (const auto &[Doc, RD] : Docs) {
-    ExportedDoc E;
-    E.Doc = Doc;
-    E.Incarnation = RD.Incarnation;
-    E.DocSeq = RD.DocSeq;
-    E.OpenAuthor = Store.openAuthor(Doc);
-    Store.withDocument(
-        Doc, [&](const Tree *T, uint64_t Version,
-                 const std::vector<DocumentStore::HistoryEntry> &History) {
-          E.Version = Version;
-          E.TreeBlob = persist::encodeTree(Sig, T);
-          E.ProvBlob = Prov.snapshotDoc(Doc);
-          E.History.reserve(History.size());
-          for (const DocumentStore::HistoryEntry &H : History) {
-            DocumentStore::RestoreEntry R;
-            R.Version = H.Version;
-            R.Script = *H.Script;
-            R.Author = *H.Author;
-            E.History.push_back(std::move(R));
-          }
-        });
-    E.NextUri = Store.nextUri(Doc);
-    Out.Docs.push_back(std::move(E));
-  }
   return Out;
 }
 

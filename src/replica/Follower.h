@@ -17,6 +17,8 @@
 /// type system would reject. The standard semantics of Figure 2 is not
 /// involved: it stays the reference the applier is tested against.
 /// Snapshot transfers decode straight into the store, URIs preserved.
+/// Promotion (replica/Failover.h) hands this same store, with its
+/// provenance index, to the leader stack.
 ///
 /// Consistency machinery:
 ///   - a global, gap-free seq: a gap after catch-up means lost records,
@@ -53,10 +55,12 @@
 #include "net/NetServer.h"
 #include "net/Role.h"
 #include "replica/Protocol.h"
+#include "replica/ReplicationLog.h"
 #include "service/DocumentStore.h"
 
 #include <condition_variable>
 #include <mutex>
+#include <optional>
 
 namespace truediff {
 namespace replica {
@@ -135,8 +139,13 @@ public:
   Stats stats() const;
   std::string statsJson() const;
 
-  /// The applied state, read-only (e.g. for DocumentStore::checkDigests).
+  /// The applied state. After promotion (replica/Failover.h) it is the
+  /// leader's store, written by the leader stack.
+  service::DocumentStore &store() { return Store; }
   const service::DocumentStore &store() const { return Store; }
+  /// The per-node attribution index, attached to store(): after
+  /// promotion the leader's blame handlers serve from it.
+  blame::ProvenanceIndex &provenance() { return Prov; }
 
   /// Test hook: corrupts \p Doc's applied version so the next record for
   /// it fails the version check and triggers a ResyncReq.
@@ -149,46 +158,21 @@ public:
   /// holds no literal to mutate.
   bool corruptDocForTest(uint64_t Doc);
 
-  /// First half of a promotion (see replica/Failover.h): drops the
-  /// leader link and raises the fencing floor to \p NewEpoch, so no
-  /// leader of an older epoch can ever be accepted again -- the old
-  /// leader is fenced from this node the instant promotion begins.
-  void prepareForPromotion(uint64_t NewEpoch);
-
-  /// One document of the applied state, packaged for installation into a
-  /// leader-side DocumentStore.
-  struct ExportedDoc {
-    uint64_t Doc = 0;
-    uint64_t Incarnation = 0;
-    uint64_t Version = 0;
-    uint64_t DocSeq = 0;
-    /// Attribution of version 0 (empty after a snapshot install, which
-    /// does not carry it -- acceptable, blame still answers from the
-    /// provenance blob).
-    std::string OpenAuthor;
-    /// encodeTree blob, URIs preserved: the state the store restores.
-    std::string TreeBlob;
-    /// The document's next fresh URI (DocumentStore::nextUri).
-    URI NextUri = 0;
-    /// Canonical provenance blob (ProvenanceIndex::snapshotDoc).
-    std::string ProvBlob;
-    /// Retained submit history (oldest first), so the promoted leader
-    /// can still roll back and answer history queries.
-    std::vector<service::DocumentStore::RestoreEntry> History;
-  };
-
-  struct Export {
+  /// Where the applied state stands: the global seq and, per document,
+  /// the chain a promoted leader's log continues.
+  struct Position {
     uint64_t LastSeq = 0;
-    uint64_t MaxEpochSeen = 0;
-    std::vector<ExportedDoc> Docs;
+    std::vector<ReplicationLog::SeedDoc> Docs;
   };
 
-  /// Second half of a promotion: one consistent cut of the applied state
-  /// -- every document is the product of the committed record prefix up
-  /// to LastSeq (taken under the state mutex, so no record can land
-  /// mid-export). The follower keeps serving reads from its own state
-  /// afterwards; the export is a copy.
-  Export exportForPromotion() const;
+  /// The fence of a promotion (see replica/Failover.h): drops the leader
+  /// link, raises the fencing floor to \p NewEpoch -- so no leader of an
+  /// older epoch can ever be accepted again -- and stops applying
+  /// records and snapshots, so the applied state is final. Returns its
+  /// position, taken under the state mutex after the fence went up; or
+  /// nothing if this follower was promoted before. A later connectTo()
+  /// lifts the fence: the node rejoins as a follower from empty state.
+  std::optional<Position> prepareForPromotion(uint64_t NewEpoch);
 
 private:
   /// Replication metadata of one stored document; its tree, version and
@@ -230,6 +214,11 @@ private:
   net::Conn *Link = nullptr; ///< loop-thread use only
   bool IsConnected = false;
   bool CatchupSeen = false;
+  /// Set by prepareForPromotion: nothing from a leader applies any more.
+  /// connectTo() lifts it after emptying the store.
+  bool Fenced = false;
+  /// Set by the first prepareForPromotion, never cleared.
+  bool Promoted = false;
   uint64_t HelloGen = 0;
   uint64_t LastSeq = 0;
   /// Highest seq acked to the current leader; acks fire when a data

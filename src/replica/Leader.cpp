@@ -93,9 +93,11 @@ bool Leader::parseOne(Conn &C) {
       C.closeNow();
       return false;
     }
-    C.send(encodeDocSnapshot(Log.snapshotDoc(Req.Doc)));
+    // Counted before the send: a reader that sees the resync's effect
+    // on the follower must also see it counted here.
     SnapshotsSent.fetch_add(1);
     ResyncsServed.fetch_add(1);
+    C.send(encodeDocSnapshot(Log.snapshotDoc(Req.Doc)));
     return true;
   }
   case ReplFrame::Ack: {

@@ -228,25 +228,9 @@ std::future<Response> DiffService::enqueue(Operation Op, OpKind Kind,
 }
 
 void DiffService::openCb(DocId Doc, TreeBuilder Build, size_t PayloadBytes,
-                         ResponseCallback Done) {
-  openCb(Doc, std::move(Build), PayloadBytes, std::string(), std::move(Done));
-}
-void DiffService::openCb(DocId Doc, TreeBuilder Build, size_t PayloadBytes,
                          std::string Author, ResponseCallback Done) {
   enqueue(OpenOp{Doc, std::move(Build), std::move(Author)}, OpKind::Open, 0,
           PayloadBytes, std::move(Done));
-}
-void DiffService::submitCb(DocId Doc, TreeBuilder Build, uint64_t DeadlineMs,
-                           size_t PayloadBytes, bool RawScript,
-                           ResponseCallback Done) {
-  submitCb(Doc, std::move(Build), DeadlineMs, PayloadBytes, RawScript,
-           std::string(), std::move(Done));
-}
-void DiffService::submitCb(DocId Doc, TreeBuilder Build, uint64_t DeadlineMs,
-                           size_t PayloadBytes, bool RawScript,
-                           std::string Author, ResponseCallback Done) {
-  submitCb(Doc, std::move(Build), DeadlineMs, PayloadBytes, RawScript,
-           std::move(Author), std::nullopt, std::move(Done));
 }
 void DiffService::submitCb(DocId Doc, TreeBuilder Build, uint64_t DeadlineMs,
                            size_t PayloadBytes, bool RawScript,
@@ -273,25 +257,10 @@ void DiffService::historyCb(DocId Doc, URI Uri, ResponseCallback Done) {
   enqueue(HistoryOp{Doc, Uri}, OpKind::History, 0, 0, std::move(Done));
 }
 
-std::future<Response> DiffService::openAsync(DocId Doc, TreeBuilder Build) {
-  return enqueue(OpenOp{Doc, std::move(Build)}, OpKind::Open);
-}
 std::future<Response> DiffService::openAsync(DocId Doc, TreeBuilder Build,
                                              std::string Author) {
   return enqueue(OpenOp{Doc, std::move(Build), std::move(Author)},
                  OpKind::Open);
-}
-std::future<Response> DiffService::submitAsync(DocId Doc, TreeBuilder Build) {
-  return enqueue(SubmitOp{Doc, std::move(Build)}, OpKind::Submit);
-}
-std::future<Response> DiffService::submitAsync(DocId Doc, TreeBuilder Build,
-                                               std::string Author) {
-  return enqueue(SubmitOp{Doc, std::move(Build), false, std::move(Author)},
-                 OpKind::Submit);
-}
-std::future<Response> DiffService::submitAsync(DocId Doc, TreeBuilder Build,
-                                               uint64_t DeadlineMs) {
-  return enqueue(SubmitOp{Doc, std::move(Build)}, OpKind::Submit, DeadlineMs);
 }
 std::future<Response> DiffService::submitAsync(DocId Doc, TreeBuilder Build,
                                                uint64_t DeadlineMs,
@@ -316,22 +285,8 @@ std::future<Response> DiffService::historyAsync(DocId Doc, URI Uri) {
   return enqueue(HistoryOp{Doc, Uri}, OpKind::History);
 }
 
-Response DiffService::open(DocId Doc, TreeBuilder Build) {
-  return openAsync(Doc, std::move(Build)).get();
-}
 Response DiffService::open(DocId Doc, TreeBuilder Build, std::string Author) {
   return openAsync(Doc, std::move(Build), std::move(Author)).get();
-}
-Response DiffService::submit(DocId Doc, TreeBuilder Build) {
-  return submitAsync(Doc, std::move(Build)).get();
-}
-Response DiffService::submit(DocId Doc, TreeBuilder Build,
-                             uint64_t DeadlineMs) {
-  return submitAsync(Doc, std::move(Build), DeadlineMs).get();
-}
-Response DiffService::submit(DocId Doc, TreeBuilder Build,
-                             std::string Author) {
-  return submitAsync(Doc, std::move(Build), std::move(Author)).get();
 }
 Response DiffService::submit(DocId Doc, TreeBuilder Build, uint64_t DeadlineMs,
                              std::string Author) {

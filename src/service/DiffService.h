@@ -215,22 +215,17 @@ public:
   /// All return immediately. A rejected request (queue full / shut down)
   /// yields an already-resolved error response.
   /// @{
-  std::future<Response> openAsync(DocId Doc, TreeBuilder Build);
   std::future<Response> openAsync(DocId Doc, TreeBuilder Build,
-                                  std::string Author);
-  std::future<Response> submitAsync(DocId Doc, TreeBuilder Build);
-  std::future<Response> submitAsync(DocId Doc, TreeBuilder Build,
-                                    std::string Author);
-  /// Submit with an explicit deadline, milliseconds from now. 0 falls
-  /// back to ServiceConfig::DefaultDeadlineMs. A request still queued at
-  /// its deadline is shed with a retry-after hint; a request whose build
+                                  std::string Author = std::string());
+  /// \p DeadlineMs is milliseconds from now; 0 falls back to
+  /// ServiceConfig::DefaultDeadlineMs. A request still queued at its
+  /// deadline is shed with a retry-after hint; a request whose build
   /// finishes but whose diff would overrun it is answered with the
   /// replace-root fallback script (Response::Fallback) when
   /// ServiceConfig::DeadlineFallback is set.
   std::future<Response> submitAsync(DocId Doc, TreeBuilder Build,
-                                    uint64_t DeadlineMs);
-  std::future<Response> submitAsync(DocId Doc, TreeBuilder Build,
-                                    uint64_t DeadlineMs, std::string Author);
+                                    uint64_t DeadlineMs = 0,
+                                    std::string Author = std::string());
   std::future<Response> rollbackAsync(DocId Doc);
   std::future<Response> getVersionAsync(DocId Doc);
   std::future<Response> statsAsync();
@@ -249,16 +244,9 @@ public:
   /// one-quantum guess for documents without a service-time sample.
   /// @{
   void openCb(DocId Doc, TreeBuilder Build, size_t PayloadBytes,
-              ResponseCallback Done);
-  void openCb(DocId Doc, TreeBuilder Build, size_t PayloadBytes,
               std::string Author, ResponseCallback Done);
-  void submitCb(DocId Doc, TreeBuilder Build, uint64_t DeadlineMs,
-                size_t PayloadBytes, bool RawScript, ResponseCallback Done);
-  void submitCb(DocId Doc, TreeBuilder Build, uint64_t DeadlineMs,
-                size_t PayloadBytes, bool RawScript, std::string Author,
-                ResponseCallback Done);
-  /// As above with a version-CAS guard: the submit only applies when the
-  /// document is exactly at \p Expect (ErrCode::CasMismatch with the
+  /// A submit with an optional version-CAS guard: it only applies when
+  /// the document is exactly at \p Expect (ErrCode::CasMismatch with the
   /// current version otherwise).
   void submitCb(DocId Doc, TreeBuilder Build, uint64_t DeadlineMs,
                 size_t PayloadBytes, bool RawScript, std::string Author,
@@ -272,13 +260,10 @@ public:
 
   /// \name Blocking convenience wrappers
   /// @{
-  Response open(DocId Doc, TreeBuilder Build);
-  Response open(DocId Doc, TreeBuilder Build, std::string Author);
-  Response submit(DocId Doc, TreeBuilder Build);
-  Response submit(DocId Doc, TreeBuilder Build, uint64_t DeadlineMs);
-  Response submit(DocId Doc, TreeBuilder Build, uint64_t DeadlineMs,
-                  std::string Author);
-  Response submit(DocId Doc, TreeBuilder Build, std::string Author);
+  Response open(DocId Doc, TreeBuilder Build,
+               std::string Author = std::string());
+  Response submit(DocId Doc, TreeBuilder Build, uint64_t DeadlineMs = 0,
+                  std::string Author = std::string());
   Response rollback(DocId Doc);
   Response getVersion(DocId Doc);
   Response stats();

@@ -642,22 +642,35 @@ StoreResult DocumentStore::restore(DocId Doc, uint64_t Version,
                                    const TreeBuilder &Build,
                                    std::vector<RestoreEntry> History,
                                    std::string OpenAuthor) {
-  StoreResult R;
-  auto D = std::make_shared<Document>();
-  // Installs accepted state, as repair() does: the budget counts the
-  // tree once it is built but cannot refuse it.
-  D->Ctx = std::make_unique<TreeContext>(Sig);
-  BuildResult B = Build(*D->Ctx);
+  auto Ctx = std::make_unique<TreeContext>(Sig);
+  BuildResult B = Build(*Ctx);
   if (B.Root == nullptr) {
+    StoreResult R;
     R.Error = B.Error.empty() ? "builder produced no tree" : B.Error;
     R.Code = B.Code != ErrCode::None ? B.Code : ErrCode::BuildFailed;
     return R;
   }
+  return restore(Doc, Version, std::move(Ctx), B.Root, std::move(History),
+                 std::move(OpenAuthor));
+}
+
+StoreResult DocumentStore::restore(DocId Doc, uint64_t Version,
+                                   std::unique_ptr<TreeContext> Ctx,
+                                   Tree *Root,
+                                   std::vector<RestoreEntry> History,
+                                   std::string OpenAuthor) {
+  StoreResult R;
+  auto D = std::make_shared<Document>();
+  // Installs accepted state, as repair() does: the budget counts the
+  // tree, which is already built, but cannot refuse it.
+  D->Ctx = std::move(Ctx);
   D->Ctx->attachBudget(Cfg.MemBudget);
-  D->Current = B.Root;
+  D->Current = Root;
   D->Version = Version;
   D->OpenAuthor = std::move(OpenAuthor);
   D->History = ringFrom(std::move(History));
+  // A replayed arena still holds the nodes its log unloaded.
+  maybeCompact(*D);
 
   {
     Shard &S = shardFor(Doc);

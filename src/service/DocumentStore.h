@@ -446,6 +446,16 @@ public:
                       std::vector<RestoreEntry> History,
                       std::string OpenAuthor = std::string());
 
+  /// restore() for a tree already built, derived data included, in
+  /// \p Ctx, whose URI counter already covers every URI the document
+  /// issued: \p Ctx becomes the document's arena as it is, with no copy.
+  /// This is how recovery installs the arena it replayed a document's
+  /// log into. Fails if the document already exists.
+  StoreResult restore(DocId Doc, uint64_t Version,
+                      std::unique_ptr<TreeContext> Ctx, Tree *Root,
+                      std::vector<RestoreEntry> History,
+                      std::string OpenAuthor = std::string());
+
   bool contains(DocId Doc) const;
 
   /// Removes \p Doc; in-flight operations holding the document finish

@@ -36,7 +36,6 @@ SignatureTable::SignatureTable() {
   RootSig.Result = Root;
   RootSig.Kids.push_back(KidSpec{RootLinkId, Any});
   Tags.emplace(RootTagId, std::move(RootSig));
-  TagOrder.push_back(RootTagId);
 }
 
 SortId SignatureTable::sort(std::string_view Name) {
@@ -86,7 +85,6 @@ TagId SignatureTable::defineTag(
     Sig.Lits.push_back(LitSpec{Symbols.intern(LinkName), Kind});
 
   Tags.emplace(Tag, std::move(Sig));
-  TagOrder.push_back(Tag);
   return Tag;
 }
 
@@ -94,14 +92,4 @@ const TagSignature &SignatureTable::signature(TagId Tag) const {
   auto It = Tags.find(Tag);
   assert(It != Tags.end() && "tag has no signature");
   return It->second;
-}
-
-std::vector<TagId> SignatureTable::tagsOfSort(SortId Sort) const {
-  std::vector<TagId> Result;
-  for (TagId Tag : TagOrder) {
-    const TagSignature &Sig = Tags.at(Tag);
-    if (Tag != RootTagId && isSubsort(Sig.Result, Sort))
-      Result.push_back(Tag);
-  }
-  return Result;
 }

@@ -118,10 +118,6 @@ public:
 
   /// The single link of RootTag.
   LinkId rootLink() const { return RootLinkId; }
-
-  /// All tags whose result sort is a subsort of \p Sort, in definition
-  /// order; used by random tree generators.
-  std::vector<TagId> tagsOfSort(SortId Sort) const;
   /// @}
 
   /// \name Symbol access
@@ -144,7 +140,6 @@ private:
   TagId RootTagId = InvalidSymbol;
   LinkId RootLinkId = InvalidSymbol;
   std::unordered_map<TagId, TagSignature> Tags;
-  std::vector<TagId> TagOrder;
   /// Direct declared subsort edges Sub -> {Super, ...}.
   std::unordered_map<SortId, std::unordered_set<SortId>> SubsortEdges;
 };

@@ -187,19 +187,6 @@ Tree *TreeContext::make(std::string_view TagName,
   return make(Tag, Kids, std::move(Lits));
 }
 
-Tree *TreeContext::makeWithUri(TagId Tag, URI Uri,
-                               const std::vector<Tree *> &Kids,
-                               std::vector<Literal> Lits) {
-  assert(Uri >= NextUri && "URI already used in this context");
-  return build(Tag, Uri, Kids.data(), Kids.size(), std::move(Lits));
-}
-
-Tree *TreeContext::adoptWithUri(TagId Tag, URI Uri,
-                                const std::vector<Tree *> &Kids,
-                                std::vector<Literal> Lits) {
-  return build(Tag, Uri, Kids.data(), Kids.size(), std::move(Lits));
-}
-
 Tree *TreeContext::adoptWithUri(TagId Tag, URI Uri, Tree *const *Kids,
                                 size_t Arity, std::vector<Literal> Lits,
                                 Derive When) {
@@ -319,54 +306,6 @@ Tree *TreeContext::deepCopy(const Tree *T, CopyUris Uris) {
     Done.push_back(Copy);
   }
   return Done.front();
-}
-
-std::optional<std::string> TreeContext::validate(const Tree *T) const {
-  // Iterative, in the order of the recursive definition: a node's tag and
-  // arities, then per kid its presence and sort followed by the kid's own
-  // subtree, then the node's literal kinds.
-  struct Frame {
-    const Tree *Node;
-    size_t NextKid;
-  };
-  std::vector<Frame> Stack;
-  auto Enter = [&](const Tree *N) -> std::optional<std::string> {
-    if (!Sig.hasTag(N->tag()))
-      return "unknown tag: " + Sig.name(N->tag());
-    const TagSignature &TagSig = Sig.signature(N->tag());
-    if (N->arity() != TagSig.Kids.size())
-      return "kid arity mismatch at " + Sig.name(N->tag());
-    if (N->numLits() != TagSig.Lits.size())
-      return "literal arity mismatch at " + Sig.name(N->tag());
-    Stack.push_back({N, 0});
-    return std::nullopt;
-  };
-  if (auto Err = Enter(T))
-    return Err;
-  while (!Stack.empty()) {
-    Frame &Top = Stack.back();
-    const Tree *N = Top.Node;
-    const TagSignature &TagSig = Sig.signature(N->tag());
-    if (Top.NextKid < N->arity()) {
-      size_t I = Top.NextKid++;
-      const Tree *Kid = N->kid(I);
-      if (Kid == nullptr)
-        return "empty slot in completed tree at " + Sig.name(N->tag());
-      SortId KidSort = Sig.signature(Kid->tag()).Result;
-      if (!Sig.isSubsort(KidSort, TagSig.Kids[I].Sort))
-        return "kid sort mismatch at " + Sig.name(N->tag()) + "." +
-               Sig.name(TagSig.Kids[I].Link);
-      if (auto Err = Enter(Kid))
-        return Err;
-      continue;
-    }
-    for (size_t I = 0, E = N->numLits(); I != E; ++I)
-      if (N->lit(I).kind() != TagSig.Lits[I].Kind)
-        return "literal kind mismatch at " + Sig.name(N->tag()) + "." +
-               Sig.name(TagSig.Lits[I].Link);
-    Stack.pop_back();
-  }
-  return std::nullopt;
 }
 
 void TreeContext::corruptDerivedForTest(Tree *T) {

@@ -345,21 +345,12 @@ public:
   Tree *make(std::string_view TagName, const std::vector<Tree *> &Kids,
              std::vector<Literal> Lits);
 
-  /// Creates a node with a caller-chosen URI (used by edit-script replay
-  /// and by tests). Asserts the URI has not been used by this context.
-  Tree *makeWithUri(TagId Tag, URI Uri, const std::vector<Tree *> &Kids,
-                    std::vector<Literal> Lits);
-
-  /// Like makeWithUri, but without the monotonicity requirement: the
+  /// Creates a node with a caller-chosen URI, the \p Arity kids read
+  /// from \p Kids, and derived data computed when \p When says. The
   /// caller guarantees \p Uri is not carried by any live node of this
-  /// context. The next fresh URI is bumped past \p Uri, so later make()
-  /// calls stay unique. Used where historical URIs arrive out of
-  /// allocation order: decoding snapshots and applying rollback scripts.
-  Tree *adoptWithUri(TagId Tag, URI Uri, const std::vector<Tree *> &Kids,
-                     std::vector<Literal> Lits);
-
-  /// Same, with the \p Arity kids read from \p Kids, and with derived
-  /// data computed when \p When says.
+  /// context; the next fresh URI is bumped past it, so later make() calls
+  /// stay unique. Used where historical URIs arrive out of allocation
+  /// order: decoding snapshots and applying scripts.
   Tree *adoptWithUri(TagId Tag, URI Uri, Tree *const *Kids, size_t Arity,
                      std::vector<Literal> Lits, Derive When = Derive::Now);
 
@@ -378,12 +369,6 @@ public:
   /// digests. With fresh URIs it is how the benchmarks
   /// rebuild trees so hashing time is measured (Section 6).
   Tree *deepCopy(const Tree *T, CopyUris Uris = CopyUris::Fresh);
-
-  /// Checks the whole tree against the signatures; returns the first
-  /// error in pre-order or std::nullopt if well-typed. Construction
-  /// already asserts this, so the function exists for tests and external
-  /// input. Iterative, so admission-legal deep chains are safe.
-  std::optional<std::string> validate(const Tree *T) const;
 
   /// Test-only fault injection: flips one byte of \p T's cached
   /// structure hash, simulating a silent in-memory corruption (bit rot,

@@ -36,8 +36,8 @@ constexpr uint32_t Unattached = UINT32_MAX;
 /// does not see until an Attach links them in.
 class ScriptApplier::Impl {
 public:
-  Impl(TreeContext &Ctx, Tree *&Root, Derived Derive)
-      : Ctx(Ctx), Sig(Ctx.signatures()), Root(Root), Derive(Derive) {}
+  Impl(TreeContext &Ctx, Tree *&Root)
+      : Ctx(Ctx), Sig(Ctx.signatures()), Root(Root) {}
 
   ApplyResult apply(const EditScript &Script);
 
@@ -131,7 +131,6 @@ private:
   /// Scratch for load(): the index entries of the node's kids, which stay
   /// put while the index grows.
   std::vector<Place *> KidPlaces;
-  const Derived Derive;
 };
 
 std::optional<ScriptApplier::Impl::SlotRef>
@@ -377,13 +376,12 @@ ApplyResult ScriptApplier::Impl::apply(const EditScript &Script) {
     }
   }
   ApplyResult R;
-  if (Derive == Derived::Maintain)
-    R.NodesRehashed = finish();
+  R.NodesRehashed = finish();
   return R;
 }
 
-ScriptApplier::ScriptApplier(TreeContext &Ctx, Tree *&Root, Derived Derive)
-    : I(std::make_unique<Impl>(Ctx, Root, Derive)) {}
+ScriptApplier::ScriptApplier(TreeContext &Ctx, Tree *&Root)
+    : I(std::make_unique<Impl>(Ctx, Root)) {}
 
 ScriptApplier::~ScriptApplier() = default;
 

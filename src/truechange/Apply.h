@@ -73,18 +73,7 @@ ApplyResult applyChecked(TreeContext &Ctx, Tree *&Root,
 /// rebuilt). Between calls, nothing else may change the tree or \p Root.
 class ScriptApplier {
 public:
-  /// Whether apply() keeps the tree's derived data current.
-  enum class Derived : bool {
-    /// Mark the touched paths dirty and rehash them (applyChecked's way).
-    Maintain,
-    /// Leave loaded nodes unhashed and touched paths stale, for a tree
-    /// that is only replayed and then copied: the copy re-derives every
-    /// digest anyway. NodesRehashed is then 0.
-    Skip,
-  };
-
-  ScriptApplier(TreeContext &Ctx, Tree *&Root,
-                Derived Derive = Derived::Maintain);
+  ScriptApplier(TreeContext &Ctx, Tree *&Root);
   ~ScriptApplier();
   ScriptApplier(const ScriptApplier &) = delete;
   ScriptApplier &operator=(const ScriptApplier &) = delete;

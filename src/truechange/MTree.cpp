@@ -258,14 +258,14 @@ bool MTree::equalsTree(const Tree *T) const {
   return true;
 }
 
-/// The one traversal behind render, toString, isClosedWellFormed and
-/// toTree: depth first from top(), kids in signature order, with an
-/// explicit stack, so chains as deep as admission allows cannot overflow
-/// the thread stack. For each slot it calls V.hole(IsTop) if the slot is
-/// empty or absent, V.unknownTag(N, IsTop) if the node's tag has no
-/// signature (its kids are not visited), and otherwise V.enter(N, TagSig,
-/// IsTop) before the node's kids and V.leave(N, TagSig) after them. A
-/// callback returning false stops the walk, which then returns false.
+/// The one traversal behind toString and isClosedWellFormed: depth first
+/// from top(), kids in signature order, with an explicit stack, so chains
+/// as deep as admission allows cannot overflow the thread stack. For each
+/// slot it calls V.hole(IsTop) if the slot is empty or absent,
+/// V.unknownTag(N, IsTop) if the node's tag has no signature (its kids are
+/// not visited), and otherwise V.enter(N, TagSig, IsTop) before the node's
+/// kids and V.leave(N, TagSig) after them. A callback returning false
+/// stops the walk, which then returns false.
 template <typename Visitor> bool MTree::walk(Visitor &V) const {
   struct Frame {
     const MNode *N;
@@ -304,42 +304,26 @@ template <typename Visitor> bool MTree::walk(Visitor &V) const {
 
 namespace {
 
-/// Writes the s-expression forms of printSExpr (Plain) and
-/// printSExprWithUris (Uris) as the walk goes; a null sink is skipped.
-/// Checked, it fails wherever isClosedWellFormed() would: an empty slot,
-/// an unknown tag, an absent or mistyped literal, or more reachable
-/// nodes than the index holds (failing as soon as there are more also
-/// ends the walk on a cycle; the caller checks for fewer). Unchecked
-/// (toString), it marks the defects instead.
+/// Checks the tree as the walk goes, or writes its printSExprWithUris
+/// form. Without a sink (isClosedWellFormed), it fails on an empty slot,
+/// an unknown tag, an absent or mistyped literal, or more reachable nodes
+/// than the index holds (failing as soon as there are more also ends the
+/// walk on a cycle; the caller checks for fewer). With one (toString), it
+/// writes to Out and marks the defects instead.
 struct SExprWriter {
   const SignatureTable &Sig;
-  std::string *Plain;
-  std::string *Uris;
-  bool Checked;
+  std::string *Out;
   /// Index size minus the root: the most nodes a closed tree can reach.
   size_t MaxNodes;
   uint64_t Nodes = 0;
 
-  void put(char C) {
-    if (Plain)
-      Plain->push_back(C);
-    if (Uris)
-      Uris->push_back(C);
-  }
-  void put(std::string_view S) {
-    if (Plain)
-      Plain->append(S);
-    if (Uris)
-      Uris->append(S);
-  }
-
-  /// A defect in place of a node: fails checked, marked unchecked.
+  /// A defect in place of a node: fails a check, marked in a print.
   bool defect(bool IsTop, std::string_view Marker) {
-    if (Checked)
+    if (Out == nullptr)
       return false;
     if (!IsTop)
-      put(' ');
-    put(Marker);
+      Out->push_back(' ');
+    Out->append(Marker);
     return true;
   }
   bool hole(bool IsTop) { return defect(IsTop, "<hole>"); }
@@ -348,18 +332,16 @@ struct SExprWriter {
   }
 
   bool enter(const MNode &N, const TagSignature &, bool IsTop) {
-    if (Checked && ++Nodes > MaxNodes)
-      return false;
+    if (Out == nullptr)
+      return ++Nodes <= MaxNodes;
     if (!IsTop)
-      put(' ');
-    put('(');
-    put(Sig.name(N.Tag));
-    if (Uris) {
-      char Buf[24];
-      Buf[0] = '_';
-      char *End = std::to_chars(Buf + 1, Buf + sizeof(Buf), N.Uri).ptr;
-      Uris->append(Buf, End);
-    }
+      Out->push_back(' ');
+    Out->push_back('(');
+    Out->append(Sig.name(N.Tag));
+    char Buf[24];
+    Buf[0] = '_';
+    char *End = std::to_chars(Buf + 1, Buf + sizeof(Buf), N.Uri).ptr;
+    Out->append(Buf, End);
     return true;
   }
 
@@ -367,94 +349,34 @@ struct SExprWriter {
     for (const LitSpec &Spec : TagSig.Lits) {
       auto It = N.Lits.find(Spec.Link);
       bool Present = It != N.Lits.end();
-      if (Checked && (!Present || It->second.kind() != Spec.Kind))
-        return false;
-      if (Plain == nullptr && Uris == nullptr)
-        continue; // a bare check: spell no literals
-      put(' ');
-      put(Present ? It->second.toString() : "<missing>");
+      if (Out == nullptr) {
+        if (!Present || It->second.kind() != Spec.Kind)
+          return false;
+        continue;
+      }
+      Out->push_back(' ');
+      Out->append(Present ? It->second.toString() : "<missing>");
     }
-    put(')');
-    return true;
-  }
-};
-
-/// Rebuilds a closed, well-formed MTree as a typed tree, post-order: when
-/// a node is left, its kids' rebuilds are the top entries of Done.
-struct TreeBuilder {
-  TreeContext &Ctx;
-  bool KeepUris;
-  std::vector<Tree *> Done;
-
-  bool hole(bool) { return false; }
-  bool unknownTag(const MNode &, bool) { return false; }
-  bool enter(const MNode &, const TagSignature &, bool) { return true; }
-
-  bool leave(const MNode &N, const TagSignature &TagSig) {
-    size_t Arity = TagSig.Kids.size();
-    std::vector<Tree *> Kids(Done.end() - Arity, Done.end());
-    Done.resize(Done.size() - Arity);
-    std::vector<Literal> Lits;
-    Lits.reserve(TagSig.Lits.size());
-    for (const LitSpec &Spec : TagSig.Lits)
-      Lits.push_back(N.Lits.at(Spec.Link));
-    Done.push_back(KeepUris ? Ctx.adoptWithUri(N.Tag, N.Uri, std::move(Kids),
-                                               std::move(Lits))
-                            : Ctx.make(N.Tag, std::move(Kids), std::move(Lits)));
+    if (Out != nullptr)
+      Out->push_back(')');
     return true;
   }
 };
 
 } // namespace
 
-bool MTree::renderChecked(std::string *Plain, std::string *Uris,
-                          uint64_t &Nodes) const {
+bool MTree::isClosedWellFormed() const {
   if (Index.empty())
     return false; // even the root was unloaded
   size_t MaxNodes = Index.size() - 1;
-  SExprWriter W{Sig, Plain, Uris, /*Checked=*/true, MaxNodes};
+  SExprWriter W{Sig, nullptr, MaxNodes};
   // No leaked roots: the index holds exactly the reachable nodes.
-  if (!walk(W) || W.Nodes != MaxNodes)
-    return false;
-  Nodes = W.Nodes;
-  return true;
-}
-
-MTree::Rendering MTree::render(Forms F) const {
-  Rendering R;
-  R.Ok = renderChecked(F == Forms::WithUris ? nullptr : &R.Text,
-                       F == Forms::Plain ? nullptr : &R.UriText, R.Size);
-  if (!R.Ok) {
-    R.Text.clear();
-    R.UriText.clear();
-  }
-  return R;
-}
-
-bool MTree::isClosedWellFormed() const {
-  uint64_t Nodes = 0;
-  return renderChecked(nullptr, nullptr, Nodes);
+  return walk(W) && W.Nodes == MaxNodes;
 }
 
 std::string MTree::toString() const {
   std::string Out;
-  SExprWriter W{Sig, nullptr, &Out, /*Checked=*/false, 0};
+  SExprWriter W{Sig, &Out, 0};
   walk(W);
   return Out;
-}
-
-Tree *MTree::rebuild(TreeContext &Ctx, bool KeepUris) const {
-  if (!isClosedWellFormed())
-    return nullptr;
-  TreeBuilder B{Ctx, KeepUris, {}};
-  walk(B);
-  return B.Done.front();
-}
-
-Tree *MTree::toTree(TreeContext &Ctx) const {
-  return rebuild(Ctx, /*KeepUris=*/false);
-}
-
-Tree *MTree::toTreePreservingUris(TreeContext &Ctx) const {
-  return rebuild(Ctx, /*KeepUris=*/true);
 }

@@ -103,57 +103,21 @@ public:
   /// guarantees for well-typed, compliant scripts.
   bool isClosedWellFormed() const;
 
-  /// Which s-expression forms render() emits.
-  enum class Forms { Plain, WithUris, Both };
-
-  /// Outcome of render().
-  struct Rendering {
-    /// False iff !isClosedWellFormed(); the texts are then empty.
-    bool Ok = false;
-    /// Nodes below the root: Tree::size() of the typed tree.
-    uint64_t Size = 0;
-    std::string Text;    ///< printSExpr form (Plain, Both)
-    std::string UriText; ///< printSExprWithUris form (WithUris, Both)
-  };
-
-  /// Renders the tree straight from the arena, in one stack-safe walk
-  /// that also checks it: the texts are byte-identical to printSExpr /
-  /// printSExprWithUris of toTreePreservingUris(), and the render fails
-  /// exactly where isClosedWellFormed() is false. This is how reads of
-  /// replicated documents avoid rebuilding (and rehashing) a typed tree.
-  Rendering render(Forms F) const;
-
   /// True iff the patched content equals \p T up to URIs. Kid links are
   /// compared in signature order.
   bool equalsTree(const Tree *T) const;
 
-  /// Converts the patched content back into a typed tree allocated in
-  /// \p Ctx (with fresh URIs). Requires a closed, well-formed tree;
-  /// returns nullptr otherwise. Together with fromTree/patch this closes
-  /// the loop: typed tree -> standard semantics -> typed tree.
-  Tree *toTree(TreeContext &Ctx) const;
-
-  /// Like toTree, but every rebuilt node keeps its MTree URI, so scripts
-  /// produced against the original tree remain meaningful against the
-  /// result. \p Ctx must not hold a live node with any of these URIs
-  /// (pass a fresh context); its fresh-URI counter is bumped past the
-  /// maximum adopted URI. This is how the service layer materialises a
-  /// rolled-back document: fromTree -> patch(inverse) ->
-  /// toTreePreservingUris.
-  Tree *toTreePreservingUris(TreeContext &Ctx) const;
-
-  /// Renders the tree like printSExprWithUris, for tests and debugging.
-  /// Unchecked: empty slots show as "<hole>", absent literals as
-  /// "<missing>" and tags without a signature as "<unknown>".
+  /// Renders the tree like printSExprWithUris, for tests and debugging:
+  /// on a closed, well-formed tree the text is byte-identical to
+  /// printSExprWithUris of the typed tree it stands for. Unchecked: empty
+  /// slots show as "<hole>", absent literals as "<missing>" and tags
+  /// without a signature as "<unknown>".
   std::string toString() const;
   /// @}
 
 private:
   PatchResult checkCompliance(const Edit &E, size_t Index) const;
   template <typename Visitor> bool walk(Visitor &V) const;
-  bool renderChecked(std::string *Plain, std::string *Uris,
-                     uint64_t &Nodes) const;
-  Tree *rebuild(TreeContext &Ctx, bool KeepUris) const;
 
   const SignatureTable &Sig;
   std::deque<MNode> Arena;

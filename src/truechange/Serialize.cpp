@@ -6,347 +6,9 @@
 
 #include "truechange/Serialize.h"
 
-#include <cctype>
-#include <cmath>
-#include <cstdlib>
-#include <limits>
-#include <optional>
-
 using namespace truediff;
 
 std::string truediff::serializeEditScript(const SignatureTable &Sig,
                                           const EditScript &Script) {
   return Script.toString(Sig);
-}
-
-namespace {
-
-/// Recursive-descent parser for the edit script notation.
-class ScriptParser {
-public:
-  ScriptParser(const SignatureTable &Sig, std::string_view Text)
-      : Sig(Sig), Text(Text) {}
-
-  ParseScriptResult run() {
-    ParseScriptResult Result;
-    std::vector<Edit> Edits;
-    skipSpace();
-    while (Pos < Text.size()) {
-      std::optional<Edit> E = parseEdit();
-      if (!E) {
-        Result.Error = Err.empty() ? "parse error" : Err;
-        return Result;
-      }
-      Edits.push_back(std::move(*E));
-      skipSpace();
-    }
-    Result.Ok = true;
-    Result.Script = EditScript(std::move(Edits));
-    return Result;
-  }
-
-private:
-  void skipSpace() {
-    while (Pos < Text.size() &&
-           std::isspace(static_cast<unsigned char>(Text[Pos])))
-      ++Pos;
-  }
-
-  void fail(const std::string &Message) {
-    if (Err.empty())
-      Err = Message + " at offset " + std::to_string(Pos);
-  }
-
-  bool expect(char C) {
-    skipSpace();
-    if (Pos < Text.size() && Text[Pos] == C) {
-      ++Pos;
-      return true;
-    }
-    fail(std::string("expected '") + C + "'");
-    return false;
-  }
-
-  bool peekIs(char C) {
-    skipSpace();
-    return Pos < Text.size() && Text[Pos] == C;
-  }
-
-  std::string parseIdent() {
-    skipSpace();
-    size_t Start = Pos;
-    while (Pos < Text.size() &&
-           (std::isalnum(static_cast<unsigned char>(Text[Pos])) ||
-            Text[Pos] == '_'))
-      ++Pos;
-    if (Pos == Start)
-      fail("expected identifier");
-    return std::string(Text.substr(Start, Pos - Start));
-  }
-
-  std::optional<uint64_t> parseUInt() {
-    skipSpace();
-    size_t Start = Pos;
-    while (Pos < Text.size() &&
-           std::isdigit(static_cast<unsigned char>(Text[Pos])))
-      ++Pos;
-    if (Pos == Start) {
-      fail("expected number");
-      return std::nullopt;
-    }
-    return std::strtoull(std::string(Text.substr(Start, Pos - Start)).c_str(),
-                         nullptr, 10);
-  }
-
-  /// Tag_URI, e.g. "Add_1". The tag name may itself contain underscores;
-  /// the URI is the suffix after the *last* underscore.
-  std::optional<NodeRef> parseNode() {
-    std::string Ident = parseIdent();
-    if (!Err.empty())
-      return std::nullopt;
-    size_t Sep = Ident.rfind('_');
-    if (Sep == std::string::npos || Sep + 1 == Ident.size()) {
-      fail("expected Tag_URI");
-      return std::nullopt;
-    }
-    std::string TagName = Ident.substr(0, Sep);
-    for (size_t I = Sep + 1; I != Ident.size(); ++I)
-      if (!std::isdigit(static_cast<unsigned char>(Ident[I]))) {
-        fail("expected numeric URI suffix");
-        return std::nullopt;
-      }
-    Symbol Tag = Sig.lookup(TagName);
-    if (Tag == InvalidSymbol || !Sig.hasTag(Tag)) {
-      fail("unknown tag '" + TagName + "'");
-      return std::nullopt;
-    }
-    return NodeRef{Tag, std::strtoull(Ident.c_str() + Sep + 1, nullptr, 10)};
-  }
-
-  std::optional<LinkId> parseQuotedLink() {
-    if (!expect('"'))
-      return std::nullopt;
-    size_t Start = Pos;
-    while (Pos < Text.size() && Text[Pos] != '"')
-      ++Pos;
-    if (Pos >= Text.size()) {
-      fail("unterminated link name");
-      return std::nullopt;
-    }
-    std::string Name(Text.substr(Start, Pos - Start));
-    ++Pos;
-    Symbol Link = Sig.lookup(Name);
-    if (Link == InvalidSymbol) {
-      fail("unknown link '" + Name + "'");
-      return std::nullopt;
-    }
-    return Link;
-  }
-
-  bool expectArrow() {
-    skipSpace();
-    if (Text.substr(Pos, 2) == "->") {
-      Pos += 2;
-      return true;
-    }
-    fail("expected '->'");
-    return false;
-  }
-
-  std::optional<Literal> parseLiteral() {
-    skipSpace();
-    if (Pos >= Text.size()) {
-      fail("expected literal");
-      return std::nullopt;
-    }
-    char C = Text[Pos];
-    if (C == '"') {
-      ++Pos;
-      std::string Value;
-      while (Pos < Text.size() && Text[Pos] != '"') {
-        char Ch = Text[Pos];
-        if (Ch == '\\' && Pos + 1 < Text.size()) {
-          ++Pos;
-          switch (Text[Pos]) {
-          case 'n':
-            Value.push_back('\n');
-            break;
-          case 't':
-            Value.push_back('\t');
-            break;
-          default:
-            Value.push_back(Text[Pos]);
-          }
-        } else {
-          Value.push_back(Ch);
-        }
-        ++Pos;
-      }
-      if (Pos >= Text.size()) {
-        fail("unterminated string literal");
-        return std::nullopt;
-      }
-      ++Pos;
-      return Literal(std::move(Value));
-    }
-    if (std::isalpha(static_cast<unsigned char>(C))) {
-      std::string Word = parseIdent();
-      if (Word == "true")
-        return Literal(true);
-      if (Word == "false")
-        return Literal(false);
-      if (Word == "inf")
-        return Literal(std::numeric_limits<double>::infinity());
-      if (Word == "nan")
-        return Literal(std::numeric_limits<double>::quiet_NaN());
-      fail("expected literal, got '" + Word + "'");
-      return std::nullopt;
-    }
-    // Number: integer unless it contains '.', 'e', or 'E'.
-    size_t Start = Pos;
-    if (C == '-' || C == '+') {
-      ++Pos;
-      // Signed non-finite floats: "-inf", "-nan" (and "+" variants).
-      if (Pos < Text.size() &&
-          std::isalpha(static_cast<unsigned char>(Text[Pos]))) {
-        std::string Word = parseIdent();
-        double Sign = C == '-' ? -1.0 : 1.0;
-        if (Word == "inf")
-          return Literal(Sign * std::numeric_limits<double>::infinity());
-        if (Word == "nan")
-          return Literal(
-              std::copysign(std::numeric_limits<double>::quiet_NaN(), Sign));
-        fail("expected literal, got '" + std::string(1, C) + Word + "'");
-        return std::nullopt;
-      }
-    }
-    bool IsFloat = false;
-    while (Pos < Text.size() &&
-           (std::isdigit(static_cast<unsigned char>(Text[Pos])) ||
-            Text[Pos] == '.' || Text[Pos] == 'e' || Text[Pos] == 'E' ||
-            ((Text[Pos] == '-' || Text[Pos] == '+') &&
-             (Text[Pos - 1] == 'e' || Text[Pos - 1] == 'E')))) {
-      IsFloat |= Text[Pos] == '.' || Text[Pos] == 'e' || Text[Pos] == 'E';
-      ++Pos;
-    }
-    std::string Num(Text.substr(Start, Pos - Start));
-    if (Num.find_first_of("0123456789") == std::string::npos) {
-      // Catches the empty case and a bare sign, which strtoll would
-      // silently read as 0.
-      fail("expected literal");
-      return std::nullopt;
-    }
-    if (IsFloat)
-      return Literal(std::strtod(Num.c_str(), nullptr));
-    return Literal(static_cast<int64_t>(
-        std::strtoll(Num.c_str(), nullptr, 10)));
-  }
-
-  /// ["link"->uri, ...]
-  std::optional<std::vector<KidRef>> parseKidList() {
-    if (!expect('['))
-      return std::nullopt;
-    std::vector<KidRef> Kids;
-    if (!peekIs(']')) {
-      do {
-        std::optional<LinkId> Link = parseQuotedLink();
-        if (!Link || !expectArrow())
-          return std::nullopt;
-        std::optional<uint64_t> Uri = parseUInt();
-        if (!Uri)
-          return std::nullopt;
-        Kids.push_back(KidRef{*Link, *Uri});
-      } while (peekIs(',') && expect(','));
-    }
-    if (!expect(']'))
-      return std::nullopt;
-    return Kids;
-  }
-
-  /// ["link"->literal, ...]
-  std::optional<std::vector<LitRef>> parseLitList() {
-    if (!expect('['))
-      return std::nullopt;
-    std::vector<LitRef> Lits;
-    if (!peekIs(']')) {
-      do {
-        std::optional<LinkId> Link = parseQuotedLink();
-        if (!Link || !expectArrow())
-          return std::nullopt;
-        std::optional<Literal> Value = parseLiteral();
-        if (!Value)
-          return std::nullopt;
-        Lits.push_back(LitRef{*Link, std::move(*Value)});
-      } while (peekIs(',') && expect(','));
-    }
-    if (!expect(']'))
-      return std::nullopt;
-    return Lits;
-  }
-
-  std::optional<Edit> parseEdit() {
-    std::string Kind = parseIdent();
-    if (!Err.empty())
-      return std::nullopt;
-    if (!expect('('))
-      return std::nullopt;
-    std::optional<NodeRef> Node = parseNode();
-    if (!Node)
-      return std::nullopt;
-
-    std::optional<Edit> Result;
-    if (Kind == "detach" || Kind == "attach") {
-      if (!expect(','))
-        return std::nullopt;
-      std::optional<LinkId> Link = parseQuotedLink();
-      if (!Link || !expect(','))
-        return std::nullopt;
-      std::optional<NodeRef> Parent = parseNode();
-      if (!Parent)
-        return std::nullopt;
-      Result = Kind == "detach" ? Edit::detach(*Node, *Link, *Parent)
-                                : Edit::attach(*Node, *Link, *Parent);
-    } else if (Kind == "load" || Kind == "unload") {
-      if (!expect(','))
-        return std::nullopt;
-      std::optional<std::vector<KidRef>> Kids = parseKidList();
-      if (!Kids || !expect(','))
-        return std::nullopt;
-      std::optional<std::vector<LitRef>> Lits = parseLitList();
-      if (!Lits)
-        return std::nullopt;
-      Result = Kind == "load"
-                   ? Edit::load(*Node, std::move(*Kids), std::move(*Lits))
-                   : Edit::unload(*Node, std::move(*Kids), std::move(*Lits));
-    } else if (Kind == "update") {
-      if (!expect(','))
-        return std::nullopt;
-      std::optional<std::vector<LitRef>> Old = parseLitList();
-      if (!Old || !expect(','))
-        return std::nullopt;
-      std::optional<std::vector<LitRef>> New = parseLitList();
-      if (!New)
-        return std::nullopt;
-      Result = Edit::update(*Node, std::move(*Old), std::move(*New));
-    } else {
-      fail("unknown edit kind '" + Kind + "'");
-      return std::nullopt;
-    }
-
-    if (!expect(')'))
-      return std::nullopt;
-    return Result;
-  }
-
-  const SignatureTable &Sig;
-  std::string_view Text;
-  size_t Pos = 0;
-  std::string Err;
-};
-
-} // namespace
-
-ParseScriptResult truediff::parseEditScript(const SignatureTable &Sig,
-                                            std::string_view Text) {
-  return ScriptParser(Sig, Text).run();
 }

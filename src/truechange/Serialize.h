@@ -5,16 +5,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A textual wire format for truechange edit scripts, so patches can be
-/// stored and transmitted -- the version-control and database use cases
-/// the paper motivates (Section 1). The format is exactly the paper
+/// The textual form of truechange edit scripts: exactly the paper
 /// notation EditScript::toString produces, one edit per line:
 ///
 ///   detach(Sub_2, "e1", Add_1)
 ///   load(Var_4, ["e1"->1, "e2"->2], ["name"->"a"])
 ///   update(Var_2, ["name"->"b"], ["name"->"c"])
 ///
-/// parseEditScript is the exact inverse of EditScript::toString.
+/// It is an output format only -- what the service answers a textual
+/// submit with, and what the corpus benchmark times. Everything that
+/// stores or ships a script and reads it back (the WAL, replication,
+/// binary frames) uses persist::encodeEditScript instead.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,26 +25,12 @@
 #include "truechange/Edit.h"
 
 #include <string>
-#include <string_view>
 
 namespace truediff {
-
-/// Result of parsing a serialized edit script.
-struct ParseScriptResult {
-  bool Ok = false;
-  EditScript Script;
-  std::string Error;
-};
 
 /// Serializes \p Script; identical to Script.toString(Sig).
 std::string serializeEditScript(const SignatureTable &Sig,
                                 const EditScript &Script);
-
-/// Parses the textual format back into an edit script. Tags and links
-/// must exist in \p Sig (scripts only make sense against the signature
-/// they were produced for); unknown names are reported as errors.
-ParseScriptResult parseEditScript(const SignatureTable &Sig,
-                                  std::string_view Text);
 
 } // namespace truediff
 

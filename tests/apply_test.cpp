@@ -199,8 +199,7 @@ TEST_F(ApplyTest, LoadMayNameADetachedSubtreeWithAnEmptySlot) {
   ASSERT_TRUE(R.Ok) << R.Error;
   EXPECT_EQ(printSExpr(Sig, Root),
             "(Add (Sub (Call (Num 7) \"f\") (Num 1)) (Num 2))");
-  EXPECT_EQ(printSExprWithUris(Sig, Root),
-            M.render(MTree::Forms::WithUris).UriText);
+  EXPECT_EQ(printSExprWithUris(Sig, Root), M.toString());
   EXPECT_EQ(staleDerived(Sig, Root), std::nullopt);
 }
 
@@ -271,8 +270,8 @@ TEST_P(ApplyDifferentialTest, CorruptedScriptsDecideLikeMTree) {
       EXPECT_EQ(printSExprWithUris(Sig, Root), PristineText);
     } else {
       ++Accepted;
-      EXPECT_EQ(printSExprWithUris(Sig, Root),
-                M.render(MTree::Forms::WithUris).UriText);
+      EXPECT_TRUE(M.isClosedWellFormed());
+      EXPECT_EQ(printSExprWithUris(Sig, Root), M.toString());
     }
     EXPECT_EQ(staleDerived(Sig, Root), std::nullopt);
   }
@@ -324,7 +323,7 @@ TEST_P(ApplyDifferentialTest, MutationChainsMatchMTreeForwardAndBack) {
     ASSERT_TRUE(Got.Ok) << Got.Error;
     Texts.push_back(printSExprWithUris(Sig, Root));
     EXPECT_EQ(Texts.back(), printSExprWithUris(Sig, D.Patched));
-    EXPECT_EQ(Texts.back(), M.render(MTree::Forms::WithUris).UriText);
+    EXPECT_EQ(Texts.back(), M.toString());
     ASSERT_EQ(staleDerived(Sig, Root), std::nullopt) << "step " << Step;
     Rehashed += Got.NodesRehashed;
     Sizes += Root->size();
@@ -339,7 +338,7 @@ TEST_P(ApplyDifferentialTest, MutationChainsMatchMTreeForwardAndBack) {
     ApplyResult Got = Applier.apply(Inverse);
     ASSERT_TRUE(Got.Ok) << Got.Error;
     EXPECT_EQ(printSExprWithUris(Sig, Root), Texts[Step - 1]);
-    EXPECT_EQ(Texts[Step - 1], M.render(MTree::Forms::WithUris).UriText);
+    EXPECT_EQ(Texts[Step - 1], M.toString());
     ASSERT_EQ(staleDerived(Sig, Root), std::nullopt) << "undo " << Step;
   }
 }

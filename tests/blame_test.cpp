@@ -47,6 +47,14 @@ using namespace truediff::testlang;
 
 namespace {
 
+/// The version of the last revision folded into \p Doc's index; false
+/// when the document is unknown.
+bool docVersion(const blame::ProvenanceIndex &Prov, uint64_t Doc,
+                uint64_t *Out) {
+  return Prov.withDocIndex(
+      Doc, [&](const blame::ProvenanceIndex::DocView &V) { *Out = V.version(); });
+}
+
 constexpr uint64_t NumDocs = 6;
 
 /// A unique scratch directory, removed on destruction (the data dirs
@@ -217,12 +225,12 @@ URI findTaggedUri(const std::string &Payload, const std::string &Tag) {
 // The core property: incremental == from-scratch replay
 //===----------------------------------------------------------------------===//
 
-TEST(BlameProperty, IncrementalEqualsReplayWarmSha256) {
+TEST(BlameProperty, IncrementalEqualsReplayWarm) {
   DocumentStore::Config C;
   checkIncrementalEqualsReplay(C, 500, 0xb1a3e001);
 }
 
-TEST(BlameProperty, IncrementalEqualsReplayColdSha256) {
+TEST(BlameProperty, IncrementalEqualsReplayCold) {
   DocumentStore::Config C;
   C.PersistDigests = false;
   checkIncrementalEqualsReplay(C, 500, 0xb1a3e002);
@@ -430,13 +438,13 @@ TEST(BlameSnapshot, RoundTripAndMalformedRejection) {
   for (uint64_t Doc = 1; Doc <= NumDocs; ++Doc) {
     std::string Blob = Prov.snapshotDoc(Doc);
     uint64_t Version = 0;
-    if (!Prov.docVersion(Doc, &Version))
+    if (!docVersion(Prov, Doc, &Version))
       continue;
     blame::ProvenanceIndex Fresh;
     ASSERT_TRUE(Fresh.installSnapshot(Doc, Blob)) << "doc " << Doc;
     EXPECT_EQ(Fresh.snapshotDoc(Doc), Blob) << "doc " << Doc;
     uint64_t FreshVersion = 0;
-    ASSERT_TRUE(Fresh.docVersion(Doc, &FreshVersion));
+    ASSERT_TRUE(docVersion(Fresh, Doc, &FreshVersion));
     EXPECT_EQ(FreshVersion, Version);
   }
 
@@ -444,7 +452,7 @@ TEST(BlameSnapshot, RoundTripAndMalformedRejection) {
   EXPECT_FALSE(Fresh.installSnapshot(1, "garbage"));
   EXPECT_FALSE(Fresh.installSnapshot(1, std::string("\xff\xff\xff\xff", 4)));
   uint64_t V = 0;
-  EXPECT_FALSE(Fresh.docVersion(1, &V));
+  EXPECT_FALSE(docVersion(Fresh, 1, &V));
 }
 
 TEST(BlameBudget, IndexBytesChargedAndReleased) {
@@ -568,7 +576,7 @@ TEST(BlameDurability, RecoveredIndexByteIdentical) {
     P.snapshotDocument(2);
     for (uint64_t Doc = 1; Doc <= NumDocs; ++Doc) {
       uint64_t V = 0;
-      if (!Prov.docVersion(Doc, &V))
+      if (!docVersion(Prov, Doc, &V))
         continue;
       LiveBlobs[Doc] = Prov.snapshotDoc(Doc);
       LiveVersions[Doc] = V;
@@ -588,12 +596,12 @@ TEST(BlameDurability, RecoveredIndexByteIdentical) {
     auto It = LiveBlobs.find(Doc);
     if (It == LiveBlobs.end()) {
       uint64_t V = 0;
-      EXPECT_FALSE(Prov.docVersion(Doc, &V)) << "doc " << Doc;
+      EXPECT_FALSE(docVersion(Prov, Doc, &V)) << "doc " << Doc;
       continue;
     }
     EXPECT_EQ(Prov.snapshotDoc(Doc), It->second) << "doc " << Doc;
     uint64_t V = 0;
-    ASSERT_TRUE(Prov.docVersion(Doc, &V)) << "doc " << Doc;
+    ASSERT_TRUE(docVersion(Prov, Doc, &V)) << "doc " << Doc;
     EXPECT_EQ(V, LiveVersions[Doc]) << "doc " << Doc;
   }
 

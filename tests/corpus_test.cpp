@@ -11,6 +11,8 @@
 #include "json/Json.h"
 #include "python/Python.h"
 
+#include "Validate.h"
+
 #include <gtest/gtest.h>
 
 using namespace truediff;
@@ -33,7 +35,9 @@ TEST_F(CorpusTest, SketchRoundTrip) {
   Rng R(1);
   Tree *T = generateModule(Ctx, R);
   TreeSketch S = TreeSketch::of(T);
-  EXPECT_EQ(S.size(), T->size());
+  size_t Nodes = 0;
+  S.foreach([&](TreeSketch &) { ++Nodes; });
+  EXPECT_EQ(Nodes, T->size());
   Tree *Back = S.build(Ctx);
   EXPECT_TRUE(treeEqualsModuloUris(T, Back));
 }
@@ -58,7 +62,7 @@ TEST_F(CorpusTest, GeneratedModulesAreWellTyped) {
   for (uint64_t Seed = 0; Seed != 10; ++Seed) {
     Rng R(Seed);
     Tree *T = generateModule(Ctx, R);
-    EXPECT_FALSE(Ctx.validate(T).has_value()) << "seed " << Seed;
+    EXPECT_FALSE(tests::validateTree(Ctx.signatures(), T).has_value()) << "seed " << Seed;
   }
 }
 
@@ -84,7 +88,7 @@ TEST_F(CorpusTest, SizeTargetedGeneration) {
   Rng R(7);
   Tree *T = generateModuleOfSize(Ctx, R, 5000);
   EXPECT_GE(T->size(), 5000u);
-  EXPECT_FALSE(Ctx.validate(T).has_value());
+  EXPECT_FALSE(tests::validateTree(Ctx.signatures(), T).has_value());
 }
 
 //===----------------------------------------------------------------------===//
@@ -97,7 +101,7 @@ TEST_F(CorpusTest, MutationsPreserveWellTypedness) {
   for (int I = 0; I != 30; ++I) {
     MutationReport Report;
     Tree *Mutated = mutateModule(Ctx, R, T, MutatorOptions(), &Report);
-    ASSERT_FALSE(Ctx.validate(Mutated).has_value());
+    ASSERT_FALSE(tests::validateTree(Ctx.signatures(), Mutated).has_value());
     // Mutated modules still unparse to parseable source.
     std::string Src = python::unparsePython(Sig, Mutated);
     python::PyParseResult P = python::parsePython(Ctx, Src);
@@ -174,7 +178,7 @@ TEST_F(CorpusTest, JsonGeneratorProducesValidDocuments) {
   for (uint64_t Seed = 0; Seed != 8; ++Seed) {
     Rng R(Seed * 97 + 1);
     Tree *Doc = generateJson(Ctx2, R);
-    EXPECT_FALSE(Ctx2.validate(Doc).has_value());
+    EXPECT_FALSE(tests::validateTree(Ctx2.signatures(), Doc).has_value());
     // Round trips through the JSON printer/parser.
     auto P = truediff::json::parseJson(
         Ctx2, truediff::json::unparseJson(Sig2, Doc));
@@ -191,7 +195,7 @@ TEST_F(CorpusTest, JsonMutationsChangeAndStayValid) {
   unsigned Changed = 0;
   for (int I = 0; I != 20; ++I) {
     Tree *Next = mutateJson(Ctx2, R, Doc);
-    EXPECT_FALSE(Ctx2.validate(Next).has_value());
+    EXPECT_FALSE(tests::validateTree(Ctx2.signatures(), Next).has_value());
     Changed += !treeEqualsModuloUris(Doc, Next);
     Doc = Next;
   }

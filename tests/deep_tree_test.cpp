@@ -7,13 +7,14 @@
 /// \file
 /// Regression test for the recursive-traversal stack overflow: a
 /// pathologically deep (but admission-legal) unary chain used to crash
-/// foreachTree/refreshDerived/deepCopy, the whole-tree
-/// checks validate/treeEqualsModuloUris/compareDerived (the scrubber's
-/// digest check) -- and MTree's fromTree/render/isClosedWellFormed/
-/// toTree/equalsTree/toString -- once it exceeded the thread stack, and so
-/// did the s-expression reader and printers and the binary tree codec
-/// that carries snapshots. The in-place applier and truediff's Steps 2
-/// and 4 are driven over the same depth. All of these are now iterative
+/// foreachTree/refreshDerived/deepCopy, the whole-tree checks
+/// treeEqualsModuloUris/compareDerived (the scrubber's digest check) --
+/// and MTree's fromTree/isClosedWellFormed/equalsTree/toString -- once it
+/// exceeded the thread stack, and so did the s-expression reader and
+/// printers (a document store's reads among them) and the binary tree
+/// codec that carries snapshots. The in-place applier and truediff's
+/// Steps 2 and 4 are driven over the same depth, and so is the tests'
+/// own well-typedness check (Validate.h). All of these are now iterative
 /// with explicit work stacks; this test drives each of them over a
 /// ~300k-deep chain and is meant to run under ASan, whose instrumented
 /// frames blow the stack far earlier than production builds would.
@@ -21,6 +22,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "persist/BinaryCodec.h"
+#include "service/DocumentStore.h"
 #include "tree/SExpr.h"
 #include "tree/Tree.h"
 #include "truechange/Apply.h"
@@ -29,6 +31,7 @@
 #include "truediff/TrueDiff.h"
 
 #include "TestLang.h"
+#include "Validate.h"
 
 #include <gtest/gtest.h>
 
@@ -85,7 +88,7 @@ TEST(DeepTreeTest, WholeTreeChecksSurviveDeepChains) {
   SignatureTable Sig = makeExpSignature();
   TreeContext Ctx(Sig);
   Tree *T = deepChain(Ctx);
-  EXPECT_FALSE(Ctx.validate(T).has_value());
+  EXPECT_FALSE(tests::validateTree(Ctx.signatures(), T).has_value());
 
   TreeContext Scratch(Sig);
   Tree *Fresh = Scratch.deepCopy(T);
@@ -268,21 +271,25 @@ TEST(DeepTreeTest, MTreeSurvivesDeepChains) {
   EXPECT_TRUE(M.isClosedWellFormed());
   EXPECT_TRUE(M.equalsTree(T));
 
-  MTree::Rendering R = M.render(MTree::Forms::Both);
-  ASSERT_TRUE(R.Ok);
-  EXPECT_EQ(R.Size, ChainDepth + 1);
-  EXPECT_TRUE(R.Text == Text);
-  EXPECT_TRUE(R.UriText == UriText);
-  EXPECT_TRUE(M.render(MTree::Forms::Plain).Text == Text);
-  EXPECT_TRUE(M.render(MTree::Forms::WithUris).UriText == UriText);
   EXPECT_TRUE(M.toString() == UriText);
 
-  TreeContext Fresh(Sig);
-  Tree *Back = M.toTreePreservingUris(Fresh);
-  ASSERT_NE(Back, nullptr);
-  EXPECT_EQ(Back->uri(), T->uri());
-  EXPECT_EQ(Back->size(), ChainDepth + 1);
-  EXPECT_TRUE(Back->equalsModuloUris(*T));
+  // A document store reads the same chain out of its own arena: both
+  // s-expression forms, byte-identical to the MTree's URI form.
+  service::DocumentStore Store(Sig);
+  ASSERT_TRUE(Store
+                  .restore(1, 0,
+                           [&](TreeContext &Doc) {
+                             return service::BuildResult{
+                                 Doc.deepCopy(T, TreeContext::CopyUris::Preserve),
+                                 "", service::ErrCode::None};
+                           },
+                           {})
+                  .Ok);
+  service::DocumentSnapshot S = Store.snapshot(1);
+  ASSERT_TRUE(S.Ok) << S.Error;
+  EXPECT_EQ(S.TreeSize, ChainDepth + 1);
+  EXPECT_TRUE(S.Text == Text);
+  EXPECT_TRUE(S.UriText == UriText);
 
   // A hole at the very bottom: every check walks the full depth first.
   const Tree *Bottom = T;
@@ -294,9 +301,7 @@ TEST(DeepTreeTest, MTreeSurvivesDeepChains) {
                                          NodeRef{Bottom->tag(), Bottom->uri()}))
                   .Ok);
   EXPECT_FALSE(M.isClosedWellFormed());
-  EXPECT_FALSE(M.render(MTree::Forms::Both).Ok);
   EXPECT_FALSE(M.equalsTree(T));
-  EXPECT_EQ(M.toTreePreservingUris(Fresh), nullptr);
   EXPECT_NE(M.toString().find("<hole>"), std::string::npos);
 }
 

@@ -26,7 +26,6 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "blame/Provenance.h"
 #include "client/Client.h"
 #include "corpus/JsonGen.h"
 #include "json/Json.h"
@@ -94,8 +93,8 @@ service::TreeBuilder blobBuilder(const SignatureTable &Sig, std::string Blob) {
 //===----------------------------------------------------------------------===//
 // Node: a full replica node -- one event loop (optionally faulty), one
 // client-facing NetServer routed by role, a follower, and -- after
-// promote() -- the whole leader stack (store, log, Leader endpoint,
-// DiffService, role-gated ServiceHandler).
+// promote() -- the whole leader stack (log, Leader endpoint, DiffService,
+// role-gated ServiceHandler) over the follower's own store.
 //===----------------------------------------------------------------------===//
 
 struct Node {
@@ -103,7 +102,6 @@ struct Node {
   net::FaultyNetEnv Env;
   net::EventLoop Loop;
   net::RoleState Role;
-  blame::ProvenanceIndex Prov;
 
   std::unique_ptr<replica::Follower> F;
   std::unique_ptr<replica::ReplicaReadHandler> Reader;
@@ -111,8 +109,8 @@ struct Node {
   std::unique_ptr<net::NetServer> ClientSrv;
   bool Started = false;
 
-  // Leader-side stack, built by promote().
-  std::unique_ptr<service::DocumentStore> Store;
+  // Leader-side stack, built by promote() over F's store.
+  service::DocumentStore *Store = nullptr;
   std::unique_ptr<replica::ReplicationLog> Log;
   std::unique_ptr<replica::Leader> Lead;
   std::unique_ptr<service::DiffService> Svc;
@@ -146,7 +144,7 @@ struct Node {
     return "127.0.0.1:" + std::to_string(ClientSrv->port());
   }
 
-  /// The failover state machine's install step plus the role flip: runs
+  /// The failover state machine's fence and seed plus the role flip: runs
   /// from the admin verb (loop thread) or directly from a test thread.
   service::Response promote(uint64_t NewEpoch) {
     service::Response R;
@@ -161,17 +159,13 @@ struct Node {
       R.Error = "demoted ex-leader: rejoin as a follower first";
       return R;
     }
-    auto NewStore = std::make_unique<service::DocumentStore>(Sig);
-    auto NewLog = std::make_unique<replica::ReplicationLog>(
-        *NewStore, replica::ReplicationLog::Config{1024});
-    replica::PromotionResult PR =
-        replica::promoteFollower(*F, *NewStore, &Prov, *NewLog, NewEpoch);
+    replica::PromotionResult PR = replica::promoteFollower(*F, NewEpoch);
     if (!PR.Ok) {
       R.Error = PR.Error;
       return R;
     }
-    Store = std::move(NewStore);
-    Log = std::move(NewLog);
+    Store = &F->store();
+    Log = std::move(PR.Log);
 
     replica::Leader::Config LC;
     LC.Epoch = NewEpoch;
@@ -464,63 +458,6 @@ TEST(Failover, PromotedFollowerMatchesCommittedPrefixAndServesWrites) {
   ASSERT_TRUE(waitUntil(
       [&] { return P.F->caughtUp() && P.F->lastSeq() == B.Log->currentSeq(); }));
   EXPECT_TRUE(convergedWith(*B.Store, *P.F, 3));
-}
-
-TEST(Failover, PromotionInstallsEveryDocumentWhenTheBudgetIsExhausted) {
-  // Promotion installs state the old leader already accepted. The memory
-  // budget counts it but may not refuse it: a promotion that stopped at
-  // its first refused document would leave a fenced node that is neither
-  // follower nor leader.
-  uint64_t Seed = tests::testSeed(0x5eedf003);
-  SEED_TRACE(Seed);
-  SignatureTable Sig = json::makeJsonSignature();
-
-  Node A(Sig);
-  ASSERT_TRUE(A.Started);
-  ASSERT_TRUE(A.promote(1).Ok);
-  Node B(Sig);
-  ASSERT_TRUE(B.Started);
-  StoreDriver D(Sig, *A.Store, Seed, 3);
-  for (int I = 0; I != 12; ++I) {
-    D.step();
-    if (::testing::Test::HasFatalFailure())
-      return;
-  }
-  ASSERT_TRUE(B.F->connectTo("127.0.0.1", A.Lead->port()));
-  ASSERT_TRUE(ensureCaughtUp(A, B));
-  B.F->disconnect();
-  ASSERT_TRUE(waitUntil([&] { return !B.F->connected(); }));
-
-  MemoryBudget Budget(1);
-  Budget.charge(1);
-  ASSERT_TRUE(Budget.over());
-  service::DocumentStore::Config SC;
-  SC.MemBudget = &Budget;
-  service::DocumentStore Store(Sig, SC);
-  replica::ReplicationLog Log(Store, replica::ReplicationLog::Config{1024});
-  replica::PromotionResult PR =
-      replica::promoteFollower(*B.F, Store, nullptr, Log, 2);
-  ASSERT_TRUE(PR.Ok) << PR.Error;
-  uint64_t Opened = 0;
-  for (uint64_t Doc = 1; Doc <= D.numDocs(); ++Doc) {
-    service::DocumentSnapshot L = A.Store->snapshot(Doc);
-    if (!L.Ok)
-      continue;
-    ++Opened;
-    service::DocumentSnapshot P = Store.snapshot(Doc);
-    ASSERT_TRUE(P.Ok) << "doc " << Doc << " lost in promotion";
-    EXPECT_EQ(P.Version, L.Version) << "doc " << Doc;
-    EXPECT_EQ(P.UriText, L.UriText) << "doc " << Doc;
-  }
-  EXPECT_GT(Opened, 0u);
-  EXPECT_EQ(PR.Docs, Opened);
-  // The installed documents are charged, and new client trees are still
-  // refused while the budget stays exhausted.
-  EXPECT_GT(Budget.used(), 1u);
-  service::StoreResult R =
-      Store.open(D.numDocs() + 1, service::makeSExprBuilder("(JNull)"));
-  EXPECT_FALSE(R.Ok);
-  EXPECT_EQ(R.Code, service::ErrCode::MemoryBudget) << R.Error;
 }
 
 //===----------------------------------------------------------------------===//

@@ -9,6 +9,7 @@
 #include "python/Python.h"
 #include "support/Rng.h"
 
+#include "RoseEquals.h"
 #include "TestLang.h"
 
 #include <gtest/gtest.h>
@@ -30,7 +31,7 @@ protected:
                             GumTreeOptions Opts = GumTreeOptions()) {
     GumTreeResult R = gumtreeDiff(Forest, Src, Dst, Opts);
     EXPECT_TRUE(R.PatchedSource != nullptr &&
-                RoseForest::equals(R.PatchedSource, Dst))
+                tests::roseEquals(R.PatchedSource, Dst))
         << "patched: "
         << (R.PatchedSource ? RoseForest::toString(Sig, R.PatchedSource)
                             : "<null>")
@@ -250,7 +251,7 @@ TEST_P(GumTreeRandomTest, ScriptsReproduceTarget) {
   RNode *Dst = Forest.fromTree(Sig, Gen(6));
   GumTreeResult Result = gumtreeDiff(Forest, Src, Dst, GumTreeOptions());
   ASSERT_NE(Result.PatchedSource, nullptr);
-  EXPECT_TRUE(RoseForest::equals(Result.PatchedSource, Dst));
+  EXPECT_TRUE(tests::roseEquals(Result.PatchedSource, Dst));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GumTreeRandomTest,

@@ -79,7 +79,7 @@ protected:
         auto Kid = Db.childOf(Node->uri(), TagSig.Kids[I].Link);
         ASSERT_TRUE(Kid.has_value());
         EXPECT_EQ(*Kid, Node->kid(I)->uri());
-        auto Parent = Db.parentOf(*Kid, TagSig.Kids[I].Link);
+        auto Parent = Db.parentOf(*Kid);
         ASSERT_TRUE(Parent.has_value());
         EXPECT_EQ(*Parent, Node->uri());
         Walk(Node->kid(I));

@@ -22,6 +22,8 @@
 #include "truechange/TypeChecker.h"
 #include "truediff/TrueDiff.h"
 
+#include "RoseEquals.h"
+
 #include <gtest/gtest.h>
 
 using namespace truediff;
@@ -114,7 +116,7 @@ TEST_F(IntegrationTest, GumtreeReproducesCorpusTargets) {
     gumtree::RNode *Dst = Forest.fromTree(Sig, After.Module);
     gumtree::GumTreeResult R = gumtree::gumtreeDiff(Forest, Src, Dst);
     ASSERT_NE(R.PatchedSource, nullptr);
-    EXPECT_TRUE(gumtree::RoseForest::equals(R.PatchedSource, Dst));
+    EXPECT_TRUE(tests::roseEquals(R.PatchedSource, Dst));
   }
 }
 

@@ -11,6 +11,8 @@
 #include "truechange/TypeChecker.h"
 #include "truediff/TrueDiff.h"
 
+#include "Validate.h"
+
 #include <gtest/gtest.h>
 
 using namespace truediff;
@@ -38,7 +40,8 @@ protected:
     EXPECT_TRUE(treeEqualsModuloUris(First, Again.Value))
         << Printed;
     // Pretty output reparses equally too.
-    JsonParseResult Pretty = parseJson(Ctx, unparseJsonPretty(Sig, First));
+    JsonParseResult Pretty =
+        parseJson(Ctx, unparseJson(Sig, First, /*Pretty=*/true));
     ASSERT_TRUE(Pretty.ok());
     EXPECT_TRUE(treeEqualsModuloUris(First, Pretty.Value));
   }
@@ -66,7 +69,7 @@ TEST_F(JsonTest, ParsesNestedStructures) {
                         "active": true})");
   ASSERT_NE(T, nullptr);
   EXPECT_EQ(Sig.name(T->tag()), "JObject");
-  EXPECT_FALSE(Ctx.validate(T).has_value());
+  EXPECT_FALSE(tests::validateTree(Ctx.signatures(), T).has_value());
 }
 
 TEST_F(JsonTest, RejectsMalformedInput) {
@@ -89,7 +92,7 @@ TEST_F(JsonTest, CompactRoundTrips) {
 TEST_F(JsonTest, PrettyRoundTrips) {
   Tree *T = parseOk(R"([{"k": [true, false]}, 3.5, "s"])");
   ASSERT_NE(T, nullptr);
-  std::string Pretty = unparseJsonPretty(Sig, T);
+  std::string Pretty = unparseJson(Sig, T, /*Pretty=*/true);
   EXPECT_NE(Pretty.find('\n'), std::string::npos);
   JsonParseResult Again = parseJson(Ctx, Pretty);
   ASSERT_TRUE(Again.ok()) << Again.Error;

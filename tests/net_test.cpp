@@ -354,7 +354,7 @@ TEST(NetServerTextual, ResilientClientRoundTripAndCas) {
   EXPECT_EQ(R.Version, 3u);
   EXPECT_NE(R.Payload.find("(Add (b) (a))"), std::string::npos);
   EXPECT_TRUE(RC.stats().Ok);
-  EXPECT_TRUE(RC.health().Ok);
+  EXPECT_TRUE(RC.request("health", /*IsWrite=*/false).Ok);
 
   // The CAS guard that makes retries exactly-once also fences a second
   // writer. Two out-of-band bumps, so the mismatch cannot be mistaken

@@ -153,7 +153,7 @@ Tree *mutateExp(TreeContext &Ctx, Rng &R, const Tree *T, unsigned Percent) {
   return Ctx.make(T->tag(), std::move(Kids), std::move(Lits));
 }
 
-TEST(DigestPolicyProperty, ScriptsIdenticalAcrossPoliciesColdAndWarm) {
+TEST(DigestKeyProperty, ScriptsIdenticalAcrossKeysColdAndWarm) {
   // The key changes how subtree equivalence is *computed*, never what it
   // *is*: over 500 seeded mutation chains, replayed under every (key x
   // rehash-mode) combination in a fresh context with an identical
@@ -275,7 +275,7 @@ size_t expectStreamedDigests(Tree *Root) {
   return Checked;
 }
 
-TEST(Sha256NodeDigestTest, SeededPythonCorpusMatchesStreaming) {
+TEST(KeyedNodeDigestTest, SeededPythonCorpusMatchesFieldByFieldReference) {
   SignatureTable Sig = python::makePythonSignature();
   corpus::CorpusOptions Opts;
   Opts.NumPairs = 20;
@@ -296,7 +296,7 @@ TEST(Sha256NodeDigestTest, SeededPythonCorpusMatchesStreaming) {
   EXPECT_GT(Checked, 10000u);
 }
 
-TEST(Sha256NodeDigestTest, PreimagesAroundTheBufferBoundMatchStreaming) {
+TEST(KeyedNodeDigestTest, PreimagesAroundTheBufferBoundMatchReference) {
   // Call's literal preimage is 4 (count) + 1 (kind) + 8 (length) + the
   // name + 16 (one kid): name lengths walk it across the 256-byte stack
   // buffer, past which the preimage goes to the heap, and across
@@ -314,7 +314,7 @@ TEST(Sha256NodeDigestTest, PreimagesAroundTheBufferBoundMatchStreaming) {
   }
 }
 
-TEST(Sha256NodeDigestTest, LongStringLiteralTakesTheStreamingPath) {
+TEST(KeyedNodeDigestTest, LongPreimagesSpillToTheHeap) {
   // A 5000-byte literal's and a wide node's preimages spill to the heap.
   SignatureTable Sig = makeExpSignature();
   TreeContext Ctx(Sig);

@@ -9,6 +9,8 @@
 #include "python/Lexer.h"
 #include "tree/SExpr.h"
 
+#include "Validate.h"
+
 #include <gtest/gtest.h>
 
 using namespace truediff;
@@ -212,7 +214,7 @@ TEST_F(PythonTest, ParseErrorsAreReported) {
 
 TEST_F(PythonTest, ValidatesAgainstSignature) {
   Tree *M = parseOk("def f(a):\n    return a * 2\n");
-  EXPECT_FALSE(Ctx.validate(M).has_value());
+  EXPECT_FALSE(tests::validateTree(Ctx.signatures(), M).has_value());
 }
 
 //===----------------------------------------------------------------------===//

@@ -31,6 +31,7 @@
 #include "tree/SExpr.h"
 
 #include "TestSeed.h"
+#include "Validate.h"
 
 #include <gtest/gtest.h>
 
@@ -293,7 +294,7 @@ std::string decodeEitherWay(const SignatureTable &Sig,
     TreeContext Ctx(Sig);
     persist::DecodeTreeResult D = persist::decodeTree(Sig, Ctx, Blob, Preserve);
     if (D.ok()) {
-      EXPECT_EQ(Ctx.validate(D.Root), std::nullopt);
+      EXPECT_EQ(tests::validateTree(Ctx.signatures(), D.Root), std::nullopt);
       EXPECT_EQ(D.Fail, ParseFail::None);
     } else {
       EXPECT_TRUE(isCodecError(D.Error)) << D.Error;
@@ -397,7 +398,7 @@ std::string parseOrError(const SignatureTable &Sig, const std::string &Text) {
   TreeContext Ctx(Sig);
   ParseResult P = parseSExpr(Ctx, Text);
   if (P.ok()) {
-    EXPECT_EQ(Ctx.validate(P.Root), std::nullopt);
+    EXPECT_EQ(tests::validateTree(Ctx.signatures(), P.Root), std::nullopt);
     return std::string();
   }
   EXPECT_TRUE(isSExprError(P.Error)) << P.Error;

@@ -830,12 +830,9 @@ TEST(Replication, PromotedSnapshotInstallNeverReissuesARolledBackUri) {
   ASSERT_TRUE(waitUntil([&] { return caughtUpWith(L, *F.F); }));
   ASSERT_GT(F.F->stats().SnapshotsInstalled, 0u);
 
-  service::DocumentStore Promoted(Sig);
-  replica::ReplicationLog Log(Promoted, replica::ReplicationLog::Config{1024});
-  replica::PromotionResult PR =
-      replica::promoteFollower(*F.F, Promoted, nullptr, Log, 2);
+  replica::PromotionResult PR = replica::promoteFollower(*F.F, 2);
   ASSERT_TRUE(PR.Ok) << PR.Error;
-  service::StoreResult Next = Promoted.submit(
+  service::StoreResult Next = F.F->store().submit(
       1, service::makeSExprBuilder(tests::deepModuleText(3, "Break")));
   ASSERT_TRUE(Next.Ok) << Next.Error;
   size_t Loads = 0;
@@ -845,6 +842,56 @@ TEST(Replication, PromotedSnapshotInstallNeverReissuesARolledBackUri) {
       EXPECT_GT(E.Node.Uri, MaxIssued) << "reissued URI " << E.Node.Uri;
     }
   EXPECT_GT(Loads, 0u);
+}
+
+TEST(Replication, PromotionFlipsTheFollowersOwnStoreToTheLeader) {
+  // Promotion is a role flip, not a copy: what the promoted leader
+  // commits is what the same node's follower reads answer next, and the
+  // seeded log records it right after the applied prefix. The old
+  // leader's later records never land.
+  SignatureTable Sig = python::makePythonSignature();
+  LeaderNode L(Sig);
+  ASSERT_TRUE(L.Started);
+  FollowerNode F(Sig);
+  ASSERT_TRUE(F.connect(L));
+  ASSERT_TRUE(
+      L.Store.open(1, service::makeSExprBuilder(tests::deepModuleText(3)))
+          .Ok);
+  ASSERT_TRUE(
+      L.Store.submit(1, service::makeSExprBuilder(tests::deepModuleText(5)))
+          .Ok);
+  ASSERT_TRUE(waitUntil([&] { return caughtUpWith(L, *F.F); }));
+
+  replica::PromotionResult PR = replica::promoteFollower(*F.F, 2);
+  ASSERT_TRUE(PR.Ok) << PR.Error;
+  ASSERT_NE(PR.Log, nullptr);
+  EXPECT_EQ(PR.Docs, 1u);
+  EXPECT_EQ(PR.LastSeq, L.Log.currentSeq());
+  EXPECT_FALSE(replica::promoteFollower(*F.F, 3).Ok) << "promotes once";
+
+  ASSERT_TRUE(
+      L.Store.submit(1, service::makeSExprBuilder(tests::deepModuleText(7)))
+          .Ok);
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_EQ(F.F->readText(1).Version, 1u) << "the fence let a record in";
+
+  std::string Want = tests::deepModuleText(4, "Break");
+  service::StoreResult Next =
+      F.F->store().submit(1, service::makeSExprBuilder(Want));
+  ASSERT_TRUE(Next.Ok) << Next.Error;
+  EXPECT_EQ(Next.Version, 2u);
+  replica::Follower::ReadResult Got = F.F->readText(1);
+  ASSERT_TRUE(Got.Ok) << Got.Error;
+  EXPECT_EQ(Got.Version, 2u);
+  EXPECT_EQ(Got.Text, Want);
+
+  EXPECT_EQ(PR.Log->currentSeq(), PR.LastSeq + 1);
+  std::vector<replica::RecordMsg> Tail;
+  ASSERT_TRUE(PR.Log->tailSince(PR.LastSeq, Tail));
+  ASSERT_EQ(Tail.size(), 1u);
+  EXPECT_EQ(Tail[0].Doc, 1u);
+  EXPECT_EQ(Tail[0].Op, replica::ReplOp::Submit);
+  EXPECT_EQ(Tail[0].Version, 2u);
 }
 
 TEST(ReplicaStore, ThirtyThousandLevelDocumentReplicatesAndServesGet) {

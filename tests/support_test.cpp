@@ -94,7 +94,7 @@ TEST(Sha256Test, U64AndU32Helpers) {
   EXPECT_EQ(C.finish(), D.finish());
 }
 
-TEST(Sha256PairTest, ShaNiAndPortableCompressAgree) {
+TEST(Sha256CompressTest, ShaNiAndPortableAgree) {
   if (!detail::haveShaNi())
     GTEST_SKIP() << "CPU lacks the SHA extensions";
   Rng R(2024);

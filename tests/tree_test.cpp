@@ -9,6 +9,7 @@
 #include "tree/Tree.h"
 
 #include "TestLang.h"
+#include "Validate.h"
 
 #include <gtest/gtest.h>
 
@@ -65,8 +66,12 @@ TEST_F(TreeTest, KidAndLitIndex) {
 }
 
 TEST_F(TreeTest, TagsOfSort) {
-  std::vector<TagId> Exps = Sig.tagsOfSort(Sig.sort("Exp"));
-  EXPECT_EQ(Exps.size(), 10u); // Num Var Add Sub Mul Call a b c d
+  SortId Exp = Sig.sort("Exp");
+  for (const char *Name :
+       {"Num", "Var", "Add", "Sub", "Mul", "Call", "a", "b", "c", "d"})
+    EXPECT_TRUE(Sig.isSubsort(Sig.signature(Sig.lookup(Name)).Result, Exp))
+        << Name;
+  EXPECT_FALSE(Sig.isSubsort(Sig.signature(Sig.rootTag()).Result, Exp));
 }
 
 //===----------------------------------------------------------------------===//
@@ -121,7 +126,7 @@ TEST_F(TreeTest, DeepCopyPreservesContentFreshUris) {
 
 TEST_F(TreeTest, ValidateAcceptsWellFormed) {
   Tree *A = add(Ctx, num(Ctx, 1), call(Ctx, "f", var(Ctx, "x")));
-  EXPECT_FALSE(Ctx.validate(A).has_value());
+  EXPECT_FALSE(tests::validateTree(Ctx.signatures(), A).has_value());
 }
 
 TEST_F(TreeTest, RefreshDerivedAfterMutation) {
@@ -272,7 +277,7 @@ TEST(TreeArenaTest, NodesWiderThanAKidSlab) {
   EXPECT_EQ(W->size(), 1501u);
   EXPECT_EQ(W->structureHash(), W2->structureHash());
   EXPECT_EQ(W->literalHash(), W2->literalHash());
-  EXPECT_FALSE(Ctx.validate(W).has_value());
+  EXPECT_FALSE(tests::validateTree(Ctx.signatures(), W).has_value());
 }
 
 TEST(TreeArenaTest, BudgetChargedOncePerNodeAndReleasedInFull) {

@@ -9,13 +9,15 @@
 ///  - script inversion (undo): applying a script and its inverse restores
 ///    the original tree, and the inverse of a well-typed script is
 ///    well-typed with swapped contexts;
-///  - the textual wire format: parse is the exact inverse of serialize;
+///  - the wire format scripts travel in (persist/BinaryCodec): decoding
+///    is the exact inverse of encoding, and a decoded script applies
+///    exactly like the original;
 ///  - adversarial fuzzing of Theorem 3.6: randomly corrupted scripts are
 ///    either rejected (by the type checker or the compliance checks) or
 ///    still yield closed, well-formed trees;
-///  - the checked MTree renderer: byte-identical to the typed-tree
-///    printers, failing exactly where the tree is not closed and
-///    well-formed.
+///  - MTree's closedness check and printer: toString is byte-identical to
+///    the typed-tree printer, and isClosedWellFormed fails exactly where
+///    the tree is not closed and well-formed.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,6 +28,7 @@
 #include "truechange/TypeChecker.h"
 
 #include "corpus/Corpus.h"
+#include "persist/BinaryCodec.h"
 #include "python/Python.h"
 #include "support/Rng.h"
 #include "tree/SExpr.h"
@@ -138,6 +141,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, InversePropertyTest,
 // Wire format
 //===----------------------------------------------------------------------===//
 
+/// Encodes \p S and decodes it back, as a script crossing the wire does.
+persist::DecodeScriptResult overTheWire(const SignatureTable &Sig,
+                                        const EditScript &S) {
+  return persist::decodeEditScript(Sig, persist::encodeEditScript(Sig, S));
+}
+
 class SerializeTest : public ::testing::Test {
 protected:
   SerializeTest() : Sig(makeExpSignature()), Ctx(Sig) {}
@@ -164,7 +173,7 @@ TEST_F(SerializeTest, RoundTripAllEditKinds) {
                         {LitRef{N, Literal(int64_t(3))}}));
 
   std::string Text = serializeEditScript(Sig, S);
-  ParseScriptResult P = parseEditScript(Sig, Text);
+  persist::DecodeScriptResult P = overTheWire(Sig, S);
   ASSERT_TRUE(P.Ok) << P.Error << "\n" << Text;
   EXPECT_EQ(serializeEditScript(Sig, P.Script), Text);
   EXPECT_EQ(P.Script.size(), S.size());
@@ -177,8 +186,7 @@ TEST_F(SerializeTest, RoundTripFloatAndBoolLiterals) {
                       {LitRef{PySig.lookup("value"), Literal(2.5)}}));
   S.append(Edit::load(NodeRef{PySig.lookup("BoolLit"), 4}, {},
                       {LitRef{PySig.lookup("value"), Literal(true)}}));
-  std::string Text = serializeEditScript(PySig, S);
-  ParseScriptResult P = parseEditScript(PySig, Text);
+  persist::DecodeScriptResult P = overTheWire(PySig, S);
   ASSERT_TRUE(P.Ok) << P.Error;
   EXPECT_EQ(P.Script[0].Lits[0].Value, Literal(2.5));
   EXPECT_EQ(P.Script[1].Lits[0].Value, Literal(true));
@@ -192,8 +200,7 @@ TEST_F(SerializeTest, ParsedScriptAppliesIdentically) {
 
   TrueDiff Differ(Ctx);
   DiffResult R = Differ.compareTo(Source, Target);
-  ParseScriptResult P =
-      parseEditScript(Sig, serializeEditScript(Sig, R.Script));
+  persist::DecodeScriptResult P = overTheWire(Sig, R.Script);
   ASSERT_TRUE(P.Ok) << P.Error;
 
   ASSERT_TRUE(M1.patchChecked(R.Script).Ok);
@@ -202,12 +209,20 @@ TEST_F(SerializeTest, ParsedScriptAppliesIdentically) {
 }
 
 TEST_F(SerializeTest, ReportsErrors) {
-  EXPECT_FALSE(parseEditScript(Sig, "explode(Num_1)").Ok);
-  EXPECT_FALSE(parseEditScript(Sig, "detach(Bogus_1, \"e1\", Add_2)").Ok);
-  EXPECT_FALSE(parseEditScript(Sig, "detach(Num_1, \"zz\", Add_2)").Ok);
-  EXPECT_FALSE(parseEditScript(Sig, "detach(Num_1, \"e1\"").Ok);
-  EXPECT_FALSE(parseEditScript(Sig, "load(Num_1, [], [\"n\"->]）").Ok);
-  EXPECT_TRUE(parseEditScript(Sig, "").Ok);
+  SignatureTable PySig = python::makePythonSignature();
+  EditScript S;
+  S.append(Edit::detach(NodeRef{Sig.lookup("Num"), 1}, Sig.lookup("e1"),
+                        NodeRef{Sig.lookup("Add"), 2}));
+  std::string Blob = persist::encodeEditScript(Sig, S);
+  EXPECT_TRUE(persist::decodeEditScript(Sig, Blob).Ok);
+  // Names the signature does not know, a torn blob, and noise.
+  EXPECT_FALSE(persist::decodeEditScript(PySig, Blob).Ok);
+  EXPECT_FALSE(
+      persist::decodeEditScript(Sig, Blob.substr(0, Blob.size() - 1)).Ok);
+  EXPECT_FALSE(persist::decodeEditScript(Sig, "explode(Num_1)").Ok);
+  persist::DecodeScriptResult Empty = overTheWire(Sig, EditScript());
+  ASSERT_TRUE(Empty.Ok) << Empty.Error;
+  EXPECT_EQ(Empty.Script.size(), 0u);
 }
 
 class SerializePropertyTest : public ::testing::TestWithParam<uint64_t> {};
@@ -222,16 +237,16 @@ TEST_P(SerializePropertyTest, RoundTripOnPythonCorpus) {
   TrueDiff Differ(Ctx);
   DiffResult Result = Differ.compareTo(Base, Mutated);
 
-  std::string Text = serializeEditScript(Sig, Result.Script);
-  ParseScriptResult P = parseEditScript(Sig, Text);
+  persist::DecodeScriptResult P = overTheWire(Sig, Result.Script);
   ASSERT_TRUE(P.Ok) << P.Error;
-  EXPECT_EQ(serializeEditScript(Sig, P.Script), Text);
+  EXPECT_EQ(serializeEditScript(Sig, P.Script),
+            serializeEditScript(Sig, Result.Script));
 }
 
 TEST_P(SerializePropertyTest, ParsedScriptAppliesToTarget) {
-  // The full wire round trip: serialize -> parse -> apply to the base
-  // tree yields the target tree, i.e. the textual form preserves not
-  // just syntax but the script's semantics.
+  // The full wire round trip: encode -> decode -> apply to the base tree
+  // yields the target tree, i.e. the wire form preserves not just
+  // syntax but the script's semantics.
   SignatureTable Sig = python::makePythonSignature();
   TreeContext Ctx(Sig);
   Rng R(GetParam() * 881 + 23);
@@ -243,8 +258,7 @@ TEST_P(SerializePropertyTest, ParsedScriptAppliesToTarget) {
   TrueDiff Differ(Ctx);
   DiffResult Result = Differ.compareTo(Base, Mutated);
 
-  ParseScriptResult P =
-      parseEditScript(Sig, serializeEditScript(Sig, Result.Script));
+  persist::DecodeScriptResult P = overTheWire(Sig, Result.Script);
   ASSERT_TRUE(P.Ok) << P.Error;
   ASSERT_TRUE(M.patchChecked(P.Script).Ok);
   EXPECT_TRUE(M.equalsTree(Mutated));
@@ -255,7 +269,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SerializePropertyTest,
                          ::testing::Range<uint64_t>(0, 12));
 
 //===----------------------------------------------------------------------===//
-// Initializing scripts (Definition 3.2) and MTree round trips
+// Initializing scripts (Definition 3.2)
 //===----------------------------------------------------------------------===//
 
 class InitScriptTest : public ::testing::Test {
@@ -296,27 +310,6 @@ TEST_F(InitScriptTest, MatchesPaperDelta1Shape) {
   EXPECT_EQ(Init[3].Node.Uri, T->uri());
 }
 
-TEST_F(InitScriptTest, MTreeToTreeRoundTrip) {
-  Tree *T = mul(Ctx, add(Ctx, num(Ctx, 1), var(Ctx, "v")),
-                call(Ctx, "g", num(Ctx, 2)));
-  MTree M = MTree::fromTree(Sig, T);
-  Tree *Back = M.toTree(Ctx);
-  ASSERT_NE(Back, nullptr);
-  EXPECT_TRUE(treeEqualsModuloUris(T, Back));
-}
-
-TEST_F(InitScriptTest, ToTreeRejectsOpenTrees) {
-  Tree *T = add(Ctx, num(Ctx, 1), num(Ctx, 2));
-  MTree M = MTree::fromTree(Sig, T);
-  // Detach a kid: the tree now has a hole, so conversion must refuse.
-  EditScript S;
-  S.append(Edit::detach(NodeRef{T->kid(0)->tag(), T->kid(0)->uri()},
-                        Sig.lookup("e1"), NodeRef{T->tag(), T->uri()}));
-  ASSERT_TRUE(M.patchChecked(S).Ok);
-  EXPECT_EQ(M.toTree(Ctx), nullptr);
-  EXPECT_FALSE(M.isClosedWellFormed());
-}
-
 TEST_F(InitScriptTest, TransmitTreeThenPatchPipeline) {
   // Full transmission scenario: send the initial tree as a script, then
   // send a diff; the receiver reconstructs the target without ever
@@ -330,12 +323,10 @@ TEST_F(InitScriptTest, TransmitTreeThenPatchPipeline) {
   DiffResult R = Differ.compareTo(V1, V2);
   (void)V1Copy;
 
-  // Receiver side: deserialize both scripts, replay from empty.
-  std::string Wire1 = serializeEditScript(Sig, Init);
-  std::string Wire2 = serializeEditScript(Sig, R.Script);
+  // Receiver side: decode both scripts, replay from empty.
   MTree Receiver(Sig);
-  auto P1 = parseEditScript(Sig, Wire1);
-  auto P2 = parseEditScript(Sig, Wire2);
+  persist::DecodeScriptResult P1 = overTheWire(Sig, Init);
+  persist::DecodeScriptResult P2 = overTheWire(Sig, R.Script);
   ASSERT_TRUE(P1.Ok && P2.Ok);
   ASSERT_TRUE(Receiver.patchChecked(P1.Script).Ok);
   ASSERT_TRUE(Receiver.patchChecked(P2.Script).Ok);
@@ -357,10 +348,8 @@ TEST_P(InitScriptPropertyTest, InitializesRandomPythonModules) {
   MTree Empty(Sig);
   ASSERT_TRUE(Empty.patchChecked(Init).Ok);
   EXPECT_TRUE(Empty.equalsTree(Module));
-
-  Tree *Back = Empty.toTree(Ctx);
-  ASSERT_NE(Back, nullptr);
-  EXPECT_TRUE(treeEqualsModuloUris(Module, Back));
+  EXPECT_TRUE(Empty.isClosedWellFormed());
+  EXPECT_EQ(Empty.toString(), printSExprWithUris(Sig, Module));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, InitScriptPropertyTest,
@@ -479,11 +468,11 @@ TEST(DiffSessionStateTest, NoNodeKeepsDiffStateOnCorpusPairs) {
 }
 
 //===----------------------------------------------------------------------===//
-// The checked renderer against its oracles
+// The closedness check and the printer against their oracles
 //===----------------------------------------------------------------------===//
 
 /// isClosedWellFormed() as its contract states it, written recursively
-/// over MTree's public surface: the renderer's independent oracle (for
+/// over MTree's public surface: the check's independent oracle (for
 /// shallow trees only). Counting past the index size fails at once, so
 /// cycles an unchecked patch may build still terminate.
 bool referenceClosedWellFormed(const SignatureTable &Sig, MTree &M) {
@@ -509,46 +498,28 @@ bool referenceClosedWellFormed(const SignatureTable &Sig, MTree &M) {
          Reachable == M.indexSize();
 }
 
-/// Every form render() offers equals the typed-tree printers applied to
-/// toTreePreservingUris(), and the node count equals its size().
-::testing::AssertionResult rendersLikeTypedTree(const SignatureTable &Sig,
-                                                const MTree &M) {
-  TreeContext Ctx(Sig);
-  Tree *T = M.toTreePreservingUris(Ctx);
-  if (T == nullptr)
+/// The tree is closed by both checks and toString() prints it with no
+/// defect marker. Given \p T, toString() must also equal
+/// printSExprWithUris of it.
+::testing::AssertionResult printsClosed(const SignatureTable &Sig, MTree &M,
+                                        const Tree *T = nullptr) {
+  if (!M.isClosedWellFormed() || !referenceClosedWellFormed(Sig, M))
     return ::testing::AssertionFailure() << "tree is not closed";
-  std::string Text = printSExpr(Sig, T), UriText = printSExprWithUris(Sig, T);
-  MTree::Rendering Both = M.render(MTree::Forms::Both);
-  MTree::Rendering Plain = M.render(MTree::Forms::Plain);
-  MTree::Rendering Uris = M.render(MTree::Forms::WithUris);
-  if (!Both.Ok || !Plain.Ok || !Uris.Ok)
-    return ::testing::AssertionFailure() << "render failed on a closed tree";
-  if (Both.Text != Text || Plain.Text != Text || !Uris.Text.empty())
+  std::string Text = M.toString();
+  for (const char *Marker : {"<hole>", "<missing>", "<unknown>"})
+    if (Text.find(Marker) != std::string::npos)
+      return ::testing::AssertionFailure() << "closed tree prints " << Text;
+  if (T != nullptr && Text != printSExprWithUris(Sig, T))
     return ::testing::AssertionFailure()
-           << "plain form differs:\n  render:  " << Both.Text
-           << "\n  printer: " << Text;
-  if (Both.UriText != UriText || Uris.UriText != UriText ||
-      !Plain.UriText.empty())
-    return ::testing::AssertionFailure()
-           << "URI form differs:\n  render:  " << Both.UriText
-           << "\n  printer: " << UriText;
-  if (Both.Size != T->size() || Plain.Size != T->size() ||
-      Uris.Size != T->size())
-    return ::testing::AssertionFailure()
-           << "size " << Both.Size << " != " << T->size();
+           << "URI form differs:\n  toString: " << Text
+           << "\n  printer:  " << printSExprWithUris(Sig, T);
   return ::testing::AssertionSuccess();
 }
 
-/// The renderer fails, with empty texts, and so does every other view of
-/// closedness.
-::testing::AssertionResult rendersAsMalformed(const SignatureTable &Sig,
-                                              MTree &M) {
-  MTree::Rendering R = M.render(MTree::Forms::Both);
-  TreeContext Ctx(Sig);
-  if (R.Ok || !R.Text.empty() || !R.UriText.empty())
-    return ::testing::AssertionFailure() << "rendered a malformed tree";
-  if (M.isClosedWellFormed() || referenceClosedWellFormed(Sig, M) ||
-      M.toTreePreservingUris(Ctx) != nullptr)
+/// Both closedness checks refuse the tree.
+::testing::AssertionResult countsAsMalformed(const SignatureTable &Sig,
+                                             MTree &M) {
+  if (M.isClosedWellFormed() || referenceClosedWellFormed(Sig, M))
     return ::testing::AssertionFailure() << "tree counts as closed";
   return ::testing::AssertionSuccess();
 }
@@ -562,21 +533,16 @@ TEST_P(RenderOracleTest, MatchesTypedPrintersAlongAPatchedHistory) {
 
   Tree *Cur = corpus::generateModule(Ctx, R);
   MTree M = MTree::fromTree(Sig, Cur);
-  EXPECT_TRUE(rendersLikeTypedTree(Sig, M));
-  EXPECT_EQ(M.render(MTree::Forms::WithUris).UriText,
-            printSExprWithUris(Sig, Cur));
+  EXPECT_TRUE(printsClosed(Sig, M, Cur));
   TrueDiff Differ(Ctx);
   for (int Step = 0; Step != 4; ++Step) {
     Tree *Next = corpus::mutateModule(Ctx, R, Cur);
     DiffResult D = Differ.compareTo(Cur, Next);
     ASSERT_TRUE(M.patchChecked(D.Script).Ok);
-    EXPECT_TRUE(rendersLikeTypedTree(Sig, M)) << "after step " << Step;
     // The patched typed tree keeps the URIs the script speaks about, so
-    // it prints exactly what the patched MTree renders.
-    MTree::Rendering Both = M.render(MTree::Forms::Both);
-    EXPECT_EQ(Both.Text, printSExpr(Sig, D.Patched));
-    EXPECT_EQ(Both.UriText, printSExprWithUris(Sig, D.Patched));
-    EXPECT_EQ(Both.Size, D.Patched->size());
+    // it prints exactly what the patched MTree prints.
+    EXPECT_TRUE(printsClosed(Sig, M, D.Patched)) << "after step " << Step;
+    EXPECT_EQ(M.indexSize(), D.Patched->size() + 1);
     Cur = D.Patched;
   }
 }
@@ -603,10 +569,9 @@ TEST_P(RenderOracleTest, FailsExactlyWhereTheReferenceDoes) {
     ASSERT_TRUE(M.patchChecked(Init).Ok);
     M.patch(tests::corruptScript(R, Result.Script));
     bool Reference = referenceClosedWellFormed(Sig, M);
-    EXPECT_EQ(M.render(MTree::Forms::Both).Ok, Reference);
     EXPECT_EQ(M.isClosedWellFormed(), Reference);
     if (Reference) {
-      EXPECT_TRUE(rendersLikeTypedTree(Sig, M));
+      EXPECT_TRUE(printsClosed(Sig, M));
       ++Closed;
     } else {
       ++Open;
@@ -637,9 +602,8 @@ protected:
 };
 
 TEST_F(RenderDefectTest, ClosedTreeRenders) {
-  EXPECT_TRUE(rendersLikeTypedTree(Sig, M));
-  EXPECT_EQ(M.render(MTree::Forms::Plain).Text,
-            "(Add (Num 1) (Call (Num 2) \"f\"))");
+  EXPECT_TRUE(printsClosed(Sig, M, T));
+  EXPECT_EQ(printSExpr(Sig, T), "(Add (Num 1) (Call (Num 2) \"f\"))");
 }
 
 TEST_F(RenderDefectTest, DetachedHoleFails) {
@@ -647,7 +611,7 @@ TEST_F(RenderDefectTest, DetachedHoleFails) {
   const Tree *Kid = T->kid(0);
   apply(Edit::detach(ref(Kid), Sig.lookup("e1"), ref(T)));
   apply(Edit::unload(ref(Kid), {}, {LitRef{Sig.lookup("n"), Literal(int64_t(1))}}));
-  EXPECT_TRUE(rendersAsMalformed(Sig, M));
+  EXPECT_TRUE(countsAsMalformed(Sig, M));
   EXPECT_NE(M.toString().find("<hole>"), std::string::npos) << M.toString();
 }
 
@@ -659,10 +623,10 @@ TEST_F(RenderDefectTest, LeakedDetachedSubtreeFails) {
   apply(Edit::detach(ref(Kid), Sig.lookup("e1"), ref(T)));
   apply(Edit::load(Fresh, {}, {LitRef{Sig.lookup("n"), Literal(int64_t(7))}}));
   apply(Edit::attach(Fresh, Sig.lookup("e1"), ref(T)));
-  EXPECT_TRUE(rendersAsMalformed(Sig, M));
+  EXPECT_TRUE(countsAsMalformed(Sig, M));
   // Unloading the leak closes the tree again.
   apply(Edit::unload(ref(Kid), {}, {LitRef{Sig.lookup("n"), Literal(int64_t(1))}}));
-  EXPECT_TRUE(rendersLikeTypedTree(Sig, M));
+  EXPECT_TRUE(printsClosed(Sig, M));
 }
 
 TEST_F(RenderDefectTest, CycleFailsAndTerminates) {
@@ -673,21 +637,21 @@ TEST_F(RenderDefectTest, CycleFailsAndTerminates) {
   apply(Edit::detach(ref(Leaf), Sig.lookup("a"), ref(Call)));
   apply(Edit::unload(ref(Leaf), {}, {LitRef{Sig.lookup("n"), Literal(int64_t(2))}}));
   apply(Edit::attach(ref(T), Sig.lookup("a"), ref(Call)));
-  EXPECT_TRUE(rendersAsMalformed(Sig, M));
+  EXPECT_TRUE(countsAsMalformed(Sig, M));
 }
 
 TEST_F(RenderDefectTest, RemovedLiteralFails) {
   MNode *Call = M.root()->Kids.at(Sig.rootLink())->Kids.at(Sig.lookup("e2"));
   Literal Saved = Call->Lits.at(Sig.lookup("f"));
   Call->Lits.erase(Sig.lookup("f"));
-  EXPECT_TRUE(rendersAsMalformed(Sig, M));
+  EXPECT_TRUE(countsAsMalformed(Sig, M));
   EXPECT_NE(M.toString().find("<missing>"), std::string::npos)
       << M.toString();
   // A literal of the wrong kind is no better than none.
   Call->Lits.emplace(Sig.lookup("f"), Literal(int64_t(3)));
-  EXPECT_TRUE(rendersAsMalformed(Sig, M));
+  EXPECT_TRUE(countsAsMalformed(Sig, M));
   Call->Lits[Sig.lookup("f")] = Saved;
-  EXPECT_TRUE(rendersLikeTypedTree(Sig, M));
+  EXPECT_TRUE(printsClosed(Sig, M));
 }
 
 } // namespace
