@@ -12,14 +12,17 @@
 /// before each truediff/hdiff invocation so the time for computing the
 /// hashes is included.
 ///
-/// Two gates on truediff's keyed node digest make this a CI perf smoke
+/// Three gates on truediff's keyed node digest make this a CI perf smoke
 /// test. Every pair is also diffed under a second digest key, and the
 /// bench exits non-zero if any script or touched-URI set differs from
 /// the process key's (same URIs, same operation order): digests decide
 /// subtree equivalence, so the key must never change a script. It also
 /// exits non-zero unless hashing every node preimage of the corpus with
 /// the keyed digest is at least 1.5x as fast as streaming SHA-256 over
-/// the same bytes.
+/// the same bytes. And it exits non-zero unless the batched derive of a
+/// whole-tree copy (Tree::deriveAll, eight SipHash lanes at a time)
+/// gives every corpus node the digests, height and size that per-node
+/// construction gave it; the report names the kernel clone that ran.
 ///
 /// Also prints truediff's absolute per-file running times (the paper
 /// reports median 6.4 ms, mean 12.7 ms on its corpus).
@@ -35,6 +38,7 @@
 #include "gumtree/GumTree.h"
 #include "hdiff/HDiff.h"
 #include "python/Python.h"
+#include "support/TreeHash.h"
 #include "truechange/Serialize.h"
 #include "truediff/TrueDiff.h"
 
@@ -67,7 +71,7 @@ int main(int Argc, char **Argv) {
   std::vector<double> TruediffThroughput, GumtreeThroughput, HdiffThroughput,
       TruediffMs, GumtreeMs, HdiffMs;
   std::vector<std::string> Preimages;
-  size_t ScriptMismatches = 0, UriMismatches = 0;
+  size_t ScriptMismatches = 0, UriMismatches = 0, DeriveMismatches = 0;
 
   for (const corpus::CommitPair &Pair : Pairs) {
     TreeContext Ctx(Sig);
@@ -78,6 +82,14 @@ int main(int Argc, char **Argv) {
     double Nodes =
         static_cast<double>(Before.Module->size() + After.Module->size());
     appendNodePreimages(Before.Module, Preimages);
+
+    // Batched derive: the parser built every node with its own make(),
+    // hashed one at a time; a copy derives them all at once.
+    for (const Tree *Parsed : {Before.Module, After.Module}) {
+      TreeContext Copies(Sig);
+      if (compareDerived(Copies.deepCopy(Parsed), Parsed).has_value())
+        ++DeriveMismatches;
+    }
 
     // Cross-key correctness: the edit script must not depend on the
     // digest key. One copy+diff per key, each in a context that repeats
@@ -148,15 +160,22 @@ int main(int Argc, char **Argv) {
   bool Identical = ScriptMismatches == 0 && UriMismatches == 0;
   double Ratio = nodeDigestSpeedupOverSha256(Preimages);
   bool FastEnough = Ratio >= 1.5;
+  bool DeriveExact = DeriveMismatches == 0;
   std::printf("# cross-key scripts identical: %s (%zu script, %zu "
               "touched-uri mismatches)\n",
               Identical ? "yes" : "NO", ScriptMismatches, UriMismatches);
   std::printf("# node digest over streaming sha256, %zu preimages: %.2fx "
               "(gate: >= 1.5) %s\n",
               Preimages.size(), Ratio, FastEnough ? "ok" : "FAIL");
+  std::printf("# batched derive equals per-node digests (%s kernel): %s "
+              "(%zu mismatching trees)\n",
+              sipHash128x8Clone(), DeriveExact ? "yes" : "NO",
+              DeriveMismatches);
 
   Report.meta("scripts_identical", Identical ? "yes" : "no");
   Report.meta("node_digest_over_sha256_ratio", Ratio);
+  Report.meta("batched_derive_exact", DeriveExact ? "yes" : "no");
+  Report.meta("sip_kernel_clone", sipHash128x8Clone());
   Report.add("truediff", "nodes_per_ms", TruediffThroughput);
   Report.add("gumtree", "nodes_per_ms", GumtreeThroughput);
   Report.add("hdiff", "nodes_per_ms", HdiffThroughput);
@@ -164,5 +183,5 @@ int main(int Argc, char **Argv) {
   Report.add("gumtree_time", "ms", GumtreeMs);
   Report.add("hdiff_time", "ms", HdiffMs);
   Report.write();
-  return Identical && FastEnough ? 0 : 1;
+  return Identical && FastEnough && DeriveExact ? 0 : 1;
 }

@@ -14,7 +14,7 @@ using namespace truediff::corpus;
 TreeSketch TreeSketch::of(const Tree *T) {
   TreeSketch S;
   S.Tag = T->tag();
-  S.Lits = T->lits();
+  S.Lits.assign(T->lits().begin(), T->lits().end());
   S.Kids.reserve(T->arity());
   for (size_t I = 0, E = T->arity(); I != E; ++I)
     S.Kids.push_back(TreeSketch::of(T->kid(I)));

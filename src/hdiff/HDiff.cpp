@@ -6,6 +6,7 @@
 
 #include "hdiff/HDiff.h"
 
+#include <algorithm>
 #include <cassert>
 #include <functional>
 #include <unordered_set>
@@ -82,7 +83,7 @@ PatchNode *HDiff::makeCtor(const Tree *T, std::vector<PatchNode *> Kids) {
   PatchNode *N = &Arena.back();
   N->Tag = T->tag();
   N->Kids = std::move(Kids);
-  N->Lits = T->lits();
+  N->Lits.assign(T->lits().begin(), T->lits().end());
   return N;
 }
 
@@ -211,7 +212,7 @@ bool HDiff::match(const PatchNode *Pattern, const Tree *T,
            It->second->literalHash() == T->literalHash();
   }
   if (Pattern->Tag != T->tag() || Pattern->Kids.size() != T->arity() ||
-      Pattern->Lits != T->lits())
+      !std::ranges::equal(Pattern->Lits, T->lits()))
     return false;
   for (size_t I = 0, E = T->arity(); I != E; ++I)
     if (!match(Pattern->Kids[I], T->kid(I), Bindings))

@@ -40,7 +40,7 @@ std::string LcsScript::toString(const SignatureTable &Sig) const {
 }
 
 static void collectPreOrder(const Tree *T, std::vector<Token> &Out) {
-  Out.push_back(Token{T->tag(), T->lits()});
+  Out.push_back(Token{T->tag(), {T->lits().begin(), T->lits().end()}});
   for (size_t I = 0, E = T->arity(); I != E; ++I)
     collectPreOrder(T->kid(I), Out);
 }

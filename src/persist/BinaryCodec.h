@@ -79,8 +79,8 @@ DecodeTreeResult decodeTree(const SignatureTable &Sig, TreeContext &Ctx,
                             std::string_view Blob);
 
 /// As above with \p PreserveUris false: the encoded URIs are validated
-/// but discarded and every node is allocated with a fresh URI via
-/// TreeContext::make, so the blob can be decoded into a context that
+/// but discarded and every node is allocated with a fresh URI of
+/// \p Ctx, so the blob can be decoded into a context that
 /// already holds live nodes. This is the mode for client-supplied trees
 /// on the binary wire protocol, where the client's URIs must not collide
 /// with a document's live URI space.

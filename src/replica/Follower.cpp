@@ -569,7 +569,7 @@ bool Follower::corruptDocForTest(uint64_t Doc) {
           Stack.push_back(T->kid(I - 1));
         continue;
       }
-      std::vector<Literal> Lits = T->lits();
+      std::vector<Literal> Lits(T->lits().begin(), T->lits().end());
       Literal &Lit = Lits.front();
       switch (Lit.kind()) {
       case LitKind::Int:
@@ -585,7 +585,7 @@ bool Follower::corruptDocForTest(uint64_t Doc) {
         Lit = Literal(Lit.asString() + "?");
         break;
       }
-      T->setLits(std::move(Lits));
+      T->setLits(Lits);
       Mutated = true;
     }
   });

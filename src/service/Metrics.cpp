@@ -6,6 +6,7 @@
 
 #include "service/Metrics.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdio>
@@ -33,12 +34,33 @@ const char *service::opKindName(OpKind Kind) {
   return "?";
 }
 
+namespace {
+
+/// The bucket of \p Us: itself below SubBuckets, else its power of two's
+/// row plus its next three bits.
+size_t bucketOf(uint64_t Us) {
+  constexpr size_t Sub = LatencyHistogram::SubBuckets;
+  if (Us < Sub)
+    return static_cast<size_t>(Us);
+  unsigned Exp = static_cast<unsigned>(std::bit_width(Us)) - 1; // >= 3
+  size_t Bucket = Sub + (Exp - 3) * Sub + ((Us >> (Exp - 3)) & (Sub - 1));
+  return std::min(Bucket, LatencyHistogram::NumBuckets - 1);
+}
+
+/// The exclusive upper bound of \p Bucket, in us.
+uint64_t bucketEnd(size_t Bucket) {
+  constexpr size_t Sub = LatencyHistogram::SubBuckets;
+  if (Bucket < Sub)
+    return Bucket + 1;
+  size_t Row = (Bucket - Sub) / Sub, Col = (Bucket - Sub) % Sub;
+  return uint64_t(Sub + Col + 1) << Row;
+}
+
+} // namespace
+
 void LatencyHistogram::record(double Ms) {
   uint64_t Us = Ms <= 0 ? 0 : static_cast<uint64_t>(Ms * 1000.0);
-  size_t Bucket = std::bit_width(Us); // 0 us -> bucket 0, [2^(i-1),2^i) -> i
-  if (Bucket >= NumBuckets)
-    Bucket = NumBuckets - 1;
-  Buckets[Bucket].fetch_add(1, std::memory_order_relaxed);
+  Buckets[bucketOf(Us)].fetch_add(1, std::memory_order_relaxed);
   Count.fetch_add(1, std::memory_order_relaxed);
   SumUs.fetch_add(Us, std::memory_order_relaxed);
   uint64_t Prev = MaxUs.load(std::memory_order_relaxed);
@@ -63,7 +85,7 @@ LatencyHistogram::Summary LatencyHistogram::summarize() const {
   S.MaxMs = static_cast<double>(MaxUs.load(std::memory_order_relaxed)) / 1000.0;
 
   // A percentile reports the upper bound of the bucket containing it, in
-  // ms; bucket i's upper bound is 2^i us.
+  // ms, but never more than the largest latency recorded.
   auto Percentile = [&](double P) {
     uint64_t Rank = static_cast<uint64_t>(std::ceil(P * Total));
     if (Rank == 0)
@@ -72,7 +94,7 @@ LatencyHistogram::Summary LatencyHistogram::summarize() const {
     for (size_t I = 0; I != NumBuckets; ++I) {
       Seen += Snap[I];
       if (Seen >= Rank)
-        return static_cast<double>(uint64_t(1) << I) / 1000.0;
+        return std::min(static_cast<double>(bucketEnd(I)) / 1000.0, S.MaxMs);
     }
     return S.MaxMs;
   };

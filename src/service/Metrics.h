@@ -6,7 +6,7 @@
 ///
 /// \file
 /// Observability for the concurrent diff service: lock-free counters and
-/// log-bucketed latency histograms (p50/p95/p99 per operation), dumpable
+/// log-linear latency histograms (p50/p95/p99 per operation), dumpable
 /// as JSON. All members are atomics, so worker threads record without
 /// coordination and a reader thread can summarize at any time; summaries
 /// are monotone snapshots, not linearizable cuts, which is the standard
@@ -41,12 +41,17 @@ inline constexpr unsigned NumOpKinds = 7;
 /// Returns "open", "submit", ...
 const char *opKindName(OpKind Kind);
 
-/// A fixed-size histogram over power-of-two microsecond buckets: bucket i
-/// counts latencies in [2^(i-1), 2^i) us (bucket 0 counts < 1 us). 40
-/// buckets cover up to ~9 minutes, far beyond any request we serve.
+/// A fixed-size log-linear histogram over whole microseconds: below 8 us
+/// one bucket per microsecond, then 8 buckets per power of two, so every
+/// bucket above 8 us spans 1/8 of its lower bound. A percentile reports
+/// its bucket's upper bound, capped at the largest latency recorded, so
+/// it is at most 12.5% above the true value. 304 buckets reach 2^40 us
+/// (~12 days), far beyond any request we serve.
 class LatencyHistogram {
 public:
-  static constexpr size_t NumBuckets = 40;
+  /// Buckets per power of two, and the exact buckets below the first.
+  static constexpr size_t SubBuckets = 8;
+  static constexpr size_t NumBuckets = SubBuckets + (40 - 3) * SubBuckets;
 
   void record(double Ms);
 

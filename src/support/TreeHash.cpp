@@ -100,6 +100,50 @@ struct SipState {
   uint64_t fold() const { return V0 ^ V1 ^ V2 ^ V3; }
 };
 
+/// The digest whose bytes are \p Lo then \p Hi, each little-endian.
+Digest digestOfWords(uint64_t Lo, uint64_t Hi) {
+  std::array<uint8_t, Digest::NumBytes> Bytes;
+  for (unsigned I = 0; I != 8; ++I) {
+    Bytes[I] = uint8_t(Lo >> (8 * I));
+    Bytes[8 + I] = uint8_t(Hi >> (8 * I));
+  }
+  return Digest(Bytes);
+}
+
+/// One 64-bit word per lane of sipHash128x8.
+typedef uint64_t LaneWords __attribute__((vector_size(8 * SipLanes)));
+
+/// SipState with a lane per message. The helpers take the state by
+/// reference and are always inlined, so no vector crosses a call boundary
+/// and each clone of sipHash128x8 keeps its own ISA throughout.
+struct SipLanesState {
+  LaneWords V0, V1, V2, V3;
+};
+
+[[gnu::always_inline]] inline void sipRound(SipLanesState &S) {
+  S.V0 += S.V1;
+  S.V1 = (S.V1 << 13) | (S.V1 >> 51);
+  S.V1 ^= S.V0;
+  S.V0 = (S.V0 << 32) | (S.V0 >> 32);
+  S.V2 += S.V3;
+  S.V3 = (S.V3 << 16) | (S.V3 >> 48);
+  S.V3 ^= S.V2;
+  S.V0 += S.V3;
+  S.V3 = (S.V3 << 21) | (S.V3 >> 43);
+  S.V3 ^= S.V0;
+  S.V2 += S.V1;
+  S.V1 = (S.V1 << 17) | (S.V1 >> 47);
+  S.V1 ^= S.V2;
+  S.V2 = (S.V2 << 32) | (S.V2 >> 32);
+}
+
+[[gnu::always_inline]] inline void sipFinalRounds(SipLanesState &S) {
+  sipRound(S);
+  sipRound(S);
+  sipRound(S);
+  sipRound(S);
+}
+
 } // namespace
 
 uint64_t truediff::processDigestSeed() {
@@ -143,11 +187,43 @@ Digest truediff::sipHash128(const DigestKey &Key, const void *Data,
   S.V1 ^= 0xdd;
   S.finalRounds();
   uint64_t Hi = S.fold();
+  return digestOfWords(Lo, Hi);
+}
 
-  std::array<uint8_t, Digest::NumBytes> Bytes;
-  for (unsigned I = 0; I != 8; ++I) {
-    Bytes[I] = uint8_t(Lo >> (8 * I));
-    Bytes[8 + I] = uint8_t(Hi >> (8 * I));
+__attribute__((target_clones("avx512f", "avx2", "default"))) void
+truediff::sipHash128x8(const DigestKey &Key, const uint64_t *Words,
+                       size_t NumWords, Digest *Out) {
+  // sipHash128 with every scalar word widened to a lane vector; adding a
+  // scalar to the zero vector broadcasts it.
+  const LaneWords Zero = {};
+  SipLanesState S{Zero + (0x736f6d6570736575ULL ^ Key.K0),
+                  Zero + (0x646f72616e646f6dULL ^ Key.K1 ^ 0xee),
+                  Zero + (0x6c7967656e657261ULL ^ Key.K0),
+                  Zero + (0x7465646279746573ULL ^ Key.K1)};
+  for (size_t W = 0; W != NumWords; ++W) {
+    LaneWords M;
+    std::memcpy(&M, Words + SipLanes * W, sizeof(M));
+    S.V3 ^= M;
+    sipRound(S);
+    sipRound(S);
+    S.V0 ^= M;
   }
-  return Digest(Bytes);
+  S.V2 ^= 0xee;
+  sipFinalRounds(S);
+  LaneWords Lo = S.V0 ^ S.V1 ^ S.V2 ^ S.V3;
+  S.V1 ^= 0xdd;
+  sipFinalRounds(S);
+  LaneWords Hi = S.V0 ^ S.V1 ^ S.V2 ^ S.V3;
+  for (size_t L = 0; L != SipLanes; ++L)
+    Out[L] = digestOfWords(Lo[L], Hi[L]);
+}
+
+const char *truediff::sipHash128x8Clone() {
+  // The order in which the target_clones resolver prefers the clones.
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx512f"))
+    return "avx512f";
+  if (__builtin_cpu_supports("avx2"))
+    return "avx2";
+  return "default";
 }

@@ -19,6 +19,15 @@
 /// never leave it: followers, recovery and anti-entropy rebuild node
 /// digests themselves or compare the SHA-256 of the URI rendering.
 ///
+/// Two functions compute the digest. sipHash128 hashes one message; it
+/// serves single-node construction and is the reference. sipHash128x8
+/// hashes eight messages of one word count at once: SipHash's rounds are
+/// bound by latency, so eight independent messages in one vector register
+/// cost about what two cost one at a time. Whole-tree builds feed it (see
+/// Tree::deriveAll). It is written once with GCC vector extensions and
+/// compiled for AVX-512F, AVX2 and the baseline ISA; the loader picks the
+/// clone the CPU supports, with no option to set.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef TRUEDIFF_SUPPORT_TREEHASH_H
@@ -60,6 +69,27 @@ void setProcessDigestKeyForTest(const DigestKey &Key);
 /// \p Key, as the reference implementation's siphash(..., outlen = 16)
 /// lays it out: bytes 0..7 are the first output word, little-endian.
 Digest sipHash128(const DigestKey &Key, const void *Data, size_t Size);
+
+/// Lanes of sipHash128x8.
+inline constexpr size_t SipLanes = 8;
+
+/// The number of 64-bit words SipHash absorbs for a \p Size-byte message:
+/// its whole words, then a final word holding the remaining Size % 8
+/// bytes and, in its top byte, Size's low byte.
+constexpr size_t sipWords(size_t Size) { return Size / 8 + 1; }
+
+/// SipHash-2-4-128 of eight messages whose sipWords is \p NumWords, under
+/// \p Key. The messages are given as their words, little-endian and
+/// transposed: word W of lane L sits at Words[SipLanes * W + L], and each
+/// lane's last word is its final word as sipWords describes it (so byte
+/// lengths may differ within that word). Out[L] is then exactly
+/// sipHash128(Key, message L).
+void sipHash128x8(const DigestKey &Key, const uint64_t *Words,
+                  size_t NumWords, Digest *Out);
+
+/// The clone of sipHash128x8 this CPU runs: "avx512f", "avx2" or
+/// "default".
+const char *sipHash128x8Clone();
 
 } // namespace truediff
 

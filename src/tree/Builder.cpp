@@ -128,8 +128,6 @@ bool CheckedBuilder::lit(Literal L) {
   assert(Lits.size() < Specs.size() && "more literals than the signature");
   if (L.kind() != Specs[Lits.size()].Kind)
     return refuse(Check::LitKind);
-  if (Lits.empty())
-    Lits.reserve(Specs.size());
   Lits.push_back(std::move(L));
   return true;
 }
@@ -146,10 +144,14 @@ Tree *CheckedBuilder::close() {
   ++Made;
   size_t Arity = F.Sig->Kids.size();
   Tree *const *Kids = Done.data() + Done.size() - Arity;
-  Tree *Node =
-      KeepUris ? Ctx.adoptWithUri(F.Tag, F.Uri, Kids, Arity, std::move(Lits))
-               : Ctx.make(F.Tag, Kids, Arity, std::move(Lits));
+  // Built derive-dirty and derived in chunks; the last chunk when the
+  // root closes. The literals move into the arena, and Lits keeps its
+  // buffer for the next node.
+  Tree *Node = Ctx.adoptWithUri(F.Tag, KeepUris ? F.Uri : Ctx.peekNextUri(),
+                                Kids, Arity, Lits,
+                                TreeContext::Derive::Deferred);
   Lits.clear();
+  Derive.add(Node);
   Done.resize(Done.size() - Arity);
   if (!Stack.empty()) {
     const Frame &Parent = Stack.back();
@@ -158,6 +160,8 @@ Tree *CheckedBuilder::close() {
       refuse(Check::KidSort, Parent.Tag);
       return nullptr;
     }
+  } else {
+    Derive.finish();
   }
   Done.push_back(Node);
   return Node;

@@ -27,7 +27,14 @@
 /// finished kids on one results stack, whose top entries are copied
 /// straight into the arena's kid slab when their parent closes (as
 /// TreeContext::deepCopy does). So no reader keeps a loop of its own, and
-/// no input depth can exhaust the thread's stack.
+/// no input depth can exhaust the thread's stack. A node's literals move
+/// into the arena's literal slab when it closes.
+///
+/// Nodes are built derive-dirty and handed to a DeriveBatch, which
+/// derives them in chunks, hashing independent nodes eight at a time;
+/// the last chunk is derived when the root closes. Until then a built
+/// node's digests, height and size may not be valid. A refused build
+/// leaves its nodes unreachable.
 ///
 /// Each node is checked once, in this order:
 ///   1. its nesting depth against ParseLimits::MaxDepth (open);
@@ -194,6 +201,8 @@ private:
   std::vector<Tree *> Done;
   /// The innermost open node's literals so far.
   std::vector<Literal> Lits;
+  /// Derives the built nodes (see the file comment).
+  DeriveBatch Derive;
   UriSet Uris;
   uint64_t Made = 0;
   Check Failed = Check::None;

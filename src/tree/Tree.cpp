@@ -23,28 +23,42 @@ uint8_t *putLE(uint8_t *P, uint64_t V, unsigned Bytes) {
   return P + Bytes;
 }
 
-/// Writes a node's two digest preimages (Section 4.1) at \p StructOut and
-/// \p LitOut:
+/// A node's two digest preimages (Section 4.1), integers little-endian:
 ///   structure: u32 tag, u32 arity, each kid's structure hash;
 ///   literal:   u32 literal count, each literal's Literal::hashEncoding,
 ///              each kid's literal hash (the tag is NOT included).
-/// Integers are little-endian.
-void writePreimages(TagId Tag, Tree *const *Kids, size_t Arity,
-                    const std::vector<Literal> &Lits, uint8_t *StructOut,
-                    uint8_t *LitOut) {
-  StructOut = putLE(StructOut, Tag, 4);
-  StructOut = putLE(StructOut, Arity, 4);
-  LitOut = putLE(LitOut, Lits.size(), 4);
-  for (const Literal &L : Lits)
-    LitOut = L.hashEncoding(LitOut);
+/// The writers return the end of what they wrote.
+size_t structureSize(size_t Arity) { return 8 + Arity * Digest::NumBytes; }
+
+uint8_t *writeStructure(TagId Tag, Tree *const *Kids, size_t Arity,
+                        uint8_t *Out) {
+  Out = putLE(Out, Tag, 4);
+  Out = putLE(Out, Arity, 4);
   for (size_t I = 0; I != Arity; ++I) {
-    std::memcpy(StructOut, Kids[I]->structureHash().bytes().data(),
+    std::memcpy(Out, Kids[I]->structureHash().bytes().data(),
                 Digest::NumBytes);
-    std::memcpy(LitOut, Kids[I]->literalHash().bytes().data(),
-                Digest::NumBytes);
-    StructOut += Digest::NumBytes;
-    LitOut += Digest::NumBytes;
+    Out += Digest::NumBytes;
   }
+  return Out;
+}
+
+size_t literalSize(LitSpan Lits, size_t Arity) {
+  size_t Size = 4 + Arity * Digest::NumBytes;
+  for (const Literal &L : Lits)
+    Size += L.hashEncodingSize();
+  return Size;
+}
+
+uint8_t *writeLiterals(LitSpan Lits, Tree *const *Kids, size_t Arity,
+                       uint8_t *Out) {
+  Out = putLE(Out, Lits.size(), 4);
+  for (const Literal &L : Lits)
+    Out = L.hashEncoding(Out);
+  for (size_t I = 0; I != Arity; ++I) {
+    std::memcpy(Out, Kids[I]->literalHash().bytes().data(), Digest::NumBytes);
+    Out += Digest::NumBytes;
+  }
+  return Out;
 }
 
 /// Preimages up to this many bytes are written to the stack; longer ones
@@ -52,35 +66,65 @@ void writePreimages(TagId Tag, Tree *const *Kids, size_t Arity,
 /// hashed, and so the digests, are the same either way.
 constexpr size_t StackPreimageBytes = 256;
 
-/// The node's keyed structure and literal digests (TreeHash.h).
-void hashNode(TagId Tag, Tree *const *Kids, size_t Arity,
-              const std::vector<Literal> &Lits, Digest &StructOut,
-              Digest &LitOut) {
-  const DigestKey &Key = processDigestKey();
-  size_t StructLen = 8 + Arity * Digest::NumBytes;
-  size_t LitLen = 4 + Arity * Digest::NumBytes;
-  for (const Literal &L : Lits)
-    LitLen += L.hashEncodingSize();
-  if (StructLen <= StackPreimageBytes && LitLen <= StackPreimageBytes) {
-    uint8_t StructMsg[StackPreimageBytes];
-    uint8_t LitMsg[StackPreimageBytes];
-    writePreimages(Tag, Kids, Arity, Lits, StructMsg, LitMsg);
-    StructOut = sipHash128(Key, StructMsg, StructLen);
-    LitOut = sipHash128(Key, LitMsg, LitLen);
-    return;
+/// The keyed digest (TreeHash.h) of the \p Size-byte preimage \p Write
+/// writes.
+template <typename WriteFn>
+Digest hashPreimage(const DigestKey &Key, size_t Size, WriteFn &&Write) {
+  if (Size <= StackPreimageBytes) {
+    uint8_t Msg[StackPreimageBytes];
+    Write(Msg);
+    return sipHash128(Key, Msg, Size);
   }
-  std::vector<uint8_t> StructMsg(StructLen), LitMsg(LitLen);
-  writePreimages(Tag, Kids, Arity, Lits, StructMsg.data(), LitMsg.data());
-  StructOut = sipHash128(Key, StructMsg.data(), StructLen);
-  LitOut = sipHash128(Key, LitMsg.data(), LitLen);
+  std::vector<uint8_t> Msg(Size);
+  Write(Msg.data());
+  return sipHash128(Key, Msg.data(), Size);
 }
 
+Digest hashStructure(const DigestKey &Key, TagId Tag, Tree *const *Kids,
+                     size_t Arity) {
+  return hashPreimage(Key, structureSize(Arity), [&](uint8_t *Out) {
+    writeStructure(Tag, Kids, Arity, Out);
+  });
+}
+
+Digest hashLiterals(const DigestKey &Key, LitSpan Lits, Tree *const *Kids,
+                    size_t Arity) {
+  return hashPreimage(Key, literalSize(Lits, Arity), [&](uint8_t *Out) {
+    writeLiterals(Lits, Kids, Arity, Out);
+  });
+}
+
+/// Preimages of at most this many SipHash words (127 bytes) are batched;
+/// longer ones (long string literals, nodes with 8 or more kids) go to
+/// sipHash128.
+constexpr size_t MaxBatchWords = 16;
+
+/// A level's leftover batch of fewer preimages than this is hashed one by
+/// one: the 8-lane kernel costs about what two scalar calls cost.
+constexpr unsigned MinBatchLanes = 3;
+
 } // namespace
+
+void Tree::hashDigests(const DigestKey &Key) {
+  size_t StructLen = structureSize(Arity);
+  size_t LitLen = literalSize(lits(), Arity);
+  if (StructLen > StackPreimageBytes || LitLen > StackPreimageBytes) {
+    StructHash = hashStructure(Key, Tag, Kids, Arity);
+    LitHash = hashLiterals(Key, lits(), Kids, Arity);
+    return;
+  }
+  uint8_t StructMsg[StackPreimageBytes];
+  uint8_t LitMsg[StackPreimageBytes];
+  writeStructure(Tag, Kids, Arity, StructMsg);
+  writeLiterals(lits(), Kids, Arity, LitMsg);
+  StructHash = sipHash128(Key, StructMsg, StructLen);
+  LitHash = sipHash128(Key, LitMsg, LitLen);
+}
 
 void Tree::computeDerived(const SignatureTable &Sig) {
   for (size_t I = 0; I != Arity; ++I)
     assert(Kids[I] != nullptr && "derived data requires complete trees");
-  hashNode(Tag, Kids, Arity, Lits, StructHash, LitHash);
+  hashDigests(processDigestKey());
 
   Height = 1;
   Size = 1;
@@ -89,6 +133,168 @@ void Tree::computeDerived(const SignatureTable &Sig) {
     Size += Kids[I]->Size;
   }
   (void)Sig;
+}
+
+/// Tree::deriveAll's state. Per chunk it
+///   1. computes heights and sizes in post-order, and gives each node a
+///      level: 1 plus the highest level among its kids in the chunk, so a
+///      level's nodes depend only on lower levels and earlier chunks;
+///   2. for each level, queues both preimages of every node into batches
+///      by SipHash word count, runs each batch through sipHash128x8 as it
+///      fills, and at the level's end flushes the partial batches.
+/// The structure preimage goes straight into its lane; the literal
+/// preimage is written to a buffer first, its literals being bytes. A
+/// level of one node (a cons spine, a deep chain) can fill no batch, so
+/// its node is hashed as TreeContext::make hashes it.
+class Tree::Deriver {
+public:
+  explicit Deriver(const DigestKey &Key) : Key(Key) {}
+
+  /// Derives the \p N <= DeriveBatch::Chunk nodes at \p Nodes.
+  void chunk(Tree *const *Nodes, size_t N) {
+    uint32_t MaxLevel = 0;
+    for (size_t I = 0; I != N; ++I) {
+      Tree *T = Nodes[I];
+      uint32_t H = 1, Level = 1;
+      uint64_t S = 1;
+      for (size_t K = 0; K != T->Arity; ++K) {
+        const Tree *Kid = T->Kids[K];
+        assert(Kid != nullptr && "derived data requires complete trees");
+        H = std::max(H, Kid->Height + 1);
+        S += Kid->Size;
+        Level = std::max(Level, Kid->DeriveLevel + 1);
+      }
+      T->Height = H;
+      T->Size = S;
+      T->DeriveLevel = Level;
+      if (Level > MaxLevel) {
+        // A node's level is at most one above its kids', so levels
+        // open one at a time.
+        MaxLevel = Level;
+        Levels[Level] = nullptr;
+      }
+      T->DeriveNext = Levels[Level];
+      Levels[Level] = T;
+    }
+    for (uint32_t Level = 1; Level <= MaxLevel; ++Level) {
+      if (Tree *T = Levels[Level]; T->DeriveNext == nullptr) {
+        T->hashDigests(Key);
+        T->DeriveLevel = 0;
+        T->DerivedDirty = false;
+        continue;
+      }
+      for (Tree *T = Levels[Level]; T != nullptr; T = T->DeriveNext) {
+        size_t StructWords = sipWords(structureSize(T->Arity));
+        if (StructWords <= MaxBatchWords)
+          queue(T, /*Lit=*/false, StructWords);
+        else
+          T->StructHash = hashStructure(Key, T->Tag, T->Kids, T->Arity);
+        size_t LitWords = sipWords(literalSize(T->lits(), T->Arity));
+        if (LitWords <= MaxBatchWords)
+          queue(T, /*Lit=*/true, LitWords);
+        else
+          T->LitHash = hashLiterals(Key, T->lits(), T->Kids, T->Arity);
+        // Its parents took their levels in step 1.
+        T->DeriveLevel = 0;
+        T->DerivedDirty = false;
+      }
+      flush();
+    }
+  }
+
+private:
+  /// Up to SipLanes queued preimages of one word count.
+  struct Batch {
+    Tree *Nodes[SipLanes];
+    /// Bit L set: lane L is Nodes[L]'s literal preimage, else its
+    /// structure preimage.
+    unsigned LitLanes;
+    unsigned Size;
+  };
+
+  void queue(Tree *T, bool Lit, size_t NumWords) {
+    Batch &B = Batches[NumWords - 1];
+    B.Nodes[B.Size] = T;
+    B.LitLanes |= unsigned(Lit) << B.Size;
+    if (++B.Size == SipLanes) {
+      run(B, NumWords);
+      Pending &= ~(1u << (NumWords - 1));
+    } else {
+      Pending |= 1u << (NumWords - 1);
+    }
+  }
+
+  /// Hashes \p B's preimages, \p NumWords words each, in one kernel call.
+  void run(Batch &B, size_t NumWords) {
+    for (unsigned L = 0; L != B.Size; ++L) {
+      const Tree *T = B.Nodes[L];
+      uint64_t *Lane = Words + L;
+      if (B.LitLanes >> L & 1) {
+        uint64_t Msg[MaxBatchWords];
+        Msg[NumWords - 1] = 0;
+        uint8_t *Begin = reinterpret_cast<uint8_t *>(Msg);
+        size_t Bytes =
+            writeLiterals(T->lits(), T->Kids, T->Arity, Begin) - Begin;
+        Msg[NumWords - 1] |= uint64_t(Bytes) << 56;
+        for (size_t W = 0; W != NumWords; ++W)
+          Lane[SipLanes * W] = Msg[W];
+        continue;
+      }
+      Lane[0] = T->Tag | uint64_t(T->Arity) << 32;
+      for (size_t K = 0; K != T->Arity; ++K) {
+        const Digest &KidHash = T->Kids[K]->StructHash;
+        Lane[SipLanes * (1 + 2 * K)] = KidHash.word(0);
+        Lane[SipLanes * (2 + 2 * K)] = KidHash.word(1);
+      }
+      Lane[SipLanes * (NumWords - 1)] = uint64_t(structureSize(T->Arity))
+                                        << 56;
+    }
+    Digest Out[SipLanes];
+    sipHash128x8(Key, Words, NumWords, Out);
+    for (unsigned L = 0; L != B.Size; ++L)
+      (B.LitLanes >> L & 1 ? B.Nodes[L]->LitHash : B.Nodes[L]->StructHash) =
+          Out[L];
+    B.Size = 0;
+    B.LitLanes = 0;
+  }
+
+  /// Empties every batch at a level's end.
+  void flush() {
+    for (; Pending != 0; Pending &= Pending - 1) {
+      unsigned I = static_cast<unsigned>(__builtin_ctz(Pending));
+      Batch &B = Batches[I];
+      if (B.Size >= MinBatchLanes) {
+        run(B, I + 1);
+        continue;
+      }
+      for (unsigned L = 0; L != B.Size; ++L) {
+        Tree *T = B.Nodes[L];
+        if (B.LitLanes >> L & 1)
+          T->LitHash = hashLiterals(Key, T->lits(), T->Kids, T->Arity);
+        else
+          T->StructHash = hashStructure(Key, T->Tag, T->Kids, T->Arity);
+      }
+      B.Size = 0;
+      B.LitLanes = 0;
+    }
+  }
+
+  const DigestKey Key;
+  /// Batches[W - 1] holds preimages of W words.
+  Batch Batches[MaxBatchWords] = {};
+  /// Bit W - 1 set: Batches[W - 1] is not empty.
+  uint32_t Pending = 0;
+  /// The kernel's input, transposed; lanes past a batch's size are stale.
+  uint64_t Words[MaxBatchWords * SipLanes] = {};
+  /// Levels[L]: the chunk's nodes of level L, linked by DeriveNext.
+  Tree *Levels[DeriveBatch::Chunk + 1];
+};
+
+void Tree::deriveAll(std::span<Tree *const> PostOrder) {
+  Deriver D(processDigestKey());
+  for (size_t I = 0; I < PostOrder.size(); I += DeriveBatch::Chunk)
+    D.chunk(PostOrder.data() + I,
+            std::min(DeriveBatch::Chunk, PostOrder.size() - I));
 }
 
 namespace {
@@ -102,10 +308,10 @@ struct PostorderFrame {
 } // namespace
 
 void Tree::refreshDerived(const SignatureTable &Sig) {
-  // Iterative post-order: kids are fully recomputed before their parent.
-  // Explicit stack so a depth-MaxDepth chain cannot overflow the call
-  // stack.
+  // Iterative post-order: kids are listed before their parent. Explicit
+  // stack so a depth-MaxDepth chain cannot overflow the call stack.
   std::vector<PostorderFrame> Stack;
+  DeriveBatch Derive;
   Stack.push_back({this, 0});
   while (!Stack.empty()) {
     PostorderFrame &Top = Stack.back();
@@ -114,10 +320,11 @@ void Tree::refreshDerived(const SignatureTable &Sig) {
       Stack.push_back({Kid, 0});
       continue;
     }
-    Top.Node->computeDerived(Sig);
-    Top.Node->DerivedDirty = false;
+    Derive.add(Top.Node);
     Stack.pop_back();
   }
+  Derive.finish();
+  (void)Sig;
 }
 
 uint64_t Tree::rehashDirtyPaths(const SignatureTable &Sig) {
@@ -125,6 +332,7 @@ uint64_t Tree::rehashDirtyPaths(const SignatureTable &Sig) {
     return 0;
   uint64_t Rehashed = 0;
   std::vector<PostorderFrame> Stack;
+  DeriveBatch Derive;
   Stack.push_back({this, 0});
   while (!Stack.empty()) {
     PostorderFrame &Top = Stack.back();
@@ -136,17 +344,18 @@ uint64_t Tree::rehashDirtyPaths(const SignatureTable &Sig) {
         Stack.push_back({Kid, 0});
       continue;
     }
-    Top.Node->computeDerived(Sig);
-    Top.Node->DerivedDirty = false;
+    Derive.add(Top.Node);
     ++Rehashed;
     Stack.pop_back();
   }
+  Derive.finish();
+  (void)Sig;
   return Rehashed;
 }
 
 static void assertMatchesSignature(const SignatureTable &Sig, TagId Tag,
                                    Tree *const *Kids, size_t Arity,
-                                   const std::vector<Literal> &Lits) {
+                                   LitSpan Lits) {
 #ifndef NDEBUG
   const TagSignature &TagSig = Sig.signature(Tag);
   assert(Arity == TagSig.Kids.size() && "kid arity mismatch");
@@ -171,12 +380,16 @@ static void assertMatchesSignature(const SignatureTable &Sig, TagId Tag,
 
 Tree *TreeContext::make(TagId Tag, const std::vector<Tree *> &Kids,
                         std::vector<Literal> Lits) {
-  return build(Tag, NextUri, Kids.data(), Kids.size(), std::move(Lits));
+  Tree *Node = allocate(Tag, NextUri, Kids.data(), Kids.size(), Lits.size());
+  std::move(Lits.begin(), Lits.end(), Node->Lits);
+  return finish(Node, Derive::Now);
 }
 
 Tree *TreeContext::make(TagId Tag, Tree *const *Kids, size_t Arity,
-                        std::vector<Literal> Lits) {
-  return build(Tag, NextUri, Kids, Arity, std::move(Lits));
+                        LitSpan Lits) {
+  Tree *Node = allocate(Tag, NextUri, Kids, Arity, Lits.size());
+  std::copy(Lits.begin(), Lits.end(), Node->Lits);
+  return finish(Node, Derive::Now);
 }
 
 Tree *TreeContext::make(std::string_view TagName,
@@ -188,9 +401,11 @@ Tree *TreeContext::make(std::string_view TagName,
 }
 
 Tree *TreeContext::adoptWithUri(TagId Tag, URI Uri, Tree *const *Kids,
-                                size_t Arity, std::vector<Literal> Lits,
+                                size_t Arity, std::span<Literal> Lits,
                                 Derive When) {
-  return build(Tag, Uri, Kids, Arity, std::move(Lits), When);
+  Tree *Node = allocate(Tag, Uri, Kids, Arity, Lits.size());
+  std::move(Lits.begin(), Lits.end(), Node->Lits);
+  return finish(Node, When);
 }
 
 /// Estimate of a node's heap footprint for memory-budget accounting: the
@@ -246,10 +461,21 @@ Tree **TreeContext::allocKids(size_t N) {
   return Kids;
 }
 
-Tree *TreeContext::build(TagId Tag, URI Uri, Tree *const *Kids, size_t Arity,
-                         std::vector<Literal> Lits, Derive When) {
-  assertMatchesSignature(Sig, Tag, Kids, Arity, Lits);
+Literal *TreeContext::allocLits(size_t N) {
+  if (N > LitsLeft) {
+    size_t Slab = std::max(N, LitSlabSize);
+    LitSlabs.emplace_back(new Literal[Slab]);
+    LitCursor = LitSlabs.back().get();
+    LitsLeft = Slab;
+  }
+  Literal *Lits = LitCursor;
+  LitCursor += N;
+  LitsLeft -= N;
+  return Lits;
+}
 
+Tree *TreeContext::allocate(TagId Tag, URI Uri, Tree *const *Kids,
+                            size_t Arity, size_t NumLits) {
   Tree *Node = allocNode();
   Node->Tag = Tag;
   Node->Uri = Uri;
@@ -258,14 +484,23 @@ Tree *TreeContext::build(TagId Tag, URI Uri, Tree *const *Kids, size_t Arity,
     Node->Kids = allocKids(Arity);
     std::copy(Kids, Kids + Arity, Node->Kids);
   }
-  Node->Lits = std::move(Lits);
+  if (NumLits != 0) {
+    Node->Lits = allocLits(NumLits);
+    Node->NumLits = static_cast<uint32_t>(NumLits);
+  }
+  NextUri = std::max(NextUri, Uri + 1);
+  return Node;
+}
+
+Tree *TreeContext::finish(Tree *Node, Derive When) {
+  assertMatchesSignature(Sig, Node->Tag, Node->Kids, Node->Arity,
+                         Node->lits());
   if (When == Derive::Now)
     Node->computeDerived(Sig);
   else
     Node->DerivedDirty = true;
-  NextUri = std::max(NextUri, Uri + 1);
   if (Budget != nullptr) {
-    // Every node of the arena is built here, so this is the single
+    // Every node of the arena is finished here, so this is the single
     // accounting point.
     size_t Bytes = approxNodeBytes(*Node);
     Budget->charge(Bytes);
@@ -277,10 +512,12 @@ Tree *TreeContext::build(TagId Tag, URI Uri, Tree *const *Kids, size_t Arity,
 Tree *TreeContext::deepCopy(const Tree *T, CopyUris Uris) {
   // Iterative post-order with POD frames and one shared results stack:
   // when a frame completes, its kids' copies are the top arity() entries
-  // of Done (in order), which build() copies straight into the kid slab.
-  // This is the hot path of every diff invocation (source trees are
-  // consumed), so no per-frame allocations. Stack-safe on chains as deep
-  // as admission allows. Both URI modes run this one loop.
+  // of Done (in order), which allocate() copies straight into the kid
+  // slab. The copies are built derive-dirty and derived in chunks as
+  // they are made. This is the hot path of every diff invocation (source
+  // trees are consumed), so no per-frame allocations. Stack-safe on
+  // chains as deep as admission allows. Both URI modes run this one
+  // loop.
   const bool KeepUris = Uris == CopyUris::Preserve;
   struct CopyFrame {
     const Tree *Src;
@@ -288,6 +525,7 @@ Tree *TreeContext::deepCopy(const Tree *T, CopyUris Uris) {
   };
   std::vector<CopyFrame> Stack;
   std::vector<Tree *> Done;
+  DeriveBatch Derive;
   Stack.reserve(std::min<uint64_t>(T->height(), 4096));
   Done.reserve(64);
   Stack.push_back({T, 0});
@@ -300,11 +538,17 @@ Tree *TreeContext::deepCopy(const Tree *T, CopyUris Uris) {
     const Tree *Src = Top.Src;
     Stack.pop_back();
     size_t Arity = Src->arity();
-    Tree *Copy = build(Src->tag(), KeepUris ? Src->uri() : NextUri,
-                       Done.data() + Done.size() - Arity, Arity, Src->lits());
+    LitSpan Lits = Src->lits();
+    Tree *Copy = allocate(Src->tag(), KeepUris ? Src->uri() : NextUri,
+                          Done.data() + Done.size() - Arity, Arity,
+                          Lits.size());
+    std::copy(Lits.begin(), Lits.end(), Copy->Lits);
+    finish(Copy, Derive::Deferred);
     Done.resize(Done.size() - Arity);
     Done.push_back(Copy);
+    Derive.add(Copy);
   }
+  Derive.finish();
   return Done.front();
 }
 

@@ -18,14 +18,18 @@
 /// source and the patched tree, so nodes cannot belong to a single tree
 /// object; the arena is the C++ realisation of the paper's "mutable, yet
 /// linearly typed resources". The arena hands out nodes from fixed slabs
-/// of 64 and kid arrays from a bump slab, so a node's address and its kid
-/// array stay put for the context's lifetime, and building a node costs
-/// no per-node heap allocation beyond its literals.
+/// of 64, and kid arrays and literal arrays from bump slabs, so a node's
+/// address, its kids and its literals stay put for the context's
+/// lifetime, building a node allocates nothing of its own, and a Tree is
+/// trivially destructible: the context frees its slabs in bulk.
 ///
-/// A node's two digest preimages are written to stack buffers and hashed
-/// one-shot; preimages too long for those buffers (long string literals,
-/// very wide nodes) are written to the heap instead. The bytes hashed,
-/// and so the digests, are the same either way.
+/// Derived data is computed one of two ways, with identical results.
+/// TreeContext::make derives each node as it is built, hashing its two
+/// preimages with the scalar sipHash128. Whole-tree builds (deepCopy,
+/// CheckedBuilder, refreshDerived, rehashDirtyPaths) hand their nodes,
+/// kids first, to a DeriveBatch, which derives them 512 at a time with
+/// Tree::deriveAll while they are still in cache, hashing the preimages
+/// of independent nodes eight at a time (sipHash128x8).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,13 +43,17 @@
 #include "tree/Signature.h"
 
 #include <algorithm>
+#include <cassert>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace truediff {
 
+struct DigestKey;
 class SubtreeShare;
 class TreeContext;
 
@@ -84,6 +92,9 @@ private:
 
 } // namespace detail
 
+/// A node's literals, in signature order.
+using LitSpan = std::span<const Literal>;
+
 /// A mutable typed tree node. Children and literals are stored in the
 /// order fixed by the tag's signature, so link lookups are array accesses.
 class Tree {
@@ -97,10 +108,15 @@ public:
   Tree *kid(size_t I) const { return Kids[I]; }
   void setKid(size_t I, Tree *New) { Kids[I] = New; }
 
-  size_t numLits() const { return Lits.size(); }
+  size_t numLits() const { return NumLits; }
   const Literal &lit(size_t I) const { return Lits[I]; }
-  const std::vector<Literal> &lits() const { return Lits; }
-  void setLits(std::vector<Literal> New) { Lits = std::move(New); }
+  LitSpan lits() const { return {Lits, NumLits}; }
+  /// Overwrites the literals in place; the signature fixes their count,
+  /// so \p New has numLits() of them.
+  void setLits(LitSpan New) {
+    assert(New.size() == NumLits && "literal count is fixed by the tag");
+    std::copy(New.begin(), New.end(), Lits);
+  }
   /// @}
 
   /// \name Cached derived data (valid after TreeContext::make or
@@ -233,6 +249,16 @@ public:
 
 private:
   friend class TreeContext;
+  friend class DeriveBatch;
+  class Deriver;
+
+  /// Computes the derived data of every node in \p PostOrder and clears
+  /// their derived-dirty flags. Every kid of a listed node must either be
+  /// listed before it or already be derived. The result is what
+  /// computing each node on its own would give, but the digests are taken
+  /// level by level, eight preimages at a time (see the file comment).
+  /// Reads the process key on every call.
+  static void deriveAll(std::span<Tree *const> PostOrder);
 
   Tree() = default;
 
@@ -251,13 +277,25 @@ private:
   /// Recomputes this node's caches from its (already consistent) kids.
   void computeDerived(const SignatureTable &Sig);
 
+  /// Sets both digests from the kids' ones, each preimage hashed with the
+  /// scalar sipHash128.
+  void hashDigests(const DigestKey &Key);
+
   TagId Tag = InvalidSymbol;
   /// Length of Kids, fixed by the tag's signature.
   uint32_t Arity = 0;
   URI Uri = NullURI;
   /// The kid array, carved from the owning context's kid slab.
   Tree **Kids = nullptr;
-  std::vector<Literal> Lits;
+  /// The literal array, carved from the owning context's literal slab.
+  Literal *Lits = nullptr;
+  /// Length of Lits, fixed by the tag's signature.
+  uint32_t NumLits = 0;
+  /// deriveAll's scratch: the node's level within its chunk while a
+  /// chunk is being derived, and 0 at all other times.
+  uint32_t DeriveLevel = 0;
+  /// deriveAll's scratch: the next node of the same level.
+  Tree *DeriveNext = nullptr;
 
   Digest StructHash;
   Digest LitHash;
@@ -270,6 +308,38 @@ private:
   bool Covered = false;
   bool DerivedDirty = false;
   bool ShareAvailable = false;
+};
+
+static_assert(std::is_trivially_destructible_v<Tree>,
+              "TreeContext frees its node slabs without running destructors");
+
+/// The derive step of a whole-tree build. The build adds the nodes it
+/// creates derive-dirty, every kid before its parent; each Chunk nodes,
+/// and at finish(), they are derived with Tree::deriveAll while they and
+/// their kids are still in cache. A node's derived data is valid only
+/// once its chunk is.
+class DeriveBatch {
+public:
+  /// Nodes derived together: enough that the levels of a typical chunk
+  /// of an AST fill the kernel's eight lanes, few enough to stay in cache.
+  static constexpr size_t Chunk = 512;
+
+  void add(Tree *T) {
+    if (Nodes.empty())
+      Nodes.reserve(Chunk);
+    Nodes.push_back(T);
+    if (Nodes.size() == Chunk)
+      finish();
+  }
+
+  /// Derives the nodes added since the last full chunk.
+  void finish() {
+    Tree::deriveAll(Nodes);
+    Nodes.clear();
+  }
+
+private:
+  std::vector<Tree *> Nodes;
 };
 
 /// A vestige with no behaviour: one TreeContext constructor accepts it and
@@ -323,10 +393,10 @@ public:
   enum class Derive : bool {
     /// At construction, from the kids' cached derived data.
     Now,
-    /// Later: the node is born derived-dirty with no derived data, and the
-    /// caller must mark its ancestors dirty and run rehashDirtyPaths. For
-    /// in-place script application, where a kid may itself still have an
-    /// empty slot when the node is built.
+    /// Later: the node is born derived-dirty with no derived data. In-place
+    /// script application, where a kid may itself still have an empty
+    /// slot when the node is built, then marks its ancestors dirty and
+    /// runs rehashDirtyPaths; CheckedBuilder hands it to a DeriveBatch.
     Deferred,
   };
 
@@ -336,23 +406,25 @@ public:
   Tree *make(TagId Tag, const std::vector<Tree *> &Kids,
              std::vector<Literal> Lits);
 
-  /// Same, with the \p Arity kids read from \p Kids: the form for
-  /// builders that keep finished kids on a results stack.
-  Tree *make(TagId Tag, Tree *const *Kids, size_t Arity,
-             std::vector<Literal> Lits);
+  /// Same, with the \p Arity kids read from \p Kids and the literals
+  /// copied from \p Lits: the form for builders that keep finished kids
+  /// on a results stack.
+  Tree *make(TagId Tag, Tree *const *Kids, size_t Arity, LitSpan Lits);
 
   /// Same, with the tag given by name.
   Tree *make(std::string_view TagName, const std::vector<Tree *> &Kids,
              std::vector<Literal> Lits);
 
   /// Creates a node with a caller-chosen URI, the \p Arity kids read
-  /// from \p Kids, and derived data computed when \p When says. The
-  /// caller guarantees \p Uri is not carried by any live node of this
-  /// context; the next fresh URI is bumped past it, so later make() calls
-  /// stay unique. Used where historical URIs arrive out of allocation
-  /// order: decoding snapshots and applying scripts.
+  /// from \p Kids, the literals moved out of \p Lits, and derived data
+  /// computed when \p When says. The caller guarantees \p Uri is not
+  /// carried by any live node of this context; the next fresh URI is
+  /// bumped past it, so later make() calls stay unique. Used where
+  /// historical URIs arrive out of allocation order (decoding snapshots,
+  /// applying scripts) and by CheckedBuilder, which passes peekNextUri()
+  /// for a fresh one.
   Tree *adoptWithUri(TagId Tag, URI Uri, Tree *const *Kids, size_t Arity,
-                     std::vector<Literal> Lits, Derive When = Derive::Now);
+                     std::span<Literal> Lits, Derive When = Derive::Now);
 
   /// Which URIs deepCopy gives the copied nodes.
   enum class CopyUris : bool {
@@ -366,8 +438,8 @@ public:
   };
 
   /// Deep-copies \p T into this context, re-deriving every node's
-  /// digests. With fresh URIs it is how the benchmarks
-  /// rebuild trees so hashing time is measured (Section 6).
+  /// digests through a DeriveBatch. With fresh URIs it is how the
+  /// benchmarks rebuild trees so hashing time is measured (Section 6).
   Tree *deepCopy(const Tree *T, CopyUris Uris = CopyUris::Fresh);
 
   /// Test-only fault injection: flips one byte of \p T's cached
@@ -403,12 +475,19 @@ private:
   /// Minimum kid pointers per kid slab; a wider node gets a slab of its
   /// own size.
   static constexpr size_t KidSlabSize = 1024;
+  /// Minimum literals per literal slab.
+  static constexpr size_t LitSlabSize = 256;
 
-  /// The one node constructor every make variant and deepCopy funnel
-  /// through: copies the \p Arity kid pointers at \p Kids into the kid
-  /// slab, computes (or defers) derived data, and charges the budget.
-  Tree *build(TagId Tag, URI Uri, Tree *const *Kids, size_t Arity,
-              std::vector<Literal> Lits, Derive When = Derive::Now);
+  /// The first half of the one node constructor every make variant and
+  /// deepCopy funnel through: a node with \p Tag and \p Uri, the
+  /// \p Arity kid pointers at \p Kids copied into the kid slab, and
+  /// \p NumLits literal slots for the caller to fill.
+  Tree *allocate(TagId Tag, URI Uri, Tree *const *Kids, size_t Arity,
+                 size_t NumLits);
+
+  /// The second half: checks the filled node against its signature,
+  /// computes (or defers) its derived data, and charges the budget.
+  Tree *finish(Tree *Node, Derive When);
 
   /// The next free node slot, opening a new slab when the last is full.
   Tree *allocNode();
@@ -416,12 +495,18 @@ private:
   /// \p N contiguous kid-pointer slots from the kid slab.
   Tree **allocKids(size_t N);
 
+  /// \p N contiguous literal slots from the literal slab.
+  Literal *allocLits(size_t N);
+
   const SignatureTable &Sig;
   std::vector<std::unique_ptr<Tree[]>> NodeSlabs;
   size_t NumNodes = 0;
   std::vector<std::unique_ptr<Tree *[]>> KidSlabs;
   Tree **KidCursor = nullptr;
   size_t KidsLeft = 0;
+  std::vector<std::unique_ptr<Literal[]>> LitSlabs;
+  Literal *LitCursor = nullptr;
+  size_t LitsLeft = 0;
   URI NextUri = 1;
   MemoryBudget *Budget = nullptr;
   size_t BytesCharged = 0;

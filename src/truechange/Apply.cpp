@@ -212,8 +212,8 @@ bool ScriptApplier::Impl::load(const Edit &E, size_t I) {
     Lits[TagSig.litIndex(Lit.Link)] = Lit.Value;
 
   Tree *Node =
-      Ctx.adoptWithUri(E.Node.Tag, E.Node.Uri, Kids.data(), Arity,
-                       std::move(Lits), TreeContext::Derive::Deferred);
+      Ctx.adoptWithUri(E.Node.Tag, E.Node.Uri, Kids.data(), Arity, Lits,
+                       TreeContext::Derive::Deferred);
   for (size_t K = 0; K != Arity; ++K) {
     KidPlaces[K]->Parent = Node;
     KidPlaces[K]->Slot = static_cast<uint32_t>(K);
@@ -278,11 +278,11 @@ bool ScriptApplier::Impl::update(const Edit &E, size_t I) {
       return nonCompliant(E, I, "old literals disagree with tree");
   }
 
-  std::vector<Literal> Lits = Node->lits();
+  std::vector<Literal> Lits(Node->lits().begin(), Node->lits().end());
+  LitLog.push_back({Node, Lits});
   for (const LitRef &Lit : E.Lits)
     Lits[TagSig.litIndex(Lit.Link)] = Lit.Value;
-  LitLog.push_back({Node, Node->lits()});
-  Node->setLits(std::move(Lits));
+  Node->setLits(Lits);
   Touched.push_back(Node);
   return true;
 }
@@ -311,7 +311,7 @@ void ScriptApplier::Impl::undo() {
       It->Parent->setKid(It->Slot, It->Old);
   }
   for (auto It = LitLog.rbegin(); It != LitLog.rend(); ++It)
-    It->Node->setLits(std::move(It->Old));
+    It->Node->setLits(It->Old);
 }
 
 uint64_t ScriptApplier::Impl::finish() {

@@ -6,6 +6,7 @@
 
 #include "truediff/TrueDiff.h"
 
+#include <algorithm>
 #include <cassert>
 #include <deque>
 #include <unordered_set>
@@ -209,8 +210,7 @@ std::vector<KidRef> TrueDiff::kidRefs(const Tree *T) const {
   return Refs;
 }
 
-std::vector<LitRef> TrueDiff::litRefs(TagId Tag,
-                                      const std::vector<Literal> &Lits) const {
+std::vector<LitRef> TrueDiff::litRefs(TagId Tag, LitSpan Lits) const {
   const TagSignature &TagSig = Sig.signature(Tag);
   assert(Lits.size() == TagSig.Lits.size());
   std::vector<LitRef> Refs;
@@ -238,7 +238,7 @@ Tree *TrueDiff::updateLits(Tree *This, Tree *That, EditBuffer &Edits) {
     // Literals change somewhere in this subtree: the cached literal hashes
     // along the descent become stale.
     S->markDerivedDirty();
-    if (S->lits() != T->lits())
+    if (!std::ranges::equal(S->lits(), T->lits()))
       emitUpdate(S, T, Edits);
     // Structurally equivalent trees have identical shapes; descend to fix
     // literal mismatches further down.
@@ -382,7 +382,7 @@ Tree *TrueDiff::computeEdits(Tree *Source, Tree *Target, NodeRef Parent,
     }
     Frame F = Top;
     Stack.pop_back();
-    if (F.This->lits() != F.That->lits())
+    if (!std::ranges::equal(F.This->lits(), F.That->lits()))
       emitUpdate(F.This, F.That, Edits);
     Fill(F.This);
   }

@@ -139,8 +139,7 @@ private:
   /// @}
 
   std::vector<KidRef> kidRefs(const Tree *T) const;
-  std::vector<LitRef> litRefs(TagId Tag, const std::vector<Literal> &Lits)
-      const;
+  std::vector<LitRef> litRefs(TagId Tag, LitSpan Lits) const;
 
   TreeContext &Ctx;
   const SignatureTable &Sig;

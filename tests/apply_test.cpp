@@ -158,6 +158,52 @@ TEST_F(ApplyTest, FailedApplyLeavesTreeExactlyAsItWas) {
     EXPECT_FALSE(T->derivedDirty());
 }
 
+TEST_F(ApplyTest, UndoAndInverseRestoreUpdatedLiteralsExactly) {
+  // Literals live in the context's literal slab and Update overwrites
+  // them in place, so both ways back must write the old values into the
+  // same slots: applyChecked's undo of a failed script, and the inverse
+  // of a successful one.
+  std::string Long(300, 'l');
+  Tree *V = var(Ctx, Long);
+  Tree *N = num(Ctx, 1);
+  Tree *Top = add(Ctx, call(Ctx, "f", V), N);
+  const Literal *VSlot = &V->lit(0);
+  LitRef Name{link("name"), Literal(Long)};
+  LitRef Renamed{link("name"), Literal(std::string(500, 'r'))};
+  LitRef Short{link("name"), Literal("s")};
+  std::string Before = printSExprWithUris(Sig, Top);
+
+  EditScript Failing({
+      Edit::update(ref(V), {Name}, {Renamed}),
+      Edit::update(ref(N), {n(1)}, {n(5)}),
+      Edit::update(ref(V), {Renamed}, {Short}),
+      Edit::update(ref(N), {n(42)}, {n(3)}),
+  });
+  Tree *Root = Top;
+  ApplyResult R = applyChecked(Ctx, Root, Failing);
+  ASSERT_FALSE(R.Ok);
+  EXPECT_EQ(R.ErrorIndex, 3u);
+  EXPECT_EQ(&V->lit(0), VSlot);
+  EXPECT_EQ(V->lit(0).asString(), Long);
+  EXPECT_EQ(N->lit(0).asInt(), 1);
+  EXPECT_EQ(printSExprWithUris(Sig, Root), Before);
+  EXPECT_EQ(staleDerived(Sig, Root), std::nullopt);
+
+  EditScript Forward({
+      Edit::update(ref(V), {Name}, {Renamed}),
+      Edit::update(ref(N), {n(1)}, {n(5)}),
+  });
+  R = applyChecked(Ctx, Root, Forward);
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(V->lit(0).asString(), std::string(500, 'r'));
+  EXPECT_EQ(staleDerived(Sig, Root), std::nullopt);
+  R = applyChecked(Ctx, Root, invertScript(Forward));
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(&V->lit(0), VSlot);
+  EXPECT_EQ(printSExprWithUris(Sig, Root), Before);
+  EXPECT_EQ(staleDerived(Sig, Root), std::nullopt);
+}
+
 TEST_F(ApplyTest, IllTypedScriptAppliesNothing) {
   Tree *A = num(Ctx, 1), *B = num(Ctx, 2);
   Tree *Top = add(Ctx, A, B);

@@ -17,18 +17,27 @@
 ///     every script passes the linear type checker;
 ///   - each node's digests equal the keyed hash of its preimages written
 ///     field by field, including preimages around and past the stack
-///     buffer, which spill to the heap.
+///     buffer, which spill to the heap;
+///   - the 8-lane kernel equals sipHash128 at every length 0-300 under
+///     random keys and on the reference vectors;
+///   - every whole-tree builder, which derives through the batched
+///     Tree::deriveAll, gives each node the digests, height and size that
+///     per-node TreeContext::make gives it, under the process key and
+///     under a key swapped in for the test.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "corpus/Corpus.h"
+#include "persist/BinaryCodec.h"
 #include "python/Python.h"
 #include "support/Rng.h"
 #include "support/TreeHash.h"
+#include "tree/SExpr.h"
 #include "truechange/Serialize.h"
 #include "truechange/TypeChecker.h"
 #include "truediff/TrueDiff.h"
 
+#include "DeepModule.h"
 #include "TestLang.h"
 
 #include <gtest/gtest.h>
@@ -74,6 +83,83 @@ TEST(SipHashTest, ReferenceVectors) {
   std::memcpy(Shifted + 1, Msg, 63);
   EXPECT_EQ(sipHash128(Key, Shifted + 1, 63).toHex(),
             "5150d1772f50834a503e069a973fbd7c");
+}
+
+/// Lays \p Len bytes at \p Msg into lane \p Lane of a sipHash128x8 input
+/// of sipWords(Len) words.
+void putLane(std::vector<uint64_t> &Words, size_t Lane, const uint8_t *Msg,
+             size_t Len) {
+  size_t NumWords = sipWords(Len);
+  for (size_t W = 0; W != NumWords; ++W) {
+    uint64_t V = 0;
+    for (size_t B = 0; B != 8 && 8 * W + B < Len; ++B)
+      V |= uint64_t(Msg[8 * W + B]) << (8 * B);
+    if (W + 1 == NumWords)
+      V |= uint64_t(Len) << 56;
+    Words[SipLanes * W + Lane] = V;
+  }
+}
+
+TEST(SipHashTest, EightLaneKernelMatchesScalarAtEveryLength) {
+  // Every length 0-300 under fresh random keys. Each lane gets its own
+  // message, and lanes mix the byte lengths that share a word count.
+  Rng R(2012);
+  for (size_t Len = 0; Len <= 300; ++Len) {
+    const DigestKey Key{R.next(), R.next()};
+    size_t NumWords = sipWords(Len);
+    std::vector<uint64_t> Words(SipLanes * NumWords);
+    std::vector<std::vector<uint8_t>> Msgs;
+    for (size_t L = 0; L != SipLanes; ++L) {
+      size_t LaneLen = L % 2 == 0 ? Len : 8 * (NumWords - 1) + R.below(8);
+      std::vector<uint8_t> Msg(LaneLen);
+      for (uint8_t &B : Msg)
+        B = static_cast<uint8_t>(R.next());
+      putLane(Words, L, Msg.data(), Msg.size());
+      Msgs.push_back(std::move(Msg));
+    }
+    Digest Out[SipLanes];
+    sipHash128x8(Key, Words.data(), NumWords, Out);
+    for (size_t L = 0; L != SipLanes; ++L)
+      ASSERT_EQ(Out[L], sipHash128(Key, Msgs[L].data(), Msgs[L].size()))
+          << "length " << Msgs[L].size() << " lane " << L;
+  }
+}
+
+TEST(SipHashTest, EightLaneKernelReproducesReferenceVectors) {
+  // The reference vectors of ReferenceVectors, eight copies per batch.
+  // Lengths 8, 9 and 15 share a word count, so one batch mixes them.
+  const DigestKey Key{0x0706050403020100ULL, 0x0f0e0d0c0b0a0908ULL};
+  uint8_t Msg[64];
+  for (size_t I = 0; I != sizeof(Msg); ++I)
+    Msg[I] = static_cast<uint8_t>(I);
+  const std::pair<size_t, const char *> Vectors[] = {
+      {0, "a3817f04ba25a8e66df67214c7550293"},
+      {7, "a1f1ebbed8dbc153c0b84aa61ff08239"},
+      {16, "6ee2a4ca67b054bbfd3315bf85230577"},
+      {63, "5150d1772f50834a503e069a973fbd7c"},
+  };
+  for (const auto &[Len, Hex] : Vectors) {
+    std::vector<uint64_t> Words(SipLanes * sipWords(Len));
+    for (size_t L = 0; L != SipLanes; ++L)
+      putLane(Words, L, Msg, Len);
+    Digest Out[SipLanes];
+    sipHash128x8(Key, Words.data(), sipWords(Len), Out);
+    for (size_t L = 0; L != SipLanes; ++L)
+      EXPECT_EQ(Out[L].toHex(), Hex) << "length " << Len << " lane " << L;
+  }
+  const std::pair<size_t, const char *> Mixed[] = {
+      {8, "3b62a9ba6258f5610f83e264f31497b4"},
+      {9, "264499060ad9baabc47f8b02bb6d71ed"},
+      {15, "5493e99933b0a8117e08ec0f97cfc3d9"},
+  };
+  std::vector<uint64_t> Words(SipLanes * 2);
+  for (size_t L = 0; L != SipLanes; ++L)
+    putLane(Words, L, Msg, Mixed[L % 3].first);
+  Digest Out[SipLanes];
+  sipHash128x8(Key, Words.data(), 2, Out);
+  for (size_t L = 0; L != SipLanes; ++L)
+    EXPECT_EQ(Out[L].toHex(), Mixed[L % 3].second) << "lane " << L;
+  EXPECT_NE(std::string(sipHash128x8Clone()), "");
 }
 
 TEST(DigestKeyTest, ProcessKeyAndSeedAreStable) {
@@ -147,7 +233,7 @@ Tree *mutateExp(TreeContext &Ctx, Rng &R, const Tree *T, unsigned Percent) {
     Kids.push_back(mutateExp(Ctx, R, T->kid(I), Percent));
   if (Kids.size() == 2 && R.chance(Percent))
     std::swap(Kids[0], Kids[1]);
-  std::vector<Literal> Lits = T->lits();
+  std::vector<Literal> Lits(T->lits().begin(), T->lits().end());
   if (!Lits.empty() && R.chance(Percent) && Lits[0].kind() == LitKind::Int)
     Lits[0] = Literal(R.range(0, 9));
   return Ctx.make(T->tag(), std::move(Kids), std::move(Lits));
@@ -343,6 +429,153 @@ TEST(KeyedNodeDigestTest, LongPreimagesSpillToTheHeap) {
     Kids.push_back(num(WideCtx, I));
   Tree *Wide = WideCtx.make("Wide", Kids, {});
   EXPECT_EQ(expectStreamedDigests(Wide), 21u);
+}
+
+//===----------------------------------------------------------------------===//
+// Batched builders vs. per-node make()
+//===----------------------------------------------------------------------===//
+
+/// Rebuilds \p T in \p Ctx with one TreeContext::make per node, each
+/// derived on its own with the scalar sipHash128: the reference the
+/// batched builders must reproduce. Iterative, for deep chains.
+Tree *rebuildPerNode(TreeContext &Ctx, const Tree *T) {
+  struct Frame {
+    const Tree *Src;
+    size_t NextKid;
+  };
+  std::vector<Frame> Stack{{T, 0}};
+  std::vector<Tree *> Done;
+  while (!Stack.empty()) {
+    Frame &Top = Stack.back();
+    if (Top.NextKid < Top.Src->arity()) {
+      Stack.push_back({Top.Src->kid(Top.NextKid++), 0});
+      continue;
+    }
+    const Tree *Src = Top.Src;
+    Stack.pop_back();
+    size_t Arity = Src->arity();
+    Tree *Node = Ctx.make(Src->tag(), Done.data() + Done.size() - Arity,
+                          Arity, Src->lits());
+    Done.resize(Done.size() - Arity);
+    Done.push_back(Node);
+  }
+  return Done.front();
+}
+
+/// Runs every batched builder over \p T and checks each node's digests,
+/// height and size against rebuildPerNode. Returns the nodes checked.
+size_t expectBuildersMatchPerNodeMake(const SignatureTable &Sig,
+                                      const Tree *T) {
+  TreeContext RefCtx(Sig);
+  const Tree *Ref = rebuildPerNode(RefCtx, T);
+  auto Expect = [&](const Tree *Built, const char *Builder) {
+    ASSERT_NE(Built, nullptr) << Builder;
+    EXPECT_EQ(compareDerived(Built, Ref), std::nullopt) << Builder;
+    EXPECT_FALSE(Built->derivedDirty()) << Builder;
+  };
+  {
+    TreeContext Ctx(Sig);
+    Expect(Ctx.deepCopy(T), "deepCopy fresh");
+  }
+  {
+    TreeContext Ctx(Sig);
+    Expect(Ctx.deepCopy(T, TreeContext::CopyUris::Preserve),
+           "deepCopy preserve");
+  }
+  {
+    TreeContext Ctx(Sig);
+    ParseResult P = parseSExpr(Ctx, printSExpr(Sig, T));
+    EXPECT_TRUE(P.ok()) << P.Error;
+    Expect(P.Root, "parseSExpr");
+  }
+  std::string Blob = persist::encodeTree(Sig, T);
+  for (bool Preserve : {true, false}) {
+    TreeContext Ctx(Sig);
+    persist::DecodeTreeResult D = persist::decodeTree(Sig, Ctx, Blob, Preserve);
+    EXPECT_TRUE(D.ok()) << D.Error;
+    Expect(D.Root, Preserve ? "decodeTree preserve" : "decodeTree fresh");
+  }
+  {
+    // refreshDerived re-derives a whole tree in place.
+    TreeContext Ctx(Sig);
+    Tree *Copy = Ctx.deepCopy(T);
+    TreeContext::corruptDerivedForTest(Copy);
+    Copy->refreshDerived(Sig);
+    Expect(Copy, "refreshDerived");
+  }
+  return Ref->size();
+}
+
+TEST(BatchedDeriveTest, SeededCorpusMatchesPerNodeMake) {
+  SignatureTable Sig = python::makePythonSignature();
+  corpus::CorpusOptions Opts;
+  Opts.NumPairs = 12;
+  Opts.Seed = 24;
+  size_t Checked = 0;
+  for (const corpus::CommitPair &Pair : corpus::buildCommitCorpus(Opts)) {
+    TreeContext Ctx(Sig);
+    auto Before = python::parsePython(Ctx, Pair.Before);
+    ASSERT_TRUE(Before.ok());
+    Checked += expectBuildersMatchPerNodeMake(Sig, Before.Module);
+  }
+  EXPECT_GT(Checked, 10000u);
+}
+
+TEST(BatchedDeriveTest, DeepModuleChainMatchesPerNodeMake) {
+  // A StmtCons spine fills one lane per level: every level is a lone job.
+  SignatureTable Sig = python::makePythonSignature();
+  TreeContext Ctx(Sig);
+  ParseResult P = parseSExpr(Ctx, tests::deepModuleText(20000, "Break"));
+  ASSERT_TRUE(P.ok()) << P.Error;
+  EXPECT_EQ(expectBuildersMatchPerNodeMake(Sig, P.Root), 40002u);
+}
+
+TEST(BatchedDeriveTest, LongLiteralsAndWideNodesMatchPerNodeMake) {
+  // Preimages past the largest batch go to sipHash128: a 5,000-byte
+  // literal, and a node of 20 kids beside batched narrow ones.
+  SignatureTable Sig = makeExpSignature();
+  std::vector<std::pair<std::string, std::string>> Slots;
+  for (int I = 0; I != 20; ++I)
+    Slots.push_back({std::string("k").append(std::to_string(I)), "Exp"});
+  Sig.defineTag("Wide", "Exp", Slots, {});
+  TreeContext Ctx(Sig);
+  std::string Long(5000, 'x');
+  for (size_t I = 0; I != Long.size(); ++I)
+    Long[I] = static_cast<char>('a' + I % 26);
+  std::vector<Tree *> Kids;
+  for (int I = 0; I != 20; ++I)
+    Kids.push_back(I % 3 == 0 ? call(Ctx, Long, var(Ctx, Long.substr(I)))
+                              : add(Ctx, num(Ctx, I), var(Ctx, "v")));
+  Tree *Wide = Ctx.make("Wide", Kids, {});
+  EXPECT_EQ(expectBuildersMatchPerNodeMake(Sig, Wide), 1u + 7 * 2 + 13 * 3);
+}
+
+TEST(BatchedDeriveTest, SwappedKeyReachesTheBatchedPath) {
+  // deriveAll reads the process key on every call: a key swapped in with
+  // setProcessDigestKeyForTest changes batched digests exactly as it
+  // changes per-node ones.
+  SignatureTable Sig = python::makePythonSignature();
+  corpus::CorpusOptions Opts;
+  Opts.NumPairs = 2;
+  Opts.Seed = 3;
+  corpus::CommitPair Pair = corpus::buildCommitCorpus(Opts).front();
+  TreeContext Ctx(Sig);
+  auto Before = python::parsePython(Ctx, Pair.Before);
+  ASSERT_TRUE(Before.ok());
+  const DigestKey Process = processDigestKey();
+  TreeContext Old(Sig);
+  Tree *UnderOld = Old.deepCopy(Before.Module);
+  setProcessDigestKeyForTest({Process.K0 ^ 0x9E3779B97F4A7C15ULL,
+                              ~Process.K1});
+  expectBuildersMatchPerNodeMake(Sig, Before.Module);
+  TreeContext New(Sig);
+  Tree *UnderNew = New.deepCopy(Before.Module);
+  setProcessDigestKeyForTest(Process);
+  EXPECT_NE(UnderNew->structureHash(), UnderOld->structureHash());
+  EXPECT_NE(UnderNew->literalHash(), UnderOld->literalHash());
+  TreeContext Back(Sig);
+  EXPECT_EQ(compareDerived(Back.deepCopy(Before.Module), UnderOld),
+            std::nullopt);
 }
 
 } // namespace

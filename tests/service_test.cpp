@@ -650,7 +650,7 @@ TEST(TextCacheTest, GetAnswersTheCurrentTreeAfterEveryChange) {
   });
   expectGetFollows(Store, 1, "mutateForTest", [&] {
     ASSERT_TRUE(Store.mutateForTest(1, [](Tree *Root, uint64_t &) {
-      Root->setLits({Literal(int64_t(10))});
+      Root->setLits(std::vector<Literal>{Literal(int64_t(10))});
     }));
   });
 }
@@ -667,6 +667,28 @@ TEST(TextCacheTest, RollbackThenSubmitReusesTheVersionNumberForANewTree) {
   DocumentSnapshot S = Store.snapshotText(1);
   EXPECT_EQ(S.Version, 1u);
   EXPECT_EQ(S.Text, "(Mul (b) (Num 2))");
+}
+
+TEST(TextCacheTest, RollbackRestoresUpdatedLiteralsInPlace) {
+  // The submit updates three literals of reused nodes in place (they live
+  // in the document arena's literal slab); rollback must write the old
+  // values back and leave digests that a rebuild reproduces.
+  SignatureTable Sig = makeExpSignature();
+  DocumentStore Store(Sig);
+  const std::string Old = "(Add (Num 1) (Call (Var \"" + std::string(40, 'x') +
+                          "\") \"f\"))";
+  const std::string New = "(Add (Num 2) (Call (Var \"" + std::string(90, 'y') +
+                          "\") \"g\"))";
+  ASSERT_TRUE(Store.open(1, sexprBuilder(Old)).Ok);
+  StoreResult R = Store.submit(1, sexprBuilder(New));
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(Store.snapshotText(1).Text, New);
+  ASSERT_TRUE(Store.rollback(1).Ok);
+  EXPECT_EQ(Store.snapshotText(1).Text, Old);
+  EXPECT_EQ(Store.checkDigests(1), std::nullopt);
+  ASSERT_TRUE(Store.submit(1, sexprBuilder(New)).Ok);
+  EXPECT_EQ(Store.snapshotText(1).Text, New);
+  EXPECT_EQ(Store.checkDigests(1), std::nullopt);
 }
 
 TEST(TextCacheTest, ReadsOfOneVersionRenderOnce) {
@@ -1254,6 +1276,31 @@ TEST(MetricsTest, HistogramPercentilesAreOrdered) {
   EXPECT_LE(S.P99Ms, S.MaxMs * 2.0); // bucket upper bound rounds up
   EXPECT_NEAR(S.MeanMs, 5.0, 0.5);
   EXPECT_NEAR(S.MaxMs, 10.0, 0.1);
+}
+
+TEST(MetricsTest, HistogramResolvesSubMillisecondShifts) {
+  // Eight buckets per power of two: a percentile lands within 12.5% of
+  // the latency it summarizes. Power-of-two buckets reported 2.048 ms for
+  // all of these.
+  LatencyHistogram Point;
+  for (int I = 0; I != 1000; ++I)
+    Point.record(1.3);
+  LatencyHistogram::Summary S = Point.summarize();
+  EXPECT_GE(S.P50Ms, 1.3);
+  EXPECT_LE(S.P50Ms, 1.3 * 1.125);
+
+  // Below the maximum, so the bucket bound itself is what p50 reports.
+  for (double Ms : {1.3, 1.1, 1.9, 0.35, 0.0125}) {
+    LatencyHistogram H;
+    for (int I = 0; I != 600; ++I)
+      H.record(Ms);
+    for (int I = 0; I != 400; ++I)
+      H.record(50.0);
+    S = H.summarize();
+    EXPECT_GE(S.P50Ms, Ms) << Ms;
+    EXPECT_LE(S.P50Ms, Ms * 1.125) << Ms;
+    EXPECT_EQ(S.P99Ms, 50.0) << Ms;
+  }
 }
 
 TEST(MetricsTest, JsonDumpHasAllSections) {

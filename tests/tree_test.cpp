@@ -307,4 +307,68 @@ TEST(TreeArenaTest, BudgetChargedOncePerNodeAndReleasedInFull) {
   EXPECT_EQ(Budget.used(), 0u);
 }
 
+TEST(TreeArenaTest, LiteralsLiveInTheArenaAndUpdateInPlace) {
+  // Literals are carved from the context's literal slab, as kid arrays
+  // are: a view stays valid, setLits overwrites in place, and nodes with
+  // more literals than a slab holds get an array of their own.
+  SignatureTable Sig = makeExpSignature();
+  std::vector<std::pair<std::string, LitKind>> Many;
+  for (int I = 0; I != 300; ++I)
+    Many.push_back({std::string("l").append(std::to_string(I)), LitKind::Int});
+  Sig.defineTag("ManyLits", "Exp", {}, Many);
+  TreeContext Ctx(Sig);
+  std::string Long(100, 'q');
+  Tree *Before = var(Ctx, "short");
+  std::vector<Literal> ManyVals;
+  for (int I = 0; I != 300; ++I)
+    ManyVals.emplace_back(int64_t(I));
+  Tree *Wide = Ctx.make("ManyLits", {}, ManyVals);
+  Tree *V = var(Ctx, Long);
+  Tree *After = num(Ctx, 7);
+  ASSERT_EQ(Wide->numLits(), 300u);
+  for (int I = 0; I != 300; ++I)
+    ASSERT_EQ(Wide->lit(I).asInt(), I);
+  EXPECT_EQ(Before->lit(0).asString(), "short");
+  EXPECT_EQ(After->lit(0).asInt(), 7);
+
+  const Literal *Slot = &V->lit(0);
+  LitSpan View = V->lits();
+  Digest OldLit = V->literalHash();
+  std::vector<Literal> Renamed{Literal(std::string(200, 'r'))};
+  V->setLits(Renamed);
+  EXPECT_EQ(&V->lit(0), Slot);
+  EXPECT_EQ(View[0].asString(), std::string(200, 'r'));
+  EXPECT_EQ(Before->lit(0).asString(), "short");
+  EXPECT_EQ(After->lit(0).asInt(), 7);
+  V->refreshDerived(Sig);
+  EXPECT_NE(V->literalHash(), OldLit);
+  EXPECT_EQ(V->literalHash(), var(Ctx, std::string(200, 'r'))->literalHash());
+
+  // A copy owns its own literals.
+  Tree *Copy = Ctx.deepCopy(V);
+  EXPECT_NE(&Copy->lit(0), &V->lit(0));
+  V->setLits(std::vector<Literal>{Literal(Long)});
+  EXPECT_EQ(Copy->lit(0).asString(), std::string(200, 'r'));
+}
+
+TEST(TreeArenaTest, BytesChargedIsTheSameEstimateAsBeforeTheLiteralSlab) {
+  // A node is charged sizeof(Tree), its kid pointers, its literals and
+  // their string payloads, as when each node held a literal vector. For
+  // this tree that is 4 nodes of 120 bytes, 3 kid pointers, 3 literals of
+  // 40 bytes, and the strings' capacities: 15 (short, in place) and 40.
+  static_assert(sizeof(Tree) == 120 && sizeof(Literal) == 40,
+                "the figures below assume the LP64 layout");
+  SignatureTable Sig = makeExpSignature();
+  MemoryBudget Budget;
+  TreeContext Ctx(Sig);
+  Ctx.attachBudget(&Budget);
+  Tree *T = add(Ctx, num(Ctx, 1), call(Ctx, "f", var(Ctx, std::string(40, 'x'))));
+  constexpr size_t Charged = 4 * 120 + 3 * 8 + 3 * 40 + 15 + 40;
+  EXPECT_EQ(Ctx.bytesCharged(), Charged);
+  Ctx.deepCopy(T);
+  Ctx.deepCopy(T, TreeContext::CopyUris::Fresh);
+  EXPECT_EQ(Ctx.bytesCharged(), 3 * Charged);
+  EXPECT_EQ(Budget.used(), Ctx.bytesCharged());
+}
+
 } // namespace

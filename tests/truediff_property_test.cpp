@@ -69,7 +69,7 @@ Tree *mutateExp(TreeContext &Ctx, Rng &R, const Tree *T, unsigned Percent) {
     Kids.push_back(mutateExp(Ctx, R, T->kid(I), Percent));
   if (Kids.size() == 2 && R.chance(Percent))
     std::swap(Kids[0], Kids[1]);
-  std::vector<Literal> Lits = T->lits();
+  std::vector<Literal> Lits(T->lits().begin(), T->lits().end());
   if (!Lits.empty() && R.chance(Percent) &&
       Lits[0].kind() == LitKind::Int)
     Lits[0] = Literal(R.range(0, 9));
