@@ -231,7 +231,7 @@ StoreResult DocumentStore::submit(DocId Doc, const TreeBuilder &Build,
   DiffOpts.IncrementalRehash = Cfg.PersistDigests;
   uint64_t ColdRehash = 0;
   if (!Cfg.PersistDigests) {
-    D->Current->refreshDerived(Sig);
+    D->Current->refreshDerived();
     ColdRehash = SourceSize;
   }
 

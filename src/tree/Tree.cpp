@@ -94,14 +94,81 @@ Digest hashLiterals(const DigestKey &Key, LitSpan Lits, Tree *const *Kids,
   });
 }
 
-/// Preimages of at most this many SipHash words (127 bytes) are batched;
-/// longer ones (long string literals, nodes with 8 or more kids) go to
-/// sipHash128.
-constexpr size_t MaxBatchWords = 16;
-
 /// A level's leftover batch of fewer preimages than this is hashed one by
 /// one: the 8-lane kernel costs about what two scalar calls cost.
 constexpr unsigned MinBatchLanes = 3;
+
+/// Writes a preimage into one lane of sipHash128x8's transposed input a
+/// word at a time, never reading back a word it stored byte by byte.
+class LaneWriter {
+public:
+  explicit LaneWriter(uint64_t *Lane) : Out(Lane) {}
+
+  /// Appends the low \p Bytes (1 to 8) bytes of \p V, whose other bytes
+  /// are zero.
+  void put(uint64_t V, unsigned Bytes) {
+    Acc |= V << (8 * Fill);
+    Fill += Bytes;
+    if (Fill >= 8) {
+      *Out = Acc;
+      Out += SipLanes;
+      Fill -= 8;
+      Acc = Fill == 0 ? 0 : V >> (8 * (Bytes - Fill));
+    }
+  }
+
+  void putBytes(const char *P, size_t N) {
+    uint64_t V;
+    for (; N >= 8; N -= 8, P += 8) {
+      std::memcpy(&V, P, 8);
+      put(V, 8);
+    }
+    if (N != 0) {
+      V = 0;
+      std::memcpy(&V, P, N);
+      put(V, static_cast<unsigned>(N));
+    }
+  }
+
+  /// Appends Literal::hashEncoding's bytes for \p L.
+  void putLiteral(const Literal &L) {
+    uint64_t Kind = static_cast<uint64_t>(L.kind());
+    switch (L.kind()) {
+    case LitKind::Int:
+      put(Kind, 1);
+      put(static_cast<uint64_t>(L.asInt()), 8);
+      return;
+    case LitKind::Float: {
+      double D = L.asFloat();
+      uint64_t Bits;
+      std::memcpy(&Bits, &D, sizeof(Bits));
+      put(Kind, 1);
+      put(Bits, 8);
+      return;
+    }
+    case LitKind::Bool:
+      put(Kind | uint64_t(L.asBool()) << 8, 2);
+      return;
+    case LitKind::String: {
+      const std::string &Str = L.asString();
+      put(Kind, 1);
+      put(Str.size(), 8);
+      putBytes(Str.data(), Str.size());
+      return;
+    }
+    }
+  }
+
+  /// Writes the last word: the remaining bytes and the preimage's length
+  /// \p Size, as sipWords describes it.
+  void finish(size_t Size) { *Out = Acc | uint64_t(Size) << 56; }
+
+private:
+  uint64_t *Out;
+  /// The next word's first Fill bytes.
+  uint64_t Acc = 0;
+  unsigned Fill = 0;
+};
 
 } // namespace
 
@@ -121,7 +188,7 @@ void Tree::hashDigests(const DigestKey &Key) {
   LitHash = sipHash128(Key, LitMsg, LitLen);
 }
 
-void Tree::computeDerived(const SignatureTable &Sig) {
+void Tree::computeDerived() {
   for (size_t I = 0; I != Arity; ++I)
     assert(Kids[I] != nullptr && "derived data requires complete trees");
   hashDigests(processDigestKey());
@@ -132,169 +199,170 @@ void Tree::computeDerived(const SignatureTable &Sig) {
     Height = std::max(Height, Kids[I]->Height + 1);
     Size += Kids[I]->Size;
   }
-  (void)Sig;
 }
 
-/// Tree::deriveAll's state. Per chunk it
-///   1. computes heights and sizes in post-order, and gives each node a
-///      level: 1 plus the highest level among its kids in the chunk, so a
-///      level's nodes depend only on lower levels and earlier chunks;
-///   2. for each level, queues both preimages of every node into batches
-///      by SipHash word count, runs each batch through sipHash128x8 as it
-///      fills, and at the level's end flushes the partial batches.
-/// The structure preimage goes straight into its lane; the literal
-/// preimage is written to a buffer first, its literals being bytes. A
-/// level of one node (a cons spine, a deep chain) can fill no batch, so
-/// its node is hashed as TreeContext::make hashes it.
-class Tree::Deriver {
-public:
-  explicit Deriver(const DigestKey &Key) : Key(Key) {}
+DeriveBatch::DeriveBatch() : Key(processDigestKey()) {}
 
-  /// Derives the \p N <= DeriveBatch::Chunk nodes at \p Nodes.
-  void chunk(Tree *const *Nodes, size_t N) {
-    uint32_t MaxLevel = 0;
-    for (size_t I = 0; I != N; ++I) {
-      Tree *T = Nodes[I];
-      uint32_t H = 1, Level = 1;
-      uint64_t S = 1;
-      for (size_t K = 0; K != T->Arity; ++K) {
-        const Tree *Kid = T->Kids[K];
-        assert(Kid != nullptr && "derived data requires complete trees");
-        H = std::max(H, Kid->Height + 1);
-        S += Kid->Size;
-        Level = std::max(Level, Kid->DeriveLevel + 1);
-      }
-      T->Height = H;
-      T->Size = S;
-      T->DeriveLevel = Level;
-      if (Level > MaxLevel) {
-        // A node's level is at most one above its kids', so levels
-        // open one at a time.
-        MaxLevel = Level;
-        Levels[Level] = nullptr;
-      }
-      T->DeriveNext = Levels[Level];
-      Levels[Level] = T;
+const Digest &DeriveBatch::leafStructure(TagId Tag) {
+  size_t Slot = Tag % LeafMemoSize;
+  if (LeafTags[Slot] != Tag) {
+    LeafTags[Slot] = Tag;
+    LeafHashes[Slot] = hashStructure(Key, Tag, nullptr, 0);
+  }
+  return LeafHashes[Slot];
+}
+
+const Digest &DeriveBatch::emptyLiterals() {
+  if (!HaveEmptyLits) {
+    EmptyLits = hashLiterals(Key, {}, nullptr, 0);
+    HaveEmptyLits = true;
+  }
+  return EmptyLits;
+}
+
+void DeriveBatch::add(Tree *T) {
+  if (T->Arity == 0) {
+    T->StructHash = leafStructure(T->Tag);
+    if (T->NumLits == 0) {
+      T->Height = 1;
+      T->Size = 1;
+      T->LitHash = emptyLiterals();
+      T->DerivedDirty = false;
+      return;
     }
-    for (uint32_t Level = 1; Level <= MaxLevel; ++Level) {
-      if (Tree *T = Levels[Level]; T->DeriveNext == nullptr) {
+  }
+  uint32_t H = 1, Level = 1;
+  uint64_t S = 1;
+  for (size_t K = 0; K != T->Arity; ++K) {
+    const Tree *Kid = T->Kids[K];
+    assert(Kid != nullptr && "derived data requires complete trees");
+    H = std::max(H, Kid->Height + 1);
+    S += Kid->Size;
+    Level = std::max(Level, Kid->DeriveLevel + 1);
+  }
+  T->Height = H;
+  T->Size = S;
+  T->DeriveLevel = Level;
+  if (Level > MaxLevel) {
+    // A node's level is at most one above its kids', so levels open one
+    // at a time.
+    MaxLevel = Level;
+    Levels[Level] = nullptr;
+  }
+  T->DeriveNext = Levels[Level];
+  Levels[Level] = T;
+  if (++NumAdded == Chunk)
+    deriveLevels();
+}
+
+void DeriveBatch::finish() {
+  if (NumAdded != 0)
+    deriveLevels();
+}
+
+/// Per level, queues both preimages of every node into batches by SipHash
+/// word count (a leaf's structure digest is already set), runs each batch
+/// through sipHash128x8 as it fills, and at the level's end flushes the
+/// partial batches. A level of one node (a cons spine, a deep chain) can
+/// fill no batch, so its node is hashed as TreeContext::make hashes it.
+void DeriveBatch::deriveLevels() {
+  for (uint32_t Level = 1; Level <= MaxLevel; ++Level) {
+    if (Tree *T = Levels[Level]; T->DeriveNext == nullptr) {
+      if (T->Arity == 0)
+        T->LitHash = hashLiterals(Key, T->lits(), nullptr, 0);
+      else
         T->hashDigests(Key);
-        T->DeriveLevel = 0;
-        T->DerivedDirty = false;
-        continue;
-      }
-      for (Tree *T = Levels[Level]; T != nullptr; T = T->DeriveNext) {
+      T->DeriveLevel = 0;
+      T->DerivedDirty = false;
+      continue;
+    }
+    for (Tree *T = Levels[Level]; T != nullptr; T = T->DeriveNext) {
+      if (T->Arity != 0) {
         size_t StructWords = sipWords(structureSize(T->Arity));
         if (StructWords <= MaxBatchWords)
           queue(T, /*Lit=*/false, StructWords);
         else
           T->StructHash = hashStructure(Key, T->Tag, T->Kids, T->Arity);
-        size_t LitWords = sipWords(literalSize(T->lits(), T->Arity));
-        if (LitWords <= MaxBatchWords)
-          queue(T, /*Lit=*/true, LitWords);
-        else
-          T->LitHash = hashLiterals(Key, T->lits(), T->Kids, T->Arity);
-        // Its parents took their levels in step 1.
-        T->DeriveLevel = 0;
-        T->DerivedDirty = false;
       }
-      flush();
+      size_t LitWords = sipWords(literalSize(T->lits(), T->Arity));
+      if (LitWords <= MaxBatchWords)
+        queue(T, /*Lit=*/true, LitWords);
+      else
+        T->LitHash = hashLiterals(Key, T->lits(), T->Kids, T->Arity);
+      // Its parents took their levels in add().
+      T->DeriveLevel = 0;
+      T->DerivedDirty = false;
     }
+    flush();
   }
+  NumAdded = 0;
+  MaxLevel = 0;
+}
 
-private:
-  /// Up to SipLanes queued preimages of one word count.
-  struct Batch {
-    Tree *Nodes[SipLanes];
-    /// Bit L set: lane L is Nodes[L]'s literal preimage, else its
-    /// structure preimage.
-    unsigned LitLanes;
-    unsigned Size;
-  };
-
-  void queue(Tree *T, bool Lit, size_t NumWords) {
-    Batch &B = Batches[NumWords - 1];
-    B.Nodes[B.Size] = T;
-    B.LitLanes |= unsigned(Lit) << B.Size;
-    if (++B.Size == SipLanes) {
-      run(B, NumWords);
-      Pending &= ~(1u << (NumWords - 1));
-    } else {
-      Pending |= 1u << (NumWords - 1);
-    }
+void DeriveBatch::queue(Tree *T, bool Lit, size_t NumWords) {
+  Lanes &B = Batches[NumWords - 1];
+  B.Nodes[B.Size] = T;
+  B.LitLanes |= unsigned(Lit) << B.Size;
+  if (++B.Size == SipLanes) {
+    run(B, NumWords);
+    Pending &= ~(1u << (NumWords - 1));
+  } else {
+    Pending |= 1u << (NumWords - 1);
   }
+}
 
-  /// Hashes \p B's preimages, \p NumWords words each, in one kernel call.
-  void run(Batch &B, size_t NumWords) {
-    for (unsigned L = 0; L != B.Size; ++L) {
-      const Tree *T = B.Nodes[L];
-      uint64_t *Lane = Words + L;
-      if (B.LitLanes >> L & 1) {
-        uint64_t Msg[MaxBatchWords];
-        Msg[NumWords - 1] = 0;
-        uint8_t *Begin = reinterpret_cast<uint8_t *>(Msg);
-        size_t Bytes =
-            writeLiterals(T->lits(), T->Kids, T->Arity, Begin) - Begin;
-        Msg[NumWords - 1] |= uint64_t(Bytes) << 56;
-        for (size_t W = 0; W != NumWords; ++W)
-          Lane[SipLanes * W] = Msg[W];
-        continue;
-      }
-      Lane[0] = T->Tag | uint64_t(T->Arity) << 32;
+void DeriveBatch::run(Lanes &B, size_t NumWords) {
+  for (unsigned L = 0; L != B.Size; ++L) {
+    const Tree *T = B.Nodes[L];
+    uint64_t *Lane = Words + L;
+    if (B.LitLanes >> L & 1) {
+      LaneWriter W(Lane);
+      W.put(T->NumLits, 4);
+      for (const Literal &Lit : T->lits())
+        W.putLiteral(Lit);
       for (size_t K = 0; K != T->Arity; ++K) {
-        const Digest &KidHash = T->Kids[K]->StructHash;
-        Lane[SipLanes * (1 + 2 * K)] = KidHash.word(0);
-        Lane[SipLanes * (2 + 2 * K)] = KidHash.word(1);
+        const Digest &KidHash = T->Kids[K]->LitHash;
+        W.put(KidHash.word(0), 8);
+        W.put(KidHash.word(1), 8);
       }
-      Lane[SipLanes * (NumWords - 1)] = uint64_t(structureSize(T->Arity))
-                                        << 56;
+      W.finish(literalSize(T->lits(), T->Arity));
+      continue;
     }
-    Digest Out[SipLanes];
-    sipHash128x8(Key, Words, NumWords, Out);
-    for (unsigned L = 0; L != B.Size; ++L)
-      (B.LitLanes >> L & 1 ? B.Nodes[L]->LitHash : B.Nodes[L]->StructHash) =
-          Out[L];
+    Lane[0] = T->Tag | uint64_t(T->Arity) << 32;
+    for (size_t K = 0; K != T->Arity; ++K) {
+      const Digest &KidHash = T->Kids[K]->StructHash;
+      Lane[SipLanes * (1 + 2 * K)] = KidHash.word(0);
+      Lane[SipLanes * (2 + 2 * K)] = KidHash.word(1);
+    }
+    Lane[SipLanes * (NumWords - 1)] = uint64_t(structureSize(T->Arity)) << 56;
+  }
+  Digest Out[SipLanes];
+  sipHash128x8(Key, Words, NumWords, Out);
+  for (unsigned L = 0; L != B.Size; ++L)
+    (B.LitLanes >> L & 1 ? B.Nodes[L]->LitHash : B.Nodes[L]->StructHash) =
+        Out[L];
+  B.Size = 0;
+  B.LitLanes = 0;
+}
+
+void DeriveBatch::flush() {
+  for (; Pending != 0; Pending &= Pending - 1) {
+    unsigned I = static_cast<unsigned>(__builtin_ctz(Pending));
+    Lanes &B = Batches[I];
+    if (B.Size >= MinBatchLanes) {
+      run(B, I + 1);
+      continue;
+    }
+    for (unsigned L = 0; L != B.Size; ++L) {
+      Tree *T = B.Nodes[L];
+      if (B.LitLanes >> L & 1)
+        T->LitHash = hashLiterals(Key, T->lits(), T->Kids, T->Arity);
+      else
+        T->StructHash = hashStructure(Key, T->Tag, T->Kids, T->Arity);
+    }
     B.Size = 0;
     B.LitLanes = 0;
   }
-
-  /// Empties every batch at a level's end.
-  void flush() {
-    for (; Pending != 0; Pending &= Pending - 1) {
-      unsigned I = static_cast<unsigned>(__builtin_ctz(Pending));
-      Batch &B = Batches[I];
-      if (B.Size >= MinBatchLanes) {
-        run(B, I + 1);
-        continue;
-      }
-      for (unsigned L = 0; L != B.Size; ++L) {
-        Tree *T = B.Nodes[L];
-        if (B.LitLanes >> L & 1)
-          T->LitHash = hashLiterals(Key, T->lits(), T->Kids, T->Arity);
-        else
-          T->StructHash = hashStructure(Key, T->Tag, T->Kids, T->Arity);
-      }
-      B.Size = 0;
-      B.LitLanes = 0;
-    }
-  }
-
-  const DigestKey Key;
-  /// Batches[W - 1] holds preimages of W words.
-  Batch Batches[MaxBatchWords] = {};
-  /// Bit W - 1 set: Batches[W - 1] is not empty.
-  uint32_t Pending = 0;
-  /// The kernel's input, transposed; lanes past a batch's size are stale.
-  uint64_t Words[MaxBatchWords * SipLanes] = {};
-  /// Levels[L]: the chunk's nodes of level L, linked by DeriveNext.
-  Tree *Levels[DeriveBatch::Chunk + 1];
-};
-
-void Tree::deriveAll(std::span<Tree *const> PostOrder) {
-  Deriver D(processDigestKey());
-  for (size_t I = 0; I < PostOrder.size(); I += DeriveBatch::Chunk)
-    D.chunk(PostOrder.data() + I,
-            std::min(DeriveBatch::Chunk, PostOrder.size() - I));
 }
 
 namespace {
@@ -307,7 +375,7 @@ struct PostorderFrame {
 
 } // namespace
 
-void Tree::refreshDerived(const SignatureTable &Sig) {
+void Tree::refreshDerived() {
   // Iterative post-order: kids are listed before their parent. Explicit
   // stack so a depth-MaxDepth chain cannot overflow the call stack.
   std::vector<PostorderFrame> Stack;
@@ -324,10 +392,9 @@ void Tree::refreshDerived(const SignatureTable &Sig) {
     Stack.pop_back();
   }
   Derive.finish();
-  (void)Sig;
 }
 
-uint64_t Tree::rehashDirtyPaths(const SignatureTable &Sig) {
+uint64_t Tree::rehashDirtyPaths() {
   if (!DerivedDirty)
     return 0;
   uint64_t Rehashed = 0;
@@ -349,7 +416,6 @@ uint64_t Tree::rehashDirtyPaths(const SignatureTable &Sig) {
     Stack.pop_back();
   }
   Derive.finish();
-  (void)Sig;
   return Rehashed;
 }
 
@@ -496,7 +562,7 @@ Tree *TreeContext::finish(Tree *Node, Derive When) {
   assertMatchesSignature(Sig, Node->Tag, Node->Kids, Node->Arity,
                          Node->lits());
   if (When == Derive::Now)
-    Node->computeDerived(Sig);
+    Node->computeDerived();
   else
     Node->DerivedDirty = true;
   if (Budget != nullptr) {
@@ -532,6 +598,17 @@ Tree *TreeContext::deepCopy(const Tree *T, CopyUris Uris) {
   while (!Stack.empty()) {
     CopyFrame &Top = Stack.back();
     if (Top.NextKid < Top.Src->arity()) {
+      if (Top.NextKid == 0) {
+        // First visit: fetch every kid's header (its first 40 bytes may
+        // straddle two cache lines) while the walk descends into the
+        // first. The source is usually cold, so each node would
+        // otherwise wait on memory when the walk reaches it.
+        for (size_t I = 0, E = Top.Src->arity(); I != E; ++I) {
+          const Tree *Kid = Top.Src->Kids[I];
+          __builtin_prefetch(Kid);
+          __builtin_prefetch(&Kid->NumLits);
+        }
+      }
       Stack.push_back({Top.Src->kid(Top.NextKid++), 0});
       continue;
     }

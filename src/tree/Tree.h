@@ -27,9 +27,12 @@
 /// TreeContext::make derives each node as it is built, hashing its two
 /// preimages with the scalar sipHash128. Whole-tree builds (deepCopy,
 /// CheckedBuilder, refreshDerived, rehashDirtyPaths) hand their nodes,
-/// kids first, to a DeriveBatch, which derives them 512 at a time with
-/// Tree::deriveAll while they are still in cache, hashing the preimages
-/// of independent nodes eight at a time (sipHash128x8).
+/// kids first, to one DeriveBatch per build. It derives a leaf without
+/// literals at once from a per-build memo of leaf tags, and the other
+/// nodes 512 at a time while they are still in cache, hashing the
+/// preimages of independent nodes eight at a time (sipHash128x8).
+/// deepCopy prefetches each source node's kids on its first visit, as
+/// the source of a copy is usually cold.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,6 +41,7 @@
 
 #include "support/Digest.h"
 #include "support/Literal.h"
+#include "support/TreeHash.h"
 #include "tree/Ids.h"
 #include "tree/Limits.h"
 #include "tree/Signature.h"
@@ -53,7 +57,6 @@
 
 namespace truediff {
 
-struct DigestKey;
 class SubtreeShare;
 class TreeContext;
 
@@ -226,14 +229,14 @@ public:
   /// clean subtrees are not even visited. Returns the number of nodes
   /// rehashed. Requires the dirtiness invariant above (every node with a
   /// stale descendant is itself marked), which TrueDiff maintains.
-  uint64_t rehashDirtyPaths(const SignatureTable &Sig);
+  uint64_t rehashDirtyPaths();
   /// @}
 
   /// Recomputes hashes, height, and size of this node and every
   /// descendant (and clears derived-dirty flags). Called on the patched
   /// tree after diffing, because reused nodes may have received new
   /// children or literals.
-  void refreshDerived(const SignatureTable &Sig);
+  void refreshDerived();
 
   /// Clears this node's share, assignment, covered flag, availability
   /// flag and mark: everything one diff session stamps. TrueDiff calls it
@@ -250,15 +253,6 @@ public:
 private:
   friend class TreeContext;
   friend class DeriveBatch;
-  class Deriver;
-
-  /// Computes the derived data of every node in \p PostOrder and clears
-  /// their derived-dirty flags. Every kid of a listed node must either be
-  /// listed before it or already be derived. The result is what
-  /// computing each node on its own would give, but the digests are taken
-  /// level by level, eight preimages at a time (see the file comment).
-  /// Reads the process key on every call.
-  static void deriveAll(std::span<Tree *const> PostOrder);
 
   Tree() = default;
 
@@ -275,7 +269,7 @@ private:
   }
 
   /// Recomputes this node's caches from its (already consistent) kids.
-  void computeDerived(const SignatureTable &Sig);
+  void computeDerived();
 
   /// Sets both digests from the kids' ones, each preimage hashed with the
   /// scalar sipHash128.
@@ -291,10 +285,10 @@ private:
   Literal *Lits = nullptr;
   /// Length of Lits, fixed by the tag's signature.
   uint32_t NumLits = 0;
-  /// deriveAll's scratch: the node's level within its chunk while a
-  /// chunk is being derived, and 0 at all other times.
+  /// DeriveBatch's scratch: the node's level within its chunk from add()
+  /// until its chunk is derived, and 0 at all other times.
   uint32_t DeriveLevel = 0;
-  /// deriveAll's scratch: the next node of the same level.
+  /// DeriveBatch's scratch: the next node of the same level.
   Tree *DeriveNext = nullptr;
 
   Digest StructHash;
@@ -314,32 +308,82 @@ static_assert(std::is_trivially_destructible_v<Tree>,
               "TreeContext frees its node slabs without running destructors");
 
 /// The derive step of a whole-tree build. The build adds the nodes it
-/// creates derive-dirty, every kid before its parent; each Chunk nodes,
-/// and at finish(), they are derived with Tree::deriveAll while they and
-/// their kids are still in cache. A node's derived data is valid only
-/// once its chunk is.
+/// creates derive-dirty, every kid before its parent. add() takes each
+/// node's height, size and level while its kids are still in cache, and
+/// derives a leaf without literals on the spot: its structure digest
+/// depends on its tag alone, which the batch hashes once per tag, and its
+/// literal digest is one constant. Every Chunk other nodes, and at
+/// finish(), the batch hashes their preimages level by level, eight at a
+/// time (sipHash128x8). A node's derived data is valid only once its
+/// chunk is.
+///
+/// Every digest is computed under the process key read at construction
+/// (processDigestKey()), never copied from a source tree: the scrubber
+/// relies on a copy re-deriving every node. The batch allocates nothing;
+/// the leaf memo fills as leaves arrive.
 class DeriveBatch {
 public:
   /// Nodes derived together: enough that the levels of a typical chunk
   /// of an AST fill the kernel's eight lanes, few enough to stay in cache.
   static constexpr size_t Chunk = 512;
 
-  void add(Tree *T) {
-    if (Nodes.empty())
-      Nodes.reserve(Chunk);
-    Nodes.push_back(T);
-    if (Nodes.size() == Chunk)
-      finish();
-  }
+  DeriveBatch();
+
+  /// Adds \p T; each of its kids was added before it or is derived.
+  void add(Tree *T);
 
   /// Derives the nodes added since the last full chunk.
-  void finish() {
-    Tree::deriveAll(Nodes);
-    Nodes.clear();
-  }
+  void finish();
 
 private:
-  std::vector<Tree *> Nodes;
+  /// Preimages of at most this many SipHash words (127 bytes) are batched;
+  /// longer ones (long string literals, nodes with 8 or more kids) go to
+  /// sipHash128.
+  static constexpr size_t MaxBatchWords = 16;
+  /// Slots of the leaf memo, indexed by tag modulo the size: a signature
+  /// interns its tags first, so their ids are small and distinct here.
+  static constexpr size_t LeafMemoSize = 128;
+
+  /// Up to SipLanes queued preimages of one word count.
+  struct Lanes {
+    Tree *Nodes[SipLanes];
+    /// Bit L set: lane L is Nodes[L]'s literal preimage, else its
+    /// structure preimage.
+    unsigned LitLanes;
+    unsigned Size;
+  };
+
+  /// The structure digest of every leaf tagged \p Tag.
+  const Digest &leafStructure(TagId Tag);
+  /// The literal digest of every leaf without literals.
+  const Digest &emptyLiterals();
+  /// Hashes the levels of the nodes added so far.
+  void deriveLevels();
+  void queue(Tree *T, bool Lit, size_t NumWords);
+  /// Hashes \p B's preimages, \p NumWords words each, in one kernel call.
+  void run(Lanes &B, size_t NumWords);
+  /// Empties every batch at a level's end.
+  void flush();
+
+  const DigestKey Key;
+  /// Nodes added and not yet derived.
+  size_t NumAdded = 0;
+  /// Highest level among them; Levels[1..MaxLevel] are their level
+  /// lists, linked by Tree::DeriveNext.
+  uint32_t MaxLevel = 0;
+  Tree *Levels[Chunk + 1];
+  /// The leaf memo: LeafTags[I] is InvalidSymbol or the tag whose leaf
+  /// structure digest is LeafHashes[I].
+  TagId LeafTags[LeafMemoSize] = {};
+  Digest LeafHashes[LeafMemoSize];
+  bool HaveEmptyLits = false;
+  Digest EmptyLits;
+  /// Batches[W - 1] holds preimages of W words.
+  Lanes Batches[MaxBatchWords] = {};
+  /// Bit W - 1 set: Batches[W - 1] is not empty.
+  uint32_t Pending = 0;
+  /// The kernel's input, transposed; lanes past a batch's size are stale.
+  uint64_t Words[MaxBatchWords * SipLanes] = {};
 };
 
 /// A vestige with no behaviour: one TreeContext constructor accepts it and

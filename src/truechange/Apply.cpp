@@ -330,7 +330,7 @@ uint64_t ScriptApplier::Impl::finish() {
   }
   if (Root == nullptr)
     return 0;
-  return Root->rehashDirtyPaths(Sig);
+  return Root->rehashDirtyPaths();
 }
 
 void ScriptApplier::Impl::buildIndex() {

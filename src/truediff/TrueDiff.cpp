@@ -444,9 +444,9 @@ DiffResult TrueDiff::compareTo(Tree *Source, Tree *Target) {
   // only the root-to-edit paths Step 4 marked dirty need rehashing; the
   // resulting digests are identical to a full refresh either way.
   if (Opts.IncrementalRehash)
-    Result.NodesRehashed = Patched->rehashDirtyPaths(Sig);
+    Result.NodesRehashed = Patched->rehashDirtyPaths();
   else {
-    Patched->refreshDerived(Sig);
+    Patched->refreshDerived();
     Result.NodesRehashed = Patched->size();
   }
   // Reset exactly the nodes this session stamped, not the whole source

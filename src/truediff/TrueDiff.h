@@ -92,15 +92,6 @@ public:
   /// "pre-hashed" by default in this representation).
   DiffResult compareTo(Tree *Source, Tree *Target);
 
-  /// Recomputes derived data along the dirty paths Step 4 marked in
-  /// \p Patched, clearing the marks; returns the number of nodes rehashed.
-  /// Exposed so callers that apply edits to typed trees outside compareTo
-  /// (and mark the touched nodes via Tree::markDerivedDirty) can restore
-  /// the digest-cache invariant without a full rehash.
-  static uint64_t rehashDirtyPaths(const SignatureTable &Sig, Tree *Patched) {
-    return Patched->rehashDirtyPaths(Sig);
-  }
-
 private:
   /// \name Step 2
   /// Iterative, in the order of the paper's recursive definition.

@@ -64,13 +64,13 @@ TEST(DeepTreeTest, TraversalsSurviveDeepChains) {
   EXPECT_EQ(All, ChainDepth + 1);
   EXPECT_EQ(Proper, ChainDepth);
 
-  T->refreshDerived(Sig);
+  T->refreshDerived();
   EXPECT_EQ(T->size(), ChainDepth + 1);
   EXPECT_EQ(T->height(), ChainDepth + 1);
 
   // Dirty-path rehash down the full chain: worst case, every node dirty.
   T->foreachTree([](Tree *N) { N->markDerivedDirty(); });
-  EXPECT_EQ(T->rehashDirtyPaths(Sig), ChainDepth + 1);
+  EXPECT_EQ(T->rehashDirtyPaths(), ChainDepth + 1);
   T->foreachTree([&](Tree *N) { EXPECT_FALSE(N->derivedDirty()); });
 }
 

@@ -370,6 +370,38 @@ TEST(ScrubberTest, MemoryCorruptionDetectedQuarantinedAndRepairedInOneCycle) {
   EXPECT_EQ(Again.NewlyQuarantined, 0u);
 }
 
+TEST(ScrubberTest, StaleLeafDigestsAreReportedWithTheLeafsUri) {
+  // checkDigests compares the stored tree with a deepCopy, which derives
+  // a leaf's digests from its tag and literals under the process key. A
+  // copy that took a leaf's digest from the stored node would carry the
+  // flipped byte along and report nothing.
+  SignatureTable Sig = makeExpSignature();
+  DocumentStore Store(Sig);
+  const std::pair<const char *, const char *> Leaves[] = {
+      {"a", "(a)"}, {"b", "(b)"}, {"Num", "(Num 7)"}, {"Var", "(Var \"x\")"}};
+  DocId Doc = 1;
+  for (const auto &[Tag, Leaf] : Leaves) {
+    std::string Text = std::string("(Add (Mul (c) ") + Leaf + ") (Sub " +
+                       Leaf + " (d)))";
+    ASSERT_TRUE(Store.open(Doc, makeSExprBuilder(Text)).Ok) << Text;
+    ASSERT_EQ(Store.checkDigests(Doc), std::nullopt) << Text;
+    URI Flipped = NullURI;
+    ASSERT_TRUE(Store.mutateForTest(Doc, [&](Tree *Root, uint64_t &) {
+      Root->foreachTree([&](Tree *T) {
+        if (Flipped == NullURI && Sig.name(T->tag()) == Tag) {
+          TreeContext::corruptDerivedForTest(T);
+          Flipped = T->uri();
+        }
+      });
+    }));
+    ASSERT_NE(Flipped, NullURI) << Text;
+    EXPECT_EQ(Store.checkDigests(Doc),
+              "stale structure hash at uri " + std::to_string(Flipped))
+        << Text;
+    ++Doc;
+  }
+}
+
 TEST(ScrubberTest, RepairInstallsDurableStateWhenTheBudgetIsExhausted) {
   // Repair installs state that was accepted once. The memory budget
   // counts it but may not refuse it, or the document would stay

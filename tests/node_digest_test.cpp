@@ -44,6 +44,7 @@
 
 #include <array>
 #include <cstring>
+#include <set>
 #include <string>
 #include <unordered_set>
 
@@ -500,7 +501,7 @@ size_t expectBuildersMatchPerNodeMake(const SignatureTable &Sig,
     TreeContext Ctx(Sig);
     Tree *Copy = Ctx.deepCopy(T);
     TreeContext::corruptDerivedForTest(Copy);
-    Copy->refreshDerived(Sig);
+    Copy->refreshDerived();
     Expect(Copy, "refreshDerived");
   }
   return Ref->size();
@@ -576,6 +577,110 @@ TEST(BatchedDeriveTest, SwappedKeyReachesTheBatchedPath) {
   TreeContext Back(Sig);
   EXPECT_EQ(compareDerived(Back.deepCopy(Before.Module), UnderOld),
             std::nullopt);
+}
+
+/// One function statement holding every arity-0 tag of the Python
+/// signature (the literal-free StmtNil, ParamNil, Pass, Break, Continue,
+/// NoneLit, ExprNil and EntryNil; Param, Import, ImportFrom, Name,
+/// IntLit, FloatLit, StrLit and BoolLit with literals), 33 nodes, its
+/// literals varied by \p I: strings of 0 to 23 bytes cover every tail
+/// length of a SipHash word.
+Tree *everyLeafFunction(TreeContext &Ctx, int I) {
+  auto Make = [&](const char *Tag, std::vector<Tree *> Kids,
+                  std::vector<Literal> Lits = {}) {
+    return Ctx.make(Tag, Kids, std::move(Lits));
+  };
+  auto Str = [](std::string S) { return Literal(std::move(S)); };
+  std::string Text(static_cast<size_t>(I % 24), static_cast<char>('a' + I % 26));
+  Tree *Args = Make("ExprNil", {});
+  for (Tree *Arg :
+       {Make("DictExpr", {Make("EntryNil", {})}), Make("NoneLit", {}),
+        Make("BoolLit", {}, {Literal(I % 2 == 0)}),
+        Make("StrLit", {}, {Str(Text)}),
+        Make("FloatLit", {}, {Literal(0.5 * I)}),
+        Make("IntLit", {}, {Literal(int64_t(-I))})})
+    Args = Make("ExprCons", {Arg, Args});
+  Tree *Body = Make("StmtNil", {});
+  for (Tree *Stmt :
+       {Make("ExprStmt", {Make("Call", {Make("Name", {}, {Str("g")}), Args})}),
+        Make("ImportFrom", {}, {Str("m" + Text), Str("n")}),
+        Make("Import", {}, {Str("os")}), Make("Continue", {}),
+        Make("Break", {}), Make("Pass", {})})
+    Body = Make("StmtCons", {Stmt, Body});
+  Tree *Params = Make("ParamCons", {Make("Param", {}, {Str("p" + Text)}),
+                                    Make("ParamNil", {})});
+  return Make("FuncDef", {Params, Body}, {Str("f" + std::to_string(I))});
+}
+
+/// A module of \p Units everyLeafFunction statements.
+Tree *everyLeafModule(TreeContext &Ctx, int Units) {
+  Tree *Body = Ctx.make("StmtNil", {}, {});
+  for (int I = Units; I != 0; --I)
+    Body = Ctx.make("StmtCons", {everyLeafFunction(Ctx, I), Body}, {});
+  return Ctx.make("Module", {Body}, {});
+}
+
+TEST(BatchedDeriveTest, EveryLeafTagMatchesPerNodeMake) {
+  // A DeriveBatch hashes each leaf tag's structure digest once per build
+  // and gives every leaf without literals one literal digest; every
+  // builder must still agree with per-node make() on each leaf tag, in
+  // every chunk.
+  SignatureTable Sig = python::makePythonSignature();
+  std::set<TagId> LeafTags;
+  for (TagId Tag = 1; Tag != 1000; ++Tag)
+    if (const TagSignature *S = Sig.findSignature(Tag); S && S->Kids.empty())
+      LeafTags.insert(Tag);
+  TreeContext Ctx(Sig);
+  Tree *Module = everyLeafModule(Ctx, 48);
+  std::set<TagId> Seen;
+  Module->foreachTree([&](Tree *T) {
+    if (T->arity() == 0)
+      Seen.insert(T->tag());
+  });
+  EXPECT_EQ(Seen, LeafTags);
+  EXPECT_EQ(LeafTags.size(), 16u);
+  // Three chunk boundaries at least, each with leaves of every tag on
+  // both sides.
+  EXPECT_GT(expectBuildersMatchPerNodeMake(Sig, Module),
+            3 * DeriveBatch::Chunk);
+}
+
+TEST(BatchedDeriveTest, LeafMemoFollowsAKeySwap) {
+  // The leaf memo lives in one build's DeriveBatch and is filled under
+  // the key read when the build starts, so a build after a key swap
+  // hashes every leaf under the new key.
+  SignatureTable Sig = python::makePythonSignature();
+  TreeContext Src(Sig);
+  Tree *Module = everyLeafModule(Src, 20);
+  const DigestKey Process = processDigestKey();
+  TreeContext Before(Sig);
+  Tree *UnderOld = Before.deepCopy(Module);
+  {
+    TreeContext Ref(Sig);
+    EXPECT_EQ(compareDerived(UnderOld, rebuildPerNode(Ref, Module)),
+              std::nullopt);
+  }
+  setProcessDigestKeyForTest({~Process.K0, Process.K1 ^ 0x5851F42D4C957F2DULL});
+  TreeContext After(Sig);
+  Tree *UnderNew = After.deepCopy(UnderOld);
+  TreeContext Ref(Sig);
+  std::optional<std::string> Diff =
+      compareDerived(UnderNew, rebuildPerNode(Ref, Module));
+  size_t Checked = expectBuildersMatchPerNodeMake(Sig, UnderOld);
+  setProcessDigestKeyForTest(Process);
+  EXPECT_EQ(Diff, std::nullopt);
+  EXPECT_EQ(Checked, Module->size());
+  // Every leaf's digests changed with the key.
+  std::vector<const Tree *> Old, New;
+  UnderOld->foreachTree([&](Tree *T) { Old.push_back(T); });
+  UnderNew->foreachTree([&](Tree *T) { New.push_back(T); });
+  ASSERT_EQ(Old.size(), New.size());
+  for (size_t I = 0; I != Old.size(); ++I) {
+    if (Old[I]->arity() != 0)
+      continue;
+    EXPECT_NE(Old[I]->structureHash(), New[I]->structureHash()) << I;
+    EXPECT_NE(Old[I]->literalHash(), New[I]->literalHash()) << I;
+  }
 }
 
 } // namespace

@@ -135,7 +135,7 @@ TEST_F(TreeTest, RefreshDerivedAfterMutation) {
   ASSERT_EQ(A->structureHash(), B->structureHash());
   // Mutate A's kid and refresh: hashes must diverge (different shape).
   A->setKid(1, sub(Ctx, num(Ctx, 3), num(Ctx, 4)));
-  A->refreshDerived(Sig);
+  A->refreshDerived();
   EXPECT_NE(A->structureHash(), B->structureHash());
   EXPECT_EQ(A->size(), 5u);
   EXPECT_EQ(A->height(), 3u);
@@ -236,7 +236,7 @@ TEST_F(TreeTest, ArenaKeepsNodesAndKidArraysStableAcrossSlabs) {
   EXPECT_EQ(Log[99].Node->kid(1), Log[99].Kids[1]);
   EXPECT_EQ(Log[101].Node->kid(0), Log[101].Kids[0]);
   EXPECT_EQ(Log[101].Node->kid(1), Log[101].Kids[1]);
-  Acc->refreshDerived(Sig);
+  Acc->refreshDerived();
 
   // A deep copy spans fresh slabs and agrees node for node.
   size_t Before = Ctx.numNodes();
@@ -340,7 +340,7 @@ TEST(TreeArenaTest, LiteralsLiveInTheArenaAndUpdateInPlace) {
   EXPECT_EQ(View[0].asString(), std::string(200, 'r'));
   EXPECT_EQ(Before->lit(0).asString(), "short");
   EXPECT_EQ(After->lit(0).asInt(), 7);
-  V->refreshDerived(Sig);
+  V->refreshDerived();
   EXPECT_NE(V->literalHash(), OldLit);
   EXPECT_EQ(V->literalHash(), var(Ctx, std::string(200, 'r'))->literalHash());
 
