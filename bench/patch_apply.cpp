@@ -9,7 +9,7 @@
 ///
 ///  - MTree patching handles each edit in constant time (Section 3.2,
 ///    "This allows us to process edit operations in constant time");
-///  - SHA-256 hashing and hashed tree construction (Step 1 cost);
+///  - hashed tree construction (Step 1 cost);
 ///  - the linear type checker;
 ///  - end-to-end truediff on a fixed mid-size pair.
 ///
@@ -18,7 +18,6 @@
 #include "corpus/Corpus.h"
 #include "incremental/Index.h"
 #include "python/Python.h"
-#include "support/Sha256.h"
 #include "truechange/MTree.h"
 #include "truechange/TypeChecker.h"
 #include "truediff/TrueDiff.h"
@@ -55,17 +54,6 @@ Fixture &fixture() {
   static Fixture F;
   return F;
 }
-
-void BM_Sha256Throughput(benchmark::State &State) {
-  std::string Data(static_cast<size_t>(State.range(0)), 'x');
-  for (auto _ : State) {
-    Sha256Digest D = Sha256::hash(Data);
-    benchmark::DoNotOptimize(D);
-  }
-  State.SetBytesProcessed(static_cast<int64_t>(State.iterations()) *
-                          State.range(0));
-}
-BENCHMARK(BM_Sha256Throughput)->Arg(64)->Arg(4096)->Arg(1 << 20);
 
 void BM_TreeConstructionWithHashes(benchmark::State &State) {
   Fixture &F = fixture();

@@ -554,7 +554,6 @@ int main(int Argc, char **Argv) {
     integrity::Scrubber::Config IC;
     IC.IntervalMs = static_cast<unsigned>(ScrubIntervalMs);
     IC.RatePerSec = static_cast<double>(ScrubRate);
-    IC.NumShards = Store.config().NumShards;
     if (Lead) {
       replica::Leader *LeadPtr = Lead.get();
       replica::ReplicationLog *LogPtr = Log.get();

@@ -10,7 +10,7 @@
 /// of authored opens, submits, rollbacks, and erases through the
 /// leader, reads every document back over the followers' TCP read
 /// endpoints, and asserts byte-for-byte convergence (URI-preserving
-/// rendering and SHA-256 digest). The same check covers attribution:
+/// rendering and summary digest). The same check covers attribution:
 /// each live document's `blame` and `history` responses must be
 /// byte-identical between the leader's provenance index and each
 /// follower's, which is maintained independently from the record
@@ -32,7 +32,6 @@
 #include "replica/ReplicationLog.h"
 #include "service/DocumentStore.h"
 #include "support/Rng.h"
-#include "support/Sha256.h"
 
 #include <arpa/inet.h>
 #include <chrono>
@@ -97,8 +96,9 @@ bool checkFollower(const char *Name, service::DocumentStore &Store,
       Ok = false;
       continue;
     }
+    Digest Want = replica::summaryDigest(S.UriText);
     if (R.Version != S.Version || R.UriText != S.UriText ||
-        R.DigestHex != Sha256::hash(S.UriText).toHex()) {
+        R.Summary != Want) {
       // Dump everything a divergence post-mortem needs: both digests,
       // both versions, and how far into the record stream the follower
       // got, so "stale" and "corrupt" are distinguishable from the log.
@@ -109,9 +109,9 @@ bool checkFollower(const char *Name, service::DocumentStore &Store,
                    "last_applied_seq=%llu)\n",
                    Name, static_cast<unsigned long long>(Doc),
                    static_cast<unsigned long long>(S.Version),
-                   Sha256::hash(S.UriText).toHex().c_str(),
+                   Want.toHex().c_str(),
                    static_cast<unsigned long long>(R.Version),
-                   R.DigestHex.c_str(), F.caughtUp() ? 1 : 0,
+                   R.Summary.toHex().c_str(), F.caughtUp() ? 1 : 0,
                    static_cast<unsigned long long>(F.lastSeq()));
       Ok = false;
     }

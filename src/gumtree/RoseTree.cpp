@@ -6,7 +6,7 @@
 
 #include "gumtree/RoseTree.h"
 
-#include "support/Sha256.h"
+#include "support/TreeHash.h"
 
 #include <cassert>
 
@@ -34,19 +34,27 @@ size_t RNode::kidIndex(const RNode *Kid) const {
 }
 
 static void computeDerived(RNode *N) {
-  Sha256 Hasher;
-  Hasher.updateU32(N->Type);
-  Hasher.updateU64(N->Label.size());
-  Hasher.update(N->Label);
-  Hasher.updateU32(static_cast<uint32_t>(N->Kids.size()));
+  // Preimage: u32 type, u64 label length, the label, u32 kid count, then
+  // each kid's hash; integers in host byte order.
+  std::string Msg;
+  auto Put = [&Msg](auto V) {
+    Msg.append(reinterpret_cast<const char *>(&V), sizeof(V));
+  };
+  Put(static_cast<uint32_t>(N->Type));
+  Put(static_cast<uint64_t>(N->Label.size()));
+  Msg += N->Label;
+  Put(static_cast<uint32_t>(N->Kids.size()));
   N->Height = 1;
   N->Size = 1;
   for (RNode *Kid : N->Kids) {
-    Hasher.update(Kid->Hash);
+    Msg.append(reinterpret_cast<const char *>(Kid->Hash.bytes().data()),
+               Digest::NumBytes);
     N->Height = std::max(N->Height, Kid->Height + 1);
     N->Size += Kid->Size;
   }
-  N->Hash = Hasher.finish().truncated();
+  // The fixed key keeps hashes, and so Matcher's hash-keyed iteration
+  // order and Fig. 4's scripts, the same from run to run.
+  N->Hash = sipHash128(ChecksumKey, Msg.data(), Msg.size());
 }
 
 RNode *RoseForest::make(Symbol Type, std::string Label,

@@ -42,8 +42,8 @@ struct RNode {
   int Id = -1;
   uint32_t Height = 1;
   uint64_t Size = 1;
-  /// Isomorphism hash over type, label, and children: the first 16 bytes
-  /// of a SHA-256.
+  /// Isomorphism hash over type, label, and children: SipHash-2-4-128
+  /// under the fixed ChecksumKey.
   Digest Hash;
 
   bool isLeaf() const { return Kids.empty(); }

@@ -9,7 +9,6 @@
 #include "persist/BinaryCodec.h"
 #include "persist/Snapshot.h"
 #include "persist/Wal.h"
-#include "support/Sha256.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -87,7 +86,7 @@ Scrubber::CycleReport Scrubber::scrubCycle() {
   std::lock_guard<std::mutex> Cycle(CycleMu);
   CycleReport R;
   scrubDocuments(R);
-  if (Cfg.CheckDisk && Persist != nullptr)
+  if (Persist != nullptr)
     scrubDisk(R);
 
   std::lock_guard<std::mutex> Lock(StatsMu);
@@ -107,7 +106,7 @@ void Scrubber::scrubDocuments(CycleReport &R) {
   // reflected in the digests below or skipped by the follower's
   // per-entry DocSeq gate (see the file comment on the residual race).
   uint64_t AsOfSeq = Cfg.CurrentSeq ? Cfg.CurrentSeq() : 0;
-  size_t NumShards = std::max<size_t>(1, Cfg.NumShards);
+  size_t NumShards = std::max<size_t>(1, Store.config().NumShards);
   std::unordered_map<uint64_t, replica::ShardSummaryMsg> Summaries;
 
   for (DocId Doc : Store.listDocuments()) {
@@ -152,7 +151,7 @@ void Scrubber::scrubDocuments(CycleReport &R) {
         replica::ShardSummaryMsg::Entry E;
         E.Doc = Doc;
         E.Version = Snap.Version;
-        E.DigestHex = Sha256::hash(Snap.UriText).toHex();
+        E.Summary = replica::summaryDigest(Snap.UriText);
         M.Entries.push_back(std::move(E));
       }
     }
@@ -317,7 +316,7 @@ bool Scrubber::tryRepairFromDisk(DocId Doc) {
   // durable state is behind it (unlogged degraded-mode commits), an
   // install would silently roll the document back. Refuse -- staying
   // quarantined with a warning beats losing acknowledged writes.
-  service::DocumentSnapshot Live = Store.snapshot(Doc);
+  service::DocumentSnapshot Live = Store.snapshotText(Doc);
   if (!Live.Ok || Live.Version != Version)
     return false;
 

@@ -20,24 +20,25 @@
 ///      is attempted. The blast radius is exactly one document.
 ///
 ///   2. Anti-entropy. For every healthy document the cycle computes the
-///      cross-process convergence digest (SHA-256 of the URI-subscripted
-///      s-expression, the same probe Follower::read exposes) and fans
-///      per-shard summaries out to the follower replicas through the
-///      replication channel. A follower whose applied state disagrees
-///      requests a per-document resync -- repair from the healthy copy
-///      -- so silent replica divergence that no version or gap check can
-///      see is bounded by one scrub interval.
+///      cross-process convergence digest (replica::summaryDigest of the
+///      URI-subscripted s-expression, the same probe Follower::read
+///      exposes) and fans summaries, one per store shard, out to the
+///      follower replicas through the replication channel. A follower
+///      whose applied state disagrees requests a per-document resync --
+///      repair from the healthy copy -- so silent replica divergence
+///      that no version or gap check can see is bounded by one scrub
+///      interval.
 ///
-///   3. Disk. Closed WAL segments are re-read and CRC-walked; snapshot
-///      files are re-read and CRC-checked. The active WAL segment is
-///      never touched (its tail is legitimately in flux -- scrubbing it
-///      would manufacture false positives). Corrupt files are repaired
-///      from the healthy in-memory state: fresh snapshots of every live
-///      document make the damaged records dead, compaction removes the
-///      dead segment, and a corrupt snapshot file is deleted once a
-///      valid snapshot with Seq >= its own covers the document. Known
-///      corruption is remembered by path, so one bad file is counted
-///      once, not once per cycle.
+///   3. Disk, when a Persistence is given. Closed WAL segments are
+///      re-read and CRC-walked; snapshot files are re-read and
+///      CRC-checked. The active WAL segment is never touched (its tail
+///      is legitimately in flux -- scrubbing it would manufacture false
+///      positives). Corrupt files are repaired from the healthy
+///      in-memory state: fresh snapshots of every live document make the
+///      damaged records dead, compaction removes the dead segment, and a
+///      corrupt snapshot file is deleted once a valid snapshot with Seq
+///      >= its own covers the document. Known corruption is remembered
+///      by path, so one bad file is counted once, not once per cycle.
 ///
 /// Pacing: a token bucket (Config::RatePerSec) bounds how many
 /// documents/files a cycle touches per second, so the scrubber's full
@@ -89,17 +90,10 @@ public:
     /// files re-read) per second, with one second of burst. 0 =
     /// unlimited -- the cycle runs as fast as the store allows.
     double RatePerSec = 0;
-    /// Re-verify closed WAL segments and snapshot files on disk
-    /// (requires a Persistence instance).
-    bool CheckDisk = true;
     /// Read seam for disk verification; null = real I/O. Tests inject a
     /// FaultyIoEnv with ReadFlipPermille to exercise silent read-path
     /// corruption.
     persist::IoEnv *Env = nullptr;
-    /// Shard count for anti-entropy summary fan-out; summaries group
-    /// documents by Doc % NumShards (match the store's shard count so
-    /// the grouping is stable and bounded).
-    size_t NumShards = 16;
     /// Fans one shard summary out to the replicas (wire to
     /// Leader::broadcastSummary). Null = anti-entropy disabled.
     std::function<void(const replica::ShardSummaryMsg &)> Broadcast;
@@ -150,9 +144,10 @@ public:
     uint64_t SummariesSent = 0;
   };
 
-  /// \p Persist may be null (no disk pass, no disk repair source --
-  /// quarantined documents then stay quarantined until a replica copy
-  /// or manual intervention repairs them).
+  /// Anti-entropy summaries group documents by Doc % the store's
+  /// NumShards. \p Persist may be null (no disk pass, no disk repair
+  /// source -- quarantined documents then stay quarantined until a
+  /// replica copy or manual intervention repairs them).
   Scrubber(service::DocumentStore &Store, Config C,
            persist::Persistence *Persist = nullptr);
   ~Scrubber();

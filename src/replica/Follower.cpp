@@ -8,7 +8,6 @@
 
 #include "blame/Render.h"
 #include "persist/BinaryCodec.h"
-#include "support/Sha256.h"
 
 #include <cstdio>
 #include <cstring>
@@ -452,7 +451,7 @@ void Follower::onShardSummary(Conn &C, const ShardSummaryMsg &M) {
       continue;
     service::DocumentSnapshot Snap = Store.snapshot(E.Doc);
     if (!Snap.Ok || Snap.Version != E.Version ||
-        Sha256::hash(Snap.UriText).toHex() != E.DigestHex) {
+        summaryDigest(Snap.UriText) != E.Summary) {
       ++Counters.SummaryMismatches;
       requestResync(C, E.Doc);
     }
@@ -492,7 +491,7 @@ Follower::ReadResult Follower::read(uint64_t Doc) const {
   // Hashed after the document lock is released: record application need
   // not wait for the digest.
   if (Out.Ok)
-    Out.DigestHex = Sha256::hash(Out.UriText).toHex();
+    Out.Summary = summaryDigest(Out.UriText);
   return Out;
 }
 

@@ -32,7 +32,7 @@
 /// Reads print straight from the stored typed tree, exactly as the
 /// leader's store does: the get verb gets the plain s-expression,
 /// byte-identical to the leader's; read() adds the URI-subscripted form
-/// and its SHA-256 digest -- the byte-identical convergence check the
+/// and its summaryDigest -- the byte-identical convergence check the
 /// tests assert against the leader -- and the anti-entropy check hashes
 /// that same URI form. Blame and history are the leader's own renderers
 /// (blame/Render.h) over the follower's store and its provenance index,
@@ -103,7 +103,7 @@ public:
     uint64_t TreeSize = 0;
     std::string Text;      ///< plain s-expression
     std::string UriText;   ///< s-expression with URI subscripts
-    std::string DigestHex; ///< SHA-256 of UriText: the convergence probe
+    Digest Summary;        ///< summaryDigest(UriText): the convergence probe
   };
   /// Both s-expression forms plus the digest of the URI form.
   ReadResult read(uint64_t Doc) const;

@@ -7,6 +7,10 @@
 #include "replica/Protocol.h"
 
 #include "persist/Varint.h"
+#include "support/TreeHash.h"
+
+#include <array>
+#include <cstring>
 
 using namespace truediff;
 using namespace truediff::replica;
@@ -25,6 +29,10 @@ std::string frame(ReplFrame Type, const std::string &Payload) {
 }
 
 } // namespace
+
+Digest replica::summaryDigest(std::string_view UriText) {
+  return sipHash128(ChecksumKey, UriText.data(), UriText.size());
+}
 
 std::string replica::encodeFollowerHello(const FollowerHello &M) {
   std::string P;
@@ -97,8 +105,9 @@ std::string replica::encodeShardSummary(const ShardSummaryMsg &M) {
   for (const ShardSummaryMsg::Entry &E : M.Entries) {
     putVarint(P, E.Doc);
     putVarint(P, E.Version);
-    putVarint(P, E.DigestHex.size());
-    P += E.DigestHex;
+    putVarint(P, Digest::NumBytes);
+    P.append(reinterpret_cast<const char *>(E.Summary.bytes().data()),
+             Digest::NumBytes);
   }
   return frame(ReplFrame::ShardSummary, P);
 }
@@ -245,12 +254,15 @@ bool replica::decodeShardSummary(std::string_view Payload,
     auto Doc = getVarint(Payload, Pos);
     auto Version = getVarint(Payload, Pos);
     auto DigestLen = getVarint(Payload, Pos);
-    if (!Doc || !Version || !DigestLen || *DigestLen > Payload.size() - Pos)
+    if (!Doc || !Version || !DigestLen || *DigestLen != Digest::NumBytes ||
+        Digest::NumBytes > Payload.size() - Pos)
       return false;
     E.Doc = *Doc;
     E.Version = *Version;
-    E.DigestHex = std::string(Payload.substr(Pos, *DigestLen));
-    Pos += *DigestLen;
+    std::array<uint8_t, Digest::NumBytes> Bytes;
+    std::memcpy(Bytes.data(), Payload.data() + Pos, Digest::NumBytes);
+    E.Summary = Digest(Bytes);
+    Pos += Digest::NumBytes;
     Out.Entries.push_back(std::move(E));
   }
   return Pos == Payload.size();

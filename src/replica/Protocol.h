@@ -28,7 +28,8 @@
 ///                   in stats, and what failover treats as durable)
 ///   ShardSummary    anti-entropy digest summary of one store shard:
 ///                   shard, shard-count, as-of-seq, then per document
-///                   (doc, version, SHA-256-of-URI-rendering hex)
+///                   doc, version and the summaryDigest of its URI
+///                   rendering (length 16, then the 16 digest bytes)
 ///
 /// Decoders are total and strict: trailing bytes or truncated varints
 /// fail the decode. A follower treats any undecodable frame from its
@@ -40,6 +41,7 @@
 #define TRUEDIFF_REPLICA_PROTOCOL_H
 
 #include "net/Frame.h"
+#include "support/Digest.h"
 
 #include <cstdint>
 #include <string>
@@ -127,15 +129,22 @@ struct AckMsg {
   uint64_t Seq = 0;
 };
 
+/// The anti-entropy summary of a document whose URI-subscripted
+/// s-expression is \p UriText: SipHash-2-4-128 under the fixed
+/// ChecksumKey (support/TreeHash.h), so it agrees across processes and
+/// runs. The one place the summary is decided: the scrubber, the
+/// follower's summary compare and Follower::read all call it.
+Digest summaryDigest(std::string_view UriText);
+
 /// Anti-entropy: the leader's digest summary of one store shard,
 /// broadcast periodically by the integrity scrubber. Each entry names a
-/// document, its version, and the SHA-256 hex digest of its URI
-/// rendering -- the cross-process-stable content identity (never the
-/// node digests, which are keyed per process and meaningless outside
-/// it). A follower compares each entry against its own state up to
-/// AsOfSeq and requests a resync for any mismatch, catching silent
-/// divergence that gap detection cannot (the follower applied
-/// *something* for every seq; it was just wrong).
+/// document, its version, and the summaryDigest of its URI rendering --
+/// the cross-process-stable content identity (never the node digests,
+/// which are keyed per process and meaningless outside it). A follower
+/// compares each entry against its own state up to AsOfSeq and requests
+/// a resync for any mismatch, catching silent divergence that gap
+/// detection cannot (the follower applied *something* for every seq; it
+/// was just wrong).
 struct ShardSummaryMsg {
   /// Which shard of the document-id space this summarizes (Doc %
   /// ShardCount == Shard for every entry).
@@ -148,8 +157,8 @@ struct ShardSummaryMsg {
   struct Entry {
     uint64_t Doc = 0;
     uint64_t Version = 0;
-    /// SHA-256 hex of the document's URI rendering.
-    std::string DigestHex;
+    /// summaryDigest of the document's URI rendering.
+    Digest Summary;
   };
   std::vector<Entry> Entries;
 };

@@ -56,15 +56,13 @@ private:
   std::array<uint8_t, NumBytes> Bytes;
 };
 
-/// Lowercase hex of the \p Size bytes at \p Bytes.
-std::string hexString(const uint8_t *Bytes, size_t Size);
-
 /// The per-process random seed DigestHash folds into every table hash.
-/// Not every Digest is keyed (GumTree's come from unkeyed SHA-256), so
-/// exposing digest bytes directly as the bucket key would let crafted
-/// inputs flood one hash bucket; the seed (plus a strong finisher) makes
-/// bucket placement unpredictable. Defined in Digest.cpp; see also
-/// processDigestSeed() in TreeHash.h, which this reuses.
+/// Not every Digest is keyed per process (GumTree's and the anti-entropy
+/// summaries use the fixed ChecksumKey of TreeHash.h), so exposing digest
+/// bytes directly as the bucket key would let crafted inputs flood one
+/// hash bucket; the seed (plus a strong finisher) makes bucket placement
+/// unpredictable. Defined in Digest.cpp; see also processDigestSeed() in
+/// TreeHash.h, which this reuses.
 uint64_t digestTableSeed();
 
 /// Hash functor so Digest can key std::unordered_map. Mixes the first two

@@ -15,9 +15,13 @@
 /// compute digests offline, so it cannot search for a collision, and
 /// accidental collisions among 128-bit outputs are negligible.
 ///
-/// Digests are therefore meaningless outside the producing process and
-/// never leave it: followers, recovery and anti-entropy rebuild node
-/// digests themselves or compare the SHA-256 of the URI rendering.
+/// Node digests are therefore meaningless outside the producing process
+/// and never leave it: followers and recovery rebuild node digests
+/// themselves. What must agree across processes and runs -- the
+/// anti-entropy summary of a document's URI rendering, GumTree's node
+/// hashes -- is the same SipHash-2-4-128 under one fixed key,
+/// ChecksumKey. Those inputs come from trusted replicas or from the
+/// baseline's own trees, so no adversary aims for a collision there.
 ///
 /// Two functions compute the digest. sipHash128 hashes one message; it
 /// serves single-node construction and is the reference. sipHash128x8
@@ -46,6 +50,11 @@ struct DigestKey {
   uint64_t K0 = 0;
   uint64_t K1 = 0;
 };
+
+/// The fixed key of checksums that must agree across processes and runs
+/// (the bytes "truediffchecksum"). Node digests never use it.
+inline constexpr DigestKey ChecksumKey{0x6666696465757274ULL,
+                                       0x6d75736b63656863ULL};
 
 /// The per-process random seed DigestHash folds into table hashes. Drawn
 /// from std::random_device once per process; the TRUEDIFF_DIGEST_SEED

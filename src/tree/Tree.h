@@ -326,6 +326,10 @@ public:
   /// Nodes derived together: enough that the levels of a typical chunk
   /// of an AST fill the kernel's eight lanes, few enough to stay in cache.
   static constexpr size_t Chunk = 512;
+  /// Preimages of at most this many SipHash words (127 bytes) are batched;
+  /// longer ones (long string literals, nodes with 8 or more kids) go to
+  /// sipHash128.
+  static constexpr size_t MaxBatchWords = 16;
 
   DeriveBatch();
 
@@ -336,10 +340,6 @@ public:
   void finish();
 
 private:
-  /// Preimages of at most this many SipHash words (127 bytes) are batched;
-  /// longer ones (long string literals, nodes with 8 or more kids) go to
-  /// sipHash128.
-  static constexpr size_t MaxBatchWords = 16;
   /// Slots of the leaf memo, indexed by tag modulo the size: a signature
   /// interns its tags first, so their ids are small and distinct here.
   static constexpr size_t LeafMemoSize = 128;

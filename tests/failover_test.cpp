@@ -13,7 +13,7 @@
 ///   - no durable-acked write (acked to the client AND replicated to the
 ///     follower) is lost across a failover,
 ///   - the promoted leader's state is byte-identical (URI rendering +
-///     SHA-256 digest) to a committed prefix of the old leader's stream,
+///     summary digest) to a committed prefix of the old leader's stream,
 ///   - a demoted/fenced leader answers writes with not_leader carrying a
 ///     leader address hint and retry_after_ms,
 ///   - a retried submit is never applied twice (version-CAS dedup),
@@ -45,7 +45,6 @@
 #include "service/DiffService.h"
 #include "service/DocumentStore.h"
 #include "support/Rng.h"
-#include "support/Sha256.h"
 
 #include "TestLang.h"
 #include "TestNet.h"
@@ -268,7 +267,7 @@ struct Probe {
       return ::testing::AssertionFailure()
              << "doc " << Doc << " diverged:\n  leader:   " << S.UriText
              << "\n  follower: " << RR.UriText;
-    if (RR.DigestHex != Sha256::hash(S.UriText).toHex())
+    if (RR.Summary != replica::summaryDigest(S.UriText))
       return ::testing::AssertionFailure() << "doc " << Doc
                                            << " digest mismatch";
   }
@@ -334,7 +333,8 @@ void assertCommittedPrefix(service::DocumentStore &OldStore,
     }
     EXPECT_EQ(P.UriText, L.UriText) << "doc " << Doc << " at version "
                                     << P.Version;
-    EXPECT_EQ(Sha256::hash(P.UriText).toHex(), Sha256::hash(L.UriText).toHex())
+    EXPECT_EQ(replica::summaryDigest(P.UriText),
+              replica::summaryDigest(L.UriText))
         << "doc " << Doc;
   }
 }
@@ -777,6 +777,12 @@ TEST(FrameFuzz, ReplicaDecodersSurviveTruncationDuplicationAndFlips) {
   RR.Doc = 3;
   replica::AckMsg Ack;
   Ack.Seq = 42;
+  replica::ShardSummaryMsg Sum;
+  Sum.Shard = 1;
+  Sum.ShardCount = 2;
+  Sum.AsOfSeq = 42;
+  Sum.Entries.push_back({3, 17, replica::summaryDigest("(a)")});
+  Sum.Entries.push_back({5, 2, replica::summaryDigest("(b)")});
 
   struct Specimen {
     const char *Name;
@@ -818,6 +824,11 @@ TEST(FrameFuzz, ReplicaDecodersSurviveTruncationDuplicationAndFlips) {
        [](std::string_view P) {
          replica::AckMsg M;
          return replica::decodeAck(P, M);
+       }},
+      {"shard_summary", replica::encodeShardSummary(Sum),
+       [](std::string_view P) {
+         replica::ShardSummaryMsg M;
+         return replica::decodeShardSummary(P, M);
        }},
   };
 

@@ -16,7 +16,7 @@
 ///    never quarantine.
 ///  - Detection and repair within one cycle: an injected in-memory
 ///    digest corruption is quarantined and repaired from durable state
-///    (byte-identical, URI rendering + SHA-256); an injected WAL or
+///    (byte-identical, URI rendering + summaryDigest); an injected WAL or
 ///    snapshot corruption on disk is detected and healed from the
 ///    healthy in-memory state; FaultyIoEnv's silent read-path bit flips
 ///    are caught by the CRC walk and heal once the faults cease.
@@ -47,7 +47,6 @@
 #include "service/DocumentStore.h"
 #include "service/Wire.h"
 #include "support/Rng.h"
-#include "support/Sha256.h"
 
 #include "TestLang.h"
 #include "TestSeed.h"
@@ -275,7 +274,6 @@ TEST(ScrubberTest, CleanSeededRunsProduceZeroFindings) {
     P.attach(Store);
 
     Scrubber::Config SC;
-    SC.CheckDisk = true;
     Scrubber Scrub(Store, SC, &P);
 
     // Live workload interleaved with scrub cycles and snapshots: the
@@ -332,7 +330,7 @@ TEST(ScrubberTest, MemoryCorruptionDetectedQuarantinedAndRepairedInOneCycle) {
   }
   DocumentSnapshot Golden = Store.snapshot(2);
   ASSERT_TRUE(Golden.Ok);
-  std::string GoldenSha = Sha256::hash(Golden.UriText).toHex();
+  Digest GoldenSummary = replica::summaryDigest(Golden.UriText);
 
   // Silent in-memory rot: one flipped bit in the root's cached digest.
   ASSERT_TRUE(Store.corruptDigestForTest(2));
@@ -350,13 +348,13 @@ TEST(ScrubberTest, MemoryCorruptionDetectedQuarantinedAndRepairedInOneCycle) {
   EXPECT_EQ(Store.checkDigests(2), std::nullopt);
 
   // Repair is byte-identical: same version, same URI rendering, same
-  // SHA-256 -- the exact state durable truth held.
+  // summary digest -- the exact state durable truth held.
   DocumentSnapshot After = Store.snapshot(2);
   ASSERT_TRUE(After.Ok);
   EXPECT_FALSE(After.Quarantined);
   EXPECT_EQ(After.Version, Golden.Version);
   EXPECT_EQ(After.UriText, Golden.UriText);
-  EXPECT_EQ(Sha256::hash(After.UriText).toHex(), GoldenSha);
+  EXPECT_EQ(replica::summaryDigest(After.UriText), GoldenSummary);
 
   // The repaired document serves writes again; the bystanders never
   // stopped.
@@ -458,7 +456,9 @@ TEST(ScrubberTest, UnrepairableCorruptionStaysQuarantinedOthersKeepServing) {
   Rng R(Seed);
 
   SignatureTable Sig = makeExpSignature();
-  DocumentStore Store(Sig);
+  DocumentStore::Config StoreCfg;
+  StoreCfg.NumShards = 1;
+  DocumentStore Store(Sig, StoreCfg);
   for (DocId Doc = 1; Doc <= 3; ++Doc)
     ASSERT_TRUE(Store.open(Doc, makeSExprBuilder(randomExpText(R, 3))).Ok);
   ASSERT_TRUE(Store.corruptDigestForTest(1));
@@ -466,7 +466,6 @@ TEST(ScrubberTest, UnrepairableCorruptionStaysQuarantinedOthersKeepServing) {
   // No Persistence: there is no durable truth to repair from, so the
   // quarantine must hold instead of guessing.
   Scrubber::Config SC;
-  SC.CheckDisk = false;
   Scrubber Scrub(Store, SC, nullptr);
   Scrubber::CycleReport Rep = Scrub.scrubCycle();
   EXPECT_EQ(Rep.DigestMismatches, 1u);
@@ -491,8 +490,6 @@ TEST(ScrubberTest, UnrepairableCorruptionStaysQuarantinedOthersKeepServing) {
   // against corrupt truth.
   std::vector<replica::ShardSummaryMsg> Sent;
   Scrubber::Config BC;
-  BC.CheckDisk = false;
-  BC.NumShards = 1;
   BC.Broadcast = [&](const replica::ShardSummaryMsg &M) { Sent.push_back(M); };
   BC.CurrentSeq = [] { return uint64_t(0); };
   Scrubber Scrub2(Store, BC, nullptr);
@@ -686,8 +683,10 @@ struct LeaderNode {
   std::unique_ptr<replica::Leader> Lead;
   bool Started = false;
 
-  explicit LeaderNode(const SignatureTable &Sig)
-      : Sig(Sig), Store(Sig), Log(Store, replica::ReplicationLog::Config{}) {
+  explicit LeaderNode(const SignatureTable &Sig,
+                      DocumentStore::Config StoreCfg = {})
+      : Sig(Sig), Store(Sig, StoreCfg),
+        Log(Store, replica::ReplicationLog::Config{}) {
     replica::Leader::Config C;
     C.Epoch = 1;
     Lead = std::make_unique<replica::Leader>(Loop, Log, C);
@@ -726,7 +725,7 @@ struct FollowerNode {
     if (!RR.Ok)
       return ::testing::AssertionFailure() << "doc " << Doc << ": " << RR.Error;
     if (RR.Version != S.Version || RR.UriText != S.UriText ||
-        RR.DigestHex != Sha256::hash(S.UriText).toHex())
+        RR.Summary != replica::summaryDigest(S.UriText))
       return ::testing::AssertionFailure() << "doc " << Doc << " diverged";
   }
   return ::testing::AssertionSuccess();
@@ -740,7 +739,9 @@ TEST(AntiEntropyTest, SilentFollowerDivergenceIsDetectedAndResynced) {
   Rng R(Seed);
 
   SignatureTable Sig = json::makeJsonSignature();
-  LeaderNode L(Sig);
+  DocumentStore::Config StoreCfg;
+  StoreCfg.NumShards = 2;
+  LeaderNode L(Sig, StoreCfg);
   ASSERT_TRUE(L.Started);
   FollowerNode F(Sig);
   std::string Err;
@@ -788,8 +789,6 @@ TEST(AntiEntropyTest, SilentFollowerDivergenceIsDetectedAndResynced) {
   // One scrub cycle on the leader broadcasts the digest summaries; the
   // follower detects the mismatch and resyncs back to byte identity.
   Scrubber::Config SC;
-  SC.CheckDisk = false;
-  SC.NumShards = 2;
   SC.Broadcast = [&](const replica::ShardSummaryMsg &M) {
     L.Lead->broadcastSummary(M);
   };

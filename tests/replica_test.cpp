@@ -19,13 +19,16 @@
 /// reconnects and converges again. The follower's documents live in a
 /// DocumentStore fed by applyRecord, so the tests also check its digest
 /// cache, its arena compaction, and deep documents and blame trees read
-/// from it.
+/// from it. The anti-entropy summary digest is pinned: it does not
+/// depend on the process key, and its wire form carries exactly 16
+/// bytes.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "replica/Failover.h"
 #include "replica/Follower.h"
 #include "replica/Leader.h"
+#include "replica/Protocol.h"
 #include "replica/ReplicationLog.h"
 
 #include "blame/Provenance.h"
@@ -41,7 +44,7 @@
 #include "service/DocumentStore.h"
 #include "service/Wire.h"
 #include "support/Rng.h"
-#include "support/Sha256.h"
+#include "support/TreeHash.h"
 #include "tree/SExpr.h"
 
 #include "DeepModule.h"
@@ -195,7 +198,7 @@ private:
 };
 
 /// Byte-for-byte convergence: every document live on the leader reads
-/// identically (URI-preserving text and SHA-256 digest) on the
+/// identically (URI-preserving text and summary digest) on the
 /// follower, and every erased document is absent there.
 ::testing::AssertionResult converged(LeaderNode &L, replica::Follower &F,
                                      uint64_t NumDocs) {
@@ -220,7 +223,7 @@ private:
       return ::testing::AssertionFailure()
              << "doc " << Doc << " diverged:\n  leader:   " << S.UriText
              << "\n  follower: " << RR.UriText;
-    if (RR.DigestHex != Sha256::hash(S.UriText).toHex())
+    if (RR.Summary != replica::summaryDigest(S.UriText))
       return ::testing::AssertionFailure()
              << "doc " << Doc << " digest mismatch";
   }
@@ -257,6 +260,59 @@ std::string request(tests::TcpClient &C, const std::string &Line) {
   for (const std::string &L : Lines)
     Resp += L + "\n";
   return Resp + ".\n";
+}
+
+//===----------------------------------------------------------------------===//
+// The anti-entropy summary digest
+//===----------------------------------------------------------------------===//
+
+TEST(SummaryDigest, FixedKeyedAndIndependentOfTheProcessKey) {
+  const std::string UriText = "(Add_1 (Num_2 1) (Num_3 2))";
+  const DigestKey Process = processDigestKey();
+  Digest Under[2];
+  const DigestKey Keys[2] = {{0x0706050403020100ULL, 0x0f0e0d0c0b0a0908ULL},
+                             {0x1111111111111111ULL, 0x2222222222222222ULL}};
+  for (int I = 0; I != 2; ++I) {
+    setProcessDigestKeyForTest(Keys[I]);
+    Under[I] = replica::summaryDigest(UriText);
+  }
+  setProcessDigestKeyForTest(Process);
+  EXPECT_EQ(Under[0], Under[1]);
+  EXPECT_EQ(Under[0],
+            sipHash128(ChecksumKey, UriText.data(), UriText.size()));
+  // Pinned, so a change of key or of the hash shows up here.
+  EXPECT_EQ(Under[0].toHex(), "e4b2ad8790380946b819400ae7e250ea");
+}
+
+TEST(SummaryDigest, ShardSummaryCarriesExactlySixteenDigestBytes) {
+  replica::ShardSummaryMsg M;
+  M.Shard = 1;
+  M.ShardCount = 2;
+  M.AsOfSeq = 9;
+  M.Entries.push_back({3, 4, replica::summaryDigest("(a)")});
+  std::string Payload =
+      replica::encodeShardSummary(M).substr(net::FrameHeaderBytes);
+  replica::ShardSummaryMsg Out;
+  ASSERT_TRUE(replica::decodeShardSummary(Payload, Out));
+  ASSERT_EQ(Out.Entries.size(), 1u);
+  EXPECT_EQ(Out.Entries[0].Doc, 3u);
+  EXPECT_EQ(Out.Entries[0].Version, 4u);
+  EXPECT_EQ(Out.Entries[0].Summary, M.Entries[0].Summary);
+
+  // The entry ends with a length byte (16) and the digest; any other
+  // length is rejected, shorter or longer.
+  ASSERT_EQ(Payload.size(), 4 + 2 + 1 + Digest::NumBytes);
+  size_t LenAt = Payload.size() - Digest::NumBytes - 1;
+  ASSERT_EQ(Payload[LenAt], char(Digest::NumBytes));
+  std::string Short = Payload.substr(0, Payload.size() - 1);
+  Short[LenAt] = char(Digest::NumBytes - 1);
+  EXPECT_FALSE(replica::decodeShardSummary(Short, Out));
+  std::string Long = Payload + "x";
+  Long[LenAt] = char(Digest::NumBytes + 1);
+  EXPECT_FALSE(replica::decodeShardSummary(Long, Out));
+  std::string Hex = Payload.substr(0, LenAt) + char(32) +
+                    M.Entries[0].Summary.toHex();
+  EXPECT_FALSE(replica::decodeShardSummary(Hex, Out));
 }
 
 //===----------------------------------------------------------------------===//

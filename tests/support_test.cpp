@@ -7,12 +7,11 @@
 #include "support/Interner.h"
 #include "support/Literal.h"
 #include "support/Rng.h"
-#include "support/Sha256.h"
 #include "support/Stats.h"
+#include "support/TreeHash.h"
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -20,103 +19,12 @@
 using namespace truediff;
 
 //===----------------------------------------------------------------------===//
-// SHA-256 (FIPS 180-4 test vectors)
+// Digest
 //===----------------------------------------------------------------------===//
 
-TEST(Sha256Test, EmptyMessage) {
-  EXPECT_EQ(Sha256::hash("").toHex(),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
-}
-
-TEST(Sha256Test, Abc) {
-  EXPECT_EQ(Sha256::hash("abc").toHex(),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
-}
-
-TEST(Sha256Test, TwoBlocks) {
-  EXPECT_EQ(Sha256::hash("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomno"
-                         "pnopq")
-                .toHex(),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
-}
-
-TEST(Sha256Test, MillionAs) {
-  Sha256 Hasher;
-  std::string Chunk(1000, 'a');
-  for (int I = 0; I != 1000; ++I)
-    Hasher.update(Chunk);
-  EXPECT_EQ(Hasher.finish().toHex(),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
-}
-
-TEST(Sha256Test, ExactBlockBoundary) {
-  // 55, 56, 63, 64, 65 bytes exercise all padding cases.
-  for (size_t Len : {55u, 56u, 63u, 64u, 65u, 119u, 120u}) {
-    std::string Msg(Len, 'x');
-    Sha256Digest Whole = Sha256::hash(Msg);
-    Sha256 Chunked;
-    for (char C : Msg)
-      Chunked.update(&C, 1);
-    EXPECT_EQ(Whole, Chunked.finish()) << "length " << Len;
-  }
-}
-
-TEST(Sha256Test, IncrementalMatchesOneShot) {
-  std::string Msg = "the quick brown fox jumps over the lazy dog";
-  Sha256 Hasher;
-  Hasher.update(Msg.substr(0, 10));
-  Hasher.update(Msg.substr(10));
-  EXPECT_EQ(Hasher.finish(), Sha256::hash(Msg));
-}
-
-TEST(Sha256Test, ResetAllowsReuse) {
-  Sha256 Hasher;
-  Hasher.update("garbage");
-  (void)Hasher.finish();
-  Hasher.reset();
-  Hasher.update("abc");
-  EXPECT_EQ(Hasher.finish(), Sha256::hash("abc"));
-}
-
-TEST(Sha256Test, U64AndU32Helpers) {
-  Sha256 A;
-  A.updateU64(0x0123456789abcdefull);
-  Sha256 B;
-  const uint8_t Bytes[8] = {0xef, 0xcd, 0xab, 0x89, 0x67, 0x45, 0x23, 0x01};
-  B.update(Bytes, 8);
-  EXPECT_EQ(A.finish(), B.finish());
-
-  Sha256 C;
-  C.updateU32(0x04030201u);
-  Sha256 D;
-  const uint8_t Bytes4[4] = {0x01, 0x02, 0x03, 0x04};
-  D.update(Bytes4, 4);
-  EXPECT_EQ(C.finish(), D.finish());
-}
-
-TEST(Sha256CompressTest, ShaNiAndPortableAgree) {
-  if (!detail::haveShaNi())
-    GTEST_SKIP() << "CPU lacks the SHA extensions";
-  Rng R(2024);
-  for (int Trial = 0; Trial != 64; ++Trial) {
-    uint8_t Block[64];
-    uint32_t Portable[8], Ni[8];
-    for (uint8_t &Byte : Block)
-      Byte = static_cast<uint8_t>(R.next());
-    for (uint32_t &Word : Portable)
-      Word = static_cast<uint32_t>(R.next());
-    std::memcpy(Ni, Portable, sizeof(Ni));
-
-    detail::compressPortable(Portable, Block);
-    detail::compressShaNi(Ni, Block);
-
-    EXPECT_EQ(std::memcmp(Portable, Ni, sizeof(Ni)), 0) << Trial;
-  }
-}
-
 TEST(DigestTest, PrefixWordAndOrdering) {
-  Digest A = Sha256::hash("a").truncated();
-  Digest B = Sha256::hash("b").truncated();
+  Digest A = sipHash128(ChecksumKey, "a", 1);
+  Digest B = sipHash128(ChecksumKey, "b", 1);
   EXPECT_NE(A, B);
   EXPECT_NE(A.prefixWord(), B.prefixWord());
   EXPECT_TRUE((A < B) || (B < A));
@@ -177,7 +85,7 @@ TEST(LiteralTest, HashDistinguishesKindsAndValues) {
   auto HashOf = [](const Literal &L) {
     std::vector<uint8_t> Bytes(L.hashEncodingSize());
     EXPECT_EQ(L.hashEncoding(Bytes.data()), Bytes.data() + Bytes.size());
-    return Sha256::hash(Bytes.data(), Bytes.size());
+    return sipHash128(ChecksumKey, Bytes.data(), Bytes.size());
   };
   EXPECT_NE(HashOf(Literal(int64_t(1))), HashOf(Literal(int64_t(2))));
   EXPECT_NE(HashOf(Literal(int64_t(1))), HashOf(Literal(1.0)));
